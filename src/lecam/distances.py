@@ -6,14 +6,15 @@ versions (lattice draw plus uniform noise on the centered unit cube, giving
 a density that is constant on unit cubes), and Gaussian laws with matching
 moments.  Discrete pairs are summed exactly; jittered-versus-Gaussian pairs
 are integrated cube by cube with tensor-product Gauss-Legendre rules, with
-recursive bisection where the integrand |pmf - density| has a kink; a
-Monte Carlo estimator covers everything beyond dimension three.
+breadth-first bisection where the integrand |pmf - density| has a kink
+(``integrate_cells``); a Monte Carlo estimator covers everything beyond
+dimension three.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple, Sequence
@@ -56,6 +57,8 @@ MAX_QUAD_DIM = 3
 MAX_BISECTION_DEPTH = 6
 MIN_MC_SAMPLES = 10_000
 _MC_CHUNK = 1 << 20
+# Points per log_density call in the cell integrator; bounds its memory.
+_CELL_BLOCK = 1 << 15
 
 METHOD_EXACT = "exact-discrete"
 METHOD_QUAD = "cube-quadrature"
@@ -73,11 +76,25 @@ def _canonical_law(name: str) -> str:
 
 @dataclass(frozen=True, eq=False)
 class GaussianLaw:
-    """Multivariate normal with a cached Cholesky factor of its covariance."""
+    """Multivariate normal with its covariance factored once.
+
+    ``whitening`` is the inverse of the lower Cholesky factor L, so the
+    Mahalanobis form of x is |whitening (x - mean)|^2, and ``log_norm`` is
+    the log normalising constant -d/2 log(2 pi) - log det L.
+    """
 
     mean: np.ndarray
     covariance: np.ndarray
     cholesky_factor: np.ndarray
+    whitening: np.ndarray = field(init=False, repr=False)
+    log_norm: float = field(init=False, repr=False)
+
+    def __post_init__(self):
+        dim = self.mean.size
+        whitening = solve_triangular(self.cholesky_factor, np.eye(dim), lower=True)
+        log_det_half = float(np.sum(np.log(np.diag(self.cholesky_factor))))
+        object.__setattr__(self, "whitening", whitening)
+        object.__setattr__(self, "log_norm", -0.5 * dim * math.log(2.0 * math.pi) - log_det_half)
 
     @classmethod
     def from_moments(cls, mean, covariance) -> "GaussianLaw":
@@ -98,17 +115,24 @@ class GaussianLaw:
         return self.mean.size
 
     def log_density(self, x):
-        """Log-density at x, shape (d,) or (m, d); returns scalar or (m,)."""
+        """Log-density at x, shape (d,) or (m, d); returns scalar or (m,).
+
+        The whitening runs as d(d+1)/2 elementwise column operations, so
+        small batches pay no BLAS or scipy call overhead.
+        """
         arr = np.asarray(x, dtype=float)
         single = arr.ndim == 1
         pts = np.atleast_2d(arr)
         if pts.shape[1] != self.dim:
             raise ValidationError(f"points must have {self.dim} coordinates")
-        centered = (pts - self.mean).T
-        y = solve_triangular(self.cholesky_factor, centered, lower=True)
-        quad = np.einsum("ij,ij->j", y, y)
-        log_det_half = float(np.sum(np.log(np.diag(self.cholesky_factor))))
-        out = -0.5 * quad - 0.5 * self.dim * math.log(2.0 * math.pi) - log_det_half
+        centered = pts - self.mean
+        quad = np.zeros(len(pts))
+        for i, row in enumerate(self.whitening):
+            y = row[0] * centered[:, 0]
+            for j in range(1, i + 1):
+                y += row[j] * centered[:, j]
+            quad += y * y
+        out = self.log_norm - 0.5 * quad
         return float(out[0]) if single else out
 
 
@@ -228,114 +252,145 @@ def _probe_offsets(dim: int) -> np.ndarray:
     return np.vstack([corners, np.zeros((1, dim))])
 
 
+def _rule_integrals(
+    law: GaussianLaw, consts, centers: np.ndarray, halfwidths: np.ndarray, order: int
+) -> tuple[np.ndarray | None, np.ndarray]:
+    """Integrals of |const - density| and of the density over each cell.
+
+    One tensor Gauss-Legendre rule per cell, evaluated in blocks of at most
+    ``_CELL_BLOCK`` points and reduced elementwise (no BLAS call).  With
+    ``consts`` None only the masses are computed.
+    """
+    offsets, weights = _tensor_rule(order, law.dim)
+    step = max(1, _CELL_BLOCK // len(weights))
+    masses = np.empty(len(centers))
+    gaps = None if consts is None else np.empty(len(centers))
+    for s in range(0, len(centers), step):
+        width = 2.0 * halfwidths[s : s + step]
+        pts = centers[s : s + step, None, :] + offsets[None, :, :] * width[:, None, None]
+        dens = np.exp(law.log_density(pts.reshape(-1, law.dim))).reshape(len(width), -1)
+        vol = width**law.dim
+        masses[s : s + step] = (dens * weights).sum(axis=1) * vol
+        if gaps is not None:
+            diff = np.abs(consts[s : s + step, None] - dens)
+            gaps[s : s + step] = (diff * weights).sum(axis=1) * vol
+    return gaps, masses
+
+
 def _gaussian_cube_masses(
     law: GaussianLaw, centers: np.ndarray, halfwidth: float, order: int
 ) -> np.ndarray:
     """Integral of the Gaussian density over cubes of the given half-width."""
-    offsets, weights = _tensor_rule(order, law.dim)
-    pts = centers[:, None, :] + offsets[None, :, :] * (2.0 * halfwidth)
-    dens = np.exp(law.log_density(pts.reshape(-1, law.dim))).reshape(len(centers), -1)
-    return (dens @ weights) * (2.0 * halfwidth) ** law.dim
+    return _rule_integrals(law, None, centers, np.full(len(centers), halfwidth), order)[1]
 
 
-def _cell_integrals(
-    law: GaussianLaw, const: float, center: np.ndarray, halfwidth: float, orders
-) -> dict[int, tuple[float, float]]:
-    """Per-order (integral of |const - density|, integral of density) on one cell."""
-    out = {}
-    for order in orders:
-        offsets, weights = _tensor_rule(order, law.dim)
-        pts = center[None, :] + offsets * (2.0 * halfwidth)
-        dens = np.exp(law.log_density(pts))
-        vol = (2.0 * halfwidth) ** law.dim
-        out[order] = (
-            float(np.abs(const - dens) @ weights) * vol,
-            float(dens @ weights) * vol,
-        )
-    return out
+def _straddles(
+    law: GaussianLaw, log_consts: np.ndarray, centers: np.ndarray, halfwidth: float
+) -> np.ndarray:
+    """Cells whose density takes values on both sides of their constant."""
+    probes = _probe_offsets(law.dim)
+    pts = (centers[:, None, :] + probes[None, :, :] * (2.0 * halfwidth)).reshape(-1, law.dim)
+    diff = law.log_density(pts).reshape(len(centers), -1) - log_consts[:, None]
+    return (diff.max(axis=1) >= 0.0) & (diff.min(axis=1) <= 0.0)
 
 
-def _cell_straddles(law: GaussianLaw, log_const: float, center: np.ndarray, halfwidth: float) -> bool:
-    probes = center[None, :] + _probe_offsets(law.dim) * (2.0 * halfwidth)
-    diff = law.log_density(probes) - log_const
-    return bool(diff.max() >= 0.0) and bool(diff.min() <= 0.0)
-
-
-def _split_interval_integrals(
-    law: GaussianLaw, const: float, log_const: float, center: np.ndarray,
-    halfwidth: float, orders,
-) -> dict[int, tuple[float, float]]:
-    """One-dimensional cell: cut exactly where the density crosses the constant.
+def _cut_at_crossings(
+    law: GaussianLaw, log_consts: np.ndarray, centers: np.ndarray, halfwidth: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Cut one-dimensional cells exactly where the density crosses the constant.
 
     Each resulting piece is smooth, so plain Gauss-Legendre recovers its full
-    order of accuracy; the crossings are pinned by bisection on the continuous
-    log-density, which needs no assumptions beyond a sign change.
+    order of accuracy.  A 9-point scan brackets the crossings and 80 bisection
+    steps on the continuous log-density pin them, for all cells at once.
+    Returns each piece's cell index, center (as a column) and half-width.
     """
-    lo_edge = float(center[0]) - halfwidth
-    hi_edge = float(center[0]) + halfwidth
-
-    def gap(x: float) -> float:
-        return float(law.log_density(np.array([[x]]))[0]) - log_const
-
-    xs = np.linspace(lo_edge, hi_edge, 9)
-    vals = [gap(x) for x in xs]
-    cuts = [lo_edge, hi_edge]
-    for (x0, v0), (x1, v1) in zip(zip(xs, vals), zip(xs[1:], vals[1:])):
-        if v0 == 0.0 or v0 * v1 >= 0.0:
-            continue
-        lo, hi, vlo = x0, x1, v0
+    lo_edge = centers[:, 0] - halfwidth
+    hi_edge = centers[:, 0] + halfwidth
+    xs = np.linspace(lo_edge, hi_edge, 9, axis=1)
+    vals = law.log_density(xs.reshape(-1, 1)).reshape(xs.shape) - log_consts[:, None]
+    v0, v1 = vals[:, :-1], vals[:, 1:]
+    crossing = (v0 != 0.0) & (v0 * v1 < 0.0)
+    lo, hi, vlo = xs[:, :-1][crossing], xs[:, 1:][crossing], v0[crossing]
+    level = np.broadcast_to(log_consts[:, None], v0.shape)[crossing]
+    if lo.size:
         for _ in range(80):
             mid = 0.5 * (lo + hi)
-            vmid = gap(mid)
-            if vlo * vmid <= 0.0:
-                hi = mid
-            else:
-                lo, vlo = mid, vmid
-        cuts.append(0.5 * (lo + hi))
-    cuts.sort()
-    out = {}
-    for order in orders:
-        offsets, weights = _tensor_rule(order, 1)
-        acc_abs = 0.0
-        acc_mass = 0.0
-        for a, b in zip(cuts[:-1], cuts[1:]):
-            width = b - a
-            if width <= 0.0:
-                continue
-            pts = (0.5 * (a + b) + offsets[:, 0] * width)[:, None]
-            dens = np.exp(law.log_density(pts))
-            acc_abs += float(np.abs(const - dens) @ weights) * width
-            acc_mass += float(dens @ weights) * width
-        out[order] = (acc_abs, acc_mass)
-    return out
+            vmid = law.log_density(mid[:, None]) - level
+            left = vlo * vmid <= 0.0
+            hi = np.where(left, mid, hi)
+            lo = np.where(left, lo, mid)
+            vlo = np.where(left, vlo, vmid)
+    cuts = np.repeat(hi_edge[:, None], v0.shape[1], axis=1)
+    cuts[crossing] = 0.5 * (lo + hi)
+    edges = np.sort(np.column_stack([lo_edge, hi_edge, cuts]), axis=1)
+    a, b = edges[:, :-1], edges[:, 1:]
+    keep = b - a > 0.0
+    owners = np.nonzero(keep)[0]
+    a, b = a[keep], b[keep]
+    return owners, (0.5 * (a + b))[:, None], (b - a) / 2.0
 
 
-def _kinked_cell_integrals(
+class CellIntegrals(NamedTuple):
+    """Per-cell integrals from :func:`integrate_cells`, keyed by rule order."""
+
+    abs_parts: dict[int, np.ndarray]
+    mass_parts: dict[int, np.ndarray]
+
+
+def integrate_cells(
     law: GaussianLaw,
-    const: float,
-    log_const: float,
-    center: np.ndarray,
-    halfwidth: float,
-    depth: int,
-    orders,
-) -> dict[int, tuple[float, float]]:
-    """Bisect a cell that straddles the constant until smooth or depth runs out."""
-    if not _cell_straddles(law, log_const, center, halfwidth):
-        return _cell_integrals(law, const, center, halfwidth, orders)
-    if law.dim == 1:
-        return _split_interval_integrals(law, const, log_const, center, halfwidth, orders)
-    if depth == 0:
-        return _cell_integrals(law, const, center, halfwidth, orders)
-    half = halfwidth / 2.0
-    totals = {order: (0.0, 0.0) for order in orders}
-    for shift in _probe_offsets(law.dim)[: 1 << law.dim]:
-        child = center + shift * (2.0 * halfwidth) / 2.0
-        sub = _kinked_cell_integrals(law, const, log_const, child, half, depth - 1, orders)
+    consts: np.ndarray,
+    log_consts: np.ndarray,
+    centers: np.ndarray,
+    orders: Sequence[int],
+) -> CellIntegrals:
+    """Integrals of |const - density| and of the density over unit cells.
+
+    ``centers`` (m, d) are the centers of unit cubes, ``consts`` the constant
+    on each and ``log_consts`` its logarithm; one pair of arrays is returned
+    per Gauss-Legendre order in ``orders``.  A cell whose density crosses its
+    constant has a kink inside, so it is refined before integration: in one
+    dimension it is cut at the crossings; otherwise it is bisected into its
+    2^d children, breadth first, up to MAX_BISECTION_DEPTH levels, and cells
+    still straddling there are integrated as they are.
+
+    The frontier is kept as a stack of blocks of cells, so memory stays
+    bounded by the depth times one block's children, and every
+    ``log_density`` call covers at most ``_CELL_BLOCK`` points.
+    """
+    m, dim = centers.shape
+    abs_parts = {order: np.zeros(m) for order in orders}
+    mass_parts = {order: np.zeros(m) for order in orders}
+    block = max(1, _CELL_BLOCK // len(_probe_offsets(dim)))
+    stack = [
+        (np.arange(s, min(s + block, m)), centers[s : s + block], 0.5, 0)
+        for s in reversed(range(0, m, block))
+    ]
+    while stack:
+        owners, ctr, half, level = stack.pop()
+        straddle = _straddles(law, log_consts[owners], ctr, half)
+        halves = np.full(len(owners), half)
+        if dim == 1 and straddle.any():
+            rows, pieces, piece_halves = _cut_at_crossings(
+                law, log_consts[owners[straddle]], ctr[straddle], half
+            )
+            smooth = ~straddle
+            owners = np.concatenate([owners[smooth], owners[straddle][rows]])
+            ctr = np.concatenate([ctr[smooth], pieces])
+            halves = np.concatenate([halves[smooth], piece_halves])
+        elif dim > 1 and level < MAX_BISECTION_DEPTH and straddle.any():
+            shifts = _probe_offsets(dim)[:-1]
+            kids = (ctr[straddle][:, None, :] + shifts[None, :, :] * half).reshape(-1, dim)
+            kid_owners = np.repeat(owners[straddle], len(shifts))
+            for s in reversed(range(0, len(kids), block)):
+                stack.append((kid_owners[s : s + block], kids[s : s + block], half / 2.0, level + 1))
+            smooth = ~straddle
+            owners, ctr, halves = owners[smooth], ctr[smooth], halves[smooth]
         for order in orders:
-            a, m = totals[order]
-            da, dm = sub[order]
-            totals[order] = (a + da, m + dm)
-    return totals
+            gaps, masses = _rule_integrals(law, consts[owners], ctr, halves, order)
+            np.add.at(abs_parts[order], owners, gaps)
+            np.add.at(mass_parts[order], owners, masses)
+    return CellIntegrals(abs_parts, mass_parts)
 
 
 # ---------------------------------------------------------------------------
@@ -410,7 +465,8 @@ def tv_jittered_vs_gaussian(
     value = 1/2 [ sum_k int_cube(k) |pmf(k) - density| + (1 - sum_k int_cube(k) density) ];
     the complement term accounts for Gaussian mass outside the support cubes,
     keeping the result exact up to quadrature error.  Cubes where the density
-    crosses the cube's constant are bisected recursively before integration.
+    crosses the cube's constant are refined before integration (see
+    :func:`integrate_cells`).
     """
     _check_quad_args(params.dim, quad_order)
     if law.dim != params.dim:
@@ -422,42 +478,12 @@ def tv_jittered_vs_gaussian(
     order_lo = max(2, quad_order // 2)
     orders = (order_hi, order_lo) if order_lo != order_hi else (order_hi,)
     m = len(points)
-    dim = params.dim
-
-    # Sign-change detection at cube corners and centers, vectorized.
-    probes = _probe_offsets(dim)
-    probe_pts = (points[:, None, :] + probes[None, :, :]).reshape(-1, dim)
-    probe_log = law.log_density(probe_pts).reshape(m, -1)
-    diff = probe_log - logp[:, None]
-    straddle = (diff.max(axis=1) >= 0.0) & (diff.min(axis=1) <= 0.0)
-
-    abs_parts = {}
-    mass_parts = {}
-    for order in orders:
-        offsets, weights = _tensor_rule(order, dim)
-        pts = (points[:, None, :] + offsets[None, :, :]).reshape(-1, dim)
-        dens = np.exp(law.log_density(pts)).reshape(m, -1)
-        abs_parts[order] = np.abs(consts[:, None] - dens) @ weights
-        mass_parts[order] = dens @ weights
-
-    centers = points.astype(float)
-    for idx in np.nonzero(straddle)[0]:
-        cell = _kinked_cell_integrals(
-            law,
-            float(consts[idx]),
-            float(logp[idx]),
-            centers[idx],
-            0.5,
-            MAX_BISECTION_DEPTH,
-            orders,
-        )
-        for order in orders:
-            abs_parts[order][idx], mass_parts[order][idx] = cell[order]
+    parts = integrate_cells(law, consts, logp, points.astype(float), orders)
 
     values = {}
     for order in orders:
-        total_abs = math.fsum(abs_parts[order].tolist())
-        total_mass = math.fsum(mass_parts[order].tolist())
+        total_abs = math.fsum(parts.abs_parts[order].tolist())
+        total_mass = math.fsum(parts.mass_parts[order].tolist())
         values[order] = 0.5 * (total_abs + max(0.0, 1.0 - total_mass))
     value = min(max(values[order_hi], 0.0), 1.0)
     if len(orders) == 2:
