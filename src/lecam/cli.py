@@ -29,7 +29,7 @@ from .distances import (
     tv_monte_carlo,
 )
 from .errors import LecamError, SupportCapError, ValidationError
-from .expansion import expand, residual_scan
+from .expansion import _map_ordered, expand, residual_scan
 from .kernels import data_processing_check, deficiency_upper_bounds
 from .lattice import ExperimentParams, validate_params
 from .numerics import SlopeFit, fit_loglog_slope
@@ -386,15 +386,6 @@ def _cmd_dpi_check(args) -> int:
         print(f"combined_error = {_fmt(result.combined_error)}")
         print(f"holds = {holds}")
     return EXIT_OK
-
-
-def _map_ordered(fn, items, jobs: int):
-    if jobs <= 1:
-        return [fn(x) for x in items]
-    from concurrent.futures import ProcessPoolExecutor
-
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items))
 
 
 # ---------------------------------------------------------------------------

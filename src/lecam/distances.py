@@ -13,6 +13,7 @@ dimension three.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -20,7 +21,6 @@ from functools import lru_cache
 from typing import NamedTuple, Sequence
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .errors import RegimeError, ValidationError
 from .lattice import (
@@ -91,7 +91,7 @@ class GaussianLaw:
 
     def __post_init__(self):
         dim = self.mean.size
-        whitening = solve_triangular(self.cholesky_factor, np.eye(dim), lower=True)
+        whitening = np.tril(np.linalg.inv(self.cholesky_factor))
         log_det_half = float(np.sum(np.log(np.diag(self.cholesky_factor))))
         object.__setattr__(self, "whitening", whitening)
         object.__setattr__(self, "log_norm", -0.5 * dim * math.log(2.0 * math.pi) - log_det_half)
@@ -117,22 +117,27 @@ class GaussianLaw:
     def log_density(self, x):
         """Log-density at x, shape (d,) or (m, d); returns scalar or (m,).
 
-        The whitening runs as d(d+1)/2 elementwise column operations, so
-        small batches pay no BLAS or scipy call overhead.
+        The whitening runs as d(d+1)/2 elementwise row operations on
+        preallocated buffers, so small batches pay no per-call overhead and
+        wake no BLAS threads.
         """
         arr = np.asarray(x, dtype=float)
         single = arr.ndim == 1
         pts = np.atleast_2d(arr)
         if pts.shape[1] != self.dim:
             raise ValidationError(f"points must have {self.dim} coordinates")
-        centered = pts - self.mean
-        quad = np.zeros(len(pts))
+        centered = np.subtract(pts.T, self.mean[:, None], order="C")
+        out = np.zeros(len(pts))
+        y = np.empty(len(pts))
+        term = np.empty(len(pts))
         for i, row in enumerate(self.whitening):
-            y = row[0] * centered[:, 0]
+            np.multiply(centered[0], row[0], out=y)
             for j in range(1, i + 1):
-                y += row[j] * centered[:, j]
-            quad += y * y
-        out = self.log_norm - 0.5 * quad
+                y += np.multiply(centered[j], row[j], out=term)
+            y *= y
+            out += y
+        out *= -0.5
+        out += self.log_norm
         return float(out[0]) if single else out
 
 
@@ -244,21 +249,51 @@ def _tensor_rule(order: int, dim: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 @lru_cache(maxsize=None)
-def _probe_offsets(dim: int) -> np.ndarray:
-    """Cube corners plus the center, used to detect sign changes."""
-    corners = np.array(
-        [[(b >> i & 1) - 0.5 for i in range(dim)] for b in range(1 << dim)]
-    )
-    return np.vstack([corners, np.zeros((1, dim))])
+def _corner_offsets(dim: int) -> np.ndarray:
+    """Corners of the centered unit cube; also the shifts of a cell's children."""
+    return np.array([[(b >> i & 1) - 0.5 for i in range(dim)] for b in range(1 << dim)])
+
+
+class _Face(NamedTuple):
+    """One face of a cell and the peak of the density over it.
+
+    Each coordinate sits at the cell's lower edge (sign -1), at its upper
+    edge (+1) or is free (0).  Over the free coordinates F the Mahalanobis
+    form is least at x_F = mean_F + coef (x_G - mean_G), where G are the
+    fixed ones and coef = -P_FF^-1 P_FG for the precision matrix P.
+    """
+
+    signs: np.ndarray
+    free: np.ndarray
+    fixed: np.ndarray
+    coef: np.ndarray
+
+
+def _cell_faces(law: GaussianLaw) -> list[_Face]:
+    """The 3^d faces of a cell, corners (no free coordinate) first."""
+    precision = np.einsum("ki,kj->ij", law.whitening, law.whitening)
+    faces = []
+    for signs in itertools.product((-1.0, 1.0, 0.0), repeat=law.dim):
+        signs = np.array(signs)
+        free = np.nonzero(signs == 0.0)[0]
+        fixed = np.nonzero(signs != 0.0)[0]
+        coef = -np.linalg.solve(precision[np.ix_(free, free)], precision[np.ix_(free, fixed)])
+        faces.append(_Face(signs, free, fixed, coef))
+    faces.sort(key=lambda face: len(face.free))
+    return faces
 
 
 def _rule_integrals(
-    law: GaussianLaw, consts, centers: np.ndarray, halfwidths: np.ndarray, order: int
+    law: GaussianLaw,
+    consts: np.ndarray | None,
+    centers: np.ndarray,
+    halfwidths: np.ndarray,
+    order: int,
 ) -> tuple[np.ndarray | None, np.ndarray]:
     """Integrals of |const - density| and of the density over each cell.
 
     One tensor Gauss-Legendre rule per cell, evaluated in blocks of at most
-    ``_CELL_BLOCK`` points and reduced elementwise (no BLAS call).  With
+    ``_CELL_BLOCK`` points and reduced with einsum (no BLAS call).  With
     ``consts`` None only the masses are computed.
     """
     offsets, weights = _tensor_rule(order, law.dim)
@@ -267,13 +302,16 @@ def _rule_integrals(
     gaps = None if consts is None else np.empty(len(centers))
     for s in range(0, len(centers), step):
         width = 2.0 * halfwidths[s : s + step]
-        pts = centers[s : s + step, None, :] + offsets[None, :, :] * width[:, None, None]
-        dens = np.exp(law.log_density(pts.reshape(-1, law.dim))).reshape(len(width), -1)
+        pts = np.multiply(offsets, width[:, None, None])
+        pts += centers[s : s + step, None, :]
+        dens = law.log_density(pts.reshape(-1, law.dim)).reshape(len(width), -1)
+        np.exp(dens, out=dens)
         vol = width**law.dim
-        masses[s : s + step] = (dens * weights).sum(axis=1) * vol
+        masses[s : s + step] = np.einsum("ij,j->i", dens, weights) * vol
         if gaps is not None:
-            diff = np.abs(consts[s : s + step, None] - dens)
-            gaps[s : s + step] = (diff * weights).sum(axis=1) * vol
+            np.subtract(consts[s : s + step, None], dens, out=dens)
+            np.abs(dens, out=dens)
+            gaps[s : s + step] = np.einsum("ij,j->i", dens, weights) * vol
     return gaps, masses
 
 
@@ -284,14 +322,32 @@ def _gaussian_cube_masses(
     return _rule_integrals(law, None, centers, np.full(len(centers), halfwidth), order)[1]
 
 
-def _straddles(
-    law: GaussianLaw, log_consts: np.ndarray, centers: np.ndarray, halfwidth: float
-) -> np.ndarray:
-    """Cells whose density takes values on both sides of their constant."""
-    probes = _probe_offsets(law.dim)
-    pts = (centers[:, None, :] + probes[None, :, :] * (2.0 * halfwidth)).reshape(-1, law.dim)
-    diff = law.log_density(pts).reshape(len(centers), -1) - log_consts[:, None]
-    return (diff.max(axis=1) >= 0.0) & (diff.min(axis=1) <= 0.0)
+def _log_density_range(
+    law: GaussianLaw, faces: list[_Face], centers: np.ndarray, halfwidth: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Least and greatest log-density on each cell, exactly.
+
+    The log-density is concave, so its least value on a cell sits at a
+    corner.  Its greatest value sits at the peak over one of the cell's
+    faces: each face's peak is computed exactly and kept when it lies inside
+    that face.  All 3^d candidates of every cell go into one log_density call.
+    """
+    m, dim = centers.shape
+    pts = np.empty((m, len(faces), dim))
+    inside = np.ones((m, len(faces)), dtype=bool)
+    for f, face in enumerate(faces):
+        x = pts[:, f, :]
+        x[:] = centers + face.signs * halfwidth
+        for row, i in zip(face.coef, face.free):
+            xi = np.full(m, law.mean[i])
+            for c, j in zip(row, face.fixed):
+                xi += c * (x[:, j] - law.mean[j])
+            inside[:, f] &= np.abs(xi - centers[:, i]) <= halfwidth
+            x[:, i] = xi
+    logs = law.log_density(pts.reshape(-1, dim)).reshape(m, len(faces))
+    lowest = logs[:, : 1 << dim].min(axis=1)
+    highest = np.where(inside, logs, -np.inf).max(axis=1)
+    return lowest, highest
 
 
 def _cut_at_crossings(
@@ -300,13 +356,16 @@ def _cut_at_crossings(
     """Cut one-dimensional cells exactly where the density crosses the constant.
 
     Each resulting piece is smooth, so plain Gauss-Legendre recovers its full
-    order of accuracy.  A 9-point scan brackets the crossings and 80 bisection
-    steps on the continuous log-density pin them, for all cells at once.
+    order of accuracy.  A scan of 9 even points plus the mean brackets the
+    crossings (the density is monotone between consecutive scan points, so
+    none is missed) and 80 bisection steps on the continuous log-density pin
+    them, for all cells at once.
     Returns each piece's cell index, center (as a column) and half-width.
     """
     lo_edge = centers[:, 0] - halfwidth
     hi_edge = centers[:, 0] + halfwidth
-    xs = np.linspace(lo_edge, hi_edge, 9, axis=1)
+    peak = np.clip(law.mean[0], lo_edge, hi_edge)
+    xs = np.sort(np.column_stack([np.linspace(lo_edge, hi_edge, 9, axis=1), peak]), axis=1)
     vals = law.log_density(xs.reshape(-1, 1)).reshape(xs.shape) - log_consts[:, None]
     v0, v1 = vals[:, :-1], vals[:, 1:]
     crossing = (v0 != 0.0) & (v0 * v1 < 0.0)
@@ -331,10 +390,16 @@ def _cut_at_crossings(
 
 
 class CellIntegrals(NamedTuple):
-    """Per-cell integrals from :func:`integrate_cells`, keyed by rule order."""
+    """Per-cell integrals from :func:`integrate_cells`, keyed by rule order.
+
+    ``leaf_error`` is half the sum, over cells still straddling at
+    MAX_BISECTION_DEPTH, of |I_hi - I_lo|, the gap between the first two
+    orders' integrals of |const - density| on each such cell.
+    """
 
     abs_parts: dict[int, np.ndarray]
     mass_parts: dict[int, np.ndarray]
+    leaf_error: float
 
 
 def integrate_cells(
@@ -348,11 +413,12 @@ def integrate_cells(
 
     ``centers`` (m, d) are the centers of unit cubes, ``consts`` the constant
     on each and ``log_consts`` its logarithm; one pair of arrays is returned
-    per Gauss-Legendre order in ``orders``.  A cell whose density crosses its
-    constant has a kink inside, so it is refined before integration: in one
-    dimension it is cut at the crossings; otherwise it is bisected into its
-    2^d children, breadth first, up to MAX_BISECTION_DEPTH levels, and cells
-    still straddling there are integrated as they are.
+    per Gauss-Legendre order in ``orders``, highest first.  A cell whose
+    density crosses its constant has a kink inside, so it is refined before
+    integration: in one dimension it is cut at the crossings; otherwise it is
+    bisected into its 2^d children, breadth first, up to MAX_BISECTION_DEPTH
+    levels, and cells still straddling there are integrated as they are and
+    counted in ``leaf_error``.
 
     The frontier is kept as a stack of blocks of cells, so memory stays
     bounded by the depth times one block's children, and every
@@ -361,15 +427,19 @@ def integrate_cells(
     m, dim = centers.shape
     abs_parts = {order: np.zeros(m) for order in orders}
     mass_parts = {order: np.zeros(m) for order in orders}
-    block = max(1, _CELL_BLOCK // len(_probe_offsets(dim)))
+    leaf_gaps = []
+    faces = _cell_faces(law)
+    block = max(1, _CELL_BLOCK // len(faces))
     stack = [
         (np.arange(s, min(s + block, m)), centers[s : s + block], 0.5, 0)
         for s in reversed(range(0, m, block))
     ]
     while stack:
         owners, ctr, half, level = stack.pop()
-        straddle = _straddles(law, log_consts[owners], ctr, half)
+        lowest, highest = _log_density_range(law, faces, ctr, half)
+        straddle = (lowest <= log_consts[owners]) & (highest >= log_consts[owners])
         halves = np.full(len(owners), half)
+        unresolved = straddle if dim > 1 and level == MAX_BISECTION_DEPTH else None
         if dim == 1 and straddle.any():
             rows, pieces, piece_halves = _cut_at_crossings(
                 law, log_consts[owners[straddle]], ctr[straddle], half
@@ -378,19 +448,22 @@ def integrate_cells(
             owners = np.concatenate([owners[smooth], owners[straddle][rows]])
             ctr = np.concatenate([ctr[smooth], pieces])
             halves = np.concatenate([halves[smooth], piece_halves])
-        elif dim > 1 and level < MAX_BISECTION_DEPTH and straddle.any():
-            shifts = _probe_offsets(dim)[:-1]
+        elif dim > 1 and unresolved is None and straddle.any():
+            shifts = _corner_offsets(dim)
             kids = (ctr[straddle][:, None, :] + shifts[None, :, :] * half).reshape(-1, dim)
             kid_owners = np.repeat(owners[straddle], len(shifts))
             for s in reversed(range(0, len(kids), block)):
                 stack.append((kid_owners[s : s + block], kids[s : s + block], half / 2.0, level + 1))
             smooth = ~straddle
             owners, ctr, halves = owners[smooth], ctr[smooth], halves[smooth]
+        gaps = {}
         for order in orders:
-            gaps, masses = _rule_integrals(law, consts[owners], ctr, halves, order)
-            np.add.at(abs_parts[order], owners, gaps)
+            gaps[order], masses = _rule_integrals(law, consts[owners], ctr, halves, order)
+            np.add.at(abs_parts[order], owners, gaps[order])
             np.add.at(mass_parts[order], owners, masses)
-    return CellIntegrals(abs_parts, mass_parts)
+        if unresolved is not None and len(orders) > 1:
+            leaf_gaps.append(math.fsum(np.abs(gaps[orders[0]] - gaps[orders[1]])[unresolved]))
+    return CellIntegrals(abs_parts, mass_parts, 0.5 * math.fsum(leaf_gaps))
 
 
 # ---------------------------------------------------------------------------
@@ -486,10 +559,9 @@ def tv_jittered_vs_gaussian(
         total_mass = math.fsum(parts.mass_parts[order].tolist())
         values[order] = 0.5 * (total_abs + max(0.0, 1.0 - total_mass))
     value = min(max(values[order_hi], 0.0), 1.0)
+    error = parts.leaf_error + 1e-12 + 1e-16 * m
     if len(orders) == 2:
-        error = abs(values[order_hi] - values[order_lo]) + 1e-12 + 1e-16 * m
-    else:
-        error = 1e-12 + 1e-16 * m
+        error += abs(values[order_hi] - values[order_lo])
     return TVResult(value=value, method=METHOD_QUAD, error_estimate=error)
 
 

@@ -1,4 +1,12 @@
+import contextlib
+import io
 import math
+import os
+import resource
+import subprocess
+import sys
+import textwrap
+import time
 
 import numpy as np
 import pytest
@@ -23,6 +31,7 @@ from lecam import (
     tv_monte_carlo,
     validate_params,
 )
+import lecam.distances as distances
 from strategies import experiment_params
 
 BALANCED = validate_params(10, 5, (5, 5))
@@ -199,6 +208,7 @@ class TestQuadratureTV:
             (SKEWED, 8),
             (validate_params(24, 6, (12, 12)), 8),
             (validate_params(12, 4, (4, 4, 4)), 6),
+            (validate_params(8, 2, (2, 2, 2, 2)), 6),
         )
         for params, order in cases:
             law = build_gaussian(params)
@@ -218,6 +228,155 @@ class TestQuadratureTV:
         law = build_gaussian(params)
         with pytest.raises(ValidationError):
             tv_jittered_vs_gaussian(params, "hyper", law, 4)
+
+
+BALANCED_D2 = validate_params(729, 9, (243, 243, 243))
+
+
+def _cell_range(params, cell):
+    """Exact least and greatest log-density on a unit cell, and its log-pmf."""
+    law = build_gaussian(params)
+    center = np.array([cell], dtype=float)
+    lowest, highest = distances._log_density_range(law, distances._cell_faces(law), center, 0.5)
+    return law, center, lowest[0], highest[0], hypergeometric_log_pmf(params, cell)
+
+
+class TestCellIntegrator:
+    def test_log_density_calls_are_few(self, monkeypatch):
+        calls = []
+        original = GaussianLaw.log_density
+
+        def counted(self, x):
+            calls.append(len(x))
+            return original(self, x)
+
+        monkeypatch.setattr(GaussianLaw, "log_density", counted)
+        tv_jittered_vs_gaussian(BALANCED_D2, "hyper", build_gaussian(BALANCED_D2), 8)
+        assert 0 < len(calls) <= 200
+        assert max(calls) <= distances._CELL_BLOCK
+
+    def test_block_size_does_not_move_values(self, monkeypatch):
+        cases = ((WIDE, "hyper", 8), (THREE_CAT, "multi", 6), (BALANCED_D2, "hyper", 8))
+        wide = [tv_jittered_vs_gaussian(p, w, build_gaussian(p), o) for p, w, o in cases]
+        monkeypatch.setattr(distances, "_CELL_BLOCK", 64)
+        narrow = [tv_jittered_vs_gaussian(p, w, build_gaussian(p), o) for p, w, o in cases]
+        for a, b in zip(wide, narrow):
+            assert abs(a.value - b.value) <= 1e-15
+            assert abs(a.error_estimate - b.error_estimate) <= 1e-15
+
+    @pytest.mark.parametrize(
+        "params, cell",
+        [(validate_params(12, 2, (1, 7, 4)), (0, 2)), (validate_params(12, 3, (1, 3, 8)), (0, 1))],
+    )
+    def test_straddle_missed_by_corners_and_center(self, params, cell):
+        # the peak of the density over this cell lies on an edge, above the
+        # cell's constant, while every corner and the center lie below it
+        law, center, lowest, highest, log_const = _cell_range(params, cell)
+        probes = np.vstack([center + distances._corner_offsets(2), center])
+        assert law.log_density(probes).max() < log_const < highest
+        assert lowest < log_const
+        grid = np.linspace(-0.5, 0.5, 401)
+        pts = np.stack(np.meshgrid(grid, grid, indexing="ij"), axis=-1).reshape(-1, 2) + center
+        dense = law.log_density(pts)
+        assert dense.max() <= highest + 1e-12
+        assert highest - dense.max() < 1e-3
+        assert lowest == pytest.approx(dense.min(), abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "params, expected",
+        [
+            (validate_params(12, 2, (1, 7, 4)), 0.29827607740805623),
+            (validate_params(12, 3, (1, 3, 8)), 0.279270481851076),
+        ],
+    )
+    def test_missed_straddle_instances_match_reference(self, params, expected):
+        # independent values: closed form in x2, tanh-sinh in x1 split at the
+        # kinks, at 30 digits (bench/reference.py).  With corner-and-center
+        # probes these came out 3.0e-5 and 3.3e-4 off.
+        tv = tv_jittered_vs_gaussian(params, "hyper", build_gaussian(params), 8)
+        assert abs(tv.value - expected) <= 1e-7
+        assert abs(tv.value - expected) <= tv.error_estimate
+
+    def test_straddle_test_is_complete(self):
+        # every cell where a dense grid sees the density on both sides of
+        # the constant is flagged; the exact range contains the grid's
+        grid = np.linspace(-0.5, 0.5, 61)
+        offsets = np.stack(np.meshgrid(grid, grid, indexing="ij"), axis=-1).reshape(-1, 2)
+        for params in (THREE_CAT, validate_params(18, 9, (6, 6, 6)), validate_params(30, 5, (3, 9, 18))):
+            law = build_gaussian(params)
+            cells = np.array(list(oracles.support_points(params.counts, params.sample_size)))
+            logp = np.array([hypergeometric_log_pmf(params, tuple(c)) for c in cells])
+            lowest, highest = distances._log_density_range(
+                law, distances._cell_faces(law), cells.astype(float), 0.5
+            )
+            dense = law.log_density((cells[:, None, :] + offsets).reshape(-1, 2)).reshape(len(cells), -1)
+            assert np.all(dense.max(axis=1) <= highest + 1e-12)
+            assert np.all(dense.min(axis=1) >= lowest - 1e-12)
+
+    @pytest.mark.parametrize("params", [WIDE, SKEWED, validate_params(8, 4, (4, 4))])
+    def test_one_dimensional_cuts_match_a_scalar_loop(self, params):
+        # reference: the scan and bisection run cell by cell, one point per call
+        law = build_gaussian(params)
+        cells = np.array(list(oracles.support_points(params.counts, params.sample_size)), float)
+        logp = np.array([hypergeometric_log_pmf(params, (int(c),)) for c in cells[:, 0]])
+        owners, centers, halves = distances._cut_at_crossings(law, logp, cells, 0.5)
+        expected = []
+        for row, (center, log_const) in enumerate(zip(cells[:, 0], logp)):
+            lo, hi = center - 0.5, center + 0.5
+            xs = sorted([*np.linspace(lo, hi, 9), min(max(law.mean[0], lo), hi)])
+            gaps = [law.log_density(np.array([x])) - log_const for x in xs]
+            cuts = [lo, hi]
+            for x0, x1, v0, v1 in zip(xs, xs[1:], gaps, gaps[1:]):
+                if v0 == 0.0 or v0 * v1 >= 0.0:
+                    continue
+                a, b, va = x0, x1, v0
+                for _ in range(80):
+                    mid = 0.5 * (a + b)
+                    vmid = law.log_density(np.array([mid])) - log_const
+                    if va * vmid <= 0.0:
+                        b = mid
+                    else:
+                        a, va = mid, vmid
+                cuts.append(0.5 * (a + b))
+            cuts.sort()
+            expected += [(row, 0.5 * (a + b), (b - a) / 2) for a, b in zip(cuts, cuts[1:]) if b > a]
+        assert len(owners) > len(cells)
+        assert list(zip(owners.tolist(), centers[:, 0].tolist(), halves.tolist())) == expected
+
+    def test_unresolved_leaves_enter_the_error_bar(self):
+        # independent value from bench/reference.py; the gap between orders 16
+        # and 8 alone (5.1e-10) did not cover the true error (1.16e-9)
+        law = build_gaussian(BALANCED_D2)
+        tv = tv_jittered_vs_gaussian(BALANCED_D2, "hyper", law, 16)
+        assert abs(tv.value - 0.13353567546459466) <= tv.error_estimate
+
+    def test_quadrature_wakes_no_blas_threads(self):
+        # under OpenBLAS's default pool every BLAS call wakes a worker that
+        # spins for a while; the integrator makes none, so it runs on one core
+        script = textwrap.dedent(
+            """
+            import contextlib, io, resource, time
+            from lecam.cli import main
+            argv = ["tv", "--pair", "jitterhyper-gauss", "--method", "quad",
+                    "--N", "729", "--n", "9", "--Np", "243,243,243"]
+            def run():
+                with contextlib.redirect_stdout(io.StringIO()):
+                    main(argv)
+            run()
+            start, before = time.perf_counter(), resource.getrusage(resource.RUSAGE_SELF)
+            for _ in range(3):
+                run()
+            wall, after = time.perf_counter() - start, resource.getrusage(resource.RUSAGE_SELF)
+            cpu = after.ru_utime + after.ru_stime - before.ru_utime - before.ru_stime
+            print(cpu / wall)
+            """
+        )
+        env = {k: v for k, v in os.environ.items() if not k.endswith("_NUM_THREADS")}
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert float(proc.stdout) <= 1.2
 
 
 class TestMonteCarloTV:
