@@ -1,12 +1,8 @@
-import contextlib
-import io
 import math
 import os
-import resource
 import subprocess
 import sys
 import textwrap
-import time
 
 import numpy as np
 import pytest
@@ -233,14 +229,6 @@ class TestQuadratureTV:
 BALANCED_D2 = validate_params(729, 9, (243, 243, 243))
 
 
-def _cell_range(params, cell):
-    """Exact least and greatest log-density on a unit cell, and its log-pmf."""
-    law = build_gaussian(params)
-    center = np.array([cell], dtype=float)
-    lowest, highest = distances._log_density_range(law, distances._cell_faces(law), center, 0.5)
-    return law, center, lowest[0], highest[0], hypergeometric_log_pmf(params, cell)
-
-
 class TestCellIntegrator:
     def test_log_density_calls_are_few(self, monkeypatch):
         calls = []
@@ -271,7 +259,11 @@ class TestCellIntegrator:
     def test_straddle_missed_by_corners_and_center(self, params, cell):
         # the peak of the density over this cell lies on an edge, above the
         # cell's constant, while every corner and the center lie below it
-        law, center, lowest, highest, log_const = _cell_range(params, cell)
+        law = build_gaussian(params)
+        center = np.array([cell], dtype=float)
+        faces = distances._cell_faces(law)
+        (lowest,), (highest,) = distances._log_density_range(law, faces, center, 0.5)
+        log_const = hypergeometric_log_pmf(params, cell)
         probes = np.vstack([center + distances._corner_offsets(2), center])
         assert law.log_density(probes).max() < log_const < highest
         assert lowest < log_const
@@ -297,15 +289,13 @@ class TestCellIntegrator:
         assert abs(tv.value - expected) <= 1e-7
         assert abs(tv.value - expected) <= tv.error_estimate
 
-    def test_straddle_test_is_complete(self):
-        # every cell where a dense grid sees the density on both sides of
-        # the constant is flagged; the exact range contains the grid's
+    def test_log_density_range_contains_a_dense_grid(self):
+        # so no crossing a dense grid sees on a cell can be missed
         grid = np.linspace(-0.5, 0.5, 61)
         offsets = np.stack(np.meshgrid(grid, grid, indexing="ij"), axis=-1).reshape(-1, 2)
         for params in (THREE_CAT, validate_params(18, 9, (6, 6, 6)), validate_params(30, 5, (3, 9, 18))):
             law = build_gaussian(params)
             cells = np.array(list(oracles.support_points(params.counts, params.sample_size)))
-            logp = np.array([hypergeometric_log_pmf(params, tuple(c)) for c in cells])
             lowest, highest = distances._log_density_range(
                 law, distances._cell_faces(law), cells.astype(float), 0.5
             )
