@@ -34,6 +34,7 @@ BALANCED = validate_params(10, 5, (5, 5))
 THREE_CAT = validate_params(12, 4, (4, 4, 4))
 WIDE = validate_params(64, 8, (32, 32))
 SKEWED = validate_params(40, 8, (10, 30))
+BALANCED_D2 = validate_params(729, 9, (243, 243, 243))
 
 
 class TestDiscreteTV:
@@ -224,9 +225,6 @@ class TestQuadratureTV:
         law = build_gaussian(params)
         with pytest.raises(ValidationError):
             tv_jittered_vs_gaussian(params, "hyper", law, 4)
-
-
-BALANCED_D2 = validate_params(729, 9, (243, 243, 243))
 
 
 class TestCellIntegrator:
