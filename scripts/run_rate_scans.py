@@ -18,13 +18,10 @@ from pathlib import Path
 
 from lecam import (
     ScanRecord,
-    build_gaussian,
-    deficiency_upper_bounds,
-    fit_loglog_slope,
+    lecam_scan,
     residual_scan,
+    scaled_params,
     tv_bound_parts,
-    tv_jittered_vs_gaussian,
-    validate_params,
     write_csv,
 )
 
@@ -36,23 +33,17 @@ class Config:
     expansion_n: int = 8
     expansion_point: tuple[int, ...] = (2,)
     weight_pattern: tuple[int, ...] = (1, 1)
-    lecam_sample_sizes: tuple[int, ...] = (4, 8, 16)
+    lecam_sample_sizes: tuple[int, ...] = (4, 6, 8, 12, 16)
     quad_order: int = 8
     gamma: float = 0.75
     jobs: int = 1
     slopes: dict = field(default_factory=dict)
 
 
-def scaled(config: Config, population: int, sample_size: int):
-    total = sum(config.weight_pattern)
-    counts = [population * w // total for w in config.weight_pattern]
-    if sum(counts) != population:
-        raise ValueError(f"pattern does not divide N={population}")
-    return validate_params(population, sample_size, counts)
-
-
 def expansion_study(config: Config) -> list[ScanRecord]:
-    family = [scaled(config, N, config.expansion_n) for N in config.populations]
+    family = [
+        scaled_params(N, config.expansion_n, config.weight_pattern) for N in config.populations
+    ]
     records = []
     for order in (1, 2):
         scan = residual_scan(
@@ -75,48 +66,26 @@ def expansion_study(config: Config) -> list[ScanRecord]:
 
 
 def lecam_study(config: Config) -> list[ScanRecord]:
-    records = []
-    xs, ys = [], []
+    family = [scaled_params(n**3, n, config.weight_pattern) for n in config.lecam_sample_sizes]
+    scan = lecam_scan(family, quad_order=config.quad_order, jobs=config.jobs)
+    value = {(r.sample_size, r.quantity): r.value for r in scan.records}
     for n in config.lecam_sample_sizes:
-        N = n**3
-        params = scaled(config, N, n)
-        report = deficiency_upper_bounds(params, quad_order=config.quad_order)
-        gauss = build_gaussian(params)
-        tv_multi = tv_jittered_vs_gaussian(params, "multi", gauss, config.quad_order)
-        for quantity, value, error, method in (
-            ("le_cam_upper", report.le_cam_upper, report.error_estimate, report.method),
-            ("budget", report.budget, 0.0, "closed-form"),
-            ("tv_jittered_multinomial_gauss", tv_multi.value, tv_multi.error_estimate,
-             tv_multi.method),
-        ):
-            records.append(
-                ScanRecord(
-                    population=N,
-                    sample_size=n,
-                    dim=params.dim,
-                    weights=params.weights,
-                    quantity=quantity,
-                    value=value,
-                    error=error,
-                    method=method,
-                )
-            )
-        xs.append(n)
-        ys.append(report.le_cam_upper)
-        print(f"n={n:<4d} N={N:<7d} le_cam_upper={report.le_cam_upper:.6e} "
-              f"budget={report.budget:.6e}")
-    if len(xs) >= 4 and all(y > 0 for y in ys):
-        fit = fit_loglog_slope(xs, ys)
-        config.slopes["le_cam_upper"] = fit.slope
-        print(f"le_cam_upper slope vs n: {fit.slope:+.4f}")
-    return records
+        print(f"n={n:<4d} N={n**3:<7d} le_cam_upper={value[n, 'le_cam_upper']:.6e} "
+              f"budget={value[n, 'budget']:.6e}")
+    for quantity, fit in scan.fits.items():
+        if fit is None:
+            print(f"{quantity} slope vs n: skipped, fewer than 4 usable points")
+        else:
+            config.slopes[quantity] = fit.slope
+            print(f"{quantity} slope vs n: {fit.slope:+.4f} (r^2 = {fit.r_squared:.6f})")
+    return list(scan.records)
 
 
 def bound_pieces_study(config: Config) -> list[ScanRecord]:
     records = []
     for n in config.lecam_sample_sizes:
         N = n**3
-        params = scaled(config, N, n)
+        params = scaled_params(N, n, config.weight_pattern)
         parts = tv_bound_parts(params)
         for quantity, value in (
             ("tail_sum", parts.tail_sum),

@@ -13,7 +13,6 @@ import argparse
 import json
 import math
 import sys
-from fractions import Fraction
 from typing import Sequence
 
 from .distances import (
@@ -29,12 +28,12 @@ from .distances import (
     tv_monte_carlo,
 )
 from .errors import LecamError, SupportCapError, ValidationError
-from .expansion import _map_ordered, expand, residual_scan
-from .kernels import data_processing_check, deficiency_upper_bounds
-from .lattice import ExperimentParams, validate_params
-from .numerics import SlopeFit, fit_loglog_slope
+from .expansion import expand, residual_scan
+from .kernels import METHOD_FLAGGED, data_processing_check, lecam_scan
+from .lattice import ExperimentParams, scaled_params, validate_params
+from .numerics import SlopeFit
 from .pmf import hypergeometric_log_pmf, multinomial_log_pmf
-from .records import ScanRecord, records_to_json, write_csv
+from .records import _json_float, records_to_json, write_csv
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -58,15 +57,6 @@ def _fmt(x: float) -> str:
     return format(x, ".15g")
 
 
-def _json_value(x: float):
-    if isinstance(x, float):
-        if math.isnan(x):
-            return "nan"
-        if math.isinf(x):
-            return "inf" if x > 0 else "-inf"
-    return x
-
-
 def _print_json(doc: dict) -> None:
     print(json.dumps(doc, indent=2, allow_nan=False))
 
@@ -77,20 +67,6 @@ def _build_params(args, population: int | None = None) -> ExperimentParams:
     if N is None:
         N = sum(counts)
     return validate_params(N, args.n, counts)
-
-
-def _scaled_params(population: int, sample_size: int, pattern: Sequence[int]) -> ExperimentParams:
-    """Scale an integer weight pattern to a given population, exactly."""
-    total = sum(pattern)
-    counts = []
-    for w in pattern:
-        c = Fraction(population * w, total)
-        if c.denominator != 1:
-            raise ValidationError(
-                f"pattern {tuple(pattern)} does not scale to integer counts at N={population}"
-            )
-        counts.append(int(c))
-    return validate_params(population, sample_size, counts)
 
 
 # ---------------------------------------------------------------------------
@@ -105,7 +81,7 @@ def _cmd_pmf(args) -> int:
         logp = multinomial_log_pmf(params.sample_size, params.weights, point)
     prob = math.exp(logp) if logp > float("-inf") else 0.0
     if args.json:
-        _print_json({"log_probability": _json_value(logp), "probability": prob})
+        _print_json({"log_probability": _json_float(logp), "probability": prob})
     else:
         print(f"log_probability = {_fmt(logp)}")
         print(f"probability = {_fmt(prob)}")
@@ -136,7 +112,7 @@ def _cmd_expansion_scan(args) -> int:
     populations = args.N
     if len(populations) < 4:
         raise UsageError("expansion-scan needs at least 4 population values in --N")
-    family = [_scaled_params(N, args.n, args.Np) for N in populations]
+    family = [scaled_params(N, args.n, args.Np) for N in populations]
     point = tuple(args.k)
     scan = residual_scan(
         family, lambda p: point, order=args.order, gamma=args.gamma, jobs=args.jobs
@@ -265,61 +241,6 @@ def _cmd_tail_check(args) -> int:
     return EXIT_OK
 
 
-_FLAGGED_METHOD = "flagged:outside-regime"
-
-
-def _lecam_point(task: tuple) -> list[ScanRecord]:
-    """One scan row bundle; top-level so process pools can pickle it."""
-    (N, n, pattern, method, quad_order, samples, seed) = task
-    params = _scaled_params(N, n, pattern)
-    weights = params.weights
-    records = []
-
-    def record(quantity, value, error, method_name):
-        records.append(
-            ScanRecord(
-                population=N,
-                sample_size=n,
-                dim=params.dim,
-                weights=weights,
-                quantity=quantity,
-                value=value,
-                error=error,
-                method=method_name,
-            )
-        )
-
-    gauss = build_gaussian(params)
-    if method == "mc":
-        tv_multi = tv_monte_carlo(params, "multi", gauss, samples, seed)
-    else:
-        tv_multi = tv_jittered_vs_gaussian(params, "multi", gauss, quad_order)
-    in_regime = 4 * n <= 3 * N
-    if in_regime:
-        report = deficiency_upper_bounds(
-            params,
-            tv_method="mc" if method == "mc" else "quadrature",
-            quad_order=quad_order,
-            sample_count=samples,
-            seed=seed,
-        )
-        record("delta_P_to_Q", report.delta_P_to_Q, report.error_estimate, report.method)
-        record("delta_Q_to_P", report.delta_Q_to_P, report.error_estimate, report.method)
-        record("le_cam_upper", report.le_cam_upper, report.error_estimate, report.method)
-        record("budget", report.budget, 0.0, "closed-form")
-    else:
-        nan = float("nan")
-        for name in ("delta_P_to_Q", "delta_Q_to_P", "le_cam_upper", "budget"):
-            record(name, nan, nan, _FLAGGED_METHOD)
-    record(
-        "tv_jittered_multinomial_gauss",
-        tv_multi.value,
-        tv_multi.error_estimate,
-        tv_multi.method,
-    )
-    return records
-
-
 def _cmd_lecam_scan(args) -> int:
     ns = args.n
     if len(ns) == 0:
@@ -330,38 +251,31 @@ def _cmd_lecam_scan(args) -> int:
         populations = args.N
     else:
         populations = [n**3 for n in ns]
-    tasks = [
-        (N, n, tuple(args.Np), args.method, args.quad_order, args.samples, args.seed + i)
-        for i, (N, n) in enumerate(zip(populations, ns))
-    ]
-    results = _map_ordered(_lecam_point, tasks, args.jobs)
-    records = [r for bundle in results for r in bundle]
+    family = [scaled_params(N, n, args.Np) for N, n in zip(populations, ns)]
+    scan = lecam_scan(
+        family,
+        tv_method=args.method,
+        quad_order=args.quad_order,
+        sample_count=args.samples,
+        seed=args.seed,
+        jobs=args.jobs,
+    )
     if args.out:
-        write_csv(records, args.out)
-    fits: dict[str, SlopeFit] = {}
-    lines = []
-    for quantity in ("le_cam_upper", "tv_jittered_multinomial_gauss"):
-        pts = [
-            (r.sample_size, r.value)
-            for r in records
-            if r.quantity == quantity and r.method != _FLAGGED_METHOD and r.value > 0
-        ]
-        if len(pts) >= 4:
-            fit = fit_loglog_slope([x for x, _ in pts], [y for _, y in pts])
-            fits[quantity] = fit
-            lines.append(_slope_line(quantity, fit))
-        else:
-            lines.append(f"slope({quantity}) skipped: fewer than 4 usable points")
+        write_csv(scan.records, args.out)
+    fits = {name: fit for name, fit in scan.fits.items() if fit is not None}
     if args.json:
-        _print_json(json.loads(records_to_json(records, fits)))
+        _print_json(json.loads(records_to_json(scan.records, fits)))
     else:
-        for r in records:
+        for r in scan.records:
             print(
                 f"n={r.sample_size} N={r.population} {r.quantity} = {_fmt(r.value)}"
-                + (f"  [{r.method}]" if r.method == _FLAGGED_METHOD else "")
+                + (f"  [{r.method}]" if r.method == METHOD_FLAGGED else "")
             )
-        for line in lines:
-            print(line)
+        for name, fit in scan.fits.items():
+            if fit is None:
+                print(f"slope({name}) skipped: fewer than 4 usable points")
+            else:
+                print(_slope_line(name, fit))
     return EXIT_OK
 
 

@@ -39,6 +39,7 @@ from .numerics import (
 from .pmf import (
     hypergeometric_log_pmf_matrix,
     multinomial_log_pmf_matrix,
+    multinomial_moments,
     sample_hypergeometric,
     sample_multinomial,
 )
@@ -143,11 +144,8 @@ class GaussianLaw:
 
 def build_gaussian(params: ExperimentParams) -> GaussianLaw:
     """Gaussian with the with-replacement law's mean and covariance."""
-    n = params.sample_size
-    p = np.asarray(params.weights[: params.dim], dtype=float)
-    mean = n * p
-    covariance = n * (np.diag(p) - np.outer(p, p))
-    return GaussianLaw.from_moments(mean, covariance)
+    moments = multinomial_moments(params.sample_size, params.weights)
+    return GaussianLaw.from_moments(moments.mean, moments.covariance)
 
 
 def gaussian_log_density(law: GaussianLaw, x):
@@ -179,11 +177,11 @@ class JitteredLaw:
         return float(out[0]) if single else out
 
 
-def _support_points(params: ExperimentParams, which: str, cap: int | None) -> np.ndarray:
-    which = _canonical_law(which)
-    if which == HYPERGEOMETRIC:
-        return support_matrix(params, cap)
-    return count_vector_matrix(params.sample_size, params.dim, cap)
+def _support_points(params: ExperimentParams, laws: Sequence[str], cap: int | None) -> np.ndarray:
+    """Lattice points that carry the mass of every law in ``laws``."""
+    if MULTINOMIAL in map(_canonical_law, laws):
+        return count_vector_matrix(params.sample_size, params.dim, cap)
+    return support_matrix(params, cap)
 
 
 def _log_pmf_matrix(params: ExperimentParams, which: str, points: np.ndarray) -> np.ndarray:
@@ -473,10 +471,7 @@ def tv_discrete(params: ExperimentParams, law_a: str, law_b: str, cap: int | Non
     """Exact TV between the two discrete laws by full enumeration."""
     a = _canonical_law(law_a)
     b = _canonical_law(law_b)
-    if MULTINOMIAL in (a, b):
-        points = count_vector_matrix(params.sample_size, params.dim, cap)
-    else:
-        points = support_matrix(params, cap)
+    points = _support_points(params, (a, b), cap)
     pa = np.exp(_log_pmf_matrix(params, a, points))
     pb = np.exp(_log_pmf_matrix(params, b, points))
     value = 0.5 * math.fsum(np.abs(pa - pb).tolist())
@@ -500,10 +495,7 @@ def tv_jittered_discrete_pair(
     _check_quad_args(params.dim, quad_order)
     a = _canonical_law(law_a)
     b = _canonical_law(law_b)
-    if MULTINOMIAL in (a, b):
-        points = count_vector_matrix(params.sample_size, params.dim, cap)
-    else:
-        points = support_matrix(params, cap)
+    points = _support_points(params, (a, b), cap)
     da = JitteredLaw(params, a)
     db = JitteredLaw(params, b)
     offsets, weights = _tensor_rule(quad_order, params.dim)
@@ -544,7 +536,7 @@ def tv_jittered_vs_gaussian(
     _check_quad_args(params.dim, quad_order)
     if law.dim != params.dim:
         raise ValidationError("Gaussian dimension does not match the experiment")
-    points = _support_points(params, discrete_law, cap)
+    points = _support_points(params, (discrete_law,), cap)
     logp = _log_pmf_matrix(params, _canonical_law(discrete_law), points)
     consts = np.exp(logp)
     order_hi = quad_order
@@ -644,30 +636,44 @@ def _tail_summand(params: ExperimentParams, coord: int) -> tuple[int, float]:
     return nu, math.exp(log_term)
 
 
+def _require_regime(params: ExperimentParams) -> None:
+    """Raise :class:`RegimeError` unless the sample is at most 3/4 of the population.
+
+    The TV bound pieces and the deficiency bounds hold only in this regime.
+    """
+    n = params.sample_size
+    N = params.population
+    if 4 * n > 3 * N:
+        raise RegimeError(
+            f"sample_size {n} exceeds three quarters of population {N}"
+        )
+
+
+def _gaussian_term_scale(params: ExperimentParams) -> float:
+    """The reference scale d / sqrt(n) * sqrt(max p / min p) of the Gaussian term."""
+    return params.dim / math.sqrt(params.sample_size) * math.sqrt(weight_ratio(params))
+
+
 def tv_bound_parts(params: ExperimentParams) -> TVBoundParts:
     """Explicit pieces of the jittered-vs-Gaussian TV upper bound.
 
     Valid in the regime where the sample is at most three quarters of the
     population.
     """
+    _require_regime(params)
     N = params.population
     n = params.sample_size
-    if 4 * n > 3 * N:
-        raise RegimeError(
-            f"sample_size {n} exceeds three quarters of population {N}"
-        )
     nus = []
     summands = []
     for i in range(params.dim + 1):
         nu, term = _tail_summand(params, i)
         nus.append(nu)
         summands.append(term)
-    scale = params.dim / math.sqrt(n) * math.sqrt(weight_ratio(params))
     return TVBoundParts(
         nu=tuple(nus),
         tail_sum=math.fsum(summands),
         n2_over_N=n * n / N,
-        gaussian_term_scale=scale,
+        gaussian_term_scale=_gaussian_term_scale(params),
     )
 
 

@@ -196,7 +196,7 @@ def _map_ordered(fn, items, jobs: int):
     """``[fn(x) for x in items]``, over ``jobs`` worker processes when jobs > 1.
 
     Results keep the order of ``items``, so scans are identical at any
-    ``jobs``; the CLI's lecam-scan uses this too.
+    ``jobs``; ``kernels.lecam_scan`` uses this too.
     """
     if jobs <= 1:
         return [fn(x) for x in items]

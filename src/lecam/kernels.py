@@ -19,18 +19,27 @@ import numpy as np
 
 from .distances import (
     DEFAULT_QUAD_ORDER,
+    HYPERGEOMETRIC,
+    MULTINOMIAL,
     GaussianLaw,
+    TVResult,
     _gaussian_cube_masses,
+    _gaussian_term_scale,
+    _require_regime,
     build_gaussian,
     tv_jittered_vs_gaussian,
     tv_monte_carlo,
 )
 from .errors import RegimeError, SupportCapError, ValidationError
-from .lattice import ExperimentParams, support_cap, weight_ratio
-from .numerics import round_half_away
+from .expansion import _map_ordered
+from .lattice import ExperimentParams, support_cap
+from .numerics import SlopeFit, fit_loglog_slope, round_half_away
 from .pmf import hypergeometric_log_pmf_matrix
+from .records import ScanRecord
 
 KERNEL_KINDS = ("jitter", "round", "sqrt_vst")
+# Method of the deficiency rows of a Le Cam scan point outside the regime.
+METHOD_FLAGGED = "flagged:outside-regime"
 
 
 @dataclass(frozen=True)
@@ -153,20 +162,9 @@ def deficiency_upper_bounds(
     deficiency as well.  Both fields therefore carry the same value, and
     ``data_processing_check`` verifies the shrinking step numerically.
     """
-    n = params.sample_size
-    N = params.population
-    if 4 * n > 3 * N:
-        raise RegimeError(
-            f"sample_size {n} exceeds three quarters of population {N}"
-        )
-    law = build_gaussian(params)
-    if tv_method in ("quadrature", "quad"):
-        tv = tv_jittered_vs_gaussian(params, "hypergeometric", law, quad_order, cap=cap)
-    elif tv_method == "mc":
-        tv = tv_monte_carlo(params, "hypergeometric", law, sample_count, seed)
-    else:
-        raise ValidationError("tv_method must be 'quadrature' or 'mc'")
-    budget = params.dim / math.sqrt(n) * math.sqrt(weight_ratio(params))
+    _require_regime(params)
+    tv = _tv_to_gaussian(params, HYPERGEOMETRIC, tv_method, quad_order, sample_count, seed, cap)
+    budget = _gaussian_term_scale(params)
     delta_forward = tv.value
     delta_backward = tv.value
     return DeficiencyReport(
@@ -177,6 +175,91 @@ def deficiency_upper_bounds(
         error_estimate=tv.error_estimate,
         method=tv.method,
     )
+
+
+def _tv_to_gaussian(
+    params: ExperimentParams,
+    which: str,
+    tv_method: str,
+    quad_order: int,
+    sample_count: int,
+    seed: int,
+    cap: int | None = None,
+) -> TVResult:
+    """TV(jittered ``which`` law, matching Gaussian) by cube quadrature or Monte Carlo."""
+    law = build_gaussian(params)
+    if tv_method in ("quadrature", "quad"):
+        return tv_jittered_vs_gaussian(params, which, law, quad_order, cap=cap)
+    if tv_method == "mc":
+        return tv_monte_carlo(params, which, law, sample_count, seed)
+    raise ValidationError("tv_method must be 'quadrature' or 'mc'")
+
+
+@dataclass(frozen=True)
+class LecamScan:
+    """Le Cam scan records plus the log-log slope in n of each fitted quantity.
+
+    ``fits`` maps ``le_cam_upper`` and ``tv_jittered_multinomial_gauss`` to
+    their fits, or to None when fewer than four points are positive and in
+    the regime.
+    """
+
+    records: tuple[ScanRecord, ...]
+    fits: dict[str, SlopeFit | None]
+
+
+def lecam_scan(
+    family: Sequence[ExperimentParams],
+    tv_method: str = "quadrature",
+    quad_order: int = DEFAULT_QUAD_ORDER,
+    sample_count: int = 1_000_000,
+    seed: int = 0,
+    jobs: int = 1,
+) -> LecamScan:
+    """Deficiency bounds and the with-replacement TV along a family.
+
+    Each point gives five records: ``delta_P_to_Q``, ``delta_Q_to_P``,
+    ``le_cam_upper`` and ``budget`` from :func:`deficiency_upper_bounds`, and
+    ``tv_jittered_multinomial_gauss``.  Points outside the regime of the
+    bound get NaN deficiency rows with method ``METHOD_FLAGGED`` instead of
+    an error.  Point i uses seed + i, so results are identical at any
+    ``jobs``.
+    """
+    tasks = [
+        (params, tv_method, quad_order, sample_count, seed + i)
+        for i, params in enumerate(family)
+    ]
+    records = tuple(r for bundle in _map_ordered(_lecam_point, tasks, jobs) for r in bundle)
+    fits = {}
+    for quantity in ("le_cam_upper", "tv_jittered_multinomial_gauss"):
+        # flagged rows carry NaN, which fails the positivity test
+        pts = [(r.sample_size, r.value) for r in records if r.quantity == quantity and r.value > 0]
+        fits[quantity] = fit_loglog_slope(*zip(*pts)) if len(pts) >= 4 else None
+    return LecamScan(records=records, fits=fits)
+
+
+def _lecam_point(task: tuple) -> list[ScanRecord]:
+    """The five records of one scan point; top-level so process pools can pickle it."""
+    params, tv_method, quad_order, sample_count, seed = task
+    try:
+        report = deficiency_upper_bounds(params, tv_method, quad_order, sample_count, seed)
+    except RegimeError:
+        nan = float("nan")
+        rows = [(name, nan, nan, METHOD_FLAGGED)
+                for name in ("delta_P_to_Q", "delta_Q_to_P", "le_cam_upper", "budget")]
+    else:
+        rows = [
+            ("delta_P_to_Q", report.delta_P_to_Q, report.error_estimate, report.method),
+            ("delta_Q_to_P", report.delta_Q_to_P, report.error_estimate, report.method),
+            ("le_cam_upper", report.le_cam_upper, report.error_estimate, report.method),
+            ("budget", report.budget, 0.0, "closed-form"),
+        ]
+    tv = _tv_to_gaussian(params, MULTINOMIAL, tv_method, quad_order, sample_count, seed)
+    rows.append(("tv_jittered_multinomial_gauss", tv.value, tv.error_estimate, tv.method))
+    return [
+        ScanRecord(params.population, params.sample_size, params.dim, params.weights, *row)
+        for row in rows
+    ]
 
 
 def _round_pushforward_box(params: ExperimentParams, law: GaussianLaw, tail_sigmas: float):

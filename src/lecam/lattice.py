@@ -14,7 +14,7 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -105,6 +105,26 @@ def validate_params(
     return ExperimentParams(int(population), int(sample_size), tuple(counts))
 
 
+def scaled_params(population: int, sample_size: int, pattern: Sequence[int]) -> ExperimentParams:
+    """Scale an integer weight pattern to a given population, exactly.
+
+    Every weight must be positive and ``population * w / sum(pattern)`` an
+    integer for each weight ``w``.
+    """
+    if not pattern or min(pattern) < 1:
+        raise ValidationError(f"pattern {tuple(pattern)} must have positive weights")
+    total = sum(pattern)
+    counts = []
+    for w in pattern:
+        c = Fraction(population * w, total)
+        if c.denominator != 1:
+            raise ValidationError(
+                f"pattern {tuple(pattern)} does not scale to integer counts at N={population}"
+            )
+        counts.append(int(c))
+    return validate_params(population, sample_size, counts)
+
+
 def support_cap(explicit: int | None = None) -> int:
     """Effective enumeration cap: explicit argument, else env override, else default."""
     if explicit is not None:
@@ -141,53 +161,67 @@ def support_size(params: ExperimentParams) -> int:
     return _bounded_vector_count(params.counts, params.sample_size)
 
 
-def _iter_bounded_vectors(counts: Sequence[int], total: int) -> Iterator[LatticePoint]:
-    """Lexicographically increasing k over the first len(counts)-1 coordinates."""
-    head = len(counts) - 1
-    # suffix_capacity[i] = how much the categories after i can absorb in total
-    suffix_capacity = [0] * head
-    acc = 0
-    for i in range(head - 1, -1, -1):
-        acc += counts[i + 1]
-        suffix_capacity[i] = acc
-    point = [0] * head
+def _bounded_vectors(counts: Sequence[int], total: int) -> np.ndarray:
+    """Every k with 0 <= k_i <= counts[i] and total - sum(k) in [0, counts[-1]].
 
-    def rec(i: int, remaining: int) -> Iterator[LatticePoint]:
-        if i == head:
-            if remaining <= counts[-1]:
-                yield tuple(point)
-            return
-        lo = max(0, remaining - suffix_capacity[i])
-        hi = min(counts[i], remaining)
-        for k in range(lo, hi + 1):
-            point[i] = k
-            yield from rec(i + 1, remaining - k)
-
-    yield from rec(0, total)
-
-
-def enumerate_support(params: ExperimentParams, cap: int | None = None) -> list[LatticePoint]:
-    """Every support point exactly once, in lexicographic order.
-
-    Raises :class:`SupportCapError` when the support is larger than the cap;
-    callers should fall back to the Monte Carlo paths in that case.
+    Returns an (m, len(counts) - 1) int64 array in lexicographic order.  The
+    points are built one coordinate at a time: each level keeps its values
+    and the index of each value's parent on the level above, and the columns
+    are gathered into the output at the end.
     """
-    size = support_size(params)
+    head = len(counts) - 1
+    counts = [min(c, total) for c in counts]  # exact, and keeps the bounds in int64
+    remaining = np.array([total], dtype=np.int64)
+    capacity = sum(counts[1:])  # what the categories after the current one absorb
+    levels = []
+    for i in range(head):
+        lo = np.maximum(remaining - capacity, 0)
+        hi = np.minimum(remaining, counts[i])
+        sizes = hi - lo + 1
+        parent = np.repeat(np.arange(len(remaining)), sizes)
+        # a parent's children run lo, lo + 1, ... from its first row onwards
+        first = np.cumsum(sizes) - sizes
+        values = np.arange(len(parent), dtype=np.int64) - (first - lo)[parent]
+        remaining = remaining[parent] - values
+        capacity -= counts[i + 1]
+        levels.append((parent, values))
+    out = np.empty((len(remaining), head), dtype=np.int64)
+    rows = np.arange(len(remaining))
+    for i in range(head - 1, -1, -1):
+        parent, values = levels[i]
+        out[:, i] = values[rows]
+        rows = parent[rows]
+    return out
+
+
+def _check_cap(size: int, cap: int | None, what: str) -> None:
     limit = support_cap(cap)
     if size > limit:
         raise SupportCapError(
-            f"support has {size} points, above the cap of {limit}; "
+            f"{what} has {size} points, above the cap of {limit}; "
             "use the Monte Carlo paths instead",
             required=size,
             cap=limit,
         )
-    return list(_iter_bounded_vectors(params.counts, params.sample_size))
 
 
 def support_matrix(params: ExperimentParams, cap: int | None = None) -> np.ndarray:
-    """Support points as an (m, dim) int64 array in lexicographic order."""
-    pts = enumerate_support(params, cap)
-    return np.asarray(pts, dtype=np.int64).reshape(len(pts), params.dim)
+    """Support points as an (m, dim) int64 array in lexicographic order.
+
+    Raises :class:`SupportCapError` when the support is larger than the cap;
+    callers should fall back to the Monte Carlo paths in that case.
+    """
+    _check_cap(support_size(params), cap, "support")
+    return _bounded_vectors(params.counts, params.sample_size)
+
+
+def enumerate_support(params: ExperimentParams, cap: int | None = None) -> list[LatticePoint]:
+    """Every support point exactly once, in lexicographic order, as tuples.
+
+    The rows of :func:`support_matrix`, which raises :class:`SupportCapError`
+    above the cap.
+    """
+    return [tuple(row) for row in support_matrix(params, cap).tolist()]
 
 
 def count_vector_size(sample_size: int, dim: int) -> int:
@@ -201,17 +235,8 @@ def count_vector_matrix(sample_size: int, dim: int, cap: int | None = None) -> n
     This is the support of the with-replacement law, a superset of every
     without-replacement support with the same sample size.
     """
-    size = count_vector_size(sample_size, dim)
-    limit = support_cap(cap)
-    if size > limit:
-        raise SupportCapError(
-            f"count-vector set has {size} points, above the cap of {limit}",
-            required=size,
-            cap=limit,
-        )
-    counts = (sample_size,) * (dim + 1)
-    pts = list(_iter_bounded_vectors(counts, sample_size))
-    return np.asarray(pts, dtype=np.int64).reshape(len(pts), dim)
+    _check_cap(count_vector_size(sample_size, dim), cap, "count-vector set")
+    return _bounded_vectors((sample_size,) * (dim + 1), sample_size)
 
 
 def last_count(params: ExperimentParams, point: Sequence[int]) -> int:

@@ -17,7 +17,6 @@ from .errors import ValidationError
 from .lattice import (
     ExperimentParams,
     LatticePoint,
-    full_counts,
     point_in_support,
 )
 from .numerics import log_binomial, log_binomial_array, log_factorial
@@ -41,24 +40,25 @@ def _check_point_length(dim: int, point: Sequence[int]) -> None:
         raise ValidationError(f"point has {len(point)} coordinates, expected {dim}")
 
 
+def _full_count_matrix(points: np.ndarray, dim: int, sample_size: int) -> np.ndarray:
+    """(m, dim) points extended by their derived last count, as (m, dim + 1) int64."""
+    points = np.asarray(points, dtype=np.int64)
+    if points.ndim != 2 or points.shape[1] != dim:
+        raise ValidationError(f"points must have shape (m, {dim})")
+    return np.column_stack([points, sample_size - points.sum(axis=1)])
+
+
 def hypergeometric_log_pmf(params: ExperimentParams, point: Sequence[int]) -> LogProb:
     """Log-probability of drawing exactly these category counts without replacement."""
     _check_point_length(params.dim, point)
     if not point_in_support(params, point):
         return NEG_INF
-    ks = full_counts(params, point)
-    terms = [log_binomial(c, k) for c, k in zip(params.counts, ks)]
-    terms.append(-log_binomial(params.population, params.sample_size))
-    return math.fsum(terms)
+    return float(hypergeometric_log_pmf_matrix(params, np.array([point], dtype=np.int64))[0])
 
 
 def hypergeometric_log_pmf_matrix(params: ExperimentParams, points: np.ndarray) -> np.ndarray:
     """Vectorized log-pmf over an (m, dim) array of points; -inf off support."""
-    points = np.asarray(points, dtype=np.int64)
-    if points.ndim != 2 or points.shape[1] != params.dim:
-        raise ValidationError(f"points must have shape (m, {params.dim})")
-    last = params.sample_size - points.sum(axis=1)
-    ks = np.column_stack([points, last])
+    ks = _full_count_matrix(points, params.dim, params.sample_size)
     counts = np.asarray(params.counts, dtype=np.int64)
     valid = np.all((ks >= 0) & (ks <= counts[None, :]), axis=1)
     logs = log_binomial_array(counts[None, :], np.where(valid[:, None], ks, 0))
@@ -83,16 +83,10 @@ def multinomial_log_pmf(sample_size: int, weights: Sequence[float], point: Seque
         raise ValidationError("sample_size must be a positive integer")
     w = _check_weights(weights)
     _check_point_length(w.size - 1, point)
-    ks = tuple(int(k) for k in point)
-    last = sample_size - sum(ks)
-    ks = ks + (last,)
-    if any(k < 0 for k in ks):
+    ks = [int(k) for k in point]
+    if min(ks) < 0 or sum(ks) > sample_size:
         return NEG_INF
-    terms = [log_factorial(sample_size)]
-    for k, p in zip(ks, w):
-        terms.append(-log_factorial(k))
-        terms.append(k * math.log(p))
-    return math.fsum(terms)
+    return float(multinomial_log_pmf_matrix(sample_size, w, np.array([ks], dtype=np.int64))[0])
 
 
 def multinomial_log_pmf_matrix(
@@ -100,11 +94,7 @@ def multinomial_log_pmf_matrix(
 ) -> np.ndarray:
     """Vectorized log-pmf over an (m, dim) array of points; -inf off support."""
     w = _check_weights(weights)
-    points = np.asarray(points, dtype=np.int64)
-    if points.ndim != 2 or points.shape[1] != w.size - 1:
-        raise ValidationError(f"points must have shape (m, {w.size - 1})")
-    last = sample_size - points.sum(axis=1)
-    ks = np.column_stack([points, last])
+    ks = _full_count_matrix(points, w.size - 1, sample_size)
     valid = np.all(ks >= 0, axis=1)
     safe = np.where(valid[:, None], ks, 0)
     total = log_factorial(sample_size) - log_factorial(safe).sum(axis=1)

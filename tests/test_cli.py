@@ -226,6 +226,15 @@ class TestExitCodes:
                        "--k", "1,1")
         assert proc.returncode == 3
 
+    @pytest.mark.parametrize("args", [
+        ("lecam-scan", "--n", "4,6", "--Np", "1,-1"),
+        ("expansion-scan", "--N", "16,32,64,128", "--n", "4", "--Np", "1,-1", "--k", "1"),
+    ])
+    def test_pattern_with_nonpositive_weight_is_validation(self, args):
+        proc = run_cli(*args)
+        assert proc.returncode == 3
+        assert "validation" in proc.stderr
+
     def test_support_cap_env_is_resource_error(self):
         proc = run_cli("tv", "--pair", "hyper-multi", "--N", "40", "--n", "12",
                        "--Np", "20,20", env_extra={"LECAM_SUPPORT_CAP": "5"})

@@ -16,6 +16,7 @@ from lecam import (
     data_processing_check,
     deficiency_upper_bounds,
     independent_gaussian,
+    lecam_scan,
     make_generator,
     multinomial_log_pmf,
     sample_multinomial,
@@ -189,6 +190,34 @@ class TestDeficiency:
         leg = tv_jittered_vs_gaussian(params, "multi", law, 8)
         combined = report.error_estimate + pair.error_estimate + leg.error_estimate
         assert report.le_cam_upper <= pair.value + leg.value + combined
+
+
+class TestLecamScan:
+    def test_rows_match_library_and_flag_outside_regime(self):
+        family = [WIDE, validate_params(6, 5, (3, 3))]
+        scan = lecam_scan(family, quad_order=8)
+        assert [r.quantity for r in scan.records[:5]] == [
+            "delta_P_to_Q", "delta_Q_to_P", "le_cam_upper", "budget",
+            "tv_jittered_multinomial_gauss",
+        ]
+        report = deficiency_upper_bounds(WIDE, quad_order=8)
+        tv = tv_jittered_vs_gaussian(WIDE, "multi", build_gaussian(WIDE), 8)
+        assert [r.value for r in scan.records[:5]] == [
+            report.delta_P_to_Q, report.delta_Q_to_P, report.le_cam_upper, report.budget,
+            tv.value,
+        ]
+        flagged = scan.records[5:9]
+        assert all(r.method == "flagged:outside-regime" and math.isnan(r.value)
+                   for r in flagged)
+        assert scan.records[9].method == "cube-quadrature"
+        assert scan.fits == {"le_cam_upper": None, "tv_jittered_multinomial_gauss": None}
+
+    def test_fits_slopes_along_cubic_growth(self):
+        family = [validate_params(n**3, n, (n**3 // 2, n**3 // 2)) for n in (4, 6, 8, 12)]
+        scan = lecam_scan(family, quad_order=8)
+        for fit in scan.fits.values():
+            assert fit.points_used == 4
+            assert -0.6 < fit.slope < -0.4
 
 
 class TestDataProcessing:

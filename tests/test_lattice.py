@@ -1,8 +1,10 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 import oracles
 from lecam import (
@@ -15,6 +17,7 @@ from lecam import (
     enumerate_support,
     in_truncated_set,
     point_in_support,
+    scaled_params,
     support_cap,
     support_matrix,
     support_size,
@@ -65,6 +68,20 @@ class TestValidateParams:
     def test_needs_two_categories(self):
         with pytest.raises(ValidationError):
             validate_params(10, 5, [10])
+
+
+class TestScaledParams:
+    def test_scales_pattern_exactly(self):
+        assert scaled_params(64, 4, (1, 1, 2)).counts == (16, 16, 32)
+
+    @pytest.mark.parametrize("pattern", [(1, -1), (0, 2), (1, 1, 0), ()])
+    def test_rejects_nonpositive_weights(self, pattern):
+        with pytest.raises(ValidationError, match="positive"):
+            scaled_params(16, 4, pattern)
+
+    def test_rejects_fractional_counts(self):
+        with pytest.raises(ValidationError, match="integer counts"):
+            scaled_params(10, 4, (1, 1, 2))
 
 
 class TestSupport:
@@ -192,7 +209,22 @@ def test_support_invariants(params):
         assert all(0 <= k <= c for k, c in zip(point, params.counts))
 
 
-@given(experiment_params(max_dim=2))
-def test_support_matches_oracle(params):
+@given(experiment_params(max_dim=4), st.booleans())
+def test_support_matches_oracle(params, census):
+    if census:
+        params = validate_params(params.population, params.population, params.counts)
     expected = sorted(oracles.support_points(params.counts, params.sample_size))
+    mat = support_matrix(params)
+    assert mat.dtype == np.int64
+    assert mat.shape == (len(expected), params.dim)
+    assert [tuple(row) for row in mat.tolist()] == expected
     assert enumerate_support(params) == expected
+
+
+@given(st.integers(0, 8), st.integers(1, 4))
+def test_count_vectors_match_oracle(sample_size, dim):
+    expected = sorted(oracles.count_vectors(dim, sample_size))
+    mat = count_vector_matrix(sample_size, dim)
+    assert mat.dtype == np.int64
+    assert mat.shape == (len(expected), dim)
+    assert [tuple(row) for row in mat.tolist()] == expected
