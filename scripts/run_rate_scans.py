@@ -55,7 +55,7 @@ def expansion_study(config: Config) -> list[ScanRecord]:
         )
         records.extend(scan.records)
         if scan.degenerate:
-            print(f"order {order}: residuals vanish identically for this family")
+            print(f"order {order}: residuals sit at the rounding floor for this family")
         else:
             config.slopes[f"residual_order{order}"] = scan.fit.slope
             print(

@@ -61,12 +61,23 @@ def _print_json(doc: dict) -> None:
     print(json.dumps(doc, indent=2, allow_nan=False))
 
 
-def _build_params(args, population: int | None = None) -> ExperimentParams:
-    counts = args.Np
-    N = population if population is not None else getattr(args, "N", None)
-    if N is None:
-        N = sum(counts)
-    return validate_params(N, args.n, counts)
+def _report(args, doc: dict) -> int:
+    """Print ``doc`` as JSON with --json, else one ``name = value`` line per field."""
+    if args.json:
+        _print_json(doc)
+        return EXIT_OK
+    for name, value in doc.items():
+        if isinstance(value, float):
+            value = _fmt(value)
+        elif isinstance(value, list):
+            value = ",".join(str(v) for v in value)
+        print(f"{name} = {value}")
+    return EXIT_OK
+
+
+def _build_params(args) -> ExperimentParams:
+    N = getattr(args, "N", None)
+    return validate_params(sum(args.Np) if N is None else N, args.n, args.Np)
 
 
 # ---------------------------------------------------------------------------
@@ -80,24 +91,14 @@ def _cmd_pmf(args) -> int:
     else:
         logp = multinomial_log_pmf(params.sample_size, params.weights, point)
     prob = math.exp(logp) if logp > float("-inf") else 0.0
-    if args.json:
-        _print_json({"log_probability": _json_float(logp), "probability": prob})
-    else:
-        print(f"log_probability = {_fmt(logp)}")
-        print(f"probability = {_fmt(prob)}")
-    return EXIT_OK
+    return _report(args, {"log_probability": _json_float(logp), "probability": prob})
 
 
 def _cmd_ratio(args) -> int:
     params = _build_params(args)
     result = expand(params, tuple(args.k))
     fields = ("exact", "order1", "order2", "residual1", "residual2")
-    if args.json:
-        _print_json({name: getattr(result, name) for name in fields})
-    else:
-        for name in fields:
-            print(f"{name} = {_fmt(getattr(result, name))}")
-    return EXIT_OK
+    return _report(args, {name: getattr(result, name) for name in fields})
 
 
 def _slope_line(name: str, fit: SlopeFit) -> str:
@@ -122,7 +123,7 @@ def _cmd_expansion_scan(args) -> int:
         write_csv(records, args.out)
     fits = {}
     if scan.degenerate:
-        summary = "degenerate: residuals identically 0"
+        summary = "degenerate: fewer than 4 residuals above the rounding floor"
     else:
         fits[f"abs_residual_order{args.order}"] = scan.fit
         summary = _slope_line(f"abs_residual_order{args.order}", scan.fit)
@@ -178,39 +179,24 @@ def _compute_tv(params: ExperimentParams, pair: str, method: str, args) -> TVRes
 def _cmd_tv(args) -> int:
     params = _build_params(args)
     result = _compute_tv(params, args.pair, args.method, args)
-    if args.json:
-        _print_json(
-            {
-                "tv": result.value,
-                "method": result.method,
-                "error_estimate": result.error_estimate,
-            }
-        )
-    else:
-        print(f"tv = {_fmt(result.value)}")
-        print(f"method = {result.method}")
-        print(f"error_estimate = {_fmt(result.error_estimate)}")
-    return EXIT_OK
+    return _report(
+        args,
+        {"tv": result.value, "method": result.method, "error_estimate": result.error_estimate},
+    )
 
 
 def _cmd_bound_parts(args) -> int:
     params = _build_params(args)
     parts = tv_bound_parts(params)
-    if args.json:
-        _print_json(
-            {
-                "nu": list(parts.nu),
-                "tail_sum": parts.tail_sum,
-                "n2_over_N": parts.n2_over_N,
-                "gaussian_term_scale": parts.gaussian_term_scale,
-            }
-        )
-    else:
-        print(f"nu = {','.join(str(v) for v in parts.nu)}")
-        print(f"tail_sum = {_fmt(parts.tail_sum)}")
-        print(f"n2_over_N = {_fmt(parts.n2_over_N)}")
-        print(f"gaussian_term_scale = {_fmt(parts.gaussian_term_scale)}")
-    return EXIT_OK
+    return _report(
+        args,
+        {
+            "nu": list(parts.nu),
+            "tail_sum": parts.tail_sum,
+            "n2_over_N": parts.n2_over_N,
+            "gaussian_term_scale": parts.gaussian_term_scale,
+        },
+    )
 
 
 def _cmd_tail_check(args) -> int:
@@ -282,24 +268,16 @@ def _cmd_lecam_scan(args) -> int:
 def _cmd_dpi_check(args) -> int:
     params = _build_params(args)
     result = data_processing_check(params, quad_order=args.quad_order)
-    holds = result.slack >= -result.combined_error
-    if args.json:
-        _print_json(
-            {
-                "tv_before": result.tv_before,
-                "tv_after": result.tv_after,
-                "slack": result.slack,
-                "combined_error": result.combined_error,
-                "holds": holds,
-            }
-        )
-    else:
-        print(f"tv_before = {_fmt(result.tv_before)}")
-        print(f"tv_after = {_fmt(result.tv_after)}")
-        print(f"slack = {_fmt(result.slack)}")
-        print(f"combined_error = {_fmt(result.combined_error)}")
-        print(f"holds = {holds}")
-    return EXIT_OK
+    return _report(
+        args,
+        {
+            "tv_before": result.tv_before,
+            "tv_after": result.tv_after,
+            "slack": result.slack,
+            "combined_error": result.combined_error,
+            "holds": result.slack >= -result.combined_error,
+        },
+    )
 
 
 # ---------------------------------------------------------------------------

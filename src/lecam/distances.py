@@ -27,15 +27,10 @@ from .lattice import (
     ExperimentParams,
     count_vector_matrix,
     support_matrix,
+    validate_params,
     weight_ratio,
 )
-from .numerics import (
-    log_binomial,
-    log_binomial_array,
-    make_generator,
-    round_half_away,
-    split_seed,
-)
+from .numerics import make_generator, round_half_away, split_seed
 from .pmf import (
     hypergeometric_log_pmf_matrix,
     multinomial_log_pmf_matrix,
@@ -680,9 +675,9 @@ def tv_bound_parts(params: ExperimentParams) -> TVBoundParts:
 def tail_probability_check(params: ExperimentParams, coord: int) -> TailCheck:
     """Exact marginal tail P(K_i > nu_i n p_i) next to its displayed bound.
 
-    The marginal of one coordinate is a univariate version of the sampling
-    law, so the tail is a short exact sum.  ``coord`` indexes the dim + 1
-    categories, 0-based.
+    The marginal of one coordinate is the d=1 sampling law with counts
+    (c, N - c), so the tail is a short exact sum of its masses.  ``coord``
+    indexes the dim + 1 categories, 0-based.
     """
     if not 0 <= coord <= params.dim:
         raise ValidationError(f"coord must lie in [0, {params.dim}]")
@@ -695,11 +690,7 @@ def tail_probability_check(params: ExperimentParams, coord: int) -> TailCheck:
     j_end = min(c, n)
     if j_start > j_end:
         return TailCheck(empirical=0.0, bound=bound)
-    js = np.arange(j_start, j_end + 1)
-    logs = (
-        log_binomial_array(c, js)
-        + log_binomial_array(N - c, n - js)
-        - log_binomial(N, n)
-    )
+    marginal = validate_params(N, n, (c, N - c))
+    logs = hypergeometric_log_pmf_matrix(marginal, np.arange(j_start, j_end + 1)[:, None])
     empirical = math.fsum(np.exp(logs).tolist())
     return TailCheck(empirical=empirical, bound=bound)

@@ -23,12 +23,15 @@ from .lattice import (
     in_truncated_set,
     point_in_support,
 )
-from .numerics import SlopeFit, fit_loglog_slope, log_factorial
+from .numerics import SlopeFit, fit_loglog_slope
+from .pmf import log_ratio_matrix
 from .records import ScanRecord
 
 DEFAULT_TRUNCATION = 0.75
-# Residuals below this are indistinguishable from exact cancellation.
-DEGENERATE_RESIDUAL = 1e-14
+# A residual at most this many ulps of |exact| is rounding, not signal: the
+# exact log-ratio itself was within 31 ulps of a 50-digit reference on
+# criterion 03's family up to N = 2^24.
+RESIDUAL_FLOOR_ULPS = 64
 
 
 @dataclass(frozen=True)
@@ -45,49 +48,40 @@ class ExpansionResult:
 def log_ratio_exact(params: ExperimentParams, point: Sequence[int]) -> float:
     """log of (without-replacement pmf / with-replacement pmf) at one point.
 
-    Assembled term by term from log-factorials after cancelling the common
-    k_i! and n! factors analytically, so the two nearly equal log-pmfs are
-    never subtracted as rounded wholes.
+    One row of :func:`lecam.pmf.log_ratio_matrix`: sums of log(1 - j/c_i)
+    and log(1 - j/N) over the draws, so the two nearly equal log-pmfs are
+    never formed and no log-factorial enters.
     """
     if not point_in_support(params, point):
         raise ValidationError(
             f"point {tuple(point)} lies outside the support; the ratio is undefined"
         )
+    return float(log_ratio_matrix(params.counts, [full_counts(params, point)])[0])
+
+
+def _bracket(params: ExperimentParams, point: Sequence[int], piece, scale: int, power: int):
+    """(piece(n) - sum_i (1/p_i)^power piece(k_i)) / scale, exactly.
+
+    The sum runs in integers over the common denominator lcm(c_i^power), so
+    only the result is a Fraction.
+    """
     N = params.population
-    n = params.sample_size
-    ks = full_counts(params, point)
-    terms = []
-    for c, k in zip(params.counts, ks):
-        terms.append(log_factorial(c) - log_factorial(c - k))
-        terms.append(-k * math.log(c / N))
-    terms.append(log_factorial(N - n) - log_factorial(N))
-    return math.fsum(terms)
+    den = math.lcm(*(c**power for c in params.counts))
+    num = piece(params.sample_size) * den
+    for c, k in zip(params.counts, full_counts(params, point)):
+        num -= piece(k) * N**power * (den // c**power)
+    return Fraction(num, scale * den)
 
 
 def first_order_bracket(params: ExperimentParams, point: Sequence[int]) -> Fraction:
     """Exact bracket (n^2/2 - n/2) - sum_i (1/p_i)(k_i^2/2 - k_i/2)."""
-    N = params.population
-    n = params.sample_size
-    ks = full_counts(params, point)
-    total = Fraction(n * n - n, 2)
-    for c, k in zip(params.counts, ks):
-        total -= Fraction(N, c) * Fraction(k * k - k, 2)
-    return total
-
-
-def _cubic_piece(t: int) -> Fraction:
-    # t^3/6 - t^2/4 + t/12 == t (t - 1)(2 t - 1) / 12
-    return Fraction(t * (t - 1) * (2 * t - 1), 12)
+    return _bracket(params, point, lambda t: t * t - t, 2, 1)
 
 
 def second_order_bracket(params: ExperimentParams, point: Sequence[int]) -> Fraction:
     """Exact bracket (n^3/6 - n^2/4 + n/12) - sum_i (1/p_i^2)(same cubic in k_i)."""
-    N = params.population
-    ks = full_counts(params, point)
-    total = _cubic_piece(params.sample_size)
-    for c, k in zip(params.counts, ks):
-        total -= Fraction(N, c) ** 2 * _cubic_piece(k)
-    return total
+    # t^3/6 - t^2/4 + t/12 == t (t - 1)(2 t - 1) / 12
+    return _bracket(params, point, lambda t: t * (t - 1) * (2 * t - 1), 12, 2)
 
 
 def expansion_order1(params: ExperimentParams, point: Sequence[int]) -> float:
@@ -143,7 +137,9 @@ def residual_scan(
     """Measure |exact - approximation| along a family of growing populations.
 
     Every (params, k) pair must lie in the gamma-truncated set.  Residuals
-    that vanish identically (the single-draw case) are reported as degenerate
+    at or below ``RESIDUAL_FLOOR_ULPS`` ulps of the point's exact log-ratio
+    are left out of the fit; with fewer than four left (the single-draw
+    case, where they vanish identically) the scan is reported as degenerate
     instead of fitted.  A family sitting on a zero of the next bracket is
     still fitted: its residual decays one order faster than the truncation
     order suggests.
@@ -165,22 +161,24 @@ def residual_scan(
             )
         tasks.append((params, point, order))
     results = _map_ordered(_residual_point, tasks, jobs)
-    records = tuple(results)
-    values = [r.value for r in records]
-    if all(v <= DEGENERATE_RESIDUAL for v in values):
+    records = tuple(record for record, _ in results)
+    resolved = [
+        (record.population, record.value)
+        for record, exact in results
+        if record.value > RESIDUAL_FLOOR_ULPS * math.ulp(exact)
+    ]
+    if len(resolved) < 4:
         return ResidualScan(records=records, fit=None, degenerate=True)
-    positive = [(r.population, r.value) for r in records if r.value > DEGENERATE_RESIDUAL]
-    if len(positive) < 4:
-        return ResidualScan(records=records, fit=None, degenerate=True)
-    fit = fit_loglog_slope([x for x, _ in positive], [y for _, y in positive])
+    fit = fit_loglog_slope([x for x, _ in resolved], [y for _, y in resolved])
     return ResidualScan(records=records, fit=fit, degenerate=False)
 
 
-def _residual_point(task: tuple[ExperimentParams, LatticePoint, int]) -> ScanRecord:
+def _residual_point(task: tuple[ExperimentParams, LatticePoint, int]) -> tuple[ScanRecord, float]:
+    """The residual's record and the exact log-ratio it was measured against."""
     params, point, order = task
     result = expand(params, point)
     residual = result.residual1 if order == 1 else result.residual2
-    return ScanRecord(
+    record = ScanRecord(
         population=params.population,
         sample_size=params.sample_size,
         dim=params.dim,
@@ -190,14 +188,17 @@ def _residual_point(task: tuple[ExperimentParams, LatticePoint, int]) -> ScanRec
         error=0.0,
         method="exact-log-ratio",
     )
+    return record, result.exact
 
 
 def _map_ordered(fn, items, jobs: int):
-    """``[fn(x) for x in items]``, over ``jobs`` worker processes when jobs > 1.
+    """``[fn(x) for x in items]``, over at most ``jobs`` worker processes.
 
-    Results keep the order of ``items``, so scans are identical at any
-    ``jobs``; ``kernels.lecam_scan`` uses this too.
+    The pool never starts more workers than there are items.  Results keep
+    the order of ``items``, so scans are identical at any ``jobs``;
+    ``kernels.lecam_scan`` uses this too.
     """
+    jobs = min(jobs, len(items))
     if jobs <= 1:
         return [fn(x) for x in items]
     from concurrent.futures import ProcessPoolExecutor

@@ -239,14 +239,9 @@ def count_vector_matrix(sample_size: int, dim: int, cap: int | None = None) -> n
     return _bounded_vectors((sample_size,) * (dim + 1), sample_size)
 
 
-def last_count(params: ExperimentParams, point: Sequence[int]) -> int:
-    """Derived final coordinate sample_size - ||k||_1."""
-    return params.sample_size - int(sum(point))
-
-
 def full_counts(params: ExperimentParams, point: Sequence[int]) -> tuple[int, ...]:
-    """The point extended with its derived final coordinate."""
-    return tuple(int(k) for k in point) + (last_count(params, point),)
+    """The point extended with its derived final coordinate sample_size - ||k||_1."""
+    return tuple(int(k) for k in point) + (params.sample_size - int(sum(point)),)
 
 
 def point_in_support(params: ExperimentParams, point: Sequence[int]) -> bool:
@@ -257,13 +252,6 @@ def point_in_support(params: ExperimentParams, point: Sequence[int]) -> bool:
         )
     ks = full_counts(params, point)
     return all(0 <= k <= c for k, c in zip(ks, params.counts))
-
-
-def require_support_point(params: ExperimentParams, point: Sequence[int]) -> LatticePoint:
-    """Validate membership and return the point as a tuple."""
-    if not point_in_support(params, point):
-        raise ValidationError(f"point {tuple(point)} lies outside the support")
-    return tuple(int(k) for k in point)
 
 
 def in_truncated_set(params: ExperimentParams, point: Sequence[int], gamma) -> bool:

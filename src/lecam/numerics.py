@@ -1,9 +1,10 @@
-"""Low-level numerical helpers: log-factorials, slope fits, and rng plumbing.
+"""Low-level numerical helpers: log-factorials, compensated prefix sums, slope
+fits, and rng plumbing.
 
-The log-factorial is the single special function everything else is built
-from.  Small arguments come from an exact compensated cumulative-sum table,
+Small log-factorials come from an exact compensated cumulative-sum table,
 large ones from the Stirling series; the two branches agree to ~1e-15
-relative error at the crossover.
+relative error at the crossover.  Hypergeometric probabilities subtract no
+log-factorials: ``pmf.log_ratio_matrix`` builds them from prefix sums.
 """
 
 from __future__ import annotations
@@ -20,26 +21,26 @@ LOG_FACTORIAL_TABLE_SIZE = 1025  # table covers 0 <= m <= 1024
 _HALF_LOG_TWO_PI = 0.5 * math.log(2.0 * math.pi)
 
 
-def _build_log_factorial_table() -> np.ndarray:
-    # Neumaier-compensated running sum; the compensation term keeps every
-    # prefix correct to well below one ulp.
-    table = np.empty(LOG_FACTORIAL_TABLE_SIZE)
-    table[0] = 0.0
-    total = 0.0
-    comp = 0.0
-    for m in range(1, LOG_FACTORIAL_TABLE_SIZE):
-        term = math.log(m)
-        t = total + term
-        if abs(total) >= abs(term):
-            comp += (total - t) + term
-        else:
-            comp += (term - t) + total
-        total = t
-        table[m] = total + comp
-    return table
+def compensated_cumsum(values) -> np.ndarray:
+    """Prefix sums ``[0, v0, v0 + v1, ...]`` along the last axis, each to about an ulp.
+
+    A plain cumsum drifts by one rounding per term.  Each of its additions'
+    exact rounding error is recovered (TwoSum) and their running sum added
+    back, so the drift left is second order in the unit roundoff.
+    """
+    v = np.asarray(values, dtype=float)
+    out = np.zeros(v.shape[:-1] + (v.shape[-1] + 1,))
+    prev, new = out[..., :-1], out[..., 1:]
+    np.add.accumulate(v, axis=-1, out=new)
+    back = new - prev
+    err = (prev - (new - back)) + (v - back)
+    new += np.add.accumulate(err, axis=-1)
+    return out
 
 
-_LOG_FACTORIAL_TABLE = _build_log_factorial_table()
+_LOG_FACTORIAL_TABLE = compensated_cumsum(
+    [math.log(m) for m in range(1, LOG_FACTORIAL_TABLE_SIZE)]
+)
 
 
 def _stirling_log_factorial(m):
@@ -68,10 +69,8 @@ def log_factorial(m):
     arr = np.asarray(m, dtype=np.int64)
     if np.any(arr < 0):
         raise ValidationError("log_factorial requires non-negative integers")
-    out = np.empty(arr.shape, dtype=float)
-    small = arr < LOG_FACTORIAL_TABLE_SIZE
-    out[small] = _LOG_FACTORIAL_TABLE[arr[small]]
-    large = ~small
+    out = np.take(_LOG_FACTORIAL_TABLE, arr, mode="clip")
+    large = arr >= LOG_FACTORIAL_TABLE_SIZE
     if np.any(large):
         out[large] = _stirling_log_factorial(arr[large])
     return out
@@ -82,17 +81,6 @@ def log_binomial(a: int, b: int) -> float:
     if b < 0 or b > a:
         return float("-inf")
     return log_factorial(a) - log_factorial(b) - log_factorial(a - b)
-
-
-def log_binomial_array(a, b) -> np.ndarray:
-    """Vectorized ln C(a, b) with -inf outside the valid range."""
-    a = np.asarray(a, dtype=np.int64)
-    b = np.asarray(b, dtype=np.int64)
-    a, b = np.broadcast_arrays(a, b)
-    valid = (b >= 0) & (b <= a)
-    bb = np.where(valid, b, 0)
-    out = log_factorial(a) - log_factorial(bb) - log_factorial(a - bb)
-    return np.where(valid, out, -np.inf)
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,9 @@
 
 All probabilities are carried as natural logarithms so that supports with
 thousands of points never underflow; sums over supports go through
-log-sum-exp or compensated summation.
+log-sum-exp or compensated summation.  Every hypergeometric log-probability
+is the multinomial one at weights ``counts / N`` plus ``log_ratio_matrix``,
+so no two log-factorials of size N log N are ever subtracted.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from .lattice import (
     LatticePoint,
     point_in_support,
 )
-from .numerics import log_binomial, log_binomial_array, log_factorial
+from .numerics import compensated_cumsum, log_factorial
 
 # A probability in natural-log space; -inf encodes probability zero.
 LogProb = float
@@ -35,22 +37,21 @@ class MomentSummary:
     covariance: np.ndarray
 
 
-def _check_point_length(dim: int, point: Sequence[int]) -> None:
-    if len(point) != dim:
-        raise ValidationError(f"point has {len(point)} coordinates, expected {dim}")
-
-
 def _full_count_matrix(points: np.ndarray, dim: int, sample_size: int) -> np.ndarray:
     """(m, dim) points extended by their derived last count, as (m, dim + 1) int64."""
     points = np.asarray(points, dtype=np.int64)
     if points.ndim != 2 or points.shape[1] != dim:
         raise ValidationError(f"points must have shape (m, {dim})")
-    return np.column_stack([points, sample_size - points.sum(axis=1)])
+    return np.column_stack([points, sample_size - _row_sums(points)])
+
+
+def _row_sums(ks: np.ndarray) -> np.ndarray:
+    # an integer matmul: several times faster than sum(axis=1) on narrow rows
+    return ks @ np.ones(ks.shape[1], dtype=np.int64)
 
 
 def hypergeometric_log_pmf(params: ExperimentParams, point: Sequence[int]) -> LogProb:
     """Log-probability of drawing exactly these category counts without replacement."""
-    _check_point_length(params.dim, point)
     if not point_in_support(params, point):
         return NEG_INF
     return float(hypergeometric_log_pmf_matrix(params, np.array([point], dtype=np.int64))[0])
@@ -59,11 +60,50 @@ def hypergeometric_log_pmf(params: ExperimentParams, point: Sequence[int]) -> Lo
 def hypergeometric_log_pmf_matrix(params: ExperimentParams, points: np.ndarray) -> np.ndarray:
     """Vectorized log-pmf over an (m, dim) array of points; -inf off support."""
     ks = _full_count_matrix(points, params.dim, params.sample_size)
-    counts = np.asarray(params.counts, dtype=np.int64)
-    valid = np.all((ks >= 0) & (ks <= counts[None, :]), axis=1)
-    logs = log_binomial_array(counts[None, :], np.where(valid[:, None], ks, 0))
-    total = logs.sum(axis=1) - log_binomial(params.population, params.sample_size)
-    return np.where(valid, total, -np.inf)
+    return _hypergeometric_log_pmf_rows(params.counts, ks)
+
+
+def _hypergeometric_log_pmf_rows(counts: Sequence[int], ks: np.ndarray) -> np.ndarray:
+    """Log-pmf of full count rows, each summing to its own draw count.
+
+    A row drawing over half the population is evaluated at what it leaves
+    behind, ``counts - k``, which is as likely: fewer draws enter the sums,
+    and a census row is exactly certain.
+    """
+    c = np.asarray(counts, dtype=np.int64)
+    flip = 2 * _row_sums(ks) > c.sum()
+    if flip.any():
+        ks = np.where(flip[:, None], c - ks, ks)
+    return _multinomial_log_pmf_rows(np.log(c / c.sum()), ks) + log_ratio_matrix(c, ks)
+
+
+def log_ratio_matrix(counts: Sequence[int], ks: np.ndarray) -> np.ndarray:
+    """ln P(k) - ln Q(k) per row of an (m, len(counts)) matrix of full counts.
+
+    P draws without replacement from a population split into ``counts``, Q
+    with replacement at weights ``counts / N``; a row's sum is its draw
+    count n.  The ratio is exactly ``sum_i T_{c_i}[k_i] - T_N[n]`` with
+    ``T_c[k] = sum_{j<k} log(1 - j/c)``, read from one compensated prefix
+    table per count.  -inf where some k_i is negative or exceeds c_i.
+    """
+    counts = np.asarray(counts, dtype=np.int64)
+    ks = np.asarray(ks, dtype=np.int64)
+    valid = ((ks >= 0) & (ks <= counts)).all(axis=1)
+    safe = np.where(valid[:, None], ks, 0)
+    n = _row_sums(safe)
+    sizes = np.concatenate((counts, counts.sum(keepdims=True)))[:, None]
+    j = np.arange(n.max(initial=0))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # log1p(-j/c) up to j = c/2; past it the argument nears -1 and its
+        # rounding is amplified, while (c - j) / c is rounded once.  Entries
+        # from j = c on are never read.
+        tables = compensated_cumsum(
+            np.where(2 * j <= sizes, np.log1p(-j / sizes), np.log((sizes - j) / sizes))
+        )
+    out = -tables[-1][n]
+    for i, table in enumerate(tables[:-1]):
+        out += table[safe[:, i]]
+    return np.where(valid, out, -np.inf)
 
 
 def _check_weights(weights: Sequence[float]) -> np.ndarray:
@@ -82,7 +122,8 @@ def multinomial_log_pmf(sample_size: int, weights: Sequence[float], point: Seque
     if sample_size < 1:
         raise ValidationError("sample_size must be a positive integer")
     w = _check_weights(weights)
-    _check_point_length(w.size - 1, point)
+    if len(point) != w.size - 1:
+        raise ValidationError(f"point has {len(point)} coordinates, expected {w.size - 1}")
     ks = [int(k) for k in point]
     if min(ks) < 0 or sum(ks) > sample_size:
         return NEG_INF
@@ -95,10 +136,15 @@ def multinomial_log_pmf_matrix(
     """Vectorized log-pmf over an (m, dim) array of points; -inf off support."""
     w = _check_weights(weights)
     ks = _full_count_matrix(points, w.size - 1, sample_size)
+    return _multinomial_log_pmf_rows(np.log(w), ks)
+
+
+def _multinomial_log_pmf_rows(log_w: np.ndarray, ks: np.ndarray) -> np.ndarray:
+    """Log-pmf of full count rows drawn with replacement; each row sum is its draw count."""
     valid = np.all(ks >= 0, axis=1)
     safe = np.where(valid[:, None], ks, 0)
-    total = log_factorial(sample_size) - log_factorial(safe).sum(axis=1)
-    total = total + (safe * np.log(w)[None, :]).sum(axis=1)
+    total = log_factorial(_row_sums(safe)) - log_factorial(safe).sum(axis=1)
+    total = total + (safe * log_w[None, :]).sum(axis=1)
     return np.where(valid, total, -np.inf)
 
 
@@ -127,19 +173,17 @@ def multinomial_moments(sample_size: int, weights: Sequence[float]) -> MomentSum
 
 
 def _hypergeometric_quantile(
-    total: np.ndarray, marked: int, draws: np.ndarray, u: np.ndarray
+    total: int, marked: int, draws: np.ndarray, u: np.ndarray
 ) -> np.ndarray:
     """Smallest j with P(K <= j) >= u for K counting marked objects in a draw.
 
-    ``total`` and ``draws`` vary per batch element; the walk starts at the
-    lowest feasible count and advances every element until its cdf crosses u.
+    ``draws`` varies per batch element; the walk starts at the lowest
+    feasible count and advances every element until its cdf crosses u.
     """
     lo = np.maximum(0, draws - (total - marked))
     hi = np.minimum(marked, draws)
-    log_start = (
-        log_binomial_array(marked, lo)
-        + log_binomial_array(total - marked, draws - lo)
-        - log_binomial_array(total, draws)
+    log_start = _hypergeometric_log_pmf_rows(
+        (marked, total - marked), np.column_stack([lo, draws - lo])
     )
     prob = np.exp(log_start)
     cdf = prob.copy()
@@ -150,7 +194,7 @@ def _hypergeometric_quantile(
         ratio = (
             (marked - ja)
             * (draws[active] - ja)
-            / ((ja + 1.0) * (total[active] - marked - draws[active] + ja + 1.0))
+            / ((ja + 1.0) * (total - marked - draws[active] + ja + 1.0))
         )
         prob[active] *= ratio
         j[active] += 1
@@ -173,7 +217,7 @@ def sample_hypergeometric(
     m = 1 if size is None else int(size)
     if m < 1:
         raise ValidationError("size must be a positive integer")
-    remaining_total = np.full(m, params.population, dtype=np.int64)
+    remaining_total = params.population
     remaining_draws = np.full(m, params.sample_size, dtype=np.int64)
     out = np.empty((m, params.dim), dtype=np.int64)
     for i in range(params.dim):

@@ -85,6 +85,33 @@ def hellinger_sq(population: int, counts: tuple[int, ...], draws: int) -> mpmath
     return 1 - overlap
 
 
+def _log_binom(a: int, b: int) -> mpmath.mpf:
+    return mpmath.loggamma(a + 1) - mpmath.loggamma(b + 1) - mpmath.loggamma(a - b + 1)
+
+
+def log_hyper_prob(population: int, counts: tuple[int, ...], draws: int,
+                   point: tuple[int, ...]) -> mpmath.mpf:
+    """ln of ``hyper_prob`` from 50-digit log-gammas, for populations too large
+    for exact fractions to be quick."""
+    full = point + (draws - sum(point),)
+    with mpmath.workdps(50):
+        total = -_log_binom(population, draws)
+        for c, k in zip(counts, full):
+            total += _log_binom(c, k)
+        return +total
+
+
+def log_multi_prob(population: int, counts: tuple[int, ...], draws: int,
+                   point: tuple[int, ...]) -> mpmath.mpf:
+    """ln of ``multi_prob`` from 50-digit log-gammas."""
+    full = point + (draws - sum(point),)
+    with mpmath.workdps(50):
+        total = mpmath.loggamma(draws + 1)
+        for c, k in zip(counts, full):
+            total += k * mpmath.log(mpmath.mpf(c) / population) - mpmath.loggamma(k + 1)
+        return +total
+
+
 # ---------------------------------------------------------------------------
 # log-ratio and its polynomial truncations, exact rational brackets
 

@@ -71,6 +71,12 @@ class TestDiscreteTV:
         got = tv_discrete(params, "hyper", "multi").value
         assert got == pytest.approx(expected, abs=1e-12)
 
+    def test_within_its_bar_at_a_large_population(self):
+        N = 2**24
+        params = validate_params(N, 16, (N // 4, 3 * N // 4))
+        tv = tv_discrete(params, "hyper", "multi")
+        assert abs(tv.value - float(oracles.tv_exact(N, params.counts, 16))) <= tv.error_estimate
+
 
 class TestHellinger:
     def test_frozen_balanced(self):

@@ -1,3 +1,4 @@
+import concurrent.futures
 import math
 from fractions import Fraction
 
@@ -18,6 +19,7 @@ from lecam import (
     second_order_term,
     validate_params,
 )
+from lecam.expansion import _map_ordered
 from strategies import params_with_point
 
 BALANCED = validate_params(10, 5, (5, 5))
@@ -80,6 +82,13 @@ def test_exact_log_ratio_matches_oracle(case):
     assert log_ratio_exact(params, point) == pytest.approx(expected, abs=1e-13)
 
 
+@pytest.mark.parametrize("population", [2**e for e in range(8, 25, 4)])
+def test_exact_log_ratio_matches_oracle_at_large_populations(population):
+    params = validate_params(population, 8, (population // 2, population // 2))
+    expected = oracles.log_ratio(population, params.counts, 8, (2,))
+    assert abs(log_ratio_exact(params, (2,)) - expected) <= 1e-14 * abs(expected)
+
+
 @given(params_with_point(max_count=6, max_draws=6))
 def test_brackets_match_oracle_rationals(case):
     params, point = case
@@ -94,13 +103,14 @@ class TestResidualScan:
     def test_generic_point_first_order_rate(self):
         scan = residual_scan(DOUBLING_FAMILY, lambda p: (2,), order=1)
         assert not scan.degenerate
-        assert scan.fit.slope == pytest.approx(-2.229689204592402, abs=1e-9)
+        # frozen slopes: least-squares fits to the 50-digit oracle residuals
+        assert scan.fit.slope == pytest.approx(-2.2296892046190716, abs=1e-9)
         assert scan.fit.r_squared > 0.99
         assert [r.quantity for r in scan.records] == ["abs_residual_order1"] * 5
 
     def test_generic_point_second_order_rate(self):
         scan = residual_scan(DOUBLING_FAMILY, lambda p: (2,), order=2)
-        assert scan.fit.slope == pytest.approx(-3.2312745772269644, abs=1e-9)
+        assert scan.fit.slope == pytest.approx(-3.231274578022565, abs=1e-9)
         assert scan.fit.r_squared > 0.99
 
     def test_mirror_symmetric_point_skips_an_order(self):
@@ -111,13 +121,30 @@ class TestResidualScan:
         scan1 = residual_scan(DOUBLING_FAMILY, lambda p: (3,), order=1)
         scan2 = residual_scan(DOUBLING_FAMILY, lambda p: (3,), order=2)
         assert scan1.fit.slope == pytest.approx(scan2.fit.slope, abs=1e-12)
-        assert scan1.fit.slope == pytest.approx(-3.2811492280226093, abs=1e-9)
+        assert scan1.fit.slope == pytest.approx(-3.2811492344442526, abs=1e-9)
 
     def test_identical_laws_are_degenerate(self):
         family = [validate_params(N, 1, (N // 2, N // 2)) for N in (16, 32, 64, 128)]
         scan = residual_scan(family, lambda p: (1,), order=1)
         assert scan.degenerate
         assert scan.fit is None
+
+    def test_single_draw_stays_degenerate_at_large_populations(self):
+        family = [validate_params(2**e, 1, (2 ** (e - 1),) * 2) for e in range(10, 25, 2)]
+        for order in (1, 2):
+            scan = residual_scan(family, lambda p: (0,), order=order)
+            assert scan.degenerate
+            assert scan.fit is None
+
+    def test_small_residuals_are_fitted_at_large_populations(self):
+        # criterion 03's family and point carried on to N = 2^20, where the
+        # order-1 residual is ~4e-11, far below an absolute 1e-14 cut-off's
+        # reach but well above the exact value's rounding
+        family = [validate_params(2**e, 8, (2 ** (e - 1),) * 2) for e in range(10, 21)]
+        scan = residual_scan(family, lambda p: (2,), order=1)
+        assert not scan.degenerate
+        assert scan.fit.points_used == len(family)
+        assert -2.3 <= scan.fit.slope <= -1.7
 
     def test_truncation_violation_rejected(self):
         with pytest.raises(ValidationError):
@@ -152,3 +179,26 @@ def test_oracle_brackets_reproduce_mpmath_expansion():
     exact = oracles.log_ratio(10, (5, 5), 5, (2,))
     assert abs(float(exact) - 0.23889190828234892) < 1e-15
     assert mpmath.isfinite(exact)
+
+
+def test_pool_never_exceeds_the_item_count(monkeypatch):
+    seen = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            seen.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    assert _map_ordered(abs, [-1, -2], jobs=4) == [1, 2]
+    assert seen == [2]
+    assert _map_ordered(abs, [-3], jobs=4) == [3]
+    assert seen == [2]

@@ -1,9 +1,11 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from scipy import integrate, stats
 
+import oracles
 from lecam import (
     KERNEL_KINDS,
     KernelTag,
@@ -146,6 +148,18 @@ class TestDeficiency:
         assert report.delta_Q_to_P == pytest.approx(tv.value, abs=1e-14)
         assert report.le_cam_upper == max(report.delta_P_to_Q, report.delta_Q_to_P)
         assert report.method == "cube-quadrature"
+
+    def test_within_its_bar_of_the_oracle_at_a_large_population(self):
+        # n = 32, N = n^3: the d = 1 le_cam_upper against adaptive mpmath
+        # quadrature of the jittered hypergeometric law
+        N, n = 32768, 32
+        params = validate_params(N, n, (N // 2, N // 2))
+        report = deficiency_upper_bounds(params, quad_order=8)
+        masses = [oracles.hyper_prob(N, params.counts, n, (k,)) for k in range(n + 1)]
+        expected = float(oracles.tv_jitter_gauss_1d(
+            masses, Fraction(n, 2), Fraction(n, 4), list(range(n + 1))
+        ))
+        assert abs(report.le_cam_upper - expected) <= report.error_estimate
 
     def test_budget_scale(self):
         report = deficiency_upper_bounds(WIDE, quad_order=8)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from lecam import ValidationError, fit_loglog_slope, log_factorial, log_binomial, make_generator, split_seed
-from lecam.numerics import LOG_FACTORIAL_TABLE_SIZE, log_binomial_array
+from lecam.numerics import LOG_FACTORIAL_TABLE_SIZE, compensated_cumsum
 
 
 class TestLogFactorial:
@@ -53,11 +53,27 @@ class TestLogBinomial:
         assert log_binomial(3, 5) == float("-inf")
         assert log_binomial(3, -1) == float("-inf")
 
-    def test_array_matches_scalar(self):
-        a = np.array([5, 3, 3, 10, 0])
-        b = np.array([2, 5, -1, 10, 0])
-        out = log_binomial_array(a, b)
-        assert out.tolist() == [log_binomial(int(x), int(y)) for x, y in zip(a, b)]
+
+class TestCompensatedCumsum:
+    def test_prefixes_match_exact_sums(self):
+        # mixed signs and magnitudes, where a plain cumsum drifts
+        rng = np.random.default_rng(4)
+        values = rng.standard_normal(5000) * 10.0 ** rng.integers(-8, 8, 5000)
+        got = compensated_cumsum(values)
+        assert got[0] == 0.0
+        for k in range(0, 5001, 97):
+            exact = math.fsum(values[:k])
+            assert abs(got[k] - exact) <= 2 * math.ulp(exact) + 1e-300
+
+    def test_rows_are_summed_independently(self):
+        values = np.arange(12.0).reshape(3, 4) - 5.5
+        got = compensated_cumsum(values)
+        assert got.shape == (3, 5)
+        for row, expected in zip(got, values):
+            assert row.tolist() == compensated_cumsum(expected).tolist()
+
+    def test_empty_input(self):
+        assert compensated_cumsum([]).tolist() == [0.0]
 
 
 class TestSlopeFit:

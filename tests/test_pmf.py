@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -21,6 +22,8 @@ from lecam import (
     support_matrix,
     validate_params,
 )
+from lecam.lattice import point_in_support
+from lecam.pmf import log_ratio_matrix
 from strategies import experiment_params
 
 BALANCED = validate_params(10, 5, (5, 5))
@@ -124,6 +127,61 @@ def test_pmfs_match_exact_oracle(params):
         )
         got_q = math.exp(multinomial_log_pmf(params.sample_size, params.weights, point))
         assert got_q == pytest.approx(float(expected_q), rel=1e-12)
+
+
+N24 = 2**24
+
+# d = 1 and d = 2 instances with N up to 2^24, n up to 2000, and two census
+# cases (n = 10^4 of N = 12,000)
+WIDE_PMF_CASES = [
+    (N24, 8, (N24 // 2, N24 // 2)),
+    (N24, 16, (N24 // 4, 3 * N24 // 4)),
+    (N24, 2000, (N24 // 4, 3 * N24 // 4)),
+    (999_999, 2000, (333_333, 666_666)),
+    (999_999, 8, (111_111, 333_333, 555_555)),
+    (N24, 16, (N24 // 4, N24 // 4, N24 // 2)),
+    (999_999, 2000, (111_111, 333_333, 555_555)),
+    (12_000, 10_000, (6_000, 6_000)),
+    (12_000, 10_000, (3_000, 4_000, 5_000)),
+]
+
+
+def _spread_points(params, per_axis=17):
+    """Support points on an even grid spanning every coordinate's feasible range."""
+    N, n = params.population, params.sample_size
+    axes = [
+        np.unique(np.linspace(max(0, n - (N - c)), min(c, n), per_axis).round().astype(int))
+        for c in params.counts[:-1]
+    ]
+    points = [pt for pt in itertools.product(*axes) if point_in_support(params, pt)]
+    return np.array(points, dtype=np.int64)
+
+
+@pytest.mark.parametrize("population, draws, counts", WIDE_PMF_CASES)
+def test_log_pmfs_match_50_digit_oracle(population, draws, counts):
+    params = validate_params(population, draws, counts)
+    points = _spread_points(params)
+    bar = 1e-15 * math.lgamma(draws + 1) + 1e-16
+    hyper = hypergeometric_log_pmf_matrix(params, points)
+    multi = multinomial_log_pmf_matrix(draws, params.weights, points)
+    for row, h, q in zip(points.tolist(), hyper, multi):
+        point = tuple(row)
+        assert abs(h - oracles.log_hyper_prob(population, counts, draws, point)) <= bar
+        assert abs(q - oracles.log_multi_prob(population, counts, draws, point)) <= bar
+
+
+class TestLogRatioMatrix:
+    def test_rows_of_different_sums_match_oracle(self):
+        counts = (5, 7)
+        rows = [(2, 3), (0, 0), (1, 0), (5, 7), (4, 7)]
+        got = log_ratio_matrix(counts, np.array(rows))
+        for (k0, k1), value in zip(rows, got):
+            expected = float(oracles.log_ratio(12, counts, k0 + k1, (k0,)))
+            assert value == pytest.approx(expected, abs=1e-14)
+
+    def test_rows_off_the_support_are_minus_inf(self):
+        got = log_ratio_matrix((5, 7), np.array([(6, 0), (3, 8), (-1, 3)]))
+        assert got.tolist() == [float("-inf")] * 3
 
 
 class TestMoments:
