@@ -59,7 +59,9 @@ def log_ratio_exact(params: ExperimentParams, point: Sequence[int]) -> float:
     return float(log_ratio_matrix(params.counts, [full_counts(params, point)])[0])
 
 
-def _bracket(params: ExperimentParams, point: Sequence[int], piece, scale: int, power: int):
+def _bracket(
+    params: ExperimentParams, point: Sequence[int], piece, scale: int, power: int
+) -> Fraction:
     """(piece(n) - sum_i (1/p_i)^power piece(k_i)) / scale, exactly.
 
     The sum runs in integers over the common denominator lcm(c_i^power), so

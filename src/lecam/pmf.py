@@ -71,10 +71,11 @@ def _hypergeometric_log_pmf_rows(counts: Sequence[int], ks: np.ndarray) -> np.nd
     and a census row is exactly certain.
     """
     c = np.asarray(counts, dtype=np.int64)
-    flip = 2 * _row_sums(ks) > c.sum()
+    N = c.sum()
+    flip = 2 * _row_sums(ks) > N
     if flip.any():
         ks = np.where(flip[:, None], c - ks, ks)
-    return _multinomial_log_pmf_rows(np.log(c / c.sum()), ks) + log_ratio_matrix(c, ks)
+    return _multinomial_log_pmf_rows(np.log(c / N), ks) + log_ratio_matrix(c, ks)
 
 
 def log_ratio_matrix(counts: Sequence[int], ks: np.ndarray) -> np.ndarray:

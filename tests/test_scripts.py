@@ -1,6 +1,5 @@
 """The research script writes the same tables as the CLI scans on its grid."""
 
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -10,14 +9,12 @@ from lecam.records import records_equal
 
 ROOT = Path(__file__).resolve().parents[1]
 CLI = [sys.executable, "-m", "lecam"]
-# The runs happen in tmp_path, where a relative PYTHONPATH would not find the package.
-ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
-    filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
 
 
 def run(args, tmp_path):
-    proc = subprocess.run(args, capture_output=True, text=True, cwd=tmp_path, env=ENV,
-                          timeout=300)
+    # conftest.py puts the package's absolute directory on PYTHONPATH, so the
+    # runs find it from tmp_path too
+    proc = subprocess.run(args, capture_output=True, text=True, cwd=tmp_path, timeout=300)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
 
