@@ -30,7 +30,7 @@ from .lattice import (
     validate_params,
     weight_ratio,
 )
-from .numerics import make_generator, round_half_away, split_seed
+from .numerics import apply_jitter, make_generator, round_half_away, split_seed
 from .pmf import (
     hypergeometric_log_pmf_matrix,
     multinomial_log_pmf_matrix,
@@ -568,11 +568,8 @@ def tv_monte_carlo(
     if sample_count < MIN_MC_SAMPLES:
         raise ValidationError(f"sample_count must be at least {MIN_MC_SAMPLES}")
     which = _canonical_law(discrete_law)
-    dim = params.dim
     n_chunks = (sample_count + _MC_CHUNK - 1) // _MC_CHUNK
     children = split_seed(seed, n_chunks)
-    total = 0.0
-    total_sq = 0.0
     done = 0
     chunk_sums = []
     chunk_sq_sums = []
@@ -584,11 +581,8 @@ def tv_monte_carlo(
             draws = sample_hypergeometric(params, gen, size=m)
         else:
             draws = sample_multinomial(params.sample_size, params.weights, gen, size=m)
-        noise = gen.random((m, dim)) - 0.5
-        noise[noise == -0.5] = 0.0  # keep the jitter inside the open cube
-        x = draws + noise
         logp = _log_pmf_matrix(params, which, draws)
-        logd = density.log_density(x)
+        logd = density.log_density(apply_jitter(draws, gen))
         term = 1.0 - np.exp(logd - logp)
         np.clip(term, 0.0, None, out=term)
         chunk_sums.append(float(np.sum(term)))
@@ -596,11 +590,8 @@ def tv_monte_carlo(
     total = math.fsum(chunk_sums)
     total_sq = math.fsum(chunk_sq_sums)
     mean = total / sample_count
-    if sample_count > 1:
-        var = max(0.0, (total_sq - sample_count * mean * mean) / (sample_count - 1))
-        stderr = math.sqrt(var / sample_count)
-    else:
-        stderr = float("inf")
+    var = max(0.0, (total_sq - sample_count * mean * mean) / (sample_count - 1))
+    stderr = math.sqrt(var / sample_count)
     return TVResult(value=mean, method=METHOD_MC, error_estimate=stderr)
 
 
@@ -614,7 +605,6 @@ def hellinger_discrete(params: ExperimentParams, cap: int | None = None) -> Hell
     lp = hypergeometric_log_pmf_matrix(params, points)
     lq = multinomial_log_pmf_matrix(params.sample_size, params.weights, points)
     both = 0.5 * (lp + lq)
-    both[np.isneginf(lp) | np.isneginf(lq)] = -np.inf
     overlap = math.fsum(np.exp(both).tolist())
     h_squared = max(0.0, 1.0 - overlap)
     return HellingerResult(h_squared=h_squared, tv_bound=math.sqrt(4.0 * h_squared))

@@ -33,7 +33,7 @@ from .distances import (
 from .errors import RegimeError, SupportCapError, ValidationError
 from .expansion import _map_ordered
 from .lattice import ExperimentParams, support_cap
-from .numerics import SlopeFit, fit_loglog_slope, round_half_away
+from .numerics import SlopeFit, apply_jitter, fit_loglog_slope, round_half_away
 from .pmf import hypergeometric_log_pmf_matrix
 from .records import ScanRecord
 
@@ -81,22 +81,6 @@ class DataProcessingResult(NamedTuple):
     @property
     def combined_error(self) -> float:
         return self.error_before + self.error_after
-
-
-def apply_jitter(point: Sequence[int], rng: np.random.Generator, size: int | None = None):
-    """Add uniform noise on (-1/2, 1/2)^d to a lattice point.
-
-    With ``size`` given, returns (size, d) jittered copies of the point or,
-    when ``point`` is an (m, d) array and size is None, one draw per row.
-    """
-    arr = np.asarray(point, dtype=float)
-    if arr.ndim == 1 and size is not None:
-        arr = np.broadcast_to(arr, (int(size), arr.size))
-    noise = rng.random(arr.shape) - 0.5
-    if arr.ndim >= 1:
-        flat = noise.reshape(-1)
-        flat[flat == -0.5] = 0.0  # rng.random can return exactly 0; stay in the open cube
-    return arr + noise
 
 
 def apply_round(z):

@@ -1,5 +1,5 @@
 """Low-level numerical helpers: log-factorials, compensated prefix sums, slope
-fits, and rng plumbing.
+fits, rounding and its inverse jitter, and rng plumbing.
 
 Small log-factorials come from an exact compensated cumulative-sum table,
 large ones from the Stirling series; the two branches agree to ~1e-15
@@ -127,6 +127,22 @@ def round_half_away(z) -> np.ndarray:
     """
     z = np.asarray(z, dtype=float)
     return (np.sign(z) * np.floor(np.abs(z) + 0.5)).astype(np.int64)
+
+
+def apply_jitter(point: Sequence[int], rng: np.random.Generator, size: int | None = None):
+    """Add uniform noise on (-1/2, 1/2)^d to a lattice point.
+
+    With ``size`` given, returns (size, d) jittered copies of the point or,
+    when ``point`` is an (m, d) array and size is None, one draw per row.
+    """
+    arr = np.asarray(point, dtype=float)
+    if arr.ndim == 1 and size is not None:
+        arr = np.broadcast_to(arr, (int(size), arr.size))
+    noise = rng.random(arr.shape) - 0.5
+    if arr.ndim >= 1:
+        flat = noise.reshape(-1)
+        flat[flat == -0.5] = 0.0  # rng.random can return exactly 0; stay in the open cube
+    return arr + noise
 
 
 def make_generator(seed: int | np.random.SeedSequence) -> np.random.Generator:

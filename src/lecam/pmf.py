@@ -5,13 +5,19 @@ thousands of points never underflow; sums over supports go through
 log-sum-exp or compensated summation.  Every hypergeometric log-probability
 is the multinomial one at weights ``counts / N`` plus ``log_ratio_matrix``,
 so no two log-factorials of size N log N are ever subtracted.
+
+Both samplers draw one coordinate at a time from its conditional law through
+one routine, ``_sample_sequential``: inversion by table lookup (Devroye 1986,
+*Non-Uniform Random Variate Generation*, ch. III), each table built from the
+log-pmf kernels above and normalised from its mode, so no mass underflows
+at any sample size.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -173,35 +179,39 @@ def multinomial_moments(sample_size: int, weights: Sequence[float]) -> MomentSum
     return MomentSummary(mean=mean, covariance=covariance)
 
 
-def _hypergeometric_quantile(
-    total: int, marked: int, draws: np.ndarray, u: np.ndarray
-) -> np.ndarray:
-    """Smallest j with P(K <= j) >= u for K counting marked objects in a draw.
+def _sample_sequential(
+    sample_size: int,
+    dim: int,
+    rng: np.random.Generator,
+    size: int | None,
+    conditional: Callable[[int, int], tuple[np.ndarray, np.ndarray]],
+) -> LatticePoint | np.ndarray:
+    """Draw count vectors one coordinate at a time, by inversion of tabled cdfs.
 
-    ``draws`` varies per batch element; the walk starts at the lowest
-    feasible count and advances every element until its cdf crosses u.
+    ``conditional(i, t)`` returns the feasible counts of coordinate i given t
+    draws still to place, and their conditional log-pmf.  For each coordinate
+    the batch is grouped by t; each group gets one table, normalised from its
+    mode (so no mass underflows), and one ``np.searchsorted`` maps its
+    uniforms to the smallest count whose cdf reaches them.  Exactly one
+    ``rng.random(m)`` is consumed per coordinate.
     """
-    lo = np.maximum(0, draws - (total - marked))
-    hi = np.minimum(marked, draws)
-    log_start = _hypergeometric_log_pmf_rows(
-        (marked, total - marked), np.column_stack([lo, draws - lo])
-    )
-    prob = np.exp(log_start)
-    cdf = prob.copy()
-    j = lo.astype(np.int64).copy()
-    active = (cdf < u) & (j < hi)
-    while np.any(active):
-        ja = j[active]
-        ratio = (
-            (marked - ja)
-            * (draws[active] - ja)
-            / ((ja + 1.0) * (total - marked - draws[active] + ja + 1.0))
-        )
-        prob[active] *= ratio
-        j[active] += 1
-        cdf[active] += prob[active]
-        active = active & (cdf < u) & (j < hi)
-    return j
+    m = 1 if size is None else int(size)
+    if m < 1:
+        raise ValidationError("size must be a positive integer")
+    remaining = np.full(m, sample_size, dtype=np.int64)
+    out = np.empty((m, dim), dtype=np.int64)
+    for i in range(dim):
+        u = rng.random(m)
+        draws, group = np.unique(remaining, return_inverse=True)
+        members = np.split(np.argsort(group, kind="stable"), np.cumsum(np.bincount(group))[:-1])
+        for t, rows in zip(draws.tolist(), members):
+            ks, log_pmf = conditional(i, t)
+            cdf = np.cumsum(np.exp(log_pmf - log_pmf.max()))
+            out[rows, i] = ks[np.searchsorted(cdf / cdf[-1], u[rows])]
+        remaining -= out[:, i]
+    if size is None:
+        return tuple(int(v) for v in out[0])
+    return out
 
 
 def sample_hypergeometric(
@@ -211,42 +221,21 @@ def sample_hypergeometric(
 ) -> LatticePoint | np.ndarray:
     """Draw category counts without replacement via sequential conditionals.
 
-    Returns a tuple for ``size=None`` or an (size, dim) int64 array.  Only
+    Coordinate i, given t draws left from the R_i objects outside the earlier
+    categories, is hypergeometric with counts (c_i, R_i - c_i).  Returns a
+    tuple for ``size=None`` or an (size, dim) int64 array.  Only
     ``rng.random`` is consumed, so the stream is stable across library
     versions and identical seeds reproduce identical samples.
     """
-    m = 1 if size is None else int(size)
-    if m < 1:
-        raise ValidationError("size must be a positive integer")
-    remaining_total = params.population
-    remaining_draws = np.full(m, params.sample_size, dtype=np.int64)
-    out = np.empty((m, params.dim), dtype=np.int64)
-    for i in range(params.dim):
-        u = rng.random(m)
-        ki = _hypergeometric_quantile(remaining_total, params.counts[i], remaining_draws, u)
-        out[:, i] = ki
-        remaining_total -= params.counts[i]
-        remaining_draws -= ki
-    if size is None:
-        return tuple(int(v) for v in out[0])
-    return out
+    counts = params.counts
+    others = [params.population - sum(counts[: i + 1]) for i in range(params.dim)]
 
+    def conditional(i, t):
+        ks = np.arange(max(0, t - others[i]), min(counts[i], t) + 1)
+        rows = np.column_stack([ks, t - ks])
+        return ks, _hypergeometric_log_pmf_rows((counts[i], others[i]), rows)
 
-def _binomial_quantile(trials: np.ndarray, prob: float, u: np.ndarray) -> np.ndarray:
-    """Smallest j with P(B <= j) >= u for B binomial with per-element trials."""
-    log_start = trials * math.log1p(-prob)
-    mass = np.exp(log_start)
-    cdf = mass.copy()
-    j = np.zeros(trials.shape, dtype=np.int64)
-    odds = prob / (1.0 - prob)
-    active = (cdf < u) & (j < trials)
-    while np.any(active):
-        ja = j[active]
-        mass[active] *= (trials[active] - ja) / (ja + 1.0) * odds
-        j[active] += 1
-        cdf[active] += mass[active]
-        active = active & (cdf < u) & (j < trials)
-    return j
+    return _sample_sequential(params.sample_size, params.dim, rng, size, conditional)
 
 
 def sample_multinomial(
@@ -255,26 +244,21 @@ def sample_multinomial(
     rng: np.random.Generator,
     size: int | None = None,
 ) -> LatticePoint | np.ndarray:
-    """Draw category counts with replacement via sequential binomial conditionals."""
+    """Draw category counts with replacement via sequential binomial conditionals.
+
+    Coordinate i, given t draws left, is binomial with success probability
+    q = w_i / sum_{l >= i} w_l; its failure probability is taken as
+    sum_{l > i} w_l over the same sum, which stays positive where q rounds
+    to 1.
+    """
     if sample_size < 1:
         raise ValidationError("sample_size must be a positive integer")
     w = _check_weights(weights)
-    dim = w.size - 1
-    m = 1 if size is None else int(size)
-    if m < 1:
-        raise ValidationError("size must be a positive integer")
-    remaining = np.full(m, sample_size, dtype=np.int64)
-    out = np.empty((m, dim), dtype=np.int64)
-    for i in range(dim):
-        tail = math.fsum(w[i:].tolist())
-        cond = float(w[i]) / tail
-        u = rng.random(m)
-        if cond >= 1.0:
-            ki = remaining.copy()
-        else:
-            ki = _binomial_quantile(remaining, cond, u)
-        out[:, i] = ki
-        remaining -= ki
-    if size is None:
-        return tuple(int(v) for v in out[0])
-    return out
+    tails = [math.fsum(w[i:].tolist()) for i in range(w.size)]
+
+    def conditional(i, t):
+        ks = np.arange(t + 1)
+        log_w = np.log(np.array([w[i], tails[i + 1]]) / tails[i])
+        return ks, _multinomial_log_pmf_rows(log_w, np.column_stack([ks, t - ks]))
+
+    return _sample_sequential(sample_size, w.size - 1, rng, size, conditional)

@@ -395,6 +395,16 @@ class TestMonteCarloTV:
         mc = tv_monte_carlo(WIDE, "hyper", JitteredLaw(WIDE, "multi"), 400_000, seed=4)
         assert abs(mc.value - exact.value) < 4 * mc.error_estimate
 
+    def test_agrees_with_quadrature_at_large_n(self):
+        # at n = 1100, p = 1/2 the samplers' old start mass 2^-n underflowed
+        # and the estimate read 0 +- 0
+        params = validate_params(10**6, 1100, (500_000, 500_000))
+        law = build_gaussian(params)
+        quad = tv_jittered_vs_gaussian(params, "hyper", law, 8)
+        mc = tv_monte_carlo(params, "hyper", law, 100_000, seed=0)
+        assert mc.error_estimate > 0.0
+        assert abs(mc.value - quad.value) < 3 * mc.error_estimate
+
     def test_same_law_is_exactly_zero(self):
         params = validate_params(8, 4, (4, 4))
         mc = tv_monte_carlo(params, "hyper", JitteredLaw(params, "hyper"), 10_000, seed=1)

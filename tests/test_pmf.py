@@ -1,9 +1,11 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given
+from scipy import stats
 
 import oracles
 from lecam import (
@@ -257,3 +259,69 @@ class TestSamplers:
         params = validate_params(7, 7, (3, 4))
         draws = sample_hypergeometric(params, make_generator(1), size=100)
         assert (draws[:, 0] == 3).all()
+
+
+class _FixedUniforms:
+    """A generator stand-in whose every uniform is one fixed value."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def random(self, size):
+        return np.full(size, self.value)
+
+
+class TestInversionEdges:
+    ABOVE = validate_params(10, 8, (3, 7))  # first count feasible in [1, 3]
+
+    def test_zero_uniform_gives_lowest_feasible_count(self):
+        draws = sample_hypergeometric(self.ABOVE, _FixedUniforms(0.0), size=4)
+        assert (draws[:, 0] == 1).all()
+        point = sample_multinomial(8, self.ABOVE.weights, _FixedUniforms(0.0))
+        assert point == (0,)
+
+    def test_largest_uniform_gives_highest_feasible_count(self):
+        top = _FixedUniforms(np.nextafter(1.0, 0.0))
+        assert (sample_hypergeometric(self.ABOVE, top, size=4)[:, 0] == 3).all()
+        assert sample_multinomial(8, self.ABOVE.weights, top) == (8,)
+
+    @pytest.mark.parametrize("u", [0.0, 0.5, np.nextafter(1.0, 0.0)])
+    def test_census_draws_exactly_the_counts(self, u):
+        params = validate_params(12, 12, (3, 4, 5))
+        draws = sample_hypergeometric(params, _FixedUniforms(u), size=3)
+        assert (draws == [3, 4]).all()
+
+    def test_conditional_weight_rounding_to_one(self):
+        # the second conditional probability 0.5 / (0.5 + 1e-300) rounds to 1
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            draws = sample_multinomial(5, (0.5, 0.5, 1e-300), make_generator(0), size=1000)
+        assert (draws.sum(axis=1) == 5).all()
+
+
+@pytest.mark.parametrize("sample_size", [2000, 10_000])
+@pytest.mark.parametrize("law", ["hyper", "multi"])
+def test_samplers_match_exact_pmf_at_large_n(law, sample_size):
+    # Chi-square of 10^5 draws against the 50-digit oracle pmf, bins under 5
+    # expected draws pooled.  At p = 1/2 a CDF walk started from the lowest
+    # count's mass 2^-n underflows, and every draw would come back as n.
+    N, m = 10**6, 100_000
+    params = validate_params(N, sample_size, (N // 2, N // 2))
+    rng = make_generator(2024)
+    if law == "hyper":
+        draws = sample_hypergeometric(params, rng, size=m)
+        log_prob = oracles.log_hyper_prob
+    else:
+        draws = sample_multinomial(sample_size, params.weights, rng, size=m)
+        log_prob = oracles.log_multi_prob
+    half = int(6 * math.sqrt(sample_size / 4))
+    ks = np.arange(sample_size // 2 - half, sample_size // 2 + half + 1)
+    expected = m * np.array(
+        [math.exp(float(log_prob(N, params.counts, sample_size, (int(k),)))) for k in ks]
+    )
+    observed = np.bincount(draws[:, 0], minlength=sample_size + 1)[ks]
+    keep = expected >= 5
+    obs = np.append(observed[keep], m - observed[keep].sum())
+    exp = np.append(expected[keep], m - expected[keep].sum())
+    statistic = float(((obs - exp) ** 2 / exp).sum())
+    assert stats.chi2.sf(statistic, obs.size - 1) > 1e-4, statistic
