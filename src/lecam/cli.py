@@ -2,7 +2,9 @@
 
 Subcommands cover single-point evaluations (pmf, ratio, tv, bound-parts,
 tail-check, dpi-check) and scans with slope summaries (expansion-scan,
-lecam-scan).  Scans write CSV via --out and everything can emit JSON; both
+lecam-scan).  Each handler only parses, calls the library and prints: ``tv``
+hands its --pair and --method to ``distances.tv_pair``, which picks the
+route.  Scans write CSV via --out and everything can emit JSON; both
 formats carry identical values.  Exit codes: 0 success, 2 usage, 3
 validation, 4 resource cap.
 """
@@ -17,15 +19,10 @@ from typing import Sequence
 
 from .distances import (
     DEFAULT_QUAD_ORDER,
-    JitteredLaw,
-    TVResult,
-    build_gaussian,
+    TV_PAIRS,
     tail_probability_check,
     tv_bound_parts,
-    tv_discrete,
-    tv_jittered_discrete_pair,
-    tv_jittered_vs_gaussian,
-    tv_monte_carlo,
+    tv_pair,
 )
 from .errors import LecamError, SupportCapError, ValidationError
 from .expansion import expand, residual_scan
@@ -76,8 +73,7 @@ def _report(args, doc: dict) -> int:
 
 
 def _build_params(args) -> ExperimentParams:
-    N = getattr(args, "N", None)
-    return validate_params(sum(args.Np) if N is None else N, args.n, args.Np)
+    return validate_params(sum(args.Np) if args.N is None else args.N, args.n, args.Np)
 
 
 # ---------------------------------------------------------------------------
@@ -128,11 +124,7 @@ def _cmd_expansion_scan(args) -> int:
         fits[f"abs_residual_order{args.order}"] = scan.fit
         summary = _slope_line(f"abs_residual_order{args.order}", scan.fit)
     if args.json:
-        _print_json(
-            json.loads(
-                records_to_json(records, fits, extra={"degenerate": scan.degenerate})
-            )
-        )
+        print(records_to_json(records, fits, extra={"degenerate": scan.degenerate}))
     else:
         for r in records:
             print(f"N={r.population} {r.quantity} = {_fmt(r.value)}")
@@ -140,45 +132,9 @@ def _cmd_expansion_scan(args) -> int:
     return EXIT_OK
 
 
-_TV_PAIRS = (
-    "hyper-multi",
-    "hyper-hyper",
-    "multi-multi",
-    "jitterhyper-jittermulti",
-    "jitterhyper-gauss",
-    "jittermulti-gauss",
-)
-
-
-def _compute_tv(params: ExperimentParams, pair: str, method: str, args) -> TVResult:
-    discrete = {"hyper-multi": ("hyper", "multi"), "hyper-hyper": ("hyper", "hyper"),
-                "multi-multi": ("multi", "multi")}
-    if pair in discrete:
-        if method not in ("auto", "exact"):
-            raise ValidationError(
-                f"pair {pair} is computed exactly; jitter the laws for quad or mc"
-            )
-        return tv_discrete(params, *discrete[pair])
-    if pair == "jitterhyper-jittermulti":
-        if method in ("auto", "quad"):
-            return tv_jittered_discrete_pair(params, "hyper", "multi", args.quad_order)
-        if method == "mc":
-            return tv_monte_carlo(
-                params, "hyper", JitteredLaw(params, "multi"), args.samples, args.seed
-            )
-        raise ValidationError(f"method {method!r} not available for pair {pair}")
-    which = "hyper" if pair == "jitterhyper-gauss" else "multi"
-    law = build_gaussian(params)
-    if method in ("auto", "quad"):
-        return tv_jittered_vs_gaussian(params, which, law, args.quad_order)
-    if method == "mc":
-        return tv_monte_carlo(params, which, law, args.samples, args.seed)
-    raise ValidationError(f"method {method!r} not available for pair {pair}")
-
-
 def _cmd_tv(args) -> int:
     params = _build_params(args)
-    result = _compute_tv(params, args.pair, args.method, args)
+    result = tv_pair(params, args.pair, args.method, args.quad_order, args.samples, args.seed)
     return _report(
         args,
         {"tv": result.value, "method": result.method, "error_estimate": result.error_estimate},
@@ -205,11 +161,10 @@ def _cmd_tail_check(args) -> int:
     rows = []
     for coord in coords:
         check = tail_probability_check(params, coord)
-        nu = (params.population - 1) // params.counts[coord]
         rows.append(
             {
                 "coord": coord,
-                "nu": nu,
+                "nu": check.nu,
                 "empirical": check.empirical,
                 "bound": check.bound,
                 "holds": check.empirical <= check.bound,
@@ -250,7 +205,7 @@ def _cmd_lecam_scan(args) -> int:
         write_csv(scan.records, args.out)
     fits = {name: fit for name, fit in scan.fits.items() if fit is not None}
     if args.json:
-        _print_json(json.loads(records_to_json(scan.records, fits)))
+        print(records_to_json(scan.records, fits))
     else:
         for r in scan.records:
             print(
@@ -293,13 +248,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(sp, n_list=False, with_N=True, N_list=False):
-        if with_N:
-            if N_list:
-                sp.add_argument("--N", type=_int_list, default=None,
-                                help="population size(s), comma separated")
-            else:
-                sp.add_argument("--N", type=int, default=None, help="population size")
+    def add_common(sp, n_list=False, N_list=False):
+        if N_list:
+            sp.add_argument("--N", type=_int_list, default=None,
+                            help="population size(s), comma separated")
+        else:
+            sp.add_argument("--N", type=int, default=None, help="population size")
         if n_list:
             sp.add_argument("--n", type=_int_list, required=True,
                             help="sample size(s), comma separated")
@@ -331,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("tv", help="total variation between a pair of laws")
     add_common(p)
-    p.add_argument("--pair", choices=_TV_PAIRS, required=True)
+    p.add_argument("--pair", choices=TV_PAIRS, required=True)
     p.add_argument("--method", choices=("auto", "exact", "quad", "mc"), default="auto")
     p.add_argument("--quad-order", dest="quad_order", type=int, default=DEFAULT_QUAD_ORDER)
     p.add_argument("--samples", type=int, default=1_000_000)

@@ -60,6 +60,10 @@ METHOD_EXACT = "exact-discrete"
 METHOD_QUAD = "cube-quadrature"
 METHOD_MC = "monte-carlo"
 
+# The pairs of laws whose TV :func:`tv_pair` computes.
+TV_PAIRS = ("hyper-multi", "hyper-hyper", "multi-multi",
+            "jitterhyper-jittermulti", "jitterhyper-gauss", "jittermulti-gauss")
+
 
 def _canonical_law(name: str) -> str:
     try:
@@ -217,10 +221,11 @@ class HellingerResult(NamedTuple):
 
 
 class TailCheck(NamedTuple):
-    """Exact marginal tail probability next to its large-deviation bound."""
+    """Exact tail probability P(K_i > nu n p_i) next to its large-deviation bound."""
 
     empirical: float
     bound: float
+    nu: int
 
 
 # ---------------------------------------------------------------------------
@@ -306,13 +311,6 @@ def _rule_integrals(
             np.abs(dens, out=dens)
             gaps[s : s + step] = np.einsum("ij,j->i", dens, weights) * vol
     return gaps, masses
-
-
-def _gaussian_cube_masses(
-    law: GaussianLaw, centers: np.ndarray, halfwidth: float, order: int
-) -> np.ndarray:
-    """Integral of the Gaussian density over cubes of the given half-width."""
-    return _rule_integrals(law, None, centers, np.full(len(centers), halfwidth), order)[1]
 
 
 def _log_density_range(
@@ -470,9 +468,12 @@ def tv_discrete(params: ExperimentParams, law_a: str, law_b: str, cap: int | Non
     pa = np.exp(_log_pmf_matrix(params, a, points))
     pb = np.exp(_log_pmf_matrix(params, b, points))
     value = 0.5 * math.fsum(np.abs(pa - pb).tolist())
-    # Every term carries at most a few ulps; the sums themselves are exact.
-    error = 1e-15 * len(points) + 1e-15
-    return TVResult(value=value, method=METHOD_EXACT, error_estimate=error)
+    return TVResult(value=value, method=METHOD_EXACT, error_estimate=_discrete_error(points))
+
+
+def _discrete_error(points: np.ndarray) -> float:
+    """Bar of an exact TV over ``points``: each term carries at most a few ulps."""
+    return 1e-15 * len(points) + 1e-15
 
 
 def tv_jittered_discrete_pair(
@@ -499,8 +500,7 @@ def tv_jittered_discrete_pair(
     fb = np.exp(db.log_density(pts)).reshape(len(points), -1)
     per_cube = np.abs(fa - fb) @ weights
     value = 0.5 * math.fsum(per_cube.tolist())
-    error = 1e-15 * len(points) + 1e-15
-    return TVResult(value=value, method=METHOD_QUAD, error_estimate=error)
+    return TVResult(value=value, method=METHOD_QUAD, error_estimate=_discrete_error(points))
 
 
 def _check_quad_args(dim: int, quad_order: int) -> None:
@@ -533,23 +533,31 @@ def tv_jittered_vs_gaussian(
         raise ValidationError("Gaussian dimension does not match the experiment")
     points = _support_points(params, (discrete_law,), cap)
     logp = _log_pmf_matrix(params, _canonical_law(discrete_law), points)
-    consts = np.exp(logp)
-    order_hi = quad_order
-    order_lo = max(2, quad_order // 2)
-    orders = (order_hi, order_lo) if order_lo != order_hi else (order_hi,)
-    m = len(points)
-    parts = integrate_cells(law, consts, logp, points.astype(float), orders)
+    orders = _quad_orders(quad_order)
+    parts = integrate_cells(law, np.exp(logp), logp, points.astype(float), orders)
+    value, gap = _tv_and_gap([(parts.abs_parts[o], parts.mass_parts[o]) for o in orders])
+    error = parts.leaf_error + 1e-12 + 1e-16 * len(points) + gap
+    return TVResult(value=min(max(value, 0.0), 1.0), method=METHOD_QUAD, error_estimate=error)
 
-    values = {}
-    for order in orders:
-        total_abs = math.fsum(parts.abs_parts[order].tolist())
-        total_mass = math.fsum(parts.mass_parts[order].tolist())
-        values[order] = 0.5 * (total_abs + max(0.0, 1.0 - total_mass))
-    value = min(max(values[order_hi], 0.0), 1.0)
-    error = parts.leaf_error + 1e-12 + 1e-16 * m
-    if len(orders) == 2:
-        error += abs(values[order_hi] - values[order_lo])
-    return TVResult(value=value, method=METHOD_QUAD, error_estimate=error)
+
+def _quad_orders(quad_order: int) -> tuple[int, ...]:
+    """The rule orders of a quadrature TV: ``quad_order``, then max(2, quad_order // 2)."""
+    order_lo = max(2, quad_order // 2)
+    return (quad_order, order_lo) if order_lo != quad_order else (quad_order,)
+
+
+def _tv_and_gap(terms: Sequence[tuple[np.ndarray, np.ndarray]]) -> tuple[float, float]:
+    """TV at the first order of :func:`_quad_orders` and its gap to the last.
+
+    ``terms`` holds, per order, the per-cell |pmf - density| terms and
+    Gaussian masses; the TV is 1/2 [fsum |.| + max(0, 1 - fsum mass)], the
+    complement counting the mass outside the cells.
+    """
+    values = [
+        0.5 * (math.fsum(gaps.tolist()) + max(0.0, 1.0 - math.fsum(masses.tolist())))
+        for gaps, masses in terms
+    ]
+    return values[0], abs(values[0] - values[-1])
 
 
 def tv_monte_carlo(
@@ -593,6 +601,45 @@ def tv_monte_carlo(
     var = max(0.0, (total_sq - sample_count * mean * mean) / (sample_count - 1))
     stderr = math.sqrt(var / sample_count)
     return TVResult(value=mean, method=METHOD_MC, error_estimate=stderr)
+
+
+def tv_pair(
+    params: ExperimentParams,
+    pair: str,
+    method: str = "auto",
+    quad_order: int = DEFAULT_QUAD_ORDER,
+    sample_count: int = 1_000_000,
+    seed: int | np.random.SeedSequence = 0,
+    cap: int | None = None,
+) -> TVResult:
+    """TV between the two laws named by ``pair`` (one of ``TV_PAIRS``).
+
+    ``method`` is "auto", "exact", "quad" or "mc".  Discrete pairs are only
+    summed exactly (:func:`tv_discrete`); jittered pairs are integrated cube
+    by cube ("auto" or "quad") or estimated by Monte Carlo ("mc").  Any
+    other combination raises :class:`ValidationError`.
+    """
+    if pair not in TV_PAIRS:
+        raise ValidationError(f"unknown pair {pair!r}; expected one of {TV_PAIRS}")
+    first, second = pair.split("-")
+    if not first.startswith("jitter"):
+        if method not in ("auto", "exact"):
+            raise ValidationError(
+                f"pair {pair} is computed exactly; jitter the laws for quad or mc"
+            )
+        return tv_discrete(params, first, second, cap)
+    which = first.removeprefix("jitter")
+    if second == "gauss":
+        target = build_gaussian(params)
+        if method in ("auto", "quad"):
+            return tv_jittered_vs_gaussian(params, which, target, quad_order, cap)
+    else:
+        target = JitteredLaw(params, second.removeprefix("jitter"))
+        if method in ("auto", "quad"):
+            return tv_jittered_discrete_pair(params, which, target.which, quad_order, cap)
+    if method == "mc":
+        return tv_monte_carlo(params, which, target, sample_count, seed)
+    raise ValidationError(f"method {method!r} not available for pair {pair}")
 
 
 def hellinger_discrete(params: ExperimentParams, cap: int | None = None) -> HellingerResult:
@@ -679,8 +726,8 @@ def tail_probability_check(params: ExperimentParams, coord: int) -> TailCheck:
     j_start = int(threshold) + 1  # strict inequality: smallest integer above
     j_end = min(c, n)
     if j_start > j_end:
-        return TailCheck(empirical=0.0, bound=bound)
+        return TailCheck(empirical=0.0, bound=bound, nu=nu)
     marginal = validate_params(N, n, (c, N - c))
     logs = hypergeometric_log_pmf_matrix(marginal, np.arange(j_start, j_end + 1)[:, None])
     empirical = math.fsum(np.exp(logs).tolist())
-    return TailCheck(empirical=empirical, bound=bound)
+    return TailCheck(empirical=empirical, bound=bound, nu=nu)

@@ -5,13 +5,15 @@ on the centered unit cube) turns a lattice draw into a continuous one, and
 rounding inverts it.  Because rounding a jittered point always recovers the
 original point, a data-processing argument turns a one-sided total-variation
 bound into a bound on both deficiencies at once; ``data_processing_check``
-validates that chain numerically.  A componentwise square root provides the
-variance-stabilizing map onto a constant-covariance Gaussian target.
+validates that chain numerically.  The TVs themselves come from
+``distances.tv_pair`` (the ``*-gauss`` pairs) and, for the rounded Gaussian,
+from the same cube rules and two-order error bar as the quadrature TV.  A
+componentwise square root provides the variance-stabilizing map onto a
+constant-covariance Gaussian target.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -19,16 +21,15 @@ import numpy as np
 
 from .distances import (
     DEFAULT_QUAD_ORDER,
-    HYPERGEOMETRIC,
-    MULTINOMIAL,
     GaussianLaw,
-    TVResult,
-    _gaussian_cube_masses,
     _gaussian_term_scale,
+    _quad_orders,
     _require_regime,
+    _rule_integrals,
+    _tv_and_gap,
     build_gaussian,
     tv_jittered_vs_gaussian,
-    tv_monte_carlo,
+    tv_pair,
 )
 from .errors import RegimeError, SupportCapError, ValidationError
 from .expansion import _map_ordered
@@ -147,7 +148,9 @@ def deficiency_upper_bounds(
     ``data_processing_check`` verifies the shrinking step numerically.
     """
     _require_regime(params)
-    tv = _tv_to_gaussian(params, HYPERGEOMETRIC, tv_method, quad_order, sample_count, seed, cap)
+    tv = tv_pair(
+        params, "jitterhyper-gauss", _pair_method(tv_method), quad_order, sample_count, seed, cap
+    )
     budget = _gaussian_term_scale(params)
     delta_forward = tv.value
     delta_backward = tv.value
@@ -161,21 +164,12 @@ def deficiency_upper_bounds(
     )
 
 
-def _tv_to_gaussian(
-    params: ExperimentParams,
-    which: str,
-    tv_method: str,
-    quad_order: int,
-    sample_count: int,
-    seed: int,
-    cap: int | None = None,
-) -> TVResult:
-    """TV(jittered ``which`` law, matching Gaussian) by cube quadrature or Monte Carlo."""
-    law = build_gaussian(params)
+def _pair_method(tv_method: str) -> str:
+    """The :func:`tv_pair` method named by a deficiency ``tv_method``."""
     if tv_method in ("quadrature", "quad"):
-        return tv_jittered_vs_gaussian(params, which, law, quad_order, cap=cap)
+        return "quad"
     if tv_method == "mc":
-        return tv_monte_carlo(params, which, law, sample_count, seed)
+        return "mc"
     raise ValidationError("tv_method must be 'quadrature' or 'mc'")
 
 
@@ -225,8 +219,9 @@ def lecam_scan(
 def _lecam_point(task: tuple) -> list[ScanRecord]:
     """The five records of one scan point; top-level so process pools can pickle it."""
     params, tv_method, quad_order, sample_count, seed = task
+    method = _pair_method(tv_method)
     try:
-        report = deficiency_upper_bounds(params, tv_method, quad_order, sample_count, seed)
+        report = deficiency_upper_bounds(params, method, quad_order, sample_count, seed)
     except RegimeError:
         nan = float("nan")
         rows = [(name, nan, nan, METHOD_FLAGGED)
@@ -238,7 +233,7 @@ def _lecam_point(task: tuple) -> list[ScanRecord]:
             ("le_cam_upper", report.le_cam_upper, report.error_estimate, report.method),
             ("budget", report.budget, 0.0, "closed-form"),
         ]
-    tv = _tv_to_gaussian(params, MULTINOMIAL, tv_method, quad_order, sample_count, seed)
+    tv = tv_pair(params, "jittermulti-gauss", method, quad_order, sample_count, seed)
     rows.append(("tv_jittered_multinomial_gauss", tv.value, tv.error_estimate, tv.method))
     return [
         ScanRecord(params.population, params.sample_size, params.dim, params.weights, *row)
@@ -285,16 +280,13 @@ def data_processing_check(
     grids = np.meshgrid(*axes, indexing="ij")
     centers = np.stack([g.ravel() for g in grids], axis=1)
     pmf = np.exp(hypergeometric_log_pmf_matrix(params, centers))
-
-    def rounded_tv(order: int) -> float:
-        masses = _gaussian_cube_masses(law, centers.astype(float), 0.5, order)
-        inside = math.fsum(np.abs(pmf - masses).tolist())
-        outside = max(0.0, 1.0 - math.fsum(masses.tolist()))
-        return 0.5 * (inside + outside)
-
-    tv_after = rounded_tv(quad_order)
-    tv_after_lo = rounded_tv(max(2, quad_order // 2))
-    err_after = abs(tv_after - tv_after_lo) + 1e-12
+    halves = np.full(len(centers), 0.5)
+    terms = []
+    for order in _quad_orders(quad_order):
+        masses = _rule_integrals(law, None, centers.astype(float), halves, order)[1]
+        terms.append((np.abs(pmf - masses), masses))
+    tv_after, gap = _tv_and_gap(terms)
+    err_after = gap + 1e-12
     return DataProcessingResult(
         tv_before=before.value,
         tv_after=tv_after,

@@ -96,6 +96,13 @@ class TestTv:
                        "--Np", "5,5", "--method", "quad")
         assert proc.returncode == 3
 
+    @pytest.mark.parametrize("pair", ["jitterhyper-gauss", "jitterhyper-jittermulti"])
+    def test_jittered_pair_rejects_exact(self, pair):
+        proc = run_cli("tv", "--pair", pair, "--N", "64", "--n", "8",
+                       "--Np", "32,32", "--method", "exact")
+        assert proc.returncode == 3
+        assert f"method 'exact' not available for pair {pair}" in proc.stderr
+
 
 class TestScans:
     def test_expansion_scan_csv_and_json_agree(self, tmp_path):
@@ -240,6 +247,12 @@ class TestExitCodes:
                        "--Np", "20,20", env_extra={"LECAM_SUPPORT_CAP": "5"})
         assert proc.returncode == 4
         assert "cap" in proc.stderr
+
+    def test_dpi_pushforward_box_over_cap_is_resource_error(self):
+        proc = run_cli("dpi-check", "--N", "16", "--n", "4", "--Np", "8,8",
+                       env_extra={"LECAM_SUPPORT_CAP": "10"})
+        assert proc.returncode == 4
+        assert "pushforward box has 19 points" in proc.stderr
 
     def test_help_exits_zero(self):
         assert run_cli("--help").returncode == 0

@@ -13,6 +13,7 @@ import oracles
 from lecam import (
     GaussianLaw,
     JitteredLaw,
+    TV_PAIRS,
     RegimeError,
     ValidationError,
     build_gaussian,
@@ -25,6 +26,7 @@ from lecam import (
     tv_jittered_discrete_pair,
     tv_jittered_vs_gaussian,
     tv_monte_carlo,
+    tv_pair,
     validate_params,
 )
 import lecam.distances as distances
@@ -76,6 +78,47 @@ class TestDiscreteTV:
         params = validate_params(N, 16, (N // 4, 3 * N // 4))
         tv = tv_discrete(params, "hyper", "multi")
         assert abs(tv.value - float(oracles.tv_exact(N, params.counts, 16))) <= tv.error_estimate
+
+
+# The library call each (pair, method) of tv_pair stands for, at quad_order 4
+# and 10^4 draws with seed 5; every other combination must be refused.
+_GAUSS = build_gaussian(THREE_CAT)
+_JITTERED_MULTI = JitteredLaw(THREE_CAT, "multi")
+_ROUTES = {
+    ("hyper-multi", "auto"): (tv_discrete, ("hyper", "multi")),
+    ("hyper-multi", "exact"): (tv_discrete, ("hyper", "multi")),
+    ("hyper-hyper", "auto"): (tv_discrete, ("hyper", "hyper")),
+    ("hyper-hyper", "exact"): (tv_discrete, ("hyper", "hyper")),
+    ("multi-multi", "auto"): (tv_discrete, ("multi", "multi")),
+    ("multi-multi", "exact"): (tv_discrete, ("multi", "multi")),
+    ("jitterhyper-jittermulti", "auto"): (tv_jittered_discrete_pair, ("hyper", "multi", 4)),
+    ("jitterhyper-jittermulti", "quad"): (tv_jittered_discrete_pair, ("hyper", "multi", 4)),
+    ("jitterhyper-jittermulti", "mc"): (tv_monte_carlo, ("hyper", _JITTERED_MULTI, 10_000, 5)),
+    ("jitterhyper-gauss", "auto"): (tv_jittered_vs_gaussian, ("hyper", _GAUSS, 4)),
+    ("jitterhyper-gauss", "quad"): (tv_jittered_vs_gaussian, ("hyper", _GAUSS, 4)),
+    ("jitterhyper-gauss", "mc"): (tv_monte_carlo, ("hyper", _GAUSS, 10_000, 5)),
+    ("jittermulti-gauss", "auto"): (tv_jittered_vs_gaussian, ("multi", _GAUSS, 4)),
+    ("jittermulti-gauss", "quad"): (tv_jittered_vs_gaussian, ("multi", _GAUSS, 4)),
+    ("jittermulti-gauss", "mc"): (tv_monte_carlo, ("multi", _GAUSS, 10_000, 5)),
+}
+
+
+class TestTvPair:
+    @pytest.mark.parametrize("method", ["auto", "exact", "quad", "mc"])
+    @pytest.mark.parametrize("pair", TV_PAIRS)
+    def test_routes_to_the_direct_call_or_refuses(self, pair, method):
+        route = _ROUTES.get((pair, method))
+        if route is None:
+            with pytest.raises(ValidationError):
+                tv_pair(THREE_CAT, pair, method, quad_order=4, sample_count=10_000, seed=5)
+            return
+        got = tv_pair(THREE_CAT, pair, method, quad_order=4, sample_count=10_000, seed=5)
+        fn, args = route
+        assert got == fn(THREE_CAT, *args)
+
+    def test_unknown_pair_rejected(self):
+        with pytest.raises(ValidationError):
+            tv_pair(THREE_CAT, "hyper-gauss")
 
 
 class TestHellinger:
@@ -487,6 +530,15 @@ class TestTailCheck:
             assert check.empirical < limit
             empiricals.append(check.empirical)
         assert empiricals == sorted(empiricals)
+
+    @given(experiment_params(max_dim=2, max_count=12, max_draws=6))
+    @settings(max_examples=25)
+    def test_nu_matches_bound_parts(self, params):
+        if 4 * params.sample_size > 3 * params.population:
+            return
+        parts = tv_bound_parts(params)
+        for coord in range(params.dim + 1):
+            assert tail_probability_check(params, coord).nu == parts.nu[coord]
 
     @given(experiment_params(max_dim=2, max_count=12, max_draws=6))
     @settings(max_examples=25)
