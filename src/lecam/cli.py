@@ -18,6 +18,7 @@ import sys
 from typing import Sequence
 
 from .distances import (
+    DEFAULT_MC_SAMPLES,
     DEFAULT_QUAD_ORDER,
     TV_PAIRS,
     tail_probability_check,
@@ -288,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pair", choices=TV_PAIRS, required=True)
     p.add_argument("--method", choices=("auto", "exact", "quad", "mc"), default="auto")
     p.add_argument("--quad-order", dest="quad_order", type=int, default=DEFAULT_QUAD_ORDER)
-    p.add_argument("--samples", type=int, default=1_000_000)
+    p.add_argument("--samples", type=int, default=DEFAULT_MC_SAMPLES)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(handler=_cmd_tv)
 
@@ -306,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p, n_list=True, N_list=True)
     p.add_argument("--method", choices=("quad", "mc"), default="quad")
     p.add_argument("--quad-order", dest="quad_order", type=int, default=DEFAULT_QUAD_ORDER)
-    p.add_argument("--samples", type=int, default=1_000_000)
+    p.add_argument("--samples", type=int, default=DEFAULT_MC_SAMPLES)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None, help="CSV output path")
     p.add_argument("--jobs", type=int, default=1)

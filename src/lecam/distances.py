@@ -49,6 +49,7 @@ _LAW_ALIASES = {
 }
 
 DEFAULT_QUAD_ORDER = 8
+DEFAULT_MC_SAMPLES = 1_000_000
 MAX_QUAD_DIM = 3
 MAX_BISECTION_DEPTH = 6
 MIN_MC_SAMPLES = 10_000
@@ -147,11 +148,6 @@ def build_gaussian(params: ExperimentParams) -> GaussianLaw:
     return GaussianLaw.from_moments(moments.mean, moments.covariance)
 
 
-def gaussian_log_density(law: GaussianLaw, x):
-    """Module-level alias for :meth:`GaussianLaw.log_density`."""
-    return law.log_density(x)
-
-
 class JitteredLaw:
     """Density of a lattice law after adding uniform noise on the unit cube.
 
@@ -176,11 +172,11 @@ class JitteredLaw:
         return float(out[0]) if single else out
 
 
-def _support_points(params: ExperimentParams, laws: Sequence[str], cap: int | None) -> np.ndarray:
+def _support_points(params: ExperimentParams, laws: Sequence[str]) -> np.ndarray:
     """Lattice points that carry the mass of every law in ``laws``."""
     if MULTINOMIAL in map(_canonical_law, laws):
-        return count_vector_matrix(params.sample_size, params.dim, cap)
-    return support_matrix(params, cap)
+        return count_vector_matrix(params.sample_size, params.dim)
+    return support_matrix(params)
 
 
 def _log_pmf_matrix(params: ExperimentParams, which: str, points: np.ndarray) -> np.ndarray:
@@ -460,11 +456,11 @@ def integrate_cells(
 # ---------------------------------------------------------------------------
 # total variation computations
 
-def tv_discrete(params: ExperimentParams, law_a: str, law_b: str, cap: int | None = None) -> TVResult:
+def tv_discrete(params: ExperimentParams, law_a: str, law_b: str) -> TVResult:
     """Exact TV between the two discrete laws by full enumeration."""
     a = _canonical_law(law_a)
     b = _canonical_law(law_b)
-    points = _support_points(params, (a, b), cap)
+    points = _support_points(params, (a, b))
     pa = np.exp(_log_pmf_matrix(params, a, points))
     pb = np.exp(_log_pmf_matrix(params, b, points))
     value = 0.5 * math.fsum(np.abs(pa - pb).tolist())
@@ -481,24 +477,28 @@ def tv_jittered_discrete_pair(
     law_a: str,
     law_b: str,
     quad_order: int = DEFAULT_QUAD_ORDER,
-    cap: int | None = None,
 ) -> TVResult:
     """TV between two jittered discrete laws by per-cube quadrature.
 
     Both densities are constant on every unit cube, so this must reproduce
     the exact discrete TV; it exists as an independent consistency route.
+    The rule points are evaluated in blocks of at most ``_CELL_BLOCK``.
     """
     _check_quad_args(params.dim, quad_order)
     a = _canonical_law(law_a)
     b = _canonical_law(law_b)
-    points = _support_points(params, (a, b), cap)
+    points = _support_points(params, (a, b))
     da = JitteredLaw(params, a)
     db = JitteredLaw(params, b)
     offsets, weights = _tensor_rule(quad_order, params.dim)
-    pts = (points[:, None, :] + offsets[None, :, :]).reshape(-1, params.dim)
-    fa = np.exp(da.log_density(pts)).reshape(len(points), -1)
-    fb = np.exp(db.log_density(pts)).reshape(len(points), -1)
-    per_cube = np.abs(fa - fb) @ weights
+    step = max(1, _CELL_BLOCK // len(weights))
+    per_cube = np.empty(len(points))
+    for s in range(0, len(points), step):
+        cubes = points[s : s + step]
+        pts = (cubes[:, None, :] + offsets[None, :, :]).reshape(-1, params.dim)
+        fa = np.exp(da.log_density(pts)).reshape(len(cubes), -1)
+        fb = np.exp(db.log_density(pts)).reshape(len(cubes), -1)
+        per_cube[s : s + step] = np.abs(fa - fb) @ weights
     value = 0.5 * math.fsum(per_cube.tolist())
     return TVResult(value=value, method=METHOD_QUAD, error_estimate=_discrete_error(points))
 
@@ -518,7 +518,6 @@ def tv_jittered_vs_gaussian(
     discrete_law: str,
     law: GaussianLaw,
     quad_order: int = DEFAULT_QUAD_ORDER,
-    cap: int | None = None,
 ) -> TVResult:
     """TV between a jittered discrete law and a Gaussian, cube by cube.
 
@@ -531,7 +530,7 @@ def tv_jittered_vs_gaussian(
     _check_quad_args(params.dim, quad_order)
     if law.dim != params.dim:
         raise ValidationError("Gaussian dimension does not match the experiment")
-    points = _support_points(params, (discrete_law,), cap)
+    points = _support_points(params, (discrete_law,))
     logp = _log_pmf_matrix(params, _canonical_law(discrete_law), points)
     orders = _quad_orders(quad_order)
     parts = integrate_cells(law, np.exp(logp), logp, points.astype(float), orders)
@@ -608,9 +607,8 @@ def tv_pair(
     pair: str,
     method: str = "auto",
     quad_order: int = DEFAULT_QUAD_ORDER,
-    sample_count: int = 1_000_000,
+    sample_count: int = DEFAULT_MC_SAMPLES,
     seed: int | np.random.SeedSequence = 0,
-    cap: int | None = None,
 ) -> TVResult:
     """TV between the two laws named by ``pair`` (one of ``TV_PAIRS``).
 
@@ -627,28 +625,28 @@ def tv_pair(
             raise ValidationError(
                 f"pair {pair} is computed exactly; jitter the laws for quad or mc"
             )
-        return tv_discrete(params, first, second, cap)
+        return tv_discrete(params, first, second)
     which = first.removeprefix("jitter")
     if second == "gauss":
         target = build_gaussian(params)
         if method in ("auto", "quad"):
-            return tv_jittered_vs_gaussian(params, which, target, quad_order, cap)
+            return tv_jittered_vs_gaussian(params, which, target, quad_order)
     else:
         target = JitteredLaw(params, second.removeprefix("jitter"))
         if method in ("auto", "quad"):
-            return tv_jittered_discrete_pair(params, which, target.which, quad_order, cap)
+            return tv_jittered_discrete_pair(params, which, target.which, quad_order)
     if method == "mc":
         return tv_monte_carlo(params, which, target, sample_count, seed)
     raise ValidationError(f"method {method!r} not available for pair {pair}")
 
 
-def hellinger_discrete(params: ExperimentParams, cap: int | None = None) -> HellingerResult:
+def hellinger_discrete(params: ExperimentParams) -> HellingerResult:
     """Squared Hellinger distance between the two discrete laws.
 
     Also returns 2 * sqrt(H^2), a conservative upper bound on their TV
     distance (TV <= sqrt(H^2 (2 - H^2)) <= 2 H).
     """
-    points = count_vector_matrix(params.sample_size, params.dim, cap)
+    points = count_vector_matrix(params.sample_size, params.dim)
     lp = hypergeometric_log_pmf_matrix(params, points)
     lq = multinomial_log_pmf_matrix(params.sample_size, params.weights, points)
     both = 0.5 * (lp + lq)

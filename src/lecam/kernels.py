@@ -20,6 +20,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .distances import (
+    DEFAULT_MC_SAMPLES,
     DEFAULT_QUAD_ORDER,
     GaussianLaw,
     _gaussian_term_scale,
@@ -31,27 +32,18 @@ from .distances import (
     tv_jittered_vs_gaussian,
     tv_pair,
 )
-from .errors import RegimeError, SupportCapError, ValidationError
+from .errors import RegimeError, SupportCapError
 from .expansion import _map_ordered
 from .lattice import ExperimentParams, support_cap
+# apply_jitter is the jitter kernel; it lives in numerics and is re-exported here
 from .numerics import SlopeFit, apply_jitter, fit_loglog_slope, round_half_away
 from .pmf import hypergeometric_log_pmf_matrix
 from .records import ScanRecord
 
-KERNEL_KINDS = ("jitter", "round", "sqrt_vst")
 # Method of the deficiency rows of a Le Cam scan point outside the regime.
 METHOD_FLAGGED = "flagged:outside-regime"
-
-
-@dataclass(frozen=True)
-class KernelTag:
-    """Names one of the three kernels; none of them takes parameters."""
-
-    kind: str
-
-    def __post_init__(self):
-        if self.kind not in KERNEL_KINDS:
-            raise ValidationError(f"kind must be one of {KERNEL_KINDS}")
+# Half-width, in standard deviations, of the box the rounded Gaussian is summed over.
+PUSHFORWARD_TAIL_SIGMAS = 8.5
 
 
 @dataclass(frozen=True)
@@ -96,17 +88,6 @@ def apply_round(z):
     return rounded
 
 
-def apply_kernel(tag: KernelTag, value, rng: np.random.Generator | None = None):
-    """Dispatch on the kernel tag."""
-    if tag.kind == "jitter":
-        if rng is None:
-            raise ValidationError("the jitter kernel needs an rng")
-        return apply_jitter(value, rng)
-    if tag.kind == "round":
-        return apply_round(value)
-    return sqrt_vst_pushforward(value)
-
-
 def independent_gaussian(params: ExperimentParams) -> GaussianLaw:
     """Gaussian with matching means and variances but independent coordinates."""
     n = params.sample_size
@@ -133,11 +114,10 @@ def sqrt_vst_pushforward(sample):
 
 def deficiency_upper_bounds(
     params: ExperimentParams,
-    tv_method: str = "quadrature",
+    tv_method: str = "quad",
     quad_order: int = DEFAULT_QUAD_ORDER,
-    sample_count: int = 1_000_000,
+    sample_count: int = DEFAULT_MC_SAMPLES,
     seed: int = 0,
-    cap: int | None = None,
 ) -> DeficiencyReport:
     """Upper bounds on both deficiencies between the two experiments.
 
@@ -146,11 +126,10 @@ def deficiency_upper_bounds(
     Gaussian back can only shrink TV, so the same number bounds the reverse
     deficiency as well.  Both fields therefore carry the same value, and
     ``data_processing_check`` verifies the shrinking step numerically.
+    ``tv_method`` is a :func:`tv_pair` method name.
     """
     _require_regime(params)
-    tv = tv_pair(
-        params, "jitterhyper-gauss", _pair_method(tv_method), quad_order, sample_count, seed, cap
-    )
+    tv = tv_pair(params, "jitterhyper-gauss", tv_method, quad_order, sample_count, seed)
     budget = _gaussian_term_scale(params)
     delta_forward = tv.value
     delta_backward = tv.value
@@ -162,15 +141,6 @@ def deficiency_upper_bounds(
         error_estimate=tv.error_estimate,
         method=tv.method,
     )
-
-
-def _pair_method(tv_method: str) -> str:
-    """The :func:`tv_pair` method named by a deficiency ``tv_method``."""
-    if tv_method in ("quadrature", "quad"):
-        return "quad"
-    if tv_method == "mc":
-        return "mc"
-    raise ValidationError("tv_method must be 'quadrature' or 'mc'")
 
 
 @dataclass(frozen=True)
@@ -188,9 +158,9 @@ class LecamScan:
 
 def lecam_scan(
     family: Sequence[ExperimentParams],
-    tv_method: str = "quadrature",
+    tv_method: str = "quad",
     quad_order: int = DEFAULT_QUAD_ORDER,
-    sample_count: int = 1_000_000,
+    sample_count: int = DEFAULT_MC_SAMPLES,
     seed: int = 0,
     jobs: int = 1,
 ) -> LecamScan:
@@ -218,8 +188,7 @@ def lecam_scan(
 
 def _lecam_point(task: tuple) -> list[ScanRecord]:
     """The five records of one scan point; top-level so process pools can pickle it."""
-    params, tv_method, quad_order, sample_count, seed = task
-    method = _pair_method(tv_method)
+    params, method, quad_order, sample_count, seed = task
     try:
         report = deficiency_upper_bounds(params, method, quad_order, sample_count, seed)
     except RegimeError:
@@ -241,22 +210,20 @@ def _lecam_point(task: tuple) -> list[ScanRecord]:
     ]
 
 
-def _round_pushforward_box(params: ExperimentParams, law: GaussianLaw, tail_sigmas: float):
+def _round_pushforward_box(params: ExperimentParams, law: GaussianLaw):
     """Integer box certain to carry all but a negligible sliver of mass."""
-    sigmas = np.sqrt(np.diag(law.covariance))
-    lo = np.minimum(0, np.floor(law.mean - tail_sigmas * sigmas)).astype(np.int64)
+    reach = PUSHFORWARD_TAIL_SIGMAS * np.sqrt(np.diag(law.covariance))
+    lo = np.minimum(0, np.floor(law.mean - reach)).astype(np.int64)
     hi_support = np.minimum(
         np.asarray(params.counts[: params.dim], dtype=np.int64), params.sample_size
     )
-    hi = np.maximum(hi_support, np.ceil(law.mean + tail_sigmas * sigmas)).astype(np.int64)
+    hi = np.maximum(hi_support, np.ceil(law.mean + reach)).astype(np.int64)
     return lo, hi
 
 
 def data_processing_check(
     params: ExperimentParams,
     quad_order: int = DEFAULT_QUAD_ORDER,
-    tail_sigmas: float = 8.5,
-    cap: int | None = None,
 ) -> DataProcessingResult:
     """Check that rounding the Gaussian onto the lattice shrinks the TV.
 
@@ -266,10 +233,10 @@ def data_processing_check(
     tv_after <= tv_before; slack is the measured difference.
     """
     law = build_gaussian(params)
-    before = tv_jittered_vs_gaussian(params, "hypergeometric", law, quad_order, cap=cap)
-    lo, hi = _round_pushforward_box(params, law, tail_sigmas)
+    before = tv_jittered_vs_gaussian(params, "hypergeometric", law, quad_order)
+    lo, hi = _round_pushforward_box(params, law)
     box_size = int(np.prod((hi - lo + 1).astype(object)))
-    limit = support_cap(cap)
+    limit = support_cap()
     if box_size > limit:
         raise SupportCapError(
             f"pushforward box has {box_size} points, above the cap of {limit}",

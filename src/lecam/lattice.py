@@ -55,7 +55,6 @@ def validate_params(
     population: int,
     sample_size: int,
     weights: Sequence,
-    dim: int | None = None,
 ) -> ExperimentParams:
     """Validate and build an :class:`ExperimentParams`.
 
@@ -98,10 +97,6 @@ def validate_params(
         raise ValidationError(
             f"weights sum to {Fraction(total, population)} of the population, expected 1"
         )
-    if dim is not None and dim != len(counts) - 1:
-        raise ValidationError(
-            f"dim {dim} does not match {len(counts)} category weights"
-        )
     return ExperimentParams(int(population), int(sample_size), tuple(counts))
 
 
@@ -125,12 +120,8 @@ def scaled_params(population: int, sample_size: int, pattern: Sequence[int]) -> 
     return validate_params(population, sample_size, counts)
 
 
-def support_cap(explicit: int | None = None) -> int:
-    """Effective enumeration cap: explicit argument, else env override, else default."""
-    if explicit is not None:
-        if explicit < 1:
-            raise ValidationError("support cap must be a positive integer")
-        return int(explicit)
+def support_cap() -> int:
+    """Enumeration cap: ``LECAM_SUPPORT_CAP`` if set, else the default."""
     raw = os.environ.get(SUPPORT_CAP_ENV)
     if raw is None:
         return DEFAULT_SUPPORT_CAP
@@ -194,8 +185,8 @@ def _bounded_vectors(counts: Sequence[int], total: int) -> np.ndarray:
     return out
 
 
-def _check_cap(size: int, cap: int | None, what: str) -> None:
-    limit = support_cap(cap)
+def _check_cap(size: int, what: str) -> None:
+    limit = support_cap()
     if size > limit:
         raise SupportCapError(
             f"{what} has {size} points, above the cap of {limit}; "
@@ -205,23 +196,23 @@ def _check_cap(size: int, cap: int | None, what: str) -> None:
         )
 
 
-def support_matrix(params: ExperimentParams, cap: int | None = None) -> np.ndarray:
+def support_matrix(params: ExperimentParams) -> np.ndarray:
     """Support points as an (m, dim) int64 array in lexicographic order.
 
     Raises :class:`SupportCapError` when the support is larger than the cap;
     callers should fall back to the Monte Carlo paths in that case.
     """
-    _check_cap(support_size(params), cap, "support")
+    _check_cap(support_size(params), "support")
     return _bounded_vectors(params.counts, params.sample_size)
 
 
-def enumerate_support(params: ExperimentParams, cap: int | None = None) -> list[LatticePoint]:
+def enumerate_support(params: ExperimentParams) -> list[LatticePoint]:
     """Every support point exactly once, in lexicographic order, as tuples.
 
     The rows of :func:`support_matrix`, which raises :class:`SupportCapError`
     above the cap.
     """
-    return [tuple(row) for row in support_matrix(params, cap).tolist()]
+    return [tuple(row) for row in support_matrix(params).tolist()]
 
 
 def count_vector_size(sample_size: int, dim: int) -> int:
@@ -229,13 +220,13 @@ def count_vector_size(sample_size: int, dim: int) -> int:
     return math.comb(sample_size + dim, dim)
 
 
-def count_vector_matrix(sample_size: int, dim: int, cap: int | None = None) -> np.ndarray:
+def count_vector_matrix(sample_size: int, dim: int) -> np.ndarray:
     """All k >= 0 with ||k||_1 <= sample_size, as an (m, dim) array, lex order.
 
     This is the support of the with-replacement law, a superset of every
     without-replacement support with the same sample size.
     """
-    _check_cap(count_vector_size(sample_size, dim), cap, "count-vector set")
+    _check_cap(count_vector_size(sample_size, dim), "count-vector set")
     return _bounded_vectors((sample_size,) * (dim + 1), sample_size)
 
 

@@ -58,22 +58,15 @@ def log_factorial(m):
     Accepts a scalar or an integer array; returns a float or float array.
     Relative error is below 1e-13 everywhere.
     """
-    arr = np.asarray(m)
-    if arr.ndim == 0:
-        mi = int(arr)
-        if mi < 0:
-            raise ValidationError("log_factorial requires a non-negative integer")
-        if mi < LOG_FACTORIAL_TABLE_SIZE:
-            return float(_LOG_FACTORIAL_TABLE[mi])
-        return float(_stirling_log_factorial(mi))
     arr = np.asarray(m, dtype=np.int64)
-    if np.any(arr < 0):
+    flat = np.atleast_1d(arr)
+    if np.any(flat < 0):
         raise ValidationError("log_factorial requires non-negative integers")
-    out = np.take(_LOG_FACTORIAL_TABLE, arr, mode="clip")
-    large = arr >= LOG_FACTORIAL_TABLE_SIZE
+    out = np.take(_LOG_FACTORIAL_TABLE, flat, mode="clip")
+    large = flat >= LOG_FACTORIAL_TABLE_SIZE
     if np.any(large):
-        out[large] = _stirling_log_factorial(arr[large])
-    return out
+        out[large] = _stirling_log_factorial(flat[large])
+    return float(out[0]) if arr.ndim == 0 else out
 
 
 def log_binomial(a: int, b: int) -> float:

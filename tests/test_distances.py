@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,7 +18,6 @@ from lecam import (
     RegimeError,
     ValidationError,
     build_gaussian,
-    gaussian_log_density,
     hellinger_discrete,
     hypergeometric_log_pmf,
     tail_probability_check,
@@ -150,7 +150,7 @@ class TestGaussianLaw:
         law = build_gaussian(THREE_CAT)
         xs = np.array([[1.0, 2.0], [0.5, 0.5], [4.0, 0.0]])
         expected = stats.multivariate_normal(law.mean, law.covariance).logpdf(xs)
-        assert gaussian_log_density(law, xs) == pytest.approx(expected, abs=1e-12)
+        assert law.log_density(xs) == pytest.approx(expected, abs=1e-12)
 
     def test_two_dim_explicit_covariance(self):
         # 9 * (diag(1/3) - (1/3)^2) = [[2,-1],[-1,2]]
@@ -161,14 +161,14 @@ class TestGaussianLaw:
     def test_density_peak_one_dim(self):
         # unit variance, so the log-density at the mean is -ln sqrt(2 pi)
         law = build_gaussian(validate_params(8, 4, (4, 4)))
-        at_mean = gaussian_log_density(law, np.array([law.mean]))[0]
+        at_mean = law.log_density(np.array([law.mean]))[0]
         assert at_mean == pytest.approx(-0.5 * math.log(2 * math.pi), abs=1e-14)
 
     def test_two_dim_matches_hand_inverse(self):
         # cov [[2,-1],[-1,2]]: det 3, inverse (1/3)[[2,1],[1,2]];
         # at offset (1,-1) the quadratic form is 2/3
         law = build_gaussian(validate_params(18, 9, (6, 6, 6)))
-        value = gaussian_log_density(law, np.array([[4.0, 2.0]]))[0]
+        value = law.log_density(np.array([[4.0, 2.0]]))[0]
         expected = -math.log(2 * math.pi) - 0.5 * math.log(3.0) - 1.0 / 3.0
         assert value == pytest.approx(expected, abs=1e-12)
 
@@ -176,8 +176,8 @@ class TestGaussianLaw:
         law = build_gaussian(THREE_CAT)
         xs = np.array([[1.0, 2.5]])
         swapped = xs[:, ::-1].copy()
-        assert gaussian_log_density(law, xs)[0] == pytest.approx(
-            gaussian_log_density(law, swapped)[0], abs=1e-14
+        assert law.log_density(xs)[0] == pytest.approx(
+            law.log_density(swapped)[0], abs=1e-14
         )
 
     def test_asymmetric_covariance_rejected(self):
@@ -210,6 +210,27 @@ class TestJitteredLaw:
         exact = tv_discrete(params, "hyper", "multi")
         jittered = tv_jittered_discrete_pair(params, "hyper", "multi")
         assert jittered.value == pytest.approx(exact.value, abs=1e-10)
+
+    def test_discrete_pair_memory_is_blocked(self):
+        # 2925 cubes x 512 rule points, about 240 MiB if evaluated in one pass
+        params = validate_params(1000, 24, (250, 250, 250, 250))
+        tracemalloc.start()
+        try:
+            jittered = tv_jittered_discrete_pair(params, "hyper", "multi")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
+        assert jittered.value == pytest.approx(tv_discrete(params, "hyper", "multi").value, abs=1e-10)
+
+    def test_discrete_pair_block_size_does_not_move_values(self, monkeypatch):
+        cases = ((WIDE, 8), (THREE_CAT, 6), (BALANCED_D2, 4))
+        wide = [tv_jittered_discrete_pair(p, "hyper", "multi", o) for p, o in cases]
+        monkeypatch.setattr(distances, "_CELL_BLOCK", 64)
+        narrow = [tv_jittered_discrete_pair(p, "hyper", "multi", o) for p, o in cases]
+        for a, b in zip(wide, narrow):
+            assert abs(a.value - b.value) <= 1e-15
+            assert a.error_estimate == b.error_estimate
 
 
 class TestQuadratureTV:

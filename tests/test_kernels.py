@@ -7,12 +7,9 @@ from scipy import integrate, stats
 
 import oracles
 from lecam import (
-    KERNEL_KINDS,
-    KernelTag,
     RegimeError,
     ValidationError,
     apply_jitter,
-    apply_kernel,
     apply_round,
     build_gaussian,
     data_processing_check,
@@ -80,17 +77,6 @@ class TestJitterRound:
             freq = float(np.mean(rounded[:, 0] == k))
             se = math.sqrt(prob * (1 - prob) / total)
             assert abs(freq - prob) < 4 * se
-
-    def test_kernel_tags(self):
-        assert set(KERNEL_KINDS) == {"jitter", "round", "sqrt_vst"}
-        rng = make_generator(3)
-        jittered = apply_kernel(KernelTag("jitter"), (2, 2), rng)
-        assert (apply_kernel(KernelTag("round"), jittered) == np.array([2, 2])).all()
-        assert apply_kernel(KernelTag("sqrt_vst"), (4.0,)) == pytest.approx([2.0])
-        with pytest.raises(ValidationError):
-            KernelTag("copula")
-        with pytest.raises(ValidationError):
-            apply_kernel(KernelTag("jitter"), (2, 2))
 
 
 class TestSqrtVst:
@@ -179,8 +165,9 @@ class TestDeficiency:
         assert abs(mc.le_cam_upper - quad.le_cam_upper) < 4 * mc.error_estimate
 
     def test_bad_method_rejected(self):
-        with pytest.raises(ValidationError):
-            deficiency_upper_bounds(WIDE, tv_method="bootstrap")
+        for name in ("bootstrap", "quadrature"):
+            with pytest.raises(ValidationError):
+                deficiency_upper_bounds(WIDE, tv_method=name)
 
     def test_monotone_along_cubic_population_growth(self):
         reports = [

@@ -12,15 +12,22 @@ from lecam import (
     RatioClass,
     SupportCapError,
     ValidationError,
+    build_gaussian,
     count_vector_matrix,
     count_vector_size,
+    data_processing_check,
     enumerate_support,
+    hellinger_discrete,
     in_truncated_set,
     point_in_support,
     scaled_params,
     support_cap,
     support_matrix,
     support_size,
+    tv_discrete,
+    tv_jittered_discrete_pair,
+    tv_jittered_vs_gaussian,
+    tv_pair,
     validate_params,
     weight_ratio,
 )
@@ -134,11 +141,30 @@ class TestSupport:
         assert err.value.cap == 5
         assert err.value.required == 13
 
-    def test_explicit_cap_beats_env(self, monkeypatch):
+    @pytest.mark.parametrize("raw", ["many", "0"])
+    def test_cap_env_must_be_positive_integer(self, monkeypatch, raw):
+        monkeypatch.setenv(SUPPORT_CAP_ENV, raw)
+        with pytest.raises(ValidationError, match=SUPPORT_CAP_ENV):
+            support_cap()
+
+    @pytest.mark.parametrize("call", [
+        pytest.param(support_matrix, id="support_matrix"),
+        pytest.param(lambda p: count_vector_matrix(p.sample_size, p.dim), id="count_vector_matrix"),
+        pytest.param(lambda p: tv_discrete(p, "hyper", "multi"), id="tv_discrete"),
+        pytest.param(hellinger_discrete, id="hellinger_discrete"),
+        pytest.param(lambda p: tv_jittered_vs_gaussian(p, "hyper", build_gaussian(p)),
+                     id="tv_jittered_vs_gaussian"),
+        pytest.param(lambda p: tv_jittered_discrete_pair(p, "hyper", "multi"),
+                     id="tv_jittered_discrete_pair"),
+        pytest.param(lambda p: tv_pair(p, "hyper-hyper"), id="tv_pair"),
+        pytest.param(data_processing_check, id="data_processing_check"),
+    ])
+    def test_env_cap_reaches_every_enumeration(self, monkeypatch, call):
         monkeypatch.setenv(SUPPORT_CAP_ENV, "5")
-        assert support_cap(1000) == 1000
-        params = validate_params(40, 12, (20, 20))
-        assert len(enumerate_support(params, cap=1000)) == 13
+        assert support_cap() == 5
+        with pytest.raises(SupportCapError) as err:
+            call(validate_params(40, 12, (20, 20)))
+        assert err.value.cap == 5
 
     def test_point_membership(self):
         params = validate_params(10, 5, (5, 5))
