@@ -30,9 +30,10 @@ from .lattice import (
     validate_params,
     weight_ratio,
 )
-from .numerics import apply_jitter, make_generator, round_half_away, split_seed
+from .numerics import apply_jitter, exact_sum, make_generator, round_half_away, split_seed
 from .pmf import (
     hypergeometric_log_pmf_matrix,
+    log_pmf_matrices,
     multinomial_log_pmf_matrix,
     multinomial_moments,
     sample_hypergeometric,
@@ -457,13 +458,13 @@ def integrate_cells(
 # total variation computations
 
 def tv_discrete(params: ExperimentParams, law_a: str, law_b: str) -> TVResult:
-    """Exact TV between the two discrete laws by full enumeration."""
+    """Exact TV between the two discrete laws by one pass over the support."""
     a = _canonical_law(law_a)
     b = _canonical_law(law_b)
     points = _support_points(params, (a, b))
-    pa = np.exp(_log_pmf_matrix(params, a, points))
-    pb = np.exp(_log_pmf_matrix(params, b, points))
-    value = 0.5 * math.fsum(np.abs(pa - pb).tolist())
+    log_p, log_q = log_pmf_matrices(params, points)
+    logs = {HYPERGEOMETRIC: log_p, MULTINOMIAL: log_q}
+    value = 0.5 * exact_sum(np.abs(np.exp(logs[a]) - np.exp(logs[b])))
     return TVResult(value=value, method=METHOD_EXACT, error_estimate=_discrete_error(points))
 
 
@@ -499,7 +500,7 @@ def tv_jittered_discrete_pair(
         fa = np.exp(da.log_density(pts)).reshape(len(cubes), -1)
         fb = np.exp(db.log_density(pts)).reshape(len(cubes), -1)
         per_cube[s : s + step] = np.abs(fa - fb) @ weights
-    value = 0.5 * math.fsum(per_cube.tolist())
+    value = 0.5 * exact_sum(per_cube)
     return TVResult(value=value, method=METHOD_QUAD, error_estimate=_discrete_error(points))
 
 
@@ -549,11 +550,11 @@ def _tv_and_gap(terms: Sequence[tuple[np.ndarray, np.ndarray]]) -> tuple[float, 
     """TV at the first order of :func:`_quad_orders` and its gap to the last.
 
     ``terms`` holds, per order, the per-cell |pmf - density| terms and
-    Gaussian masses; the TV is 1/2 [fsum |.| + max(0, 1 - fsum mass)], the
-    complement counting the mass outside the cells.
+    Gaussian masses; the TV is 1/2 [sum |.| + max(0, 1 - sum mass)], each sum
+    correctly rounded, the complement counting the mass outside the cells.
     """
     values = [
-        0.5 * (math.fsum(gaps.tolist()) + max(0.0, 1.0 - math.fsum(masses.tolist())))
+        0.5 * (exact_sum(gaps) + max(0.0, 1.0 - exact_sum(masses)))
         for gaps, masses in terms
     ]
     return values[0], abs(values[0] - values[-1])
@@ -646,11 +647,8 @@ def hellinger_discrete(params: ExperimentParams) -> HellingerResult:
     Also returns 2 * sqrt(H^2), a conservative upper bound on their TV
     distance (TV <= sqrt(H^2 (2 - H^2)) <= 2 H).
     """
-    points = count_vector_matrix(params.sample_size, params.dim)
-    lp = hypergeometric_log_pmf_matrix(params, points)
-    lq = multinomial_log_pmf_matrix(params.sample_size, params.weights, points)
-    both = 0.5 * (lp + lq)
-    overlap = math.fsum(np.exp(both).tolist())
+    lp, lq = log_pmf_matrices(params, count_vector_matrix(params.sample_size, params.dim))
+    overlap = exact_sum(np.exp(0.5 * (lp + lq)))
     h_squared = max(0.0, 1.0 - overlap)
     return HellingerResult(h_squared=h_squared, tv_bound=math.sqrt(4.0 * h_squared))
 
@@ -727,5 +725,5 @@ def tail_probability_check(params: ExperimentParams, coord: int) -> TailCheck:
         return TailCheck(empirical=0.0, bound=bound, nu=nu)
     marginal = validate_params(N, n, (c, N - c))
     logs = hypergeometric_log_pmf_matrix(marginal, np.arange(j_start, j_end + 1)[:, None])
-    empirical = math.fsum(np.exp(logs).tolist())
+    empirical = exact_sum(np.exp(logs))
     return TailCheck(empirical=empirical, bound=bound, nu=nu)

@@ -1,10 +1,12 @@
-"""Low-level numerical helpers: log-factorials, compensated prefix sums, slope
-fits, rounding and its inverse jitter, and rng plumbing.
+"""Low-level numerical helpers: log-factorials, compensated prefix sums, exact
+sums, slope fits, rounding and its inverse jitter, and rng plumbing.
 
 Small log-factorials come from an exact compensated cumulative-sum table,
 large ones from the Stirling series; the two branches agree to ~1e-15
 relative error at the crossover.  Hypergeometric probabilities subtract no
 log-factorials: ``pmf.log_ratio_matrix`` builds them from prefix sums.
+Sums over a lattice go through ``exact_sum``, which returns ``math.fsum``'s
+correctly rounded value from whole-array passes.
 """
 
 from __future__ import annotations
@@ -58,13 +60,16 @@ def log_factorial(m):
     Accepts a scalar or an integer array; returns a float or float array.
     Relative error is below 1e-13 everywhere.
     """
-    arr = np.asarray(m, dtype=np.int64)
+    try:
+        arr = np.asarray(m, dtype=np.int64)
+    except OverflowError:
+        raise ValidationError("log_factorial requires integers below 2**63") from None
     flat = np.atleast_1d(arr)
-    if np.any(flat < 0):
+    if flat.min(initial=0) < 0:
         raise ValidationError("log_factorial requires non-negative integers")
     out = np.take(_LOG_FACTORIAL_TABLE, flat, mode="clip")
-    large = flat >= LOG_FACTORIAL_TABLE_SIZE
-    if np.any(large):
+    if flat.max(initial=0) >= LOG_FACTORIAL_TABLE_SIZE:
+        large = flat >= LOG_FACTORIAL_TABLE_SIZE
         out[large] = _stirling_log_factorial(flat[large])
     return float(out[0]) if arr.ndim == 0 else out
 
@@ -74,6 +79,42 @@ def log_binomial(a: int, b: int) -> float:
     if b < 0 or b > a:
         return float("-inf")
     return log_factorial(a) - log_factorial(b) - log_factorial(a - b)
+
+
+# fsum is the faster route below this many terms.
+_EXACT_SUM_MIN_TERMS = 512
+# Terms per block: no bin then reaches 2**45, and the temporaries fit in cache.
+_EXACT_SUM_BLOCK = 1 << 16
+# Below this magnitude no partial sum of fsum's can overflow.
+_EXACT_SUM_BOUND = 2.0**960
+_BYTE_WEIGHTS = 1 << np.arange(8)
+
+
+def exact_sum(values) -> float:
+    """``math.fsum`` of an array of floats, bit for bit, in whole-array passes.
+
+    Each finite term is M * 2**(e - 53) with M a 53-bit integer.  The halves
+    of M = hi * 2**26 + lo are summed by exponent with ``np.bincount``, a
+    block at a time, in bins that stay integers far below 2**53 and so
+    exact.  The bins are added as Python integers and one integer division
+    rounds the total correctly, as fsum does.  Small arrays, non-finite or
+    huge terms and a zero total (whose sign fsum settles) go to fsum itself.
+    """
+    x = np.asarray(values, dtype=float).ravel()
+    if x.size < _EXACT_SUM_MIN_TERMS or not np.abs(x).max() < _EXACT_SUM_BOUND:
+        return math.fsum(x.tolist())
+    total = 0
+    for s in range(0, x.size, _EXACT_SUM_BLOCK):
+        mantissas, exponents = np.frexp(x[s : s + _EXACT_SUM_BLOCK])
+        high = np.trunc(np.ldexp(mantissas, 27))
+        low = np.ldexp(mantissas, 53) - np.ldexp(high, 26)
+        # bin i weighs 2**(i - 1127): the least term, 2**-1074, lands in bin 1
+        slots = np.concatenate((exponents + 1100, exponents + 1074), dtype=np.intp)
+        bins = np.bincount(slots, np.concatenate((high, low)), minlength=2128)
+        digits = bins.astype(np.int64).reshape(-1, 8) @ _BYTE_WEIGHTS  # base 2**8
+        used = np.flatnonzero(digits)
+        total += sum(d << 8 * i for i, d in zip(used.tolist(), digits[used].tolist()))
+    return total / (1 << 1127) if total else math.fsum(x.tolist())
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,10 @@ All probabilities are carried as natural logarithms so that supports with
 thousands of points never underflow; sums over supports go through
 log-sum-exp or compensated summation.  Every hypergeometric log-probability
 is the multinomial one at weights ``counts / N`` plus ``log_ratio_matrix``,
-so no two log-factorials of size N log N are ever subtracted.
+so no two log-factorials of size N log N are ever subtracted, and
+``log_pmf_matrices`` gives both laws at one set of points from a single
+multinomial evaluation.  The kernels take count matrices stored column by
+column and add a row's terms one whole column at a time, left to right.
 
 Both samplers draw one coordinate at a time from its conditional law through
 one routine, ``_sample_sequential``: inversion by table lookup (Devroye 1986,
@@ -44,16 +47,13 @@ class MomentSummary:
 
 
 def _full_count_matrix(points: np.ndarray, dim: int, sample_size: int) -> np.ndarray:
-    """(m, dim) points extended by their derived last count, as (m, dim + 1) int64."""
+    """(m, dim) points extended by their derived last count, as (m, dim + 1) int64
+    stored column by column (the kernels read whole columns)."""
     points = np.asarray(points, dtype=np.int64)
     if points.ndim != 2 or points.shape[1] != dim:
         raise ValidationError(f"points must have shape (m, {dim})")
-    return np.column_stack([points, sample_size - _row_sums(points)])
-
-
-def _row_sums(ks: np.ndarray) -> np.ndarray:
-    # an integer matmul: several times faster than sum(axis=1) on narrow rows
-    return ks @ np.ones(ks.shape[1], dtype=np.int64)
+    # an integer matmul sums narrow rows several times faster than sum(axis=1)
+    return np.array([*points.T, sample_size - points @ np.ones(dim, dtype=np.int64)]).T
 
 
 def hypergeometric_log_pmf(params: ExperimentParams, point: Sequence[int]) -> LogProb:
@@ -69,19 +69,35 @@ def hypergeometric_log_pmf_matrix(params: ExperimentParams, points: np.ndarray) 
     return _hypergeometric_log_pmf_rows(params.counts, ks)
 
 
-def _hypergeometric_log_pmf_rows(counts: Sequence[int], ks: np.ndarray) -> np.ndarray:
+def log_pmf_matrices(params: ExperimentParams, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Hypergeometric and multinomial log-pmfs over the same (m, dim) points.
+
+    Equal bit for bit to ``hypergeometric_log_pmf_matrix`` and
+    ``multinomial_log_pmf_matrix``, from one multinomial evaluation per point.
+    """
+    ks = _full_count_matrix(points, params.dim, params.sample_size)
+    log_q = _multinomial_log_pmf_rows(np.log(params.weights), ks)
+    return _hypergeometric_log_pmf_rows(params.counts, ks, log_q), log_q
+
+
+def _hypergeometric_log_pmf_rows(
+    counts: Sequence[int], ks: np.ndarray, multinomial: np.ndarray | None = None
+) -> np.ndarray:
     """Log-pmf of full count rows, each summing to its own draw count.
 
-    A row drawing over half the population is evaluated at what it leaves
-    behind, ``counts - k``, which is as likely: fewer draws enter the sums,
-    and a census row is exactly certain.
+    ``multinomial`` holds the rows' multinomial log-pmf at weights ``counts /
+    N`` when the caller has it.  A row drawing over half the population is
+    evaluated at what it leaves behind, ``counts - k``, which is as likely:
+    fewer draws enter the sums, and a census row is exactly certain.
     """
     c = np.asarray(counts, dtype=np.int64)
     N = c.sum()
-    flip = 2 * _row_sums(ks) > N
+    flip = 2 * ks.sum(axis=1) > N
     if flip.any():
         ks = np.where(flip[:, None], c - ks, ks)
-    return _multinomial_log_pmf_rows(np.log(c / N), ks) + log_ratio_matrix(c, ks)
+    if multinomial is None or flip.any():
+        multinomial = _multinomial_log_pmf_rows(np.log(c / N), ks)
+    return multinomial + log_ratio_matrix(c, ks)
 
 
 def log_ratio_matrix(counts: Sequence[int], ks: np.ndarray) -> np.ndarray:
@@ -94,10 +110,12 @@ def log_ratio_matrix(counts: Sequence[int], ks: np.ndarray) -> np.ndarray:
     table per count.  -inf where some k_i is negative or exceeds c_i.
     """
     counts = np.asarray(counts, dtype=np.int64)
-    ks = np.asarray(ks, dtype=np.int64)
-    valid = ((ks >= 0) & (ks <= counts)).all(axis=1)
-    safe = np.where(valid[:, None], ks, 0)
-    n = _row_sums(safe)
+    cols = np.asarray(ks, dtype=np.int64).T
+    # read unsigned, a negative count exceeds every count
+    over = cols.view(np.uint64) > counts.view(np.uint64)[:, None]
+    bad = over.any(axis=0) if over.any() else None
+    cols = cols if bad is None else np.where(bad, 0, cols)
+    n = cols.sum(axis=0)
     sizes = np.concatenate((counts, counts.sum(keepdims=True)))[:, None]
     j = np.arange(n.max(initial=0))
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -108,9 +126,9 @@ def log_ratio_matrix(counts: Sequence[int], ks: np.ndarray) -> np.ndarray:
             np.where(2 * j <= sizes, np.log1p(-j / sizes), np.log((sizes - j) / sizes))
         )
     out = -tables[-1][n]
-    for i, table in enumerate(tables[:-1]):
-        out += table[safe[:, i]]
-    return np.where(valid, out, -np.inf)
+    for table, col in zip(tables, cols):
+        out += table[col]
+    return out if bad is None else np.where(bad, -np.inf, out)
 
 
 def _check_weights(weights: Sequence[float]) -> np.ndarray:
@@ -147,12 +165,21 @@ def multinomial_log_pmf_matrix(
 
 
 def _multinomial_log_pmf_rows(log_w: np.ndarray, ks: np.ndarray) -> np.ndarray:
-    """Log-pmf of full count rows drawn with replacement; each row sum is its draw count."""
-    valid = np.all(ks >= 0, axis=1)
-    safe = np.where(valid[:, None], ks, 0)
-    total = log_factorial(_row_sums(safe)) - log_factorial(safe).sum(axis=1)
-    total = total + (safe * log_w[None, :]).sum(axis=1)
-    return np.where(valid, total, -np.inf)
+    """Log-pmf of full count rows drawn with replacement; each row sum is its draw count.
+
+    A row's terms are added a whole column at a time, left to right."""
+    cols = ks.T
+    bad = (cols < 0).any(axis=0) if cols.min(initial=0) < 0 else None
+    cols = cols if bad is None else np.where(bad, 0, cols)
+    facts = log_factorial(cols)
+    for row in facts[1:]:
+        facts[0] += row
+    terms = cols[0] * log_w[0]
+    for col, w in zip(cols[1:], log_w[1:]):
+        terms += col * w
+    total = log_factorial(cols.sum(axis=0)) - facts[0]
+    total += terms
+    return total if bad is None else np.where(bad, -np.inf, total)
 
 
 def hypergeometric_moments(params: ExperimentParams) -> MomentSummary:

@@ -132,6 +132,21 @@ class TestHellinger:
         assert h.h_squared == pytest.approx(0.0, abs=1e-14)
         assert h.tv_bound < 1e-6
 
+    @given(experiment_params(max_dim=2, max_count=6, max_draws=8))
+    @settings(max_examples=20)
+    def test_matches_exact_oracle(self, params):
+        # small counts and up to 8 draws, so 2n > N (census-flipped rows) is common
+        expected = float(
+            oracles.hellinger_sq(params.population, params.counts, params.sample_size)
+        )
+        got = hellinger_discrete(params).h_squared
+        assert got == pytest.approx(expected, abs=1e-12)
+
+    def test_matches_exact_oracle_with_census_rows(self):
+        for params in (validate_params(12, 9, (3, 4, 5)), validate_params(20, 15, (8, 12))):
+            expected = oracles.hellinger_sq(params.population, params.counts, params.sample_size)
+            assert hellinger_discrete(params).h_squared == pytest.approx(float(expected), abs=1e-12)
+
     def test_bounds_order(self):
         # h^2 <= tv <= 2 sqrt(h^2) for these laws
         for params in (BALANCED, THREE_CAT, SKEWED):

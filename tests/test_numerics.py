@@ -1,10 +1,19 @@
 import math
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from lecam import ValidationError, fit_loglog_slope, log_factorial, log_binomial, make_generator, split_seed
-from lecam.numerics import LOG_FACTORIAL_TABLE_SIZE, compensated_cumsum
+from lecam.numerics import (
+    _EXACT_SUM_BLOCK,
+    _EXACT_SUM_MIN_TERMS,
+    LOG_FACTORIAL_TABLE_SIZE,
+    compensated_cumsum,
+    exact_sum,
+)
 
 
 class TestLogFactorial:
@@ -40,6 +49,17 @@ class TestLogFactorial:
         with pytest.raises(ValidationError):
             log_factorial(np.array([3, -2]))
 
+    def test_beyond_int64_rejected(self):
+        with pytest.raises(ValidationError):
+            log_factorial(2**63)
+        with pytest.raises(ValidationError):
+            log_factorial([3, 2**63 + 5])
+        with pytest.raises(ValidationError):
+            log_factorial(np.array([3, 2**70], dtype=object))
+        assert log_factorial(2**63 - 1) == pytest.approx(
+            math.lgamma(2.0**63), rel=1e-13
+        )
+
 
 class TestLogBinomial:
     def test_small_value(self):
@@ -52,6 +72,76 @@ class TestLogBinomial:
     def test_out_of_range_is_minus_inf(self):
         assert log_binomial(3, 5) == float("-inf")
         assert log_binomial(3, -1) == float("-inf")
+
+    def test_beyond_int64_rejected(self):
+        with pytest.raises(ValidationError):
+            log_binomial(2**63, 1)
+        with pytest.raises(ValidationError):
+            log_binomial(2**64, 2**63)
+
+
+def _fsum_outcome(total, values):
+    """The bits of ``total(values)``, or the type of what it raised."""
+    try:
+        return struct.pack("<d", total(values))
+    except (OverflowError, ValueError) as exc:
+        return type(exc)
+
+
+def _random_terms(rng, kind, size):
+    if kind == "log-normal":  # magnitudes from 1e-300 to 1
+        return np.exp(rng.uniform(math.log(1e-300), 0.0, size))
+    if kind == "subnormal":
+        return rng.integers(-(2**52), 2**52, size) * 5e-324
+    if kind == "mixed-signs":
+        terms = rng.standard_normal(size) * 10.0 ** rng.integers(-300, 300, size)
+        terms[: size // 3] = -terms[size // 3 : 2 * (size // 3)]  # exact cancellations
+        return rng.permutation(terms)
+    return rng.choice([-1.0, 1.0], size) * (1.0 - 2.0**-53) * 2.0 ** rng.integers(-60, 60, size)
+
+
+class TestExactSum:
+    @pytest.mark.parametrize("kind", ["log-normal", "subnormal", "mixed-signs", "full-mantissas"])
+    @pytest.mark.parametrize(
+        "size", [1, _EXACT_SUM_MIN_TERMS - 1, _EXACT_SUM_MIN_TERMS, _EXACT_SUM_MIN_TERMS + 1, 5000]
+    )
+    def test_matches_fsum_bit_for_bit(self, kind, size):
+        rng = np.random.default_rng(size)
+        for _ in range(25):
+            terms = _random_terms(rng, kind, size)
+            assert _fsum_outcome(exact_sum, terms) == _fsum_outcome(math.fsum, terms.tolist())
+
+    @given(st.lists(st.floats(allow_nan=True, allow_infinity=True), max_size=40),
+           st.integers(0, 2 * _EXACT_SUM_MIN_TERMS))
+    def test_any_floats_as_fsum(self, head, repeat):
+        # repeating the drawn terms carries them past the small-array cutoff
+        terms = np.array(head * (1 + repeat // max(1, len(head))), dtype=float)
+        assert _fsum_outcome(exact_sum, terms) == _fsum_outcome(math.fsum, terms.tolist())
+
+    @pytest.mark.parametrize("size", [0, 1, 2 * _EXACT_SUM_MIN_TERMS])
+    @pytest.mark.parametrize(
+        "special",
+        [[], [0.0], [-0.0], [float("inf")], [-float("inf")], [float("nan")],
+         [float("inf"), -float("inf")], [1e308, 1e308, -1e308]],
+    )
+    def test_special_values_as_fsum(self, size, special):
+        terms = np.concatenate([np.full(size, -0.0), special, np.full(size, 0.25)])
+        assert _fsum_outcome(exact_sum, terms) == _fsum_outcome(math.fsum, terms.tolist())
+
+    def test_exact_past_the_block_boundary(self):
+        # Full 53-bit mantissas of one sign and exponent fill every bin to
+        # its largest; a bin summed in floats past the block would round.
+        assert _EXACT_SUM_BLOCK * (2**27 + 2**26) < 2**53
+        terms = np.full(3 * _EXACT_SUM_BLOCK + 5, 1.0 - 2.0**-53)
+        terms[::7] = 2.0**-1074
+        assert exact_sum(terms) == math.fsum(terms.tolist())
+        terms[1::2] *= -1.0 + 2.0**-52
+        assert exact_sum(terms) == math.fsum(terms.tolist())
+
+    def test_accepts_any_shape(self):
+        terms = np.arange(2000.0).reshape(40, 50) / 3.0
+        assert exact_sum(terms) == math.fsum(terms.ravel().tolist())
+        assert exact_sum([0.1] * 1000) == math.fsum([0.1] * 1000)
 
 
 class TestCompensatedCumsum:

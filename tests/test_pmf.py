@@ -25,7 +25,8 @@ from lecam import (
     validate_params,
 )
 from lecam.lattice import point_in_support
-from lecam.pmf import log_ratio_matrix
+from lecam.numerics import log_factorial
+from lecam.pmf import _multinomial_log_pmf_rows, log_pmf_matrices, log_ratio_matrix
 from strategies import experiment_params
 
 BALANCED = validate_params(10, 5, (5, 5))
@@ -184,6 +185,44 @@ class TestLogRatioMatrix:
     def test_rows_off_the_support_are_minus_inf(self):
         got = log_ratio_matrix((5, 7), np.array([(6, 0), (3, 8), (-1, 3)]))
         assert got.tolist() == [float("-inf")] * 3
+
+
+class TestSharedMultinomialRows:
+    @given(experiment_params(max_dim=3, max_count=6, max_draws=8))
+    def test_pair_equals_separate_matrices_bit_for_bit(self, params):
+        # every count vector, so rows off the hypergeometric support and,
+        # whenever 2n > N, census-flipped rows are included
+        points = count_vector_matrix(params.sample_size, params.dim)
+        log_p, log_q = log_pmf_matrices(params, points)
+        assert log_p.tobytes() == hypergeometric_log_pmf_matrix(params, points).tobytes()
+        assert log_q.tobytes() == multinomial_log_pmf_matrix(
+            params.sample_size, params.weights, points
+        ).tobytes()
+
+    def test_census_flipped_instance(self):
+        params = validate_params(12, 9, (3, 4, 5))  # 2n > N: every row flips
+        points = count_vector_matrix(9, 2)
+        log_p, _ = log_pmf_matrices(params, points)
+        assert log_p.tobytes() == hypergeometric_log_pmf_matrix(params, points).tobytes()
+        assert np.isfinite(log_p).sum() == len(support_matrix(params))
+
+    @given(experiment_params(max_dim=3, max_count=9, max_draws=9))
+    def test_columns_add_left_to_right_as_a_row_loop(self, params):
+        # the kernel sums whole columns; this loop adds each row's terms in
+        # the same order, one scalar at a time
+        log_w = np.log(np.array(params.weights))
+        ks = np.array([
+            row + (params.sample_size - sum(row),)
+            for row in map(tuple, count_vector_matrix(params.sample_size, params.dim).tolist())
+        ])
+        got = _multinomial_log_pmf_rows(log_w, ks)
+        for row, value in zip(ks.tolist(), got.tolist()):
+            facts = log_factorial(row[0])
+            terms = row[0] * log_w[0]
+            for k, w in zip(row[1:], log_w[1:]):
+                facts += log_factorial(k)
+                terms += k * w
+            assert value == log_factorial(sum(row)) - facts + terms
 
 
 class TestMoments:
