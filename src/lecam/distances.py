@@ -4,11 +4,13 @@ and their Gaussian limits.
 Three kinds of laws appear: the two discrete sampling laws, their jittered
 versions (lattice draw plus uniform noise on the centered unit cube, giving
 a density that is constant on unit cubes), and Gaussian laws with matching
-moments.  Discrete pairs are summed exactly; jittered-versus-Gaussian pairs
-are integrated cube by cube with tensor-product Gauss-Legendre rules, with
+moments.  Discrete pairs are summed exactly, and so are jittered discrete
+pairs: the unit cubes around lattice points are disjoint, so jittering both
+laws leaves their TV unchanged.  Jittered-versus-Gaussian pairs are
+integrated cube by cube with tensor-product Gauss-Legendre rules, with
 breadth-first bisection where the integrand |pmf - density| has a kink
-(``integrate_cells``); a Monte Carlo estimator covers everything beyond
-dimension three.
+(``integrate_cells``).  A Monte Carlo estimator covers everything beyond
+dimension three and checks the samplers against a jittered target.
 """
 
 from __future__ import annotations
@@ -473,47 +475,6 @@ def _discrete_error(points: np.ndarray) -> float:
     return 1e-15 * len(points) + 1e-15
 
 
-def tv_jittered_discrete_pair(
-    params: ExperimentParams,
-    law_a: str,
-    law_b: str,
-    quad_order: int = DEFAULT_QUAD_ORDER,
-) -> TVResult:
-    """TV between two jittered discrete laws by per-cube quadrature.
-
-    Both densities are constant on every unit cube, so this must reproduce
-    the exact discrete TV; it exists as an independent consistency route.
-    The rule points are evaluated in blocks of at most ``_CELL_BLOCK``.
-    """
-    _check_quad_args(params.dim, quad_order)
-    a = _canonical_law(law_a)
-    b = _canonical_law(law_b)
-    points = _support_points(params, (a, b))
-    da = JitteredLaw(params, a)
-    db = JitteredLaw(params, b)
-    offsets, weights = _tensor_rule(quad_order, params.dim)
-    step = max(1, _CELL_BLOCK // len(weights))
-    per_cube = np.empty(len(points))
-    for s in range(0, len(points), step):
-        cubes = points[s : s + step]
-        pts = (cubes[:, None, :] + offsets[None, :, :]).reshape(-1, params.dim)
-        fa = np.exp(da.log_density(pts)).reshape(len(cubes), -1)
-        fb = np.exp(db.log_density(pts)).reshape(len(cubes), -1)
-        per_cube[s : s + step] = np.abs(fa - fb) @ weights
-    value = 0.5 * exact_sum(per_cube)
-    return TVResult(value=value, method=METHOD_QUAD, error_estimate=_discrete_error(points))
-
-
-def _check_quad_args(dim: int, quad_order: int) -> None:
-    if quad_order < 2:
-        raise ValidationError("quad_order must be at least 2")
-    if dim > MAX_QUAD_DIM:
-        raise ValidationError(
-            f"quadrature supports dimension <= {MAX_QUAD_DIM}; "
-            "use the Monte Carlo path instead"
-        )
-
-
 def tv_jittered_vs_gaussian(
     params: ExperimentParams,
     discrete_law: str,
@@ -528,7 +489,13 @@ def tv_jittered_vs_gaussian(
     crosses the cube's constant are refined before integration (see
     :func:`integrate_cells`).
     """
-    _check_quad_args(params.dim, quad_order)
+    if quad_order < 2:
+        raise ValidationError("quad_order must be at least 2")
+    if params.dim > MAX_QUAD_DIM:
+        raise ValidationError(
+            f"quadrature supports dimension <= {MAX_QUAD_DIM}; "
+            "use the Monte Carlo path instead"
+        )
     if law.dim != params.dim:
         raise ValidationError("Gaussian dimension does not match the experiment")
     points = _support_points(params, (discrete_law,))
@@ -613,32 +580,33 @@ def tv_pair(
 ) -> TVResult:
     """TV between the two laws named by ``pair`` (one of ``TV_PAIRS``).
 
-    ``method`` is "auto", "exact", "quad" or "mc".  Discrete pairs are only
-    summed exactly (:func:`tv_discrete`); jittered pairs are integrated cube
-    by cube ("auto" or "quad") or estimated by Monte Carlo ("mc").  Any
-    other combination raises :class:`ValidationError`.
+    ``method`` is "auto", "exact", "quad" or "mc".  Every pair without a
+    Gaussian is summed exactly ("auto" or "exact", :func:`tv_discrete`):
+    the unit cubes around lattice points are disjoint, so jittering both
+    laws leaves their TV unchanged.  The jittered discrete pair can also be
+    estimated by Monte Carlo against :class:`JitteredLaw` ("mc").  A
+    jittered law and its Gaussian are integrated cube by cube ("auto" or
+    "quad") or estimated by Monte Carlo ("mc").  Any other combination
+    raises :class:`ValidationError`.
     """
     if pair not in TV_PAIRS:
         raise ValidationError(f"unknown pair {pair!r}; expected one of {TV_PAIRS}")
     first, second = pair.split("-")
-    if not first.startswith("jitter"):
-        if method not in ("auto", "exact"):
-            raise ValidationError(
-                f"pair {pair} is computed exactly; jitter the laws for quad or mc"
-            )
-        return tv_discrete(params, first, second)
-    which = first.removeprefix("jitter")
-    if second == "gauss":
-        target = build_gaussian(params)
-        if method in ("auto", "quad"):
-            return tv_jittered_vs_gaussian(params, which, target, quad_order)
+    which, other = first.removeprefix("jitter"), second.removeprefix("jitter")
+    if other == "gauss":
+        methods = ("auto", "quad", "mc")
     else:
-        target = JitteredLaw(params, second.removeprefix("jitter"))
-        if method in ("auto", "quad"):
-            return tv_jittered_discrete_pair(params, which, target.which, quad_order)
+        methods = ("auto", "exact", "mc") if which != first else ("auto", "exact")
+    if method not in methods:
+        raise ValidationError(
+            f"method {method!r} not available for pair {pair}; use one of {', '.join(methods)}"
+        )
+    if other != "gauss" and method != "mc":
+        return tv_discrete(params, which, other)
+    target = build_gaussian(params) if other == "gauss" else JitteredLaw(params, other)
     if method == "mc":
         return tv_monte_carlo(params, which, target, sample_count, seed)
-    raise ValidationError(f"method {method!r} not available for pair {pair}")
+    return tv_jittered_vs_gaussian(params, which, target, quad_order)
 
 
 def hellinger_discrete(params: ExperimentParams) -> HellingerResult:

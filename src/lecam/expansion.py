@@ -200,6 +200,8 @@ def _map_ordered(fn, items, jobs: int):
     the order of ``items``, so scans are identical at any ``jobs``;
     ``kernels.lecam_scan`` uses this too.
     """
+    if jobs < 1:
+        raise ValidationError("jobs must be at least 1")
     jobs = min(jobs, len(items))
     if jobs <= 1:
         return [fn(x) for x in items]

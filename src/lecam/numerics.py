@@ -179,11 +179,18 @@ def apply_jitter(point: Sequence[int], rng: np.random.Generator, size: int | Non
     return arr + noise
 
 
+def _seed_sequence(seed: int | np.random.SeedSequence) -> np.random.SeedSequence:
+    """``seed`` as a SeedSequence; a plain seed must be a non-negative integer."""
+    if isinstance(seed, np.random.SeedSequence):
+        return seed
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValidationError("seed must be a non-negative integer")
+    return np.random.SeedSequence(seed)
+
+
 def make_generator(seed: int | np.random.SeedSequence) -> np.random.Generator:
     """Counter-based generator from a seed; the bit stream is version-stable."""
-    if not isinstance(seed, np.random.SeedSequence):
-        seed = np.random.SeedSequence(seed)
-    return np.random.Generator(np.random.Philox(seed))
+    return np.random.Generator(np.random.Philox(_seed_sequence(seed)))
 
 
 def split_seed(seed: int | np.random.SeedSequence, count: int) -> list[np.random.SeedSequence]:
@@ -192,6 +199,4 @@ def split_seed(seed: int | np.random.SeedSequence, count: int) -> list[np.random
     Children depend only on (seed, count), never on scheduling, so parallel
     scans reproduce bit-for-bit at any worker count.
     """
-    if not isinstance(seed, np.random.SeedSequence):
-        seed = np.random.SeedSequence(seed)
-    return seed.spawn(count)
+    return _seed_sequence(seed).spawn(count)

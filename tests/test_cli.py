@@ -96,12 +96,27 @@ class TestTv:
                        "--Np", "5,5", "--method", "quad")
         assert proc.returncode == 3
 
-    @pytest.mark.parametrize("pair", ["jitterhyper-gauss", "jitterhyper-jittermulti"])
+    @pytest.mark.parametrize("pair", ["jitterhyper-gauss"])
     def test_jittered_pair_rejects_exact(self, pair):
         proc = run_cli("tv", "--pair", pair, "--N", "64", "--n", "8",
                        "--Np", "32,32", "--method", "exact")
         assert proc.returncode == 3
         assert f"method 'exact' not available for pair {pair}" in proc.stderr
+
+    @pytest.mark.parametrize("method", ["auto", "exact"])
+    def test_jittered_discrete_pair_is_the_discrete_tv(self, method):
+        args = ("--N", "64", "--n", "8", "--Np", "32,32")
+        jittered = parse_kv(run_cli("tv", "--pair", "jitterhyper-jittermulti",
+                                    "--method", method, *args).stdout)
+        discrete = parse_kv(run_cli("tv", "--pair", "hyper-multi", *args).stdout)
+        assert jittered["method"] == "exact-discrete"
+        assert jittered["tv"] == discrete["tv"]
+
+    def test_jittered_discrete_pair_rejects_quadrature(self):
+        proc = run_cli("tv", "--pair", "jitterhyper-jittermulti", "--N", "64",
+                       "--n", "8", "--Np", "32,32", "--method", "quad")
+        assert proc.returncode == 3
+        assert "use one of auto, exact, mc" in proc.stderr
 
 
 class TestScans:
@@ -241,6 +256,26 @@ class TestExitCodes:
         proc = run_cli(*args)
         assert proc.returncode == 3
         assert "validation" in proc.stderr
+
+    @pytest.mark.parametrize("args", [
+        ("tv", "--pair", "jitterhyper-gauss", "--N", "64", "--n", "8", "--Np", "32,32",
+         "--method", "mc", "--samples", "10000"),
+        ("lecam-scan", "--n", "4", "--Np", "1,1", "--method", "mc", "--samples", "10000"),
+    ], ids=["tv", "lecam-scan"])
+    def test_negative_seed_is_validation(self, args):
+        proc = run_cli(*args, "--seed", "-1")
+        assert proc.returncode == 3
+        assert "seed must be a non-negative integer" in proc.stderr
+
+    @pytest.mark.parametrize("args", [
+        ("lecam-scan", "--n", "4,8", "--Np", "1,1"),
+        ("expansion-scan", "--N", "16,32,64,128", "--n", "8", "--Np", "1,1", "--k", "2"),
+    ], ids=["lecam-scan", "expansion-scan"])
+    @pytest.mark.parametrize("jobs", ["0", "-2"])
+    def test_jobs_below_one_is_validation(self, args, jobs):
+        proc = run_cli(*args, "--jobs", jobs)
+        assert proc.returncode == 3
+        assert "jobs must be at least 1" in proc.stderr
 
     def test_support_cap_env_is_resource_error(self):
         proc = run_cli("tv", "--pair", "hyper-multi", "--N", "40", "--n", "12",

@@ -3,7 +3,6 @@ import os
 import subprocess
 import sys
 import textwrap
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,7 +22,6 @@ from lecam import (
     tail_probability_check,
     tv_bound_parts,
     tv_discrete,
-    tv_jittered_discrete_pair,
     tv_jittered_vs_gaussian,
     tv_monte_carlo,
     tv_pair,
@@ -91,8 +89,8 @@ _ROUTES = {
     ("hyper-hyper", "exact"): (tv_discrete, ("hyper", "hyper")),
     ("multi-multi", "auto"): (tv_discrete, ("multi", "multi")),
     ("multi-multi", "exact"): (tv_discrete, ("multi", "multi")),
-    ("jitterhyper-jittermulti", "auto"): (tv_jittered_discrete_pair, ("hyper", "multi", 4)),
-    ("jitterhyper-jittermulti", "quad"): (tv_jittered_discrete_pair, ("hyper", "multi", 4)),
+    ("jitterhyper-jittermulti", "auto"): (tv_discrete, ("hyper", "multi")),
+    ("jitterhyper-jittermulti", "exact"): (tv_discrete, ("hyper", "multi")),
     ("jitterhyper-jittermulti", "mc"): (tv_monte_carlo, ("hyper", _JITTERED_MULTI, 10_000, 5)),
     ("jitterhyper-gauss", "auto"): (tv_jittered_vs_gaussian, ("hyper", _GAUSS, 4)),
     ("jitterhyper-gauss", "quad"): (tv_jittered_vs_gaussian, ("hyper", _GAUSS, 4)),
@@ -119,6 +117,10 @@ class TestTvPair:
     def test_unknown_pair_rejected(self):
         with pytest.raises(ValidationError):
             tv_pair(THREE_CAT, "hyper-gauss")
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValidationError, match="seed must be a non-negative integer"):
+            tv_pair(WIDE, "jitterhyper-gauss", "mc", sample_count=10_000, seed=-2)
 
 
 class TestHellinger:
@@ -215,37 +217,17 @@ class TestJitteredLaw:
         )
 
     def test_jitter_preserves_tv(self):
-        exact = tv_discrete(WIDE, "hyper", "multi")
-        jittered = tv_jittered_discrete_pair(WIDE, "hyper", "multi")
-        assert jittered.value == pytest.approx(exact.value, abs=1e-10)
+        expected = float(oracles.tv_jittered_pair(64, (32, 32), 8))
+        assert tv_pair(WIDE, "jitterhyper-jittermulti").value == pytest.approx(expected, abs=1e-10)
 
     @given(experiment_params(max_dim=2, max_count=8, max_draws=6))
     @settings(max_examples=15)
     def test_jitter_preserves_tv_random(self, params):
-        exact = tv_discrete(params, "hyper", "multi")
-        jittered = tv_jittered_discrete_pair(params, "hyper", "multi")
-        assert jittered.value == pytest.approx(exact.value, abs=1e-10)
-
-    def test_discrete_pair_memory_is_blocked(self):
-        # 2925 cubes x 512 rule points, about 240 MiB if evaluated in one pass
-        params = validate_params(1000, 24, (250, 250, 250, 250))
-        tracemalloc.start()
-        try:
-            jittered = tv_jittered_discrete_pair(params, "hyper", "multi")
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 32 * 2**20
-        assert jittered.value == pytest.approx(tv_discrete(params, "hyper", "multi").value, abs=1e-10)
-
-    def test_discrete_pair_block_size_does_not_move_values(self, monkeypatch):
-        cases = ((WIDE, 8), (THREE_CAT, 6), (BALANCED_D2, 4))
-        wide = [tv_jittered_discrete_pair(p, "hyper", "multi", o) for p, o in cases]
-        monkeypatch.setattr(distances, "_CELL_BLOCK", 64)
-        narrow = [tv_jittered_discrete_pair(p, "hyper", "multi", o) for p, o in cases]
-        for a, b in zip(wide, narrow):
-            assert abs(a.value - b.value) <= 1e-15
-            assert a.error_estimate == b.error_estimate
+        expected = float(
+            oracles.tv_jittered_pair(params.population, params.counts, params.sample_size)
+        )
+        jittered = tv_pair(params, "jitterhyper-jittermulti")
+        assert jittered.value == pytest.approx(expected, abs=1e-10)
 
 
 class TestQuadratureTV:
@@ -295,7 +277,7 @@ class TestQuadratureTV:
         for params, order in cases:
             law = build_gaussian(params)
             lhs = tv_jittered_vs_gaussian(params, "hyper", law, order)
-            mid = tv_jittered_discrete_pair(params, "hyper", "multi")
+            mid = tv_pair(params, "jitterhyper-jittermulti")
             rhs = tv_jittered_vs_gaussian(params, "multi", law, order)
             combined = lhs.error_estimate + mid.error_estimate + rhs.error_estimate
             assert lhs.value <= mid.value + rhs.value + combined
@@ -468,11 +450,17 @@ class TestMonteCarloTV:
         assert a.value == b.value
         assert a.value != c.value
 
-    def test_against_jittered_density(self):
+    @pytest.mark.parametrize("params, samples", [
+        (WIDE, 400_000),
+        (BALANCED_D2, 100_000),
+        (validate_params(500, 10, (100,) * 5), 100_000),
+    ], ids=["d1", "d2", "d4"])
+    def test_against_jittered_density(self, params, samples):
         # TV of the jittered pair estimated by MC matches the exact discrete value
-        exact = tv_discrete(WIDE, "hyper", "multi")
-        mc = tv_monte_carlo(WIDE, "hyper", JitteredLaw(WIDE, "multi"), 400_000, seed=4)
-        assert abs(mc.value - exact.value) < 4 * mc.error_estimate
+        exact = oracles.tv_exact(params.population, params.counts, params.sample_size)
+        mc = tv_pair(params, "jitterhyper-jittermulti", "mc", sample_count=samples, seed=4)
+        assert mc.method == "monte-carlo"
+        assert abs(mc.value - float(exact)) < 4 * mc.error_estimate
 
     def test_agrees_with_quadrature_at_large_n(self):
         # at n = 1100, p = 1/2 the samplers' old start mass 2^-n underflowed

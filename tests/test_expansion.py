@@ -202,3 +202,9 @@ def test_pool_never_exceeds_the_item_count(monkeypatch):
     assert seen == [2]
     assert _map_ordered(abs, [-3], jobs=4) == [3]
     assert seen == [2]
+
+
+@pytest.mark.parametrize("jobs", [0, -1])
+def test_jobs_below_one_are_refused(jobs):
+    with pytest.raises(ValidationError, match="jobs must be at least 1"):
+        _map_ordered(abs, [-1, -2], jobs=jobs)

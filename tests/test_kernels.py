@@ -21,8 +21,8 @@ from lecam import (
     sample_multinomial,
     sqrt_vst_pushforward,
     sqrt_vst_target,
-    tv_jittered_discrete_pair,
     tv_jittered_vs_gaussian,
+    tv_pair,
     validate_params,
 )
 
@@ -187,7 +187,7 @@ class TestDeficiency:
         params = validate_params(population, draws, counts)
         report = deficiency_upper_bounds(params, quad_order=8)
         law = build_gaussian(params)
-        pair = tv_jittered_discrete_pair(params, "hyper", "multi")
+        pair = tv_pair(params, "jitterhyper-jittermulti")
         leg = tv_jittered_vs_gaussian(params, "multi", law, 8)
         combined = report.error_estimate + pair.error_estimate + leg.error_estimate
         assert report.le_cam_upper <= pair.value + leg.value + combined

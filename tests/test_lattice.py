@@ -25,7 +25,6 @@ from lecam import (
     support_matrix,
     support_size,
     tv_discrete,
-    tv_jittered_discrete_pair,
     tv_jittered_vs_gaussian,
     tv_pair,
     validate_params,
@@ -154,8 +153,6 @@ class TestSupport:
         pytest.param(hellinger_discrete, id="hellinger_discrete"),
         pytest.param(lambda p: tv_jittered_vs_gaussian(p, "hyper", build_gaussian(p)),
                      id="tv_jittered_vs_gaussian"),
-        pytest.param(lambda p: tv_jittered_discrete_pair(p, "hyper", "multi"),
-                     id="tv_jittered_discrete_pair"),
         pytest.param(lambda p: tv_pair(p, "hyper-hyper"), id="tv_pair"),
         pytest.param(data_processing_check, id="data_processing_check"),
     ])

@@ -210,3 +210,9 @@ class TestRngPlumbing:
         for x, y in zip(first, second):
             assert (x == y).all()
         assert not (first[0] == first[1]).all()
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, None])
+    def test_seed_must_be_a_non_negative_integer(self, seed):
+        for call in (make_generator, lambda s: split_seed(s, 2)):
+            with pytest.raises(ValidationError, match="non-negative integer"):
+                call(seed)
