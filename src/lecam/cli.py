@@ -38,6 +38,12 @@ EXIT_USAGE = 2
 EXIT_VALIDATION = 3
 EXIT_CAP = 4
 
+_QUAD_ORDER_HELP = (
+    "quadrature order q >= 2 of a jittered-vs-Gaussian TV: in d=1 the TV is in "
+    "closed form and q is only checked; in d=2 each piece of a cell takes 3q outer "
+    "nodes, the bar from 2q; in d=3 each cube takes a q^3-point rule, the bar from q//2"
+)
+
 
 class UsageError(Exception):
     """Malformed invocation detected after argparse (empty or short lists)."""
@@ -288,7 +294,8 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.add_argument("--pair", choices=TV_PAIRS, required=True)
     p.add_argument("--method", choices=("auto", "exact", "quad", "mc"), default="auto")
-    p.add_argument("--quad-order", dest="quad_order", type=int, default=DEFAULT_QUAD_ORDER)
+    p.add_argument("--quad-order", dest="quad_order", type=int, default=DEFAULT_QUAD_ORDER,
+                   help=_QUAD_ORDER_HELP)
     p.add_argument("--samples", type=int, default=DEFAULT_MC_SAMPLES)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(handler=_cmd_tv)
@@ -306,7 +313,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("lecam-scan", help="deficiency bounds along a growing family")
     add_common(p, n_list=True, N_list=True)
     p.add_argument("--method", choices=("quad", "mc"), default="quad")
-    p.add_argument("--quad-order", dest="quad_order", type=int, default=DEFAULT_QUAD_ORDER)
+    p.add_argument("--quad-order", dest="quad_order", type=int, default=DEFAULT_QUAD_ORDER,
+                   help=_QUAD_ORDER_HELP)
     p.add_argument("--samples", type=int, default=DEFAULT_MC_SAMPLES)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None, help="CSV output path")
@@ -315,7 +323,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("dpi-check", help="data-processing inequality after rounding")
     add_common(p)
-    p.add_argument("--quad-order", dest="quad_order", type=int, default=DEFAULT_QUAD_ORDER)
+    p.add_argument("--quad-order", dest="quad_order", type=int, default=DEFAULT_QUAD_ORDER,
+                   help=_QUAD_ORDER_HELP + "; the rounded Gaussian's cube masses take "
+                   "q^d-point rules, the bar from q//2")
     p.set_defaults(handler=_cmd_dpi_check)
 
     return parser

@@ -7,10 +7,14 @@ a density that is constant on unit cubes), and Gaussian laws with matching
 moments.  Discrete pairs are summed exactly, and so are jittered discrete
 pairs: the unit cubes around lattice points are disjoint, so jittering both
 laws leaves their TV unchanged.  Jittered-versus-Gaussian pairs are
-integrated cube by cube with tensor-product Gauss-Legendre rules, with
-breadth-first bisection where the integrand |pmf - density| has a kink
-(``integrate_cells``).  A Monte Carlo estimator covers everything beyond
-dimension three and checks the samplers against a jittered target.
+integrated cube by cube.  In d <= 2 the last axis is done in closed form,
+as sums of normal tails from ``math.erfc`` (``_slice_integrals``): that is
+the whole cell in d=1, and in d=2 an outer Gauss-Legendre rule runs over
+pieces of each cell cut at the kinks (``_closed_form_tv``).  In d=3 cubes
+take tensor-product Gauss-Legendre rules, with breadth-first bisection
+where the integrand |pmf - density| has a kink (``integrate_cells``).  A
+Monte Carlo estimator covers everything beyond dimension three and checks
+the samplers against a jittered target.
 """
 
 from __future__ import annotations
@@ -32,7 +36,15 @@ from .lattice import (
     validate_params,
     weight_ratio,
 )
-from .numerics import apply_jitter, exact_sum, make_generator, round_half_away, split_seed
+from .numerics import (
+    EXACT_TOTAL_UNIT,
+    apply_jitter,
+    exact_sum,
+    exact_total,
+    make_generator,
+    round_half_away,
+    split_seed,
+)
 from .pmf import (
     hypergeometric_log_pmf_matrix,
     log_pmf_matrices,
@@ -340,55 +352,18 @@ def _log_density_range(
     return lowest, highest
 
 
-def _cut_at_crossings(
-    law: GaussianLaw, log_consts: np.ndarray, centers: np.ndarray, halfwidth: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Cut one-dimensional cells exactly where the density crosses the constant.
-
-    Each resulting piece is smooth, so plain Gauss-Legendre recovers its full
-    order of accuracy.  A scan of 9 even points plus the mean brackets the
-    crossings (the density is monotone between consecutive scan points, so
-    none is missed) and 80 bisection steps on the continuous log-density pin
-    them, for all cells at once.
-    Returns each piece's cell index, center (as a column) and half-width.
-    """
-    lo_edge = centers[:, 0] - halfwidth
-    hi_edge = centers[:, 0] + halfwidth
-    peak = np.clip(law.mean[0], lo_edge, hi_edge)
-    xs = np.sort(np.column_stack([np.linspace(lo_edge, hi_edge, 9, axis=1), peak]), axis=1)
-    vals = law.log_density(xs.reshape(-1, 1)).reshape(xs.shape) - log_consts[:, None]
-    v0, v1 = vals[:, :-1], vals[:, 1:]
-    crossing = (v0 != 0.0) & (v0 * v1 < 0.0)
-    lo, hi, vlo = xs[:, :-1][crossing], xs[:, 1:][crossing], v0[crossing]
-    level = np.broadcast_to(log_consts[:, None], v0.shape)[crossing]
-    if lo.size:
-        for _ in range(80):
-            mid = 0.5 * (lo + hi)
-            vmid = law.log_density(mid[:, None]) - level
-            left = vlo * vmid <= 0.0
-            hi = np.where(left, mid, hi)
-            lo = np.where(left, lo, mid)
-            vlo = np.where(left, vlo, vmid)
-    cuts = np.repeat(hi_edge[:, None], v0.shape[1], axis=1)
-    cuts[crossing] = 0.5 * (lo + hi)
-    edges = np.sort(np.column_stack([lo_edge, hi_edge, cuts]), axis=1)
-    a, b = edges[:, :-1], edges[:, 1:]
-    keep = b - a > 0.0
-    owners = np.nonzero(keep)[0]
-    a, b = a[keep], b[keep]
-    return owners, (0.5 * (a + b))[:, None], (b - a) / 2.0
-
-
 class CellIntegrals(NamedTuple):
-    """Per-cell integrals from :func:`integrate_cells`, keyed by rule order.
+    """Totals over all cells from :func:`integrate_cells`, keyed by rule order.
 
-    ``leaf_error`` is half the sum, over cells still straddling at
+    ``leaf_error`` is half the sum, over sub-cells still straddling at
     MAX_BISECTION_DEPTH, of |I_hi - I_lo|, the gap between the first two
-    orders' integrals of |const - density| on each such cell.
+    orders' integrals of |const - density| on each such sub-cell.  Every
+    total is exact until its one final rounding, so the order in which the
+    blocks of cells were integrated cannot move it.
     """
 
-    abs_parts: dict[int, np.ndarray]
-    mass_parts: dict[int, np.ndarray]
+    abs_total: dict[int, float]
+    mass_total: dict[int, float]
     leaf_error: float
 
 
@@ -402,22 +377,23 @@ def integrate_cells(
     """Integrals of |const - density| and of the density over unit cells.
 
     ``centers`` (m, d) are the centers of unit cubes, ``consts`` the constant
-    on each and ``log_consts`` its logarithm; one pair of arrays is returned
-    per Gauss-Legendre order in ``orders``, highest first.  A cell whose
-    density crosses its constant has a kink inside, so it is refined before
-    integration: in one dimension it is cut at the crossings; otherwise it is
-    bisected into its 2^d children, breadth first, up to MAX_BISECTION_DEPTH
-    levels, and cells still straddling there are integrated as they are and
-    counted in ``leaf_error``.
+    on each and ``log_consts`` its logarithm; one pair of totals over the
+    cells is returned per Gauss-Legendre order in ``orders``, highest
+    first.  A cell whose density crosses its constant has a kink inside, so
+    it is bisected into its 2^d children before integration, breadth first,
+    up to MAX_BISECTION_DEPTH levels; cells still straddling there are
+    integrated as they are and counted in ``leaf_error``.  The TV uses it in
+    d=3 only: in d <= 2 the closed form along the last axis needs no
+    bisection (see :func:`tv_jittered_vs_gaussian`).
 
     The frontier is kept as a stack of blocks of cells, so memory stays
     bounded by the depth times one block's children, and every
     ``log_density`` call covers at most ``_CELL_BLOCK`` points.
     """
     m, dim = centers.shape
-    abs_parts = {order: np.zeros(m) for order in orders}
-    mass_parts = {order: np.zeros(m) for order in orders}
-    leaf_gaps = []
+    abs_totals = dict.fromkeys(orders, 0)
+    mass_totals = dict.fromkeys(orders, 0)
+    leaf_total = 0
     faces = _cell_faces(law)
     block = max(1, _CELL_BLOCK // len(faces))
     stack = [
@@ -429,16 +405,8 @@ def integrate_cells(
         lowest, highest = _log_density_range(law, faces, ctr, half)
         straddle = (lowest <= log_consts[owners]) & (highest >= log_consts[owners])
         halves = np.full(len(owners), half)
-        unresolved = straddle if dim > 1 and level == MAX_BISECTION_DEPTH else None
-        if dim == 1 and straddle.any():
-            rows, pieces, piece_halves = _cut_at_crossings(
-                law, log_consts[owners[straddle]], ctr[straddle], half
-            )
-            smooth = ~straddle
-            owners = np.concatenate([owners[smooth], owners[straddle][rows]])
-            ctr = np.concatenate([ctr[smooth], pieces])
-            halves = np.concatenate([halves[smooth], piece_halves])
-        elif dim > 1 and unresolved is None and straddle.any():
+        unresolved = straddle if level == MAX_BISECTION_DEPTH else None
+        if unresolved is None and straddle.any():
             shifts = _corner_offsets(dim)
             kids = (ctr[straddle][:, None, :] + shifts[None, :, :] * half).reshape(-1, dim)
             kid_owners = np.repeat(owners[straddle], len(shifts))
@@ -449,11 +417,167 @@ def integrate_cells(
         gaps = {}
         for order in orders:
             gaps[order], masses = _rule_integrals(law, consts[owners], ctr, halves, order)
-            np.add.at(abs_parts[order], owners, gaps[order])
-            np.add.at(mass_parts[order], owners, masses)
+            abs_totals[order] += exact_total(gaps[order])
+            mass_totals[order] += exact_total(masses)
         if unresolved is not None and len(orders) > 1:
-            leaf_gaps.append(math.fsum(np.abs(gaps[orders[0]] - gaps[orders[1]])[unresolved]))
-    return CellIntegrals(abs_parts, mass_parts, 0.5 * math.fsum(leaf_gaps))
+            leaf_total += exact_total(np.abs(gaps[orders[0]] - gaps[orders[1]])[unresolved])
+    return CellIntegrals(
+        {order: total / EXACT_TOTAL_UNIT for order, total in abs_totals.items()},
+        {order: total / EXACT_TOTAL_UNIT for order, total in mass_totals.items()},
+        0.5 * (leaf_total / EXACT_TOTAL_UNIT),
+    )
+
+
+# ---------------------------------------------------------------------------
+# closed form along the last axis (d <= 2)
+
+_erfc = np.frompyfunc(math.erfc, 1, 1)
+_EPS = float(np.finfo(float).eps)
+# Rounding charged per unit of a closed-form term's magnitude: 16 ulps.
+_ROUNDING = 16.0 * _EPS
+
+
+@lru_cache(maxsize=None)
+def _endpoint_rule(count: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre on [0, 1] after the endpoint transform x = psi(u).
+
+    psi(u) = u^3 (10 - 15 u + 6 u^2) has psi' = 30 u^2 (1 - u)^2, so it
+    flattens the integrand at both ends of a piece: the square-root kinks
+    where a level ellipse is tangent to a cut become smooth enough for
+    Gauss-Legendre to converge fast.  Returns the nodes psi(u_j) and the
+    weights psi'(u_j) w_j.
+    """
+    u, w = np.polynomial.legendre.leggauss(count)
+    u = (u + 1.0) / 2.0
+    return u**3 * (10.0 - 15.0 * u + 6.0 * u * u), 15.0 * (u * (1.0 - u)) ** 2 * w
+
+
+def _slice_integrals(c, log_c, a, b, mean, sd, log_scale):
+    """Integral over y in [a, b] of |c - f(y)| - f(y), in closed form.
+
+    f = exp(log_scale) times the N(mean, sd^2) density.  It exceeds c
+    exactly on |y - mean| < sd rho, with rho^2 = 2 (ln peak(f) - ln c), so
+    with lo, hi that interval clipped to [a, b] the integral is
+    c [(lo - a) + (b - hi) - (hi - lo)] - 2 [f-mass(a, lo) + f-mass(hi, b)].
+    Each normal mass is a difference of tails from ``math.erfc``, always
+    taken on the side away from the mean, so no tail cancels.  The caller
+    measures y from a point near the mass (the Gaussian's mean), so that
+    rounding y - mean costs little.  Works elementwise on broadcastable
+    arrays.
+
+    Returns the integrals and magnitudes that bound their rounding, in ulps
+    up to a small factor: c (|a| + |b|) for the lengths, and for the masses
+    each tail t at z weighted by (1 + z^2) (its sensitivity to a relative
+    error in z) times 1 + |mean| / sd (that of mean's own rounding), plus 1
+    for each mass that straddles the mean.
+    """
+    scale = np.exp(log_scale)
+    log_peak = log_scale - math.log(sd * math.sqrt(2.0 * math.pi))
+    reach = sd * np.sqrt(np.maximum(2.0 * (log_peak - log_c), 0.0))
+    lo = np.clip(mean - reach, a, b)
+    hi = np.clip(mean + reach, a, b)
+    z = (np.stack(np.broadcast_arrays(a, lo, hi, b)) - mean) / sd
+    tail = 0.5 * _erfc(np.abs(z) * math.sqrt(0.5)).astype(float)
+    z0, z1, t0, t1 = z[0::2], z[1::2], tail[0::2], tail[1::2]
+    straddle = (z0 < 0.0) & (z1 > 0.0)
+    mass = np.where(z0 >= 0.0, t0 - t1, np.where(straddle, 1.0 - t0 - t1, t1 - t0))
+    value = c * ((lo - a) + (b - hi) - (hi - lo)) - 2.0 * scale * mass.sum(axis=0)
+    spread = (tail * (1.0 + z * z)).sum(axis=0) * (1.0 + np.abs(mean) / sd)
+    size = c * (np.abs(a) + np.abs(b)) + 2.0 * scale * (spread + straddle.sum(axis=0))
+    return value, size
+
+
+def _closed_form_tv(
+    law: GaussianLaw, log_consts: np.ndarray, points: np.ndarray, quad_order: int
+) -> tuple[float, float]:
+    """TV = 1/2 [1 + sum_cells int (|c - density| - density)] for d <= 2, and its bar.
+
+    The last axis is done in closed form (:func:`_slice_integrals`): in d=1
+    that is the whole cell, and the bar is the rounding alone.  In d=2 the
+    outer x1 integral is a rule over pieces (:func:`_outer_pieces`), and
+    the bar adds half the sum over pieces of the gap between its two node
+    counts.  Cells go in blocks of at most ``_CELL_BLOCK`` evaluations; every
+    sum is exact, so the blocks do not move the result.
+    """
+    m, dim = points.shape
+    consts = np.exp(log_consts)
+    # a d=2 cell has at most 7 pieces of 3 + 2 quad_order nodes each
+    block = max(1, _CELL_BLOCK // (1 if dim == 1 else 35 * quad_order))
+    total = rounding = gap = 0
+    for s in range(0, m, block):
+        part = slice(s, s + block)
+        if dim == 1:
+            centers = points[part, 0] - law.mean[0]
+            value, size = _slice_integrals(
+                consts[part], log_consts[part], centers - 0.5, centers + 0.5,
+                0.0, law.cholesky_factor[0, 0], 0.0,
+            )
+        else:
+            value, size, gaps = _outer_pieces(law, consts[part], log_consts[part], points[part], quad_order)
+            gap += exact_total(gaps)
+        total += exact_total(value)
+        rounding += exact_total(size)
+    total, rounding, gap = (t / EXACT_TOTAL_UNIT for t in (total, rounding, gap))
+    # The law's moments are stored rounded: its mean moves by up to an ulp,
+    # which moves the TV by less than that shift in whitened units.
+    stored = dim + float(np.sum(np.abs(law.whitening) * np.abs(law.mean)))
+    error = 0.5 * (gap + _ROUNDING * rounding) + _EPS * stored
+    return min(max(0.5 * (1.0 + total), 0.0), 1.0), error
+
+
+def _outer_pieces(
+    law: GaussianLaw,
+    consts: np.ndarray,
+    log_consts: np.ndarray,
+    points: np.ndarray,
+    quad_order: int,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The outer x1 integral over d=2 cells, a rule node at a time.
+
+    Given x1 the density is the x1 marginal times a normal in x2, so the x2
+    integral is :func:`_slice_integrals`.  As a function of x1 it has kinks
+    where the level ellipse {density = c} ends and where it crosses the
+    cell's two x2 edges: at most 6 cuts.  With x = mean + L w (L the lower
+    Cholesky factor) the ellipse is the circle |w|^2 = q0 = 2 (log_norm - ln c):
+    it ends at w1 = +-sqrt(q0) and meets the line x2 = mean2 + u where
+    w1 = (u l21 +- l22 sqrt(s22 q0 - u^2)) / s22.  Each piece between cuts
+    takes 3 quad_order nodes of :func:`_endpoint_rule` and, for the gap,
+    2 quad_order.  Returns the weighted terms at 3 quad_order nodes, their
+    rounding magnitudes, and each piece's |I(3 quad_order) - I(2 quad_order)|.
+    """
+    (l11, _), (l21, l22) = law.cholesky_factor
+    mu1, mu2 = law.mean
+    s22 = l21 * l21 + l22 * l22
+    k1, k2 = points[:, 0], points[:, 1]
+    q0 = 2.0 * (law.log_norm - log_consts)
+    with np.errstate(invalid="ignore"):
+        cuts = [k1 - 0.5, k1 + 0.5, mu1 - l11 * np.sqrt(q0), mu1 + l11 * np.sqrt(q0)]
+        for edge in (k2 - 0.5, k2 + 0.5):
+            u = edge - mu2
+            root = l22 * np.sqrt(s22 * q0 - u * u)
+            cuts += [mu1 + l11 * (u * l21 - root) / s22, mu1 + l11 * (u * l21 + root) / s22]
+    cuts = np.column_stack(cuts)
+    cuts = np.clip(np.where(np.isnan(cuts), k1[:, None] + 0.5, cuts),
+                   k1[:, None] - 0.5, k1[:, None] + 0.5)
+    cuts.sort(axis=1)
+    left, right = cuts[:, :-1], cuts[:, 1:]
+    keep = right > left
+    owner = np.nonzero(keep)[0]
+    left, width = left[keep][:, None], (right - left)[keep][:, None]
+    u_lo = (k2[owner] - 0.5 - mu2)[:, None]
+    log_marginal = -math.log(l11 * math.sqrt(2.0 * math.pi))
+    results = []
+    for count in (3 * quad_order, 2 * quad_order):
+        nodes, weights = _endpoint_rule(count)
+        w1 = (left + width * nodes - mu1) / l11
+        value, size = _slice_integrals(
+            consts[owner, None], log_consts[owner, None], u_lo, u_lo + 1.0,
+            l21 * w1, l22, log_marginal - 0.5 * w1 * w1,
+        )
+        # the marginal's own rounding grows with its exponent
+        results.append((value * (width * weights), size * (1.0 + w1 * w1) * (width * weights)))
+    (terms, sizes), (coarse, _) = results
+    return terms.ravel(), sizes.ravel(), np.abs(terms.sum(axis=1) - coarse.sum(axis=1))
 
 
 # ---------------------------------------------------------------------------
@@ -485,9 +609,13 @@ def tv_jittered_vs_gaussian(
 
     value = 1/2 [ sum_k int_cube(k) |pmf(k) - density| + (1 - sum_k int_cube(k) density) ];
     the complement term accounts for Gaussian mass outside the support cubes,
-    keeping the result exact up to quadrature error.  Cubes where the density
-    crosses the cube's constant are refined before integration (see
-    :func:`integrate_cells`).
+    keeping the result exact up to quadrature error.  In d <= 2 the last
+    axis is integrated in closed form (:func:`_closed_form_tv`): d=1 needs
+    no rule at all, and d=2 takes 3 ``quad_order`` outer nodes per piece,
+    its bar the gap to 2 ``quad_order`` plus the rounding.  In d=3 cubes
+    where the density crosses the cube's constant are bisected before
+    integration (:func:`integrate_cells`), and the bar is the gap between
+    orders ``quad_order`` and ``quad_order // 2``.
     """
     if quad_order < 2:
         raise ValidationError("quad_order must be at least 2")
@@ -500,9 +628,12 @@ def tv_jittered_vs_gaussian(
         raise ValidationError("Gaussian dimension does not match the experiment")
     points = _support_points(params, (discrete_law,))
     logp = _log_pmf_matrix(params, _canonical_law(discrete_law), points)
+    if params.dim <= 2:
+        value, error = _closed_form_tv(law, logp, points.astype(float), quad_order)
+        return TVResult(value=value, method=METHOD_QUAD, error_estimate=error)
     orders = _quad_orders(quad_order)
     parts = integrate_cells(law, np.exp(logp), logp, points.astype(float), orders)
-    value, gap = _tv_and_gap([(parts.abs_parts[o], parts.mass_parts[o]) for o in orders])
+    value, gap = _tv_and_gap([(parts.abs_total[o], parts.mass_total[o]) for o in orders])
     error = parts.leaf_error + 1e-12 + 1e-16 * len(points) + gap
     return TVResult(value=min(max(value, 0.0), 1.0), method=METHOD_QUAD, error_estimate=error)
 
@@ -513,17 +644,15 @@ def _quad_orders(quad_order: int) -> tuple[int, ...]:
     return (quad_order, order_lo) if order_lo != quad_order else (quad_order,)
 
 
-def _tv_and_gap(terms: Sequence[tuple[np.ndarray, np.ndarray]]) -> tuple[float, float]:
+def _tv_and_gap(totals: Sequence[tuple[float, float]]) -> tuple[float, float]:
     """TV at the first order of :func:`_quad_orders` and its gap to the last.
 
-    ``terms`` holds, per order, the per-cell |pmf - density| terms and
-    Gaussian masses; the TV is 1/2 [sum |.| + max(0, 1 - sum mass)], each sum
-    correctly rounded, the complement counting the mass outside the cells.
+    ``totals`` holds, per order, the correctly rounded sums over the cells
+    of |pmf - density| and of the Gaussian mass; the TV is
+    1/2 [sum |.| + max(0, 1 - sum mass)], the complement counting the mass
+    outside the cells.
     """
-    values = [
-        0.5 * (exact_sum(gaps) + max(0.0, 1.0 - exact_sum(masses)))
-        for gaps, masses in terms
-    ]
+    values = [0.5 * (gaps + max(0.0, 1.0 - masses)) for gaps, masses in totals]
     return values[0], abs(values[0] - values[-1])
 
 

@@ -7,7 +7,7 @@ original point, a data-processing argument turns a one-sided total-variation
 bound into a bound on both deficiencies at once; ``data_processing_check``
 validates that chain numerically.  The TVs themselves come from
 ``distances.tv_pair`` (the ``*-gauss`` pairs) and, for the rounded Gaussian,
-from the same cube rules and two-order error bar as the quadrature TV.  A
+from the tensor cube rules and two-order error bar of the d=3 quadrature TV.  A
 componentwise square root provides the variance-stabilizing map onto a
 constant-covariance Gaussian target.
 """
@@ -36,7 +36,7 @@ from .errors import RegimeError, SupportCapError
 from .expansion import _map_ordered
 from .lattice import ExperimentParams, support_cap
 # apply_jitter is the jitter kernel; it lives in numerics and is re-exported here
-from .numerics import SlopeFit, apply_jitter, fit_loglog_slope, round_half_away
+from .numerics import SlopeFit, apply_jitter, exact_sum, fit_loglog_slope, round_half_away
 from .pmf import hypergeometric_log_pmf_matrix
 from .records import ScanRecord
 
@@ -248,11 +248,11 @@ def data_processing_check(
     centers = np.stack([g.ravel() for g in grids], axis=1)
     pmf = np.exp(hypergeometric_log_pmf_matrix(params, centers))
     halves = np.full(len(centers), 0.5)
-    terms = []
+    totals = []
     for order in _quad_orders(quad_order):
         masses = _rule_integrals(law, None, centers.astype(float), halves, order)[1]
-        terms.append((np.abs(pmf - masses), masses))
-    tv_after, gap = _tv_and_gap(terms)
+        totals.append((exact_sum(np.abs(pmf - masses)), exact_sum(masses)))
+    tv_after, gap = _tv_and_gap(totals)
     err_after = gap + 1e-12
     return DataProcessingResult(
         tv_before=before.value,

@@ -114,21 +114,25 @@ def log_ratio_matrix(counts: Sequence[int], ks: np.ndarray) -> np.ndarray:
     # read unsigned, a negative count exceeds every count
     over = cols.view(np.uint64) > counts.view(np.uint64)[:, None]
     bad = over.any(axis=0) if over.any() else None
-    cols = cols if bad is None else np.where(bad, 0, cols)
     n = cols.sum(axis=0)
+    # the tables reach the longest row on the support; the lookups of rows
+    # off it are clipped into them and their results overwritten
+    top = n.max(initial=0) if bad is None else n.max(initial=0, where=~bad)
     sizes = np.concatenate((counts, counts.sum(keepdims=True)))[:, None]
-    j = np.arange(n.max(initial=0))
+    j = np.arange(top)
     with np.errstate(divide="ignore", invalid="ignore"):
         # log1p(-j/c) up to j = c/2; past it the argument nears -1 and its
         # rounding is amplified, while (c - j) / c is rounded once.  Entries
-        # from j = c on are never read.
+        # from j = c on are read only for rows off the support.
         tables = compensated_cumsum(
             np.where(2 * j <= sizes, np.log1p(-j / sizes), np.log((sizes - j) / sizes))
         )
-    out = -tables[-1][n]
+    out = -np.take(tables[-1], n, mode="clip")
     for table, col in zip(tables, cols):
-        out += table[col]
-    return out if bad is None else np.where(bad, -np.inf, out)
+        out += np.take(table, col, mode="clip")
+    if bad is not None:
+        out[bad] = -np.inf
+    return out
 
 
 def _check_weights(weights: Sequence[float]) -> np.ndarray:

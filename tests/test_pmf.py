@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, strategies as st
 from scipy import stats
 
 import oracles
@@ -185,6 +185,30 @@ class TestLogRatioMatrix:
     def test_rows_off_the_support_are_minus_inf(self):
         got = log_ratio_matrix((5, 7), np.array([(6, 0), (3, 8), (-1, 3)]))
         assert got.tolist() == [float("-inf")] * 3
+
+    @given(experiment_params(max_dim=3, max_count=9, max_draws=9), st.data())
+    def test_rows_off_the_support_leave_the_others_alone(self, params, data):
+        # off-support rows, negative or far past every count, are read from
+        # clipped tables: the rows on the support keep their bits, and no
+        # table grows to the length of a row off it
+        c = params.counts
+        good = np.array([
+            row + (params.sample_size - sum(row),)
+            for row in map(tuple, support_matrix(params).tolist())
+        ])
+        far = st.integers(-(10**12), 10**12)
+        bad = np.array(data.draw(st.lists(
+            st.lists(far, min_size=len(c), max_size=len(c)).filter(
+                lambda row: any(not 0 <= k <= ci for k, ci in zip(row, c))),
+            min_size=1, max_size=5)))
+        order = np.random.default_rng(0).permutation(len(good) + len(bad))
+        mixed = np.concatenate([good, bad])[order]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = log_ratio_matrix(c, mixed)
+        on_support = order < len(good)
+        assert got[on_support].tobytes() == log_ratio_matrix(c, good)[order[on_support]].tobytes()
+        assert np.all(got[~on_support] == -np.inf)
 
 
 class TestSharedMultinomialRows:
