@@ -31,6 +31,7 @@ import numpy as np
 from .errors import RegimeError, ValidationError
 from .lattice import (
     ExperimentParams,
+    count_vector_levels,
     count_vector_matrix,
     support_matrix,
     validate_params,
@@ -47,7 +48,7 @@ from .numerics import (
 )
 from .pmf import (
     hypergeometric_log_pmf_matrix,
-    log_pmf_matrices,
+    leaf_log_pmfs,
     multinomial_log_pmf_matrix,
     multinomial_moments,
     sample_hypergeometric,
@@ -584,14 +585,18 @@ def _outer_pieces(
 # total variation computations
 
 def tv_discrete(params: ExperimentParams, law_a: str, law_b: str) -> TVResult:
-    """Exact TV between the two discrete laws by one pass over the support."""
+    """Exact TV between the two discrete laws, ``1/2 sum q |expm1(r)|`` over
+    the count vectors, from the multinomial pmf q and the log-ratio r (-inf
+    off the hypergeometric support) of :func:`pmf.leaf_log_pmfs`.  Two copies
+    of one law have r = 0: their TV is exactly 0, their lattice built for the bar."""
     a = _canonical_law(law_a)
     b = _canonical_law(law_b)
-    points = _support_points(params, (a, b))
-    log_p, log_q = log_pmf_matrices(params, points)
-    logs = {HYPERGEOMETRIC: log_p, MULTINOMIAL: log_q}
-    value = 0.5 * exact_sum(np.abs(np.exp(logs[a]) - np.exp(logs[b])))
-    return TVResult(value=value, method=METHOD_EXACT, error_estimate=_discrete_error(points))
+    if a == b:
+        return TVResult(0.0, METHOD_EXACT, _discrete_error(_support_points(params, (a,))))
+    log_q, r = leaf_log_pmfs(params, count_vector_levels(params.sample_size, params.dim))
+    terms = np.abs(np.expm1(r, out=r), out=r)  # in place, as in the fold
+    terms *= np.exp(log_q, out=log_q)
+    return TVResult(0.5 * exact_sum(terms), METHOD_EXACT, _discrete_error(log_q))
 
 
 def _discrete_error(points: np.ndarray) -> float:
@@ -744,9 +749,11 @@ def hellinger_discrete(params: ExperimentParams) -> HellingerResult:
     Also returns 2 * sqrt(H^2), a conservative upper bound on their TV
     distance (TV <= sqrt(H^2 (2 - H^2)) <= 2 H).
     """
-    lp, lq = log_pmf_matrices(params, count_vector_matrix(params.sample_size, params.dim))
-    overlap = exact_sum(np.exp(0.5 * (lp + lq)))
-    h_squared = max(0.0, 1.0 - overlap)
+    log_q, r = leaf_log_pmfs(params, count_vector_levels(params.sample_size, params.dim))
+    r *= 0.5
+    terms = np.square(np.expm1(r, out=r), out=r)  # in place, as in the fold
+    terms *= np.exp(log_q, out=log_q)
+    h_squared = 0.5 * exact_sum(terms)
     return HellingerResult(h_squared=h_squared, tv_bound=math.sqrt(4.0 * h_squared))
 
 

@@ -14,7 +14,7 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -25,6 +25,13 @@ SUPPORT_CAP_ENV = "LECAM_SUPPORT_CAP"
 
 # First dim category counts; the last count is derived as sample_size - sum.
 LatticePoint = tuple[int, ...]
+
+
+class Levels(NamedTuple):
+    """A lattice built one coordinate at a time (see ``_bounded_levels``)."""
+
+    steps: list[tuple[np.ndarray, np.ndarray]]  # per coordinate: children per parent, values
+    last: np.ndarray  # the derived last count of every leaf
 
 
 @dataclass(frozen=True)
@@ -152,37 +159,35 @@ def support_size(params: ExperimentParams) -> int:
     return _bounded_vector_count(params.counts, params.sample_size)
 
 
-def _bounded_vectors(counts: Sequence[int], total: int) -> np.ndarray:
-    """Every k with 0 <= k_i <= counts[i] and total - sum(k) in [0, counts[-1]].
-
-    Returns an (m, len(counts) - 1) int64 array in lexicographic order.  The
-    points are built one coordinate at a time: each level keeps its values
-    and the index of each value's parent on the level above, and the columns
-    are gathered into the output at the end.
-    """
-    head = len(counts) - 1
+def _bounded_levels(counts: Sequence[int], total: int) -> Levels:
+    """Every k with 0 <= k_i <= counts[i] and total - sum(k) in [0, counts[-1]],
+    as the leaves of a tree built one coordinate at a time, in lexicographic
+    order: each level holds its values and how many children each entry of
+    the level above has, and ``last`` holds each leaf's derived last count."""
     counts = [min(c, total) for c in counts]  # exact, and keeps the bounds in int64
     remaining = np.array([total], dtype=np.int64)
     capacity = sum(counts[1:])  # what the categories after the current one absorb
-    levels = []
-    for i in range(head):
+    steps = []
+    for i in range(len(counts) - 1):
         lo = np.maximum(remaining - capacity, 0)
-        hi = np.minimum(remaining, counts[i])
-        sizes = hi - lo + 1
-        parent = np.repeat(np.arange(len(remaining)), sizes)
-        # a parent's children run lo, lo + 1, ... from its first row onwards
-        first = np.cumsum(sizes) - sizes
-        values = np.arange(len(parent), dtype=np.int64) - (first - lo)[parent]
-        remaining = remaining[parent] - values
+        sizes = np.minimum(remaining, counts[i]) - lo + 1
+        # a parent's children run lo, lo + 1, ... from its first row onwards;
+        # in place, since each fresh leaf-sized array costs its page faults
+        values = np.repeat(lo - np.cumsum(sizes) + sizes, sizes)
+        values += np.arange(len(values))
+        remaining = np.repeat(remaining, sizes)
+        remaining -= values
         capacity -= counts[i + 1]
-        levels.append((parent, values))
-    out = np.empty((len(remaining), head), dtype=np.int64)
-    rows = np.arange(len(remaining))
-    for i in range(head - 1, -1, -1):
-        parent, values = levels[i]
-        out[:, i] = values[rows]
-        rows = parent[rows]
-    return out
+        steps.append((sizes, values))
+    return Levels(steps, remaining)
+
+
+def _level_points(levels: Levels) -> np.ndarray:
+    """The leaves as an (m, dim) int64 array, each level's values repeated down."""
+    columns = []
+    for sizes, values in levels.steps:
+        columns = [np.repeat(col, sizes) for col in columns] + [values]
+    return np.column_stack(columns)
 
 
 def _check_cap(size: int, what: str) -> None:
@@ -203,7 +208,7 @@ def support_matrix(params: ExperimentParams) -> np.ndarray:
     callers should fall back to the Monte Carlo paths in that case.
     """
     _check_cap(support_size(params), "support")
-    return _bounded_vectors(params.counts, params.sample_size)
+    return _level_points(_bounded_levels(params.counts, params.sample_size))
 
 
 def enumerate_support(params: ExperimentParams) -> list[LatticePoint]:
@@ -220,14 +225,16 @@ def count_vector_size(sample_size: int, dim: int) -> int:
     return math.comb(sample_size + dim, dim)
 
 
-def count_vector_matrix(sample_size: int, dim: int) -> np.ndarray:
-    """All k >= 0 with ||k||_1 <= sample_size, as an (m, dim) array, lex order.
-
-    This is the support of the with-replacement law, a superset of every
-    without-replacement support with the same sample size.
-    """
+def count_vector_levels(sample_size: int, dim: int) -> Levels:
+    """Levels of all k >= 0 with ||k||_1 <= sample_size, capped: the support
+    of the with-replacement law, a superset of every without-replacement one."""
     _check_cap(count_vector_size(sample_size, dim), "count-vector set")
-    return _bounded_vectors((sample_size,) * (dim + 1), sample_size)
+    return _bounded_levels((sample_size,) * (dim + 1), sample_size)
+
+
+def count_vector_matrix(sample_size: int, dim: int) -> np.ndarray:
+    """The leaves of :func:`count_vector_levels` as an (m, dim) array, lex order."""
+    return _level_points(count_vector_levels(sample_size, dim))
 
 
 def full_counts(params: ExperimentParams, point: Sequence[int]) -> tuple[int, ...]:

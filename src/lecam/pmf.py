@@ -4,10 +4,9 @@ All probabilities are carried as natural logarithms so that supports with
 thousands of points never underflow; sums over supports go through
 log-sum-exp or compensated summation.  Every hypergeometric log-probability
 is the multinomial one at weights ``counts / N`` plus ``log_ratio_matrix``,
-so no two log-factorials of size N log N are ever subtracted, and
-``log_pmf_matrices`` gives both laws at one set of points from a single
-multinomial evaluation.  The kernels take count matrices stored column by
-column and add a row's terms one whole column at a time, left to right.
+so no two log-factorials of size N log N are ever subtracted.  The kernels
+add a row's terms one whole column at a time, left to right; over a whole
+lattice ``leaf_log_pmfs`` folds one table per coordinate down its levels.
 
 Both samplers draw one coordinate at a time from its conditional law through
 one routine, ``_sample_sequential``: inversion by table lookup (Devroye 1986,
@@ -28,6 +27,7 @@ from .errors import ValidationError
 from .lattice import (
     ExperimentParams,
     LatticePoint,
+    Levels,
     point_in_support,
 )
 from .numerics import compensated_cumsum, log_factorial
@@ -69,35 +69,32 @@ def hypergeometric_log_pmf_matrix(params: ExperimentParams, points: np.ndarray) 
     return _hypergeometric_log_pmf_rows(params.counts, ks)
 
 
-def log_pmf_matrices(params: ExperimentParams, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Hypergeometric and multinomial log-pmfs over the same (m, dim) points.
-
-    Equal bit for bit to ``hypergeometric_log_pmf_matrix`` and
-    ``multinomial_log_pmf_matrix``, from one multinomial evaluation per point.
-    """
-    ks = _full_count_matrix(points, params.dim, params.sample_size)
-    log_q = _multinomial_log_pmf_rows(np.log(params.weights), ks)
-    return _hypergeometric_log_pmf_rows(params.counts, ks, log_q), log_q
-
-
-def _hypergeometric_log_pmf_rows(
-    counts: Sequence[int], ks: np.ndarray, multinomial: np.ndarray | None = None
-) -> np.ndarray:
+def _hypergeometric_log_pmf_rows(counts: Sequence[int], ks: np.ndarray) -> np.ndarray:
     """Log-pmf of full count rows, each summing to its own draw count.
 
-    ``multinomial`` holds the rows' multinomial log-pmf at weights ``counts /
-    N`` when the caller has it.  A row drawing over half the population is
-    evaluated at what it leaves behind, ``counts - k``, which is as likely:
-    fewer draws enter the sums, and a census row is exactly certain.
+    A row drawing over half the population is evaluated at what it leaves
+    behind, ``counts - k``, which is as likely: fewer draws enter the sums,
+    and a census row is exactly certain.
     """
     c = np.asarray(counts, dtype=np.int64)
     N = c.sum()
     flip = 2 * ks.sum(axis=1) > N
     if flip.any():
         ks = np.where(flip[:, None], c - ks, ks)
-    if multinomial is None or flip.any():
-        multinomial = _multinomial_log_pmf_rows(np.log(c / N), ks)
-    return multinomial + log_ratio_matrix(c, ks)
+    return _multinomial_log_pmf_rows(np.log(c / N), ks) + log_ratio_matrix(c, ks)
+
+
+def _ratio_tables(counts: np.ndarray, top: int) -> np.ndarray:
+    """``T_c[k] = sum_{j<k} log(1 - j/c)``, k = 0..top, to about an ulp, for
+    each count and then N; not finite past k = c."""
+    sizes = np.concatenate((counts, counts.sum(keepdims=True)))[:, None]
+    j = np.arange(top)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # log1p(-j/c) up to j = c/2; past it the argument nears -1 and its
+        # rounding is amplified, while (c - j) / c is rounded once
+        return compensated_cumsum(
+            np.where(2 * j <= sizes, np.log1p(-j / sizes), np.log((sizes - j) / sizes))
+        )
 
 
 def log_ratio_matrix(counts: Sequence[int], ks: np.ndarray) -> np.ndarray:
@@ -107,7 +104,8 @@ def log_ratio_matrix(counts: Sequence[int], ks: np.ndarray) -> np.ndarray:
     with replacement at weights ``counts / N``; a row's sum is its draw
     count n.  The ratio is exactly ``sum_i T_{c_i}[k_i] - T_N[n]`` with
     ``T_c[k] = sum_{j<k} log(1 - j/c)``, read from one compensated prefix
-    table per count.  -inf where some k_i is negative or exceeds c_i.
+    table per count (:func:`_ratio_tables`).  -inf where some k_i is
+    negative or exceeds c_i.
     """
     counts = np.asarray(counts, dtype=np.int64)
     cols = np.asarray(ks, dtype=np.int64).T
@@ -118,21 +116,48 @@ def log_ratio_matrix(counts: Sequence[int], ks: np.ndarray) -> np.ndarray:
     # the tables reach the longest row on the support; the lookups of rows
     # off it are clipped into them and their results overwritten
     top = n.max(initial=0) if bad is None else n.max(initial=0, where=~bad)
-    sizes = np.concatenate((counts, counts.sum(keepdims=True)))[:, None]
-    j = np.arange(top)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        # log1p(-j/c) up to j = c/2; past it the argument nears -1 and its
-        # rounding is amplified, while (c - j) / c is rounded once.  Entries
-        # from j = c on are read only for rows off the support.
-        tables = compensated_cumsum(
-            np.where(2 * j <= sizes, np.log1p(-j / sizes), np.log((sizes - j) / sizes))
-        )
+    tables = _ratio_tables(counts, top)
     out = -np.take(tables[-1], n, mode="clip")
     for table, col in zip(tables, cols):
         out += np.take(table, col, mode="clip")
     if bad is not None:
         out[bad] = -np.inf
     return out
+
+
+def leaf_log_pmfs(params: ExperimentParams, levels: Levels) -> tuple[np.ndarray, np.ndarray]:
+    """``ln Q`` (multinomial) and ``r = ln P - ln Q`` at every leaf of ``levels``.
+
+    Each law is a product of one factor per category, so each coordinate
+    gets a table over ``0..n``: ``k ln p_i - ln k!`` for Q, and ``T_{c_i}[k]``
+    of :func:`log_ratio_matrix` for r (-inf past ``c_i``).  Each level sets
+    ``S = S[parent] + table_i[values]``, from ``ln n!`` and ``-T_N[n]``, and
+    the last count's table is added at the leaves; no point is built.  When
+    ``2n > N`` every leaf flips: P is read at ``c - k`` after ``N - n`` draws.
+    """
+    c = np.array(params.counts, dtype=np.int64)
+    N, n = params.population, params.sample_size
+    k = np.arange(n + 1)
+    log_w = np.log(c / N)[:, None]
+    multi = k * log_w - log_factorial(k)
+    draws = min(n, N - n)  # a leaf drawing over half of N flips to c - k
+    off = k > c[:, None]
+    j = np.where(off, 0, c[:, None] - k if draws < n else k)
+    tables = _ratio_tables(c, max(draws, j.max()))
+    # T at j, plus Q's factor at j less at k: exactly 0 unless the leaves flip
+    ratio = np.take_along_axis(tables[:-1], j, axis=1) + (j * log_w - log_factorial(j) - multi)
+    ratio[off] = -np.inf
+    ratio_0 = log_factorial(draws) - log_factorial(n) - tables[-1, draws]
+    log_q, r = np.array([log_factorial(n)]), np.array([ratio_0])
+    for i, (sizes, values) in enumerate(levels.steps):
+        # in place: each fresh leaf-sized array costs its page faults
+        log_q = np.repeat(log_q, sizes)
+        log_q += multi[i][values]
+        r = np.repeat(r, sizes)
+        r += ratio[i][values]
+    log_q += multi[-1][levels.last]
+    r += ratio[-1][levels.last]
+    return log_q, r
 
 
 def _check_weights(weights: Sequence[float]) -> np.ndarray:

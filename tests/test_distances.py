@@ -51,8 +51,10 @@ class TestDiscreteTV:
         assert tv.value == pytest.approx(68 / 495, abs=1e-13)
 
     def test_same_law_is_zero(self):
-        assert tv_discrete(BALANCED, "hyper", "hyper").value == pytest.approx(0, abs=1e-14)
-        assert tv_discrete(BALANCED, "multi", "multi").value == pytest.approx(0, abs=1e-14)
+        # exactly: the last instance draws 2n > N, so every row is census-flipped
+        for params in (BALANCED, THREE_CAT, validate_params(12, 9, (3, 4, 5))):
+            assert tv_discrete(params, "hyper", "hyper").value == 0.0
+            assert tv_discrete(params, "multi", "multi").value == 0.0
 
     def test_law_aliases(self):
         a = tv_discrete(BALANCED, "hypergeometric", "multinomial")
@@ -149,6 +151,15 @@ class TestHellinger:
         for params in (validate_params(12, 9, (3, 4, 5)), validate_params(20, 15, (8, 12))):
             expected = oracles.hellinger_sq(params.population, params.counts, params.sample_size)
             assert hellinger_discrete(params).h_squared == pytest.approx(float(expected), abs=1e-12)
+
+    @pytest.mark.parametrize("population, draws", [(2**24, 200), (10**6, 400)])
+    def test_small_distance_keeps_its_relative_accuracy(self, population, draws):
+        # H^2 is 8.8e-12 and 1.0e-8 here: summing q expm1(r/2)^2 does not
+        # cancel, where 1 - sum sqrt(pq) kept as few as three digits
+        params = validate_params(population, draws, (population // 2, population // 2))
+        expected = oracles.hellinger_sq(population, params.counts, draws)
+        got = hellinger_discrete(params).h_squared
+        assert abs(got - float(expected)) <= 1e-10 * float(expected)
 
     def test_bounds_order(self):
         # h^2 <= tv <= 2 sqrt(h^2) for these laws

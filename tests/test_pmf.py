@@ -24,9 +24,9 @@ from lecam import (
     support_matrix,
     validate_params,
 )
-from lecam.lattice import point_in_support
+from lecam.lattice import count_vector_levels, point_in_support
 from lecam.numerics import log_factorial
-from lecam.pmf import _multinomial_log_pmf_rows, log_pmf_matrices, log_ratio_matrix
+from lecam.pmf import _multinomial_log_pmf_rows, leaf_log_pmfs, log_ratio_matrix
 from strategies import experiment_params
 
 BALANCED = validate_params(10, 5, (5, 5))
@@ -211,25 +211,44 @@ class TestLogRatioMatrix:
         assert np.all(got[~on_support] == -np.inf)
 
 
-class TestSharedMultinomialRows:
+class TestLeafLogPmfs:
+    @staticmethod
+    def _check(params):
+        """The fold over every count vector against the two matrices; returns ln P.
+
+        Every count vector, so rows off the hypergeometric support and,
+        whenever 2n > N, census-flipped rows are included.  n ln N bounds
+        every table term the matrices add on a finite row: ln k!, k |ln p_i|
+        and |T_c[k]| for k <= n, and for a flipped row the same at c - k,
+        which stays below N - n < n.
+        """
+        n, d = params.sample_size, params.dim
+        points = count_vector_matrix(n, d)
+        tol = 4 * np.spacing(n * math.log(params.population))
+        log_q, r = leaf_log_pmfs(params, count_vector_levels(n, d))
+        log_p = log_q + r
+        want_p = hypergeometric_log_pmf_matrix(params, points)
+        want_q = multinomial_log_pmf_matrix(params.sample_size, params.weights, points)
+        assert np.array_equal(np.isneginf(log_p), np.isneginf(want_p))
+        finite = np.isfinite(want_p)
+        assert np.abs(log_p[finite] - want_p[finite]).max() <= tol
+        assert np.abs(log_q - want_q).max() <= tol
+        return log_p
+
     @given(experiment_params(max_dim=3, max_count=6, max_draws=8))
-    def test_pair_equals_separate_matrices_bit_for_bit(self, params):
-        # every count vector, so rows off the hypergeometric support and,
-        # whenever 2n > N, census-flipped rows are included
-        points = count_vector_matrix(params.sample_size, params.dim)
-        log_p, log_q = log_pmf_matrices(params, points)
-        assert log_p.tobytes() == hypergeometric_log_pmf_matrix(params, points).tobytes()
-        assert log_q.tobytes() == multinomial_log_pmf_matrix(
-            params.sample_size, params.weights, points
-        ).tobytes()
+    def test_fold_matches_the_matrices(self, params):
+        self._check(params)
 
-    def test_census_flipped_instance(self):
-        params = validate_params(12, 9, (3, 4, 5))  # 2n > N: every row flips
-        points = count_vector_matrix(9, 2)
-        log_p, _ = log_pmf_matrices(params, points)
-        assert log_p.tobytes() == hypergeometric_log_pmf_matrix(params, points).tobytes()
-        assert np.isfinite(log_p).sum() == len(support_matrix(params))
+    def test_census_flipped_instances(self):
+        for params in (validate_params(12, 9, (3, 4, 5)), validate_params(20, 15, (8, 12))):
+            # 2n > N: every row flips
+            assert np.isfinite(self._check(params)).sum() == len(support_matrix(params))
+        # a census draws everything; read at c - k its one row is certain, exactly
+        log_p = self._check(validate_params(12, 12, (3, 4, 5)))
+        assert log_p[np.isfinite(log_p)].tolist() == [0.0]
 
+
+class TestSharedMultinomialRows:
     @given(experiment_params(max_dim=3, max_count=9, max_draws=9))
     def test_columns_add_left_to_right_as_a_row_loop(self, params):
         # the kernel sums whole columns; this loop adds each row's terms in
