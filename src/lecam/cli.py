@@ -41,7 +41,8 @@ EXIT_CAP = 4
 _QUAD_ORDER_HELP = (
     "quadrature order q >= 2 of a jittered-vs-Gaussian TV: in d=1 the TV is in "
     "closed form and q is only checked; in d=2 each piece of a cell takes 3q outer "
-    "nodes, the bar from 2q; in d=3 each cube takes a q^3-point rule, the bar from q//2"
+    "nodes, the bar from 2q; in d=3 each cube takes a q^3-point rule, the bar from "
+    "max(2, q//2), or from the 1-point rule at q=2"
 )
 
 
@@ -324,8 +325,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("dpi-check", help="data-processing inequality after rounding")
     add_common(p)
     p.add_argument("--quad-order", dest="quad_order", type=int, default=DEFAULT_QUAD_ORDER,
-                   help=_QUAD_ORDER_HELP + "; the rounded Gaussian's cube masses take "
-                   "q^d-point rules, the bar from q//2")
+                   help=_QUAD_ORDER_HELP + "; the rounded Gaussian's masses on the "
+                   "support cells take q^d-point rules, their bar from the same lower order")
     p.set_defaults(handler=_cmd_dpi_check)
 
     return parser

@@ -379,13 +379,13 @@ def integrate_cells(
 
     ``centers`` (m, d) are the centers of unit cubes, ``consts`` the constant
     on each and ``log_consts`` its logarithm; one pair of totals over the
-    cells is returned per Gauss-Legendre order in ``orders``, highest
-    first.  A cell whose density crosses its constant has a kink inside, so
-    it is bisected into its 2^d children before integration, breadth first,
-    up to MAX_BISECTION_DEPTH levels; cells still straddling there are
-    integrated as they are and counted in ``leaf_error``.  The TV uses it in
-    d=3 only: in d <= 2 the closed form along the last axis needs no
-    bisection (see :func:`tv_jittered_vs_gaussian`).
+    cells is returned per Gauss-Legendre order in ``orders``, the two
+    orders of :func:`_quad_orders`.  A cell whose density crosses its
+    constant has a kink inside, so it is bisected into its 2^d children
+    before integration, breadth first, up to MAX_BISECTION_DEPTH levels;
+    cells still straddling there are integrated as they are and counted in
+    ``leaf_error``.  The TV uses it in d=3 only: in d <= 2 the closed form
+    along the last axis needs no bisection (see :func:`tv_jittered_vs_gaussian`).
 
     The frontier is kept as a stack of blocks of cells, so memory stays
     bounded by the depth times one block's children, and every
@@ -420,7 +420,7 @@ def integrate_cells(
             gaps[order], masses = _rule_integrals(law, consts[owners], ctr, halves, order)
             abs_totals[order] += exact_total(gaps[order])
             mass_totals[order] += exact_total(masses)
-        if unresolved is not None and len(orders) > 1:
+        if unresolved is not None:
             leaf_total += exact_total(np.abs(gaps[orders[0]] - gaps[orders[1]])[unresolved])
     return CellIntegrals(
         {order: total / EXACT_TOTAL_UNIT for order, total in abs_totals.items()},
@@ -620,7 +620,7 @@ def tv_jittered_vs_gaussian(
     its bar the gap to 2 ``quad_order`` plus the rounding.  In d=3 cubes
     where the density crosses the cube's constant are bisected before
     integration (:func:`integrate_cells`), and the bar is the gap between
-    orders ``quad_order`` and ``quad_order // 2``.
+    the two orders of :func:`_quad_orders`.
     """
     if quad_order < 2:
         raise ValidationError("quad_order must be at least 2")
@@ -643,10 +643,10 @@ def tv_jittered_vs_gaussian(
     return TVResult(value=min(max(value, 0.0), 1.0), method=METHOD_QUAD, error_estimate=error)
 
 
-def _quad_orders(quad_order: int) -> tuple[int, ...]:
-    """The rule orders of a quadrature TV: ``quad_order``, then max(2, quad_order // 2)."""
-    order_lo = max(2, quad_order // 2)
-    return (quad_order, order_lo) if order_lo != quad_order else (quad_order,)
+def _quad_orders(quad_order: int) -> tuple[int, int]:
+    """The rule orders of a quadrature TV: ``quad_order``, then a strictly lower
+    one for its bar, max(2, quad_order // 2), or the 1-point rule at order 2."""
+    return quad_order, (max(2, quad_order // 2) if quad_order > 2 else 1)
 
 
 def _tv_and_gap(totals: Sequence[tuple[float, float]]) -> tuple[float, float]:

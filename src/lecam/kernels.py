@@ -7,9 +7,9 @@ original point, a data-processing argument turns a one-sided total-variation
 bound into a bound on both deficiencies at once; ``data_processing_check``
 validates that chain numerically.  The TVs themselves come from
 ``distances.tv_pair`` (the ``*-gauss`` pairs) and, for the rounded Gaussian,
-from the tensor cube rules and two-order error bar of the d=3 quadrature TV.  A
-componentwise square root provides the variance-stabilizing map onto a
-constant-covariance Gaussian target.
+from tensor cube rules over the support cells alone, with the two-order error
+bar of the d=3 quadrature TV.  A componentwise square root provides the
+variance-stabilizing map onto a constant-covariance Gaussian target.
 """
 
 from __future__ import annotations
@@ -27,14 +27,15 @@ from .distances import (
     _quad_orders,
     _require_regime,
     _rule_integrals,
+    _support_points,
     _tv_and_gap,
     build_gaussian,
     tv_jittered_vs_gaussian,
     tv_pair,
 )
-from .errors import RegimeError, SupportCapError
+from .errors import RegimeError
 from .expansion import _map_ordered
-from .lattice import ExperimentParams, support_cap
+from .lattice import ExperimentParams
 # apply_jitter is the jitter kernel; it lives in numerics and is re-exported here
 from .numerics import SlopeFit, apply_jitter, exact_sum, fit_loglog_slope, round_half_away
 from .pmf import hypergeometric_log_pmf_matrix
@@ -42,8 +43,6 @@ from .records import ScanRecord
 
 # Method of the deficiency rows of a Le Cam scan point outside the regime.
 METHOD_FLAGGED = "flagged:outside-regime"
-# Half-width, in standard deviations, of the box the rounded Gaussian is summed over.
-PUSHFORWARD_TAIL_SIGMAS = 8.5
 
 
 @dataclass(frozen=True)
@@ -210,17 +209,6 @@ def _lecam_point(task: tuple) -> list[ScanRecord]:
     ]
 
 
-def _round_pushforward_box(params: ExperimentParams, law: GaussianLaw):
-    """Integer box certain to carry all but a negligible sliver of mass."""
-    reach = PUSHFORWARD_TAIL_SIGMAS * np.sqrt(np.diag(law.covariance))
-    lo = np.minimum(0, np.floor(law.mean - reach)).astype(np.int64)
-    hi_support = np.minimum(
-        np.asarray(params.counts[: params.dim], dtype=np.int64), params.sample_size
-    )
-    hi = np.maximum(hi_support, np.ceil(law.mean + reach)).astype(np.int64)
-    return lo, hi
-
-
 def data_processing_check(
     params: ExperimentParams,
     quad_order: int = DEFAULT_QUAD_ORDER,
@@ -229,23 +217,17 @@ def data_processing_check(
 
     tv_before compares the jittered lattice law with the Gaussian; tv_after
     compares the lattice law with the rounded Gaussian, whose mass function
-    is the Gaussian measure of each unit cube.  Data processing guarantees
+    is the Gaussian measure m_k of each unit cube.  Data processing guarantees
     tv_after <= tv_before; slack is the measured difference.
+
+    Off the support the pmf p is 0, so a cube there adds just m_k, and the
+    cubes tile R^d, so those masses add up to 1 - sum_supp m_k:
+    tv_after = 1/2 [sum_supp |p_k - m_k| + (1 - sum_supp m_k)], summed over
+    the support cells alone.
     """
     law = build_gaussian(params)
     before = tv_jittered_vs_gaussian(params, "hypergeometric", law, quad_order)
-    lo, hi = _round_pushforward_box(params, law)
-    box_size = int(np.prod((hi - lo + 1).astype(object)))
-    limit = support_cap()
-    if box_size > limit:
-        raise SupportCapError(
-            f"pushforward box has {box_size} points, above the cap of {limit}",
-            required=box_size,
-            cap=limit,
-        )
-    axes = [np.arange(l, h + 1) for l, h in zip(lo, hi)]
-    grids = np.meshgrid(*axes, indexing="ij")
-    centers = np.stack([g.ravel() for g in grids], axis=1)
+    centers = _support_points(params, ("hyper",))
     pmf = np.exp(hypergeometric_log_pmf_matrix(params, centers))
     halves = np.full(len(centers), 0.5)
     totals = []

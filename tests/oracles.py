@@ -295,6 +295,59 @@ def tv_jitter_gauss_2d(masses: list[Fraction], lattice: list[tuple[int, int]],
 
 
 # ---------------------------------------------------------------------------
+# finite-population law vs the Gaussian rounded onto the lattice
+
+def _mpf(value: Fraction) -> mpmath.mpf:
+    return mpmath.mpf(value.numerator) / value.denominator
+
+
+def _tv_rounded(population: int, counts: tuple[int, ...], draws: int, cell_mass) -> mpmath.mpf:
+    """1/2 [sum_supp |p_k - m_k| + (1 - sum_supp m_k)]: off the support p is 0,
+    and the unit cells tile the space, so their masses add up to the complement."""
+    gaps = masses = mpmath.mpf(0)
+    for point in support_points(counts, draws):
+        mass = cell_mass(point)
+        gaps += abs(_mpf(hyper_prob(population, counts, draws, point)) - mass)
+        masses += mass
+    return (gaps + (1 - masses)) / 2
+
+
+def tv_rounded_gauss_1d(population: int, counts: tuple[int, ...], draws: int) -> mpmath.mpf:
+    """TV between the d=1 finite-population law and the rounded Gaussian of
+    matching with-replacement moments, each cell mass a Phi difference."""
+    (mean,), ((var,),) = gaussian_moments(population, counts, draws)
+    mean, sd = _mpf(mean), mpmath.sqrt(_mpf(var))
+    half = mpmath.mpf(1) / 2
+
+    def cell_mass(point):
+        (k,) = point
+        return mpmath.ncdf(k + half, mean, sd) - mpmath.ncdf(k - half, mean, sd)
+
+    return _tv_rounded(population, counts, draws, cell_mass)
+
+
+def tv_rounded_gauss_2d(population: int, counts: tuple[int, ...], draws: int) -> mpmath.mpf:
+    """The same in d=2: each cell mass integrates, over x1 by mpmath.quad, the
+    marginal density times the Phi difference of x2 given x1."""
+    (mu1, mu2), ((s11, s12), (_, s22)) = gaussian_moments(population, counts, draws)
+    mu1, mu2, s11, s12, s22 = map(_mpf, (mu1, mu2, s11, s12, s22))
+    slope, cond_sd = s12 / s11, mpmath.sqrt(s22 - s12 * s12 / s11)
+    half = mpmath.mpf(1) / 2
+
+    def cell_mass(point):
+        k1, k2 = point
+
+        def slab(x1):
+            centre = mu2 + slope * (x1 - mu1)
+            return _phi(x1, mu1, s11) * (mpmath.ncdf(k2 + half, centre, cond_sd)
+                                         - mpmath.ncdf(k2 - half, centre, cond_sd))
+
+        return mpmath.quad(slab, [k1 - half, k1 + half])
+
+    return _tv_rounded(population, counts, draws, cell_mass)
+
+
+# ---------------------------------------------------------------------------
 
 def main() -> None:
     f = lambda x: mpmath.nstr(x, 20)

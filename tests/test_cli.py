@@ -283,11 +283,11 @@ class TestExitCodes:
         assert proc.returncode == 4
         assert "cap" in proc.stderr
 
-    def test_dpi_pushforward_box_over_cap_is_resource_error(self):
+    def test_dpi_support_over_cap_is_resource_error(self):
         proc = run_cli("dpi-check", "--N", "16", "--n", "4", "--Np", "8,8",
-                       env_extra={"LECAM_SUPPORT_CAP": "10"})
+                       env_extra={"LECAM_SUPPORT_CAP": "4"})
         assert proc.returncode == 4
-        assert "pushforward box has 19 points" in proc.stderr
+        assert "support has 5 points" in proc.stderr
 
     def test_help_exits_zero(self):
         assert run_cli("--help").returncode == 0

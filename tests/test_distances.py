@@ -294,6 +294,20 @@ class TestQuadratureTV:
             combined = lhs.error_estimate + mid.error_estimate + rhs.error_estimate
             assert lhs.value <= mid.value + rhs.value + combined
 
+    def test_bar_order_is_strictly_lower(self):
+        assert distances._quad_orders(2) == (2, 1)
+        for order in range(3, 40):
+            assert distances._quad_orders(order) == (order, max(2, order // 2))
+
+    def test_order_two_bar_covers_its_error_in_three_dimensions(self):
+        # the reference's orders (6, 3) share no rule with order 2's (2, 1)
+        params = validate_params(8, 1, (2, 2, 2, 2))
+        law = build_gaussian(params)
+        coarse = tv_jittered_vs_gaussian(params, "hyper", law, 2)
+        reference = tv_jittered_vs_gaussian(params, "hyper", law, 6)
+        gap = abs(coarse.value - reference.value)
+        assert gap + reference.error_estimate <= coarse.error_estimate
+
     def test_order_validation(self):
         law = build_gaussian(WIDE)
         with pytest.raises(ValidationError):

@@ -242,3 +242,17 @@ class TestDataProcessing:
         params = validate_params(population, draws, counts)
         result = data_processing_check(params, quad_order=6)
         assert result.slack >= -1e-8
+
+    @pytest.mark.parametrize("population,draws,counts", [
+        (16, 4, (8, 8)), (24, 6, (12, 12)), (24, 6, (6, 18)), (32, 8, (16, 16)),
+        (40, 10, (20, 20)), (30, 6, (10, 20)), (64, 8, (32, 32)), (27, 6, (9, 18)),
+        (1000, 40, (500, 500)), (12, 4, (4, 4, 4)),
+    ])
+    def test_tv_after_within_its_bar_of_the_oracle(self, population, draws, counts):
+        oracle = oracles.tv_rounded_gauss_1d if len(counts) == 2 else oracles.tv_rounded_gauss_2d
+        expected = float(oracle(population, counts, draws))
+        params = validate_params(population, draws, counts)
+        # order 2 takes its bar from the 1-point rule
+        for order in (2, 6, 8):
+            result = data_processing_check(params, quad_order=order)
+            assert abs(result.tv_after - expected) <= result.error_after
