@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import warnings
@@ -24,6 +25,7 @@ from lecam import (
     support_matrix,
     validate_params,
 )
+from lecam.cli import main
 from lecam.lattice import count_vector_levels, point_in_support
 from lecam.numerics import log_factorial
 from lecam.pmf import _multinomial_log_pmf_rows, leaf_log_pmfs, log_ratio_matrix
@@ -379,6 +381,73 @@ class TestInversionEdges:
             warnings.simplefilter("error")
             draws = sample_multinomial(5, (0.5, 0.5, 1e-300), make_generator(0), size=1000)
         assert (draws.sum(axis=1) == 5).all()
+
+
+def _draw_digest(draws) -> str:
+    """First 16 hex digits of the sha256 of draws as little-endian int64."""
+    return hashlib.sha256(np.ascontiguousarray(draws, dtype="<i8").tobytes()).hexdigest()[:16]
+
+
+def _pinned_digests(population, draws, counts, size, seed=0):
+    params = validate_params(population, draws, counts)
+    hyper = sample_hypergeometric(params, make_generator(seed), size=size)
+    multi = sample_multinomial(draws, params.weights, make_generator(seed), size=size)
+    return _draw_digest(hyper), _draw_digest(multi)
+
+
+M6 = 10**6
+
+# (N, n, counts, size, hypergeometric digest, multinomial digest) at seed 0:
+# the five mc-draws instances of bench/workloads.py, d=3 at n=10^4 (whose
+# later coordinates see hundreds of draw counts, so their tables span several
+# blocks), two census-flipped instances and a census.  Made at commit 897bd35,
+# before the samplers were batched, with
+#   PYTHONPATH=src:tests python -c "import test_pmf as t; \
+#     [print(c[:4], t._pinned_digests(*c[:4])) for c in t.PINNED_DRAWS]"
+PINNED_DRAWS = [
+    (M6, 500, (M6 // 2, M6 // 2), 20_000, "fd3810e6583115d2", "792324fcaa2ae9b4"),
+    (M6, 1100, (M6 // 2, M6 // 2), 20_000, "efde772d8f084945", "85f0fa23d4f51582"),
+    (4096, 16, (1024, 1024, 2048), 20_000, "84d630f96e901aa6", "048e53585bd9c060"),
+    (500, 10, (100,) * 5, 20_000, "3a49b82ff6a2f5bf", "855500e10ff4b5f3"),
+    (M6, 10_000, (M6 // 4,) * 4, 2_000, "6715750b1ff07cd6", "58d128d05d58a232"),
+    (12, 9, (1, 1, 10), 20_000, "3e0bf92b3576abcd", "66851a37ff063941"),
+    (20, 15, (3, 5, 12), 20_000, "be0a5ca681ce219d", "e73e32afab981198"),
+    (12, 12, (3, 4, 5), 1_000, "8ecb3e6c7ac58035", "cd35b13269d4e6d2"),
+]
+
+
+@pytest.mark.parametrize("case", PINNED_DRAWS, ids=lambda c: f"N{c[0]}-n{c[1]}-d{len(c[2]) - 1}")
+def test_draws_are_pinned(case):
+    assert _pinned_digests(*case[:4]) == case[4:]
+
+
+def test_rounded_to_one_weight_draws_are_pinned():
+    draws = sample_multinomial(5, (0.5, 0.5, 1e-300), make_generator(0), size=1000)
+    assert _draw_digest(draws) == "b852f6fadd176343"
+
+
+# `lecam tv --method mc --samples 100000 --seed 7 --json` on the four mc-draws
+# instances that run without a known fault, byte for byte as at commit 897bd35
+PINNED_MC_OUTPUTS = [
+    ("jitterhyper-gauss", "1000000", "500", "500000,500000",
+     0.008961170587857425, 4.9603101878285545e-05),
+    ("jittermulti-gauss", "1000000", "500", "500000,500000",
+     0.008964395723440762, 5.001757409827927e-05),
+    ("jitterhyper-gauss", "4096", "16", "1024,1024,2048",
+     0.10550741376334061, 0.00047844568957631833),
+    ("jitterhyper-jittermulti", "500", "10", "100,100,100,100,100",
+     0.010308181617187783, 3.6851909063355296e-05),
+]
+
+
+@pytest.mark.parametrize("pair, N, n, counts, tv, error", PINNED_MC_OUTPUTS)
+def test_monte_carlo_outputs_are_pinned(capsys, pair, N, n, counts, tv, error):
+    argv = ["tv", "--pair", pair, "--N", N, "--n", n, "--Np", counts, "--method", "mc",
+            "--samples", "100000", "--seed", "7", "--json"]
+    assert main(argv) == 0
+    want = (f'{{\n  "tv": {tv!r},\n  "method": "monte-carlo",\n'
+            f'  "error_estimate": {error!r}\n}}\n')
+    assert capsys.readouterr().out == want
 
 
 @pytest.mark.parametrize("sample_size", [2000, 10_000])
