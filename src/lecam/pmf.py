@@ -10,9 +10,10 @@ lattice ``leaf_log_pmfs`` folds one table per coordinate down its levels.
 
 Both samplers draw one coordinate at a time from its conditional law through
 one routine, ``_sample_sequential``: inversion by table lookup (Devroye 1986,
-*Non-Uniform Random Variate Generation*, ch. III), each table built from the
-log-pmf kernels above and normalised from its mode, so no mass underflows
-at any sample size.
+*Non-Uniform Random Variate Generation*, ch. III).  Each coordinate builds one
+2-D table, a row per remaining draw count, from the log-pmf kernels above, in
+blocks of bounded size; rows are normalised from their mode, so no mass
+underflows at any sample size, and one halving search serves every row.
 """
 
 from __future__ import annotations
@@ -235,21 +236,40 @@ def multinomial_moments(sample_size: int, weights: Sequence[float]) -> MomentSum
     return MomentSummary(mean=mean, covariance=covariance)
 
 
+# Entries per block of conditional tables (one row, if a row is longer): the
+# sampler's temporaries stay bounded however many draw counts a coordinate sees.
+_TABLE_BLOCK = 1 << 14
+
+
+def _first_at_least(cdf: np.ndarray, rows: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """``np.searchsorted(cdf[row], u)`` per uniform, by one halving search over all
+    rows; each row ends in exactly 1.0 > u, so probes past its end are clamped onto it."""
+    width = cdf.shape[1]
+    flat, first = cdf.ravel(), rows * width
+    at, end = first.copy(), first + (width - 1)
+    probe, below = np.empty_like(at), np.empty(u.shape, dtype=bool)
+    for bit in reversed(range((width - 1).bit_length())):
+        np.minimum(np.add(at, (1 << bit) - 1, out=probe), end, out=probe)
+        at += np.less(flat.take(probe), u, out=below) * (1 << bit)
+    return at - first
+
+
 def _sample_sequential(
     sample_size: int,
     dim: int,
     rng: np.random.Generator,
     size: int | None,
-    conditional: Callable[[int, int], tuple[np.ndarray, np.ndarray]],
+    conditional: Callable[[int, np.ndarray], tuple],
 ) -> LatticePoint | np.ndarray:
     """Draw count vectors one coordinate at a time, by inversion of tabled cdfs.
 
-    ``conditional(i, t)`` returns the feasible counts of coordinate i given t
-    draws still to place, and their conditional log-pmf.  For each coordinate
-    the batch is grouped by t; each group gets one table, normalised from its
-    mode (so no mass underflows), and one ``np.searchsorted`` maps its
-    uniforms to the smallest count whose cdf reaches them.  Exactly one
-    ``rng.random(m)`` is consumed per coordinate.
+    ``conditional(i, t)`` maps a column of draw counts still to place to
+    coordinate i's lowest and highest feasible counts and a log-pmf kernel over
+    full count rows ``[k, t - k]``.  The distinct t come from a bincount; each
+    block of at most ``_TABLE_BLOCK`` table entries takes one kernel call.  A
+    row is normalised from its mode (so no mass underflows) and summed along
+    itself, the same bits as a 1-D table per t.  One ``rng.random(m)`` is
+    consumed per coordinate.
     """
     m = 1 if size is None else int(size)
     if m < 1:
@@ -258,12 +278,23 @@ def _sample_sequential(
     out = np.empty((m, dim), dtype=np.int64)
     for i in range(dim):
         u = rng.random(m)
-        draws, group = np.unique(remaining, return_inverse=True)
-        members = np.split(np.argsort(group, kind="stable"), np.cumsum(np.bincount(group))[:-1])
-        for t, rows in zip(draws.tolist(), members):
-            ks, log_pmf = conditional(i, t)
-            cdf = np.cumsum(np.exp(log_pmf - log_pmf.max()))
-            out[rows, i] = ks[np.searchsorted(cdf / cdf[-1], u[rows])]
+        present = np.bincount(remaining) > 0
+        ts, rows = np.flatnonzero(present), (np.cumsum(present) - 1)[remaining]
+        per_block = max(1, _TABLE_BLOCK // (int(ts[-1]) + 1))
+        block = (rows // per_block).astype(np.int32) if per_block < ts.size else None
+        for start in range(0, ts.size, per_block):
+            t = ts[start : start + per_block, None]
+            low, high, log_pmf_rows = conditional(i, t)
+            offsets = np.arange((high - low).max() + 1)
+            ks = np.minimum(low + offsets, high)  # past the highest count: masked below
+            log_pmf = log_pmf_rows(np.array([ks.ravel(), (t - ks).ravel()]).T).reshape(ks.shape)
+            cdf = np.exp(log_pmf - log_pmf.max(axis=1, keepdims=True))
+            cdf[offsets > high - low] = 0.0
+            np.cumsum(cdf, axis=1, out=cdf)
+            cdf /= cdf[:, -1:]
+            picks = slice(None) if block is None else np.flatnonzero(block == start // per_block)
+            block_rows = rows[picks] - start
+            out[picks, i] = low[block_rows, 0] + _first_at_least(cdf, block_rows, u[picks])
         remaining -= out[:, i]
     if size is None:
         return tuple(int(v) for v in out[0])
@@ -287,9 +318,8 @@ def sample_hypergeometric(
     others = [params.population - sum(counts[: i + 1]) for i in range(params.dim)]
 
     def conditional(i, t):
-        ks = np.arange(max(0, t - others[i]), min(counts[i], t) + 1)
-        rows = np.column_stack([ks, t - ks])
-        return ks, _hypergeometric_log_pmf_rows((counts[i], others[i]), rows)
+        low, high = np.maximum(t - others[i], 0), np.minimum(t, counts[i])
+        return low, high, lambda ks: _hypergeometric_log_pmf_rows((counts[i], others[i]), ks)
 
     return _sample_sequential(params.sample_size, params.dim, rng, size, conditional)
 
@@ -313,8 +343,7 @@ def sample_multinomial(
     tails = [math.fsum(w[i:].tolist()) for i in range(w.size)]
 
     def conditional(i, t):
-        ks = np.arange(t + 1)
         log_w = np.log(np.array([w[i], tails[i + 1]]) / tails[i])
-        return ks, _multinomial_log_pmf_rows(log_w, np.column_stack([ks, t - ks]))
+        return np.zeros_like(t), t, lambda ks: _multinomial_log_pmf_rows(log_w, ks)
 
     return _sample_sequential(sample_size, w.size - 1, rng, size, conditional)

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -25,10 +26,17 @@ from lecam import (
     support_matrix,
     validate_params,
 )
+from lecam import pmf
 from lecam.cli import main
 from lecam.lattice import count_vector_levels, point_in_support
 from lecam.numerics import log_factorial
-from lecam.pmf import _multinomial_log_pmf_rows, leaf_log_pmfs, log_ratio_matrix
+from lecam.pmf import (
+    _first_at_least,
+    _hypergeometric_log_pmf_rows,
+    _multinomial_log_pmf_rows,
+    leaf_log_pmfs,
+    log_ratio_matrix,
+)
 from strategies import experiment_params
 
 BALANCED = validate_params(10, 5, (5, 5))
@@ -346,13 +354,15 @@ class TestSamplers:
 
 
 class _FixedUniforms:
-    """A generator stand-in whose every uniform is one fixed value."""
+    """A generator stand-in: its i-th batch of uniforms is ``batches[i]``, and
+    the last one repeats; a batch is an array or one value for every draw."""
 
-    def __init__(self, value):
-        self.value = value
+    def __init__(self, *batches):
+        self.batches = list(batches)
 
     def random(self, size):
-        return np.full(size, self.value)
+        batch = self.batches.pop(0) if len(self.batches) > 1 else self.batches[0]
+        return np.broadcast_to(np.asarray(batch, dtype=float), (size,)).copy()
 
 
 class TestInversionEdges:
@@ -383,6 +393,116 @@ class TestInversionEdges:
         assert (draws.sum(axis=1) == 5).all()
 
 
+def _feasible(params, law, t, i):
+    """Coordinate i's lowest and highest feasible counts given t draws left."""
+    if law == "multi":
+        return np.zeros_like(t), t
+    rest = params.population - sum(params.counts[: i + 1])
+    return np.maximum(t - rest, 0), np.minimum(t, params.counts[i])
+
+
+def _sample(params, law, rng, size):
+    if law == "hyper":
+        return sample_hypergeometric(params, rng, size=size)
+    return sample_multinomial(params.sample_size, params.weights, rng, size=size)
+
+
+@pytest.fixture(params=[1, pmf._TABLE_BLOCK], ids=["row-blocks", "one-block"])
+def table_block(request, monkeypatch):
+    """Both the default block and one table row per block."""
+    monkeypatch.setattr(pmf, "_TABLE_BLOCK", request.param)
+    return request.param
+
+
+class TestInversionEdgesAcrossDrawCounts:
+    # d >= 2: a spread of first-coordinate uniforms leaves the later
+    # coordinates several draw counts each, among them t = 0 (a one-entry
+    # table) in the first and third instances, and lowest counts above 0 in
+    # the second
+    INSTANCES = [
+        validate_params(20, 6, (6, 4, 10)),
+        validate_params(12, 8, (5, 4, 3)),
+        validate_params(30, 8, (8, 5, 6, 11)),
+    ]
+    SPREAD = np.append(np.linspace(0.0, 1.0, 60, endpoint=False), 1 - np.logspace(-3, -15, 4))
+
+    @pytest.mark.parametrize("law", ["hyper", "multi"])
+    @pytest.mark.parametrize("params", INSTANCES, ids=["t0", "low-above-0", "d3"])
+    @pytest.mark.parametrize("end", ["lowest", "highest"])
+    def test_later_coordinates_hit_their_ends(self, table_block, params, law, end):
+        u = 0.0 if end == "lowest" else np.nextafter(1.0, 0.0)
+        draws = _sample(params, law, _FixedUniforms(self.SPREAD, u), 64)
+        t = params.sample_size - draws[:, 0]
+        assert np.unique(t).size >= 4
+        if params.counts[0] >= params.sample_size:
+            assert (t == 0).any()
+        for i in range(1, params.dim):
+            low, high = _feasible(params, law, t, i)
+            assert (draws[:, i] == (low if end == "lowest" else high)).all()
+            t = t - draws[:, i]
+
+    @pytest.mark.parametrize("law", ["hyper", "multi"])
+    def test_every_cdf_boundary_matches_the_one_table_per_count(self, table_block, law):
+        # uniforms at, just below and just above every entry of each draw
+        # count's 1-D cdf, built as one table per count: an entry of the
+        # blocked 2-D table off by one ulp would move a draw
+        params = validate_params(4096, 60, (1024, 1024, 2048))
+        spread = np.linspace(0.0, 1.0, 400, endpoint=False)
+        t = params.sample_size - _sample(params, law, _FixedUniforms(spread, 0.5), 400)[:, 0]
+        rest = params.population - sum(params.counts[:2])
+        u, want = np.empty(400), np.empty(400, dtype=np.int64)
+        for j, (tj, low, high) in enumerate(zip(t, *_feasible(params, law, t, 1))):
+            ks = np.arange(low, high + 1)
+            rows = np.column_stack([ks, tj - ks])
+            if law == "hyper":
+                log_pmf = _hypergeometric_log_pmf_rows((params.counts[1], rest), rows)
+            else:
+                # the conditional weights as the sampler forms them
+                w = np.array(params.weights)
+                tails = [math.fsum(w[1:]), math.fsum(w[2:])]
+                log_pmf = _multinomial_log_pmf_rows(np.log(np.array([w[1], tails[1]]) / tails[0]), rows)
+            cdf = np.cumsum(np.exp(log_pmf - log_pmf.max()))
+            cdf /= cdf[-1]
+            at = cdf[(j // 3) % ks.size]
+            u[j] = min(np.nextafter(at, at - 1 + j % 3), np.nextafter(1.0, 0.0))
+            want[j] = ks[np.searchsorted(cdf, u[j])]
+        draws = _sample(params, law, _FixedUniforms(spread, u), 400)
+        assert (draws[:, 1] == want).all()
+
+
+def test_halving_search_is_searchsorted():
+    # rows with ties (counts of zero mass), one with all its mass on its
+    # first count; uniforms at 0, on entries, between them and just below 1
+    rng = np.random.default_rng(3)
+    mass = rng.random((5, 9)) * (rng.random((5, 9)) < 0.6)
+    mass[:, 0], mass[4, 1:] = 1.0, 0.0
+    cdf = np.cumsum(mass, axis=1)
+    cdf /= cdf[:, -1:]
+    rows = np.repeat(np.arange(5), 40)
+    u = np.concatenate([cdf[r][rng.integers(0, 9, 20)] for r in range(5)])
+    u = np.stack([u, rng.random(u.size)], axis=1).reshape(-1)
+    u[::37], u[5::37] = 0.0, 1.0
+    u = np.minimum(u, np.nextafter(1.0, 0.0))
+    want = [np.searchsorted(cdf[r], x) for r, x in zip(rows, u)]
+    assert _first_at_least(cdf, rows, u).tolist() == want
+
+
+@pytest.mark.parametrize("law", ["hyper", "multi"])
+def test_sampler_memory_is_bounded_by_the_block(law):
+    # d=3 at n=10^4: the later coordinates see over 200 draw counts each,
+    # with tables of about 7,500 entries.  One table of every count at once
+    # peaked at about 215 MB here; blocks of _TABLE_BLOCK entries at about 3 MB
+    params = validate_params(10**6, 10_000, (250_000,) * 4)
+    tracemalloc.start()
+    try:
+        draws = _sample(params, law, make_generator(0), 3000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.unique(draws[:, 0]).size >= 100
+    assert peak < 16 * 2**20, peak
+
+
 def _draw_digest(draws) -> str:
     """First 16 hex digits of the sha256 of draws as little-endian int64."""
     return hashlib.sha256(np.ascontiguousarray(draws, dtype="<i8").tobytes()).hexdigest()[:16]
@@ -390,9 +510,9 @@ def _draw_digest(draws) -> str:
 
 def _pinned_digests(population, draws, counts, size, seed=0):
     params = validate_params(population, draws, counts)
-    hyper = sample_hypergeometric(params, make_generator(seed), size=size)
-    multi = sample_multinomial(draws, params.weights, make_generator(seed), size=size)
-    return _draw_digest(hyper), _draw_digest(multi)
+    return tuple(
+        _draw_digest(_sample(params, law, make_generator(seed), size)) for law in ("hyper", "multi")
+    )
 
 
 M6 = 10**6
@@ -401,7 +521,8 @@ M6 = 10**6
 # the five mc-draws instances of bench/workloads.py, d=3 at n=10^4 (whose
 # later coordinates see hundreds of draw counts, so their tables span several
 # blocks), two census-flipped instances and a census.  Made at commit 897bd35,
-# before the samplers were batched, with
+# before the samplers were batched, by this file's helpers (they call only the
+# public samplers) from the repository root:
 #   PYTHONPATH=src:tests python -c "import test_pmf as t; \
 #     [print(c[:4], t._pinned_digests(*c[:4])) for c in t.PINNED_DRAWS]"
 PINNED_DRAWS = [
@@ -418,6 +539,13 @@ PINNED_DRAWS = [
 
 @pytest.mark.parametrize("case", PINNED_DRAWS, ids=lambda c: f"N{c[0]}-n{c[1]}-d{len(c[2]) - 1}")
 def test_draws_are_pinned(case):
+    assert _pinned_digests(*case[:4]) == case[4:]
+
+
+@pytest.mark.parametrize("case", [PINNED_DRAWS[i] for i in (2, 3, 6)],
+                         ids=["N4096-n16-d2", "N500-n10-d4", "N20-n15-d2"])
+def test_pinned_draws_do_not_depend_on_the_block(monkeypatch, case):
+    monkeypatch.setattr(pmf, "_TABLE_BLOCK", 20)
     assert _pinned_digests(*case[:4]) == case[4:]
 
 
