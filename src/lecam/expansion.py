@@ -19,6 +19,7 @@ from .errors import ValidationError
 from .lattice import (
     ExperimentParams,
     LatticePoint,
+    _exact_gamma,
     full_counts,
     in_truncated_set,
     point_in_support,
@@ -91,26 +92,22 @@ def expansion_order1(params: ExperimentParams, point: Sequence[int]) -> float:
     return float(first_order_bracket(params, point) / params.population)
 
 
-def second_order_term(params: ExperimentParams, point: Sequence[int]) -> float:
-    """The N^-2 correction added on top of the first order."""
-    return float(second_order_bracket(params, point) / params.population**2)
-
-
 def expansion_order2(params: ExperimentParams, point: Sequence[int]) -> float:
     """Second-order approximation: both brackets, exact rational arithmetic."""
+    return _truncations(params, point)[1]
+
+
+def _truncations(params: ExperimentParams, point: Sequence[int]) -> tuple[float, float]:
+    """Both approximations, from one evaluation of each bracket."""
     N = params.population
-    total = (
-        first_order_bracket(params, point) / N
-        + second_order_bracket(params, point) / N**2
-    )
-    return float(total)
+    first = first_order_bracket(params, point) / N
+    return float(first), float(first + second_order_bracket(params, point) / N**2)
 
 
 def expand(params: ExperimentParams, point: Sequence[int]) -> ExpansionResult:
     """Exact log-ratio together with both approximations and their residuals."""
     exact = log_ratio_exact(params, point)
-    o1 = expansion_order1(params, point)
-    o2 = expansion_order2(params, point)
+    o1, o2 = _truncations(params, point)
     return ExpansionResult(
         exact=exact,
         order1=o1,
@@ -150,7 +147,7 @@ def residual_scan(
         raise ValidationError("residual_scan requires a non-empty family")
     if order not in (1, 2):
         raise ValidationError("order must be 1 or 2")
-    g = Fraction(gamma)
+    g = _exact_gamma(gamma)
     if not 0 < g < 1:
         raise ValidationError("gamma must lie in (0, 1) for a residual scan")
     tasks = []

@@ -8,8 +8,7 @@ bound into a bound on both deficiencies at once; ``data_processing_check``
 validates that chain numerically.  The TVs themselves come from
 ``distances.tv_pair`` (the ``*-gauss`` pairs) and, for the rounded Gaussian,
 from tensor cube rules over the support cells alone, with the two-order error
-bar of the d=3 quadrature TV.  A componentwise square root provides the
-variance-stabilizing map onto a constant-covariance Gaussian target.
+bar of the d=3 quadrature TV.
 """
 
 from __future__ import annotations
@@ -22,7 +21,6 @@ import numpy as np
 from .distances import (
     DEFAULT_MC_SAMPLES,
     DEFAULT_QUAD_ORDER,
-    GaussianLaw,
     _gaussian_term_scale,
     _quad_orders,
     _require_regime,
@@ -85,30 +83,6 @@ def apply_round(z):
     if isinstance(z, tuple):
         return tuple(int(v) for v in rounded)
     return rounded
-
-
-def independent_gaussian(params: ExperimentParams) -> GaussianLaw:
-    """Gaussian with matching means and variances but independent coordinates."""
-    n = params.sample_size
-    p = np.asarray(params.weights[: params.dim], dtype=float)
-    return GaussianLaw.from_moments(n * p, np.diag(n * p))
-
-
-def sqrt_vst_target(params: ExperimentParams) -> GaussianLaw:
-    """Constant-covariance image of the independent Gaussian under the root map."""
-    n = params.sample_size
-    p = np.asarray(params.weights[: params.dim], dtype=float)
-    return GaussianLaw.from_moments(np.sqrt(n * p), np.diag(np.full(params.dim, 0.25)))
-
-
-def sqrt_vst_pushforward(sample):
-    """Componentwise sqrt(max(z, 0)).
-
-    Negative components clamp to zero before the root; the clamping
-    probability decays quickly as the sample size grows.
-    """
-    arr = np.asarray(sample, dtype=float)
-    return np.sqrt(np.clip(arr, 0.0, None))
 
 
 def deficiency_upper_bounds(

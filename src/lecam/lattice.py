@@ -52,11 +52,6 @@ class ExperimentParams:
         """Category probabilities as floats, length dim + 1."""
         return tuple(c / self.population for c in self.counts)
 
-    @property
-    def weight_fractions(self) -> tuple[Fraction, ...]:
-        """Category probabilities as exact fractions, length dim + 1."""
-        return tuple(Fraction(c, self.population) for c in self.counts)
-
 
 def validate_params(
     population: int,
@@ -252,13 +247,21 @@ def point_in_support(params: ExperimentParams, point: Sequence[int]) -> bool:
     return all(0 <= k <= c for k, c in zip(ks, params.counts))
 
 
+def _exact_gamma(gamma) -> Fraction:
+    """``gamma`` as an exact Fraction; NaN or an infinity is a ValidationError."""
+    try:
+        return Fraction(gamma)
+    except (ValueError, OverflowError):
+        raise ValidationError(f"gamma must be a finite number, got {gamma}") from None
+
+
 def in_truncated_set(params: ExperimentParams, point: Sequence[int], gamma) -> bool:
     """True iff max_i k_i / p_i <= gamma * population, exactly.
 
     ``gamma`` may be a float or Fraction in (0, 1]; the comparison uses exact
     rational arithmetic on the stored integer counts.
     """
-    g = Fraction(gamma)
+    g = _exact_gamma(gamma)
     if not 0 < g <= 1:
         raise ValidationError("gamma must lie in (0, 1]")
     if not point_in_support(params, point):
@@ -266,23 +269,6 @@ def in_truncated_set(params: ExperimentParams, point: Sequence[int], gamma) -> b
     ks = full_counts(params, point)
     # k_i / p_i <= g N  <=>  k_i <= g * counts_i
     return all(Fraction(k) <= g * c for k, c in zip(ks, params.counts))
-
-
-@dataclass(frozen=True)
-class RatioClass:
-    """Parameter class with a bounded ratio of extreme category weights."""
-
-    ratio_bound: float
-
-    def __post_init__(self):
-        if not self.ratio_bound >= 1.0:
-            raise ValidationError("ratio_bound must be at least 1")
-
-    def contains(self, params: ExperimentParams) -> bool:
-        """True iff max_i p_i / min_i p_i <= ratio_bound, exactly."""
-        hi = max(params.counts)
-        lo = min(params.counts)
-        return Fraction(hi, lo) <= Fraction(self.ratio_bound)
 
 
 def weight_ratio(params: ExperimentParams) -> float:

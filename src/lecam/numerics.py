@@ -74,13 +74,6 @@ def log_factorial(m):
     return float(out[0]) if arr.ndim == 0 else out
 
 
-def log_binomial(a: int, b: int) -> float:
-    """ln C(a, b); returns -inf when b < 0 or b > a."""
-    if b < 0 or b > a:
-        return float("-inf")
-    return log_factorial(a) - log_factorial(b) - log_factorial(a - b)
-
-
 # fsum is the faster route below this many terms.
 _EXACT_SUM_MIN_TERMS = 512
 # Terms per block: no bin then reaches 2**45, and the temporaries fit in cache.

@@ -8,7 +8,6 @@ reproduces the in-memory values bit for bit.
 from __future__ import annotations
 
 import csv
-import io
 import json
 import math
 import os
@@ -115,13 +114,6 @@ def read_csv(path_or_buf) -> list[ScanRecord]:
             )
         )
     return records
-
-
-def records_to_csv_text(records: Sequence[ScanRecord]) -> str:
-    """CSV document as a string."""
-    buf = io.StringIO()
-    write_csv(records, buf)
-    return buf.getvalue()
 
 
 def _fit_to_dict(fit: SlopeFit) -> dict:

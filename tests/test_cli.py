@@ -277,6 +277,14 @@ class TestExitCodes:
         assert proc.returncode == 3
         assert "jobs must be at least 1" in proc.stderr
 
+    @pytest.mark.parametrize("gamma", ["nan", "inf", "-inf"])
+    def test_nonfinite_gamma_is_validation(self, gamma):
+        proc = run_cli("expansion-scan", "--N", "16,32,64,128", "--n", "8", "--Np", "1,1",
+                       "--k", "2", f"--gamma={gamma}")
+        assert proc.returncode == 3
+        assert "validation error:" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     def test_support_cap_env_is_resource_error(self):
         proc = run_cli("tv", "--pair", "hyper-multi", "--N", "40", "--n", "12",
                        "--Np", "20,20", env_extra={"LECAM_SUPPORT_CAP": "5"})

@@ -16,7 +16,6 @@ from lecam import (
     log_ratio_exact,
     residual_scan,
     second_order_bracket,
-    second_order_term,
     validate_params,
 )
 from lecam.expansion import _map_ordered
@@ -42,8 +41,8 @@ class TestPointExpansion:
         r = expand(BALANCED, (2,))
         assert r.residual1 == pytest.approx(r.exact - r.order1, abs=1e-16)
         assert r.residual2 == pytest.approx(r.exact - r.order2, abs=1e-16)
-        assert r.order2 == pytest.approx(
-            r.order1 + second_order_term(BALANCED, (2,)), abs=1e-15
+        assert r.order2 - r.order1 == pytest.approx(
+            float(second_order_bracket(BALANCED, (2,)) / BALANCED.population**2), abs=1e-15
         )
 
     def test_off_support_rejected(self):

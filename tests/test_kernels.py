@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from scipy import integrate, stats
+from scipy import stats
 
 import oracles
 from lecam import (
@@ -14,13 +14,10 @@ from lecam import (
     build_gaussian,
     data_processing_check,
     deficiency_upper_bounds,
-    independent_gaussian,
     lecam_scan,
     make_generator,
     multinomial_log_pmf,
     sample_multinomial,
-    sqrt_vst_pushforward,
-    sqrt_vst_target,
     tv_jittered_vs_gaussian,
     tv_pair,
     validate_params,
@@ -28,9 +25,6 @@ from lecam import (
 
 WIDE = validate_params(64, 8, (32, 32))
 THREE_CAT = validate_params(12, 4, (4, 4, 4))
-
-# Phi(-sqrt(8)), mpmath oracle: mass a N(8, 8) variate puts below zero
-CLAMP_MASS = 0.0023388674905236329
 
 
 class TestJitterRound:
@@ -77,52 +71,6 @@ class TestJitterRound:
             freq = float(np.mean(rounded[:, 0] == k))
             se = math.sqrt(prob * (1 - prob) / total)
             assert abs(freq - prob) < 4 * se
-
-
-class TestSqrtVst:
-    def test_pushforward_clamps_and_roots(self):
-        out = sqrt_vst_pushforward(np.array([-3.0, 0.0, 9.0]))
-        assert out == pytest.approx([0.0, 0.0, 3.0])
-
-    def test_target_moments(self):
-        params = validate_params(32, 16, (16, 16))
-        law = sqrt_vst_target(params)
-        assert law.mean == pytest.approx([math.sqrt(8)])
-        assert law.covariance == pytest.approx(np.array([[0.25]]))
-
-    def test_clamp_frequency_matches_gaussian_tail(self):
-        # N(8, 8) sends mass Phi(-sqrt(8)) below zero; the clamp picks it up
-        params = validate_params(32, 16, (16, 16))
-        law = independent_gaussian(params)
-        assert law.mean == pytest.approx([8.0])
-        assert law.covariance == pytest.approx(np.array([[8.0]]))
-        rng = make_generator(7)
-        draws = rng.normal(law.mean[0], math.sqrt(law.covariance[0, 0]), size=400_000)
-        clamped = np.mean(sqrt_vst_pushforward(draws) == 0.0)
-        se = math.sqrt(CLAMP_MASS * (1 - CLAMP_MASS) / 400_000)
-        assert abs(clamped - CLAMP_MASS) < 5 * se
-
-    @staticmethod
-    def _pushforward_tv(sample_size: int) -> float:
-        """TV between the root image of N(np, np) and its constant-variance
-        target, by direct density integration in one dimension."""
-        params = validate_params(4 * sample_size, sample_size,
-                                 (2 * sample_size, 2 * sample_size))
-        base_law = independent_gaussian(params)
-        target_law = sqrt_vst_target(params)
-        base = stats.norm(base_law.mean[0], math.sqrt(base_law.covariance[0, 0]))
-        target = stats.norm(target_law.mean[0], math.sqrt(target_law.covariance[0, 0]))
-        atom = base.cdf(0.0)
-        diff = lambda y: abs(2 * y * base.pdf(y * y) - target.pdf(y))
-        inside, _ = integrate.quad(diff, 0, target_law.mean[0] + 12, limit=400)
-        return 0.5 * (atom + inside + target.cdf(0.0))
-
-    def test_pushforward_approaches_target(self):
-        values = [self._pushforward_tv(n) for n in (4, 16, 64)]
-        assert values[0] > values[1] > values[2]
-        # frozen reference from the same integral run at high precision
-        assert values[1] == pytest.approx(0.05315134036151904, abs=1e-6)
-        assert values[2] < 0.03
 
 
 class TestDeficiency:

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 import oracles
 from lecam import (
     ExperimentParams,
-    RatioClass,
     SupportCapError,
     ValidationError,
     build_gaussian,
@@ -40,7 +39,6 @@ class TestValidateParams:
         assert params == ExperimentParams(10, 5, (5, 5))
         assert params.dim == 1
         assert params.weights == (0.5, 0.5)
-        assert params.weight_fractions == (Fraction(1, 2), Fraction(1, 2))
 
     def test_fraction_weights(self):
         params = validate_params(12, 4, [Fraction(1, 3)] * 3)
@@ -183,7 +181,7 @@ class TestTruncatedSet:
         params = validate_params(8, 4, (4, 4))
         assert all(in_truncated_set(params, p, 1) for p in enumerate_support(params))
 
-    @pytest.mark.parametrize("gamma", [0, -0.5, 1.5])
+    @pytest.mark.parametrize("gamma", [0, -0.5, 1.5, math.nan, math.inf, -math.inf])
     def test_gamma_range(self, gamma):
         params = validate_params(8, 4, (4, 4))
         with pytest.raises(ValidationError):
@@ -209,14 +207,8 @@ class TestTruncatedSet:
             assert flags == sorted(flags)
 
 
-class TestRatioClass:
-    def test_weight_ratio(self):
-        assert weight_ratio(validate_params(40, 8, (10, 30))) == 3.0
-
-    def test_contains(self):
-        cls = RatioClass(4.0)
-        assert cls.contains(validate_params(40, 8, (10, 30)))
-        assert not cls.contains(validate_params(42, 8, (6, 36)))
+def test_weight_ratio():
+    assert weight_ratio(validate_params(40, 8, (10, 30))) == 3.0
 
 
 @given(experiment_params())

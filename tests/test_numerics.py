@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from lecam import ValidationError, fit_loglog_slope, log_factorial, log_binomial, make_generator, split_seed
+from lecam import ValidationError, fit_loglog_slope, log_factorial, make_generator, split_seed
 from lecam.numerics import (
     _EXACT_SUM_BLOCK,
     _EXACT_SUM_MIN_TERMS,
@@ -61,25 +61,6 @@ class TestLogFactorial:
         assert log_factorial(2**63 - 1) == pytest.approx(
             math.lgamma(2.0**63), rel=1e-13
         )
-
-
-class TestLogBinomial:
-    def test_small_value(self):
-        assert log_binomial(5, 2) == pytest.approx(math.log(10), rel=1e-14)
-
-    @pytest.mark.parametrize("a", [0, 1, 7, 10_000])
-    def test_choose_zero(self, a):
-        assert log_binomial(a, 0) == 0.0
-
-    def test_out_of_range_is_minus_inf(self):
-        assert log_binomial(3, 5) == float("-inf")
-        assert log_binomial(3, -1) == float("-inf")
-
-    def test_beyond_int64_rejected(self):
-        with pytest.raises(ValidationError):
-            log_binomial(2**63, 1)
-        with pytest.raises(ValidationError):
-            log_binomial(2**64, 2**63)
 
 
 def _fsum_outcome(total, values):

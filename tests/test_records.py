@@ -1,3 +1,4 @@
+import io
 import json
 import math
 
@@ -5,7 +6,7 @@ import pytest
 
 from lecam import ScanRecord, ValidationError, read_csv, records_to_json, write_csv
 from lecam.numerics import SlopeFit
-from lecam.records import format_float, records_equal, records_to_csv_text
+from lecam.records import format_float, records_equal
 
 
 def make_record(**overrides) -> ScanRecord:
@@ -25,11 +26,14 @@ def make_record(**overrides) -> ScanRecord:
 
 class TestCsv:
     def test_header_tracks_dimension(self):
-        text = records_to_csv_text([make_record()])
-        assert text.splitlines()[0] == "N,n,d,p1,p2,quantity,value,error,method"
+        def header(record):
+            buf = io.StringIO()
+            write_csv([record], buf)
+            return buf.getvalue().splitlines()[0]
+
+        assert header(make_record()) == "N,n,d,p1,p2,quantity,value,error,method"
         wide = make_record(dim=2, weights=(0.25, 0.25, 0.5))
-        text = records_to_csv_text([wide])
-        assert text.splitlines()[0] == "N,n,d,p1,p2,p3,quantity,value,error,method"
+        assert header(wide) == "N,n,d,p1,p2,p3,quantity,value,error,method"
 
     def test_floats_round_trip_exactly(self, tmp_path):
         values = [1 / 3, math.pi, 1e-300, 0.1 + 0.2, 5.0]
