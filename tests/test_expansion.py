@@ -149,7 +149,7 @@ class TestResidualScan:
         with pytest.raises(ValidationError):
             residual_scan(DOUBLING_FAMILY, lambda p: (2,), order=1, gamma=0.2)
 
-    @pytest.mark.parametrize("gamma", [0.0, 1.0, 1.2])
+    @pytest.mark.parametrize("gamma", [0.0, 1.0, 1.2, math.nan, math.inf, -math.inf])
     def test_gamma_must_be_interior(self, gamma):
         with pytest.raises(ValidationError):
             residual_scan(DOUBLING_FAMILY, lambda p: (2,), order=1, gamma=gamma)

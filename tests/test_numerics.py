@@ -51,6 +51,14 @@ class TestLogFactorial:
         with pytest.raises(ValidationError):
             log_factorial(np.array([3, -2]))
 
+    @pytest.mark.parametrize("a, k", [(5, 2), (2048, 1000), (10**6, 3)])
+    def test_differences_give_binomial(self, a, k):
+        # the pmfs build their coefficients from such differences, on both
+        # sides of the table edge
+        assert log_factorial(a) == pytest.approx(
+            log_factorial(k) + log_factorial(a - k) + math.log(math.comb(a, k)), rel=1e-14
+        )
+
     def test_beyond_int64_rejected(self):
         with pytest.raises(ValidationError):
             log_factorial(2**63)
