@@ -20,6 +20,7 @@ from typing import Sequence
 from .distances import (
     DEFAULT_MC_SAMPLES,
     DEFAULT_QUAD_ORDER,
+    MAX_QUAD_ORDER,
     TV_PAIRS,
     tail_probability_check,
     tv_bound_parts,
@@ -39,10 +40,9 @@ EXIT_VALIDATION = 3
 EXIT_CAP = 4
 
 _QUAD_ORDER_HELP = (
-    "quadrature order q >= 2 of a jittered-vs-Gaussian TV: in d=1 the TV is in "
-    "closed form and q is only checked; in d=2 each piece of a cell takes 3q outer "
-    "nodes, the bar from 2q; in d=3 each cube takes a q^3-point rule, the bar from "
-    "max(2, q//2), or from the 1-point rule at q=2"
+    f"quadrature order q in [2, {MAX_QUAD_ORDER}] of a jittered-vs-Gaussian TV: the "
+    "last axis is in closed form, so in d=1 q is only checked; on every axis above "
+    "it each piece of a cell takes 3q nodes, the bar from 2q"
 )
 
 
@@ -325,8 +325,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("dpi-check", help="data-processing inequality after rounding")
     add_common(p)
     p.add_argument("--quad-order", dest="quad_order", type=int, default=DEFAULT_QUAD_ORDER,
-                   help=_QUAD_ORDER_HELP + "; the rounded Gaussian's masses on the "
-                   "support cells take q^d-point rules, their bar from the same lower order")
+                   help=_QUAD_ORDER_HELP + "; the same pass gives the rounded Gaussian's "
+                   "masses on the support cells, their bar from the same 2q nodes")
     p.set_defaults(handler=_cmd_dpi_check)
 
     return parser

@@ -7,14 +7,14 @@ a density that is constant on unit cubes), and Gaussian laws with matching
 moments.  Discrete pairs are summed exactly, and so are jittered discrete
 pairs: the unit cubes around lattice points are disjoint, so jittering both
 laws leaves their TV unchanged.  Jittered-versus-Gaussian pairs are
-integrated cube by cube.  In d <= 2 the last axis is done in closed form,
-as sums of normal tails from ``math.erfc`` (``_slice_integrals``): that is
-the whole cell in d=1, and in d=2 an outer Gauss-Legendre rule runs over
-pieces of each cell cut at the kinks (``_closed_form_tv``).  In d=3 cubes
-take tensor-product Gauss-Legendre rules, with breadth-first bisection
-where the integrand |pmf - density| has a kink (``integrate_cells``).  A
-Monte Carlo estimator covers everything beyond dimension three and checks
-the samplers against a jittered target.
+integrated cube by cube by one recursive integrator (``_cell_integrals``):
+the last axis in closed form, as sums of normal tails from ``math.erfc``
+(``_slice_integrals``), which is the whole cell in d=1, and every axis
+above it by a Gauss-Legendre rule over pieces of the cell cut where the
+integrand |pmf - density| has kinks.  The same pass gives each cell's
+Gaussian mass, so the TV to the Gaussian rounded onto the lattice comes
+with it.  A Monte Carlo estimator covers everything beyond dimension three
+and checks the samplers against a jittered target.
 """
 
 from __future__ import annotations
@@ -38,10 +38,8 @@ from .lattice import (
     weight_ratio,
 )
 from .numerics import (
-    EXACT_TOTAL_UNIT,
     apply_jitter,
     exact_sum,
-    exact_total,
     make_generator,
     round_half_away,
     split_seed,
@@ -67,7 +65,8 @@ _LAW_ALIASES = {
 DEFAULT_QUAD_ORDER = 8
 DEFAULT_MC_SAMPLES = 1_000_000
 MAX_QUAD_DIM = 3
-MAX_BISECTION_DEPTH = 6
+# leggauss(3 q) builds a (3 q) x (3 q) companion matrix; callers use q <= 16.
+MAX_QUAD_ORDER = 64
 MIN_MC_SAMPLES = 10_000
 _MC_CHUNK = 1 << 20
 # Points per log_density call in the cell integrator; bounds its memory.
@@ -241,198 +240,14 @@ class TailCheck(NamedTuple):
 
 
 # ---------------------------------------------------------------------------
-# quadrature rules
+# the cell integrator: closed form along the last axis, a rule above it
 
-@lru_cache(maxsize=None)
-def _tensor_rule(order: int, dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre offsets inside the centered unit cube and their weights."""
-    nodes, weights = np.polynomial.legendre.leggauss(order)
-    nodes = nodes / 2.0
-    weights = weights / 2.0
-    grids = np.meshgrid(*([nodes] * dim), indexing="ij")
-    offsets = np.stack([g.ravel() for g in grids], axis=1)
-    wgrids = np.meshgrid(*([weights] * dim), indexing="ij")
-    wprod = np.ones(offsets.shape[0])
-    for g in wgrids:
-        wprod = wprod * g.ravel()
-    return offsets, wprod
+def _erfc(x: np.ndarray) -> np.ndarray:
+    """``math.erfc`` elementwise (its few-ulp accuracy is what the bars assume),
+    mapped over a list, which beats a ufunc over Python objects."""
+    return np.fromiter(map(math.erfc, x.ravel().tolist()), float, x.size).reshape(x.shape)
 
 
-@lru_cache(maxsize=None)
-def _corner_offsets(dim: int) -> np.ndarray:
-    """Corners of the centered unit cube; also the shifts of a cell's children."""
-    return np.array([[(b >> i & 1) - 0.5 for i in range(dim)] for b in range(1 << dim)])
-
-
-class _Face(NamedTuple):
-    """One face of a cell and the peak of the density over it.
-
-    Each coordinate sits at the cell's lower edge (sign -1), at its upper
-    edge (+1) or is free (0).  Over the free coordinates F the Mahalanobis
-    form is least at x_F = mean_F + coef (x_G - mean_G), where G are the
-    fixed ones and coef = -P_FF^-1 P_FG for the precision matrix P.
-    """
-
-    signs: np.ndarray
-    free: np.ndarray
-    fixed: np.ndarray
-    coef: np.ndarray
-
-
-def _cell_faces(law: GaussianLaw) -> list[_Face]:
-    """The 3^d faces of a cell, corners (no free coordinate) first."""
-    precision = np.einsum("ki,kj->ij", law.whitening, law.whitening)
-    faces = []
-    for signs in itertools.product((-1.0, 1.0, 0.0), repeat=law.dim):
-        signs = np.array(signs)
-        free = np.nonzero(signs == 0.0)[0]
-        fixed = np.nonzero(signs != 0.0)[0]
-        coef = -np.linalg.solve(precision[np.ix_(free, free)], precision[np.ix_(free, fixed)])
-        faces.append(_Face(signs, free, fixed, coef))
-    faces.sort(key=lambda face: len(face.free))
-    return faces
-
-
-def _rule_integrals(
-    law: GaussianLaw,
-    consts: np.ndarray | None,
-    centers: np.ndarray,
-    halfwidths: np.ndarray,
-    order: int,
-) -> tuple[np.ndarray | None, np.ndarray]:
-    """Integrals of |const - density| and of the density over each cell.
-
-    One tensor Gauss-Legendre rule per cell, evaluated in blocks of at most
-    ``_CELL_BLOCK`` points and reduced with einsum (no BLAS call).  With
-    ``consts`` None only the masses are computed.
-    """
-    offsets, weights = _tensor_rule(order, law.dim)
-    step = max(1, _CELL_BLOCK // len(weights))
-    masses = np.empty(len(centers))
-    gaps = None if consts is None else np.empty(len(centers))
-    for s in range(0, len(centers), step):
-        width = 2.0 * halfwidths[s : s + step]
-        pts = np.multiply(offsets, width[:, None, None])
-        pts += centers[s : s + step, None, :]
-        dens = law.log_density(pts.reshape(-1, law.dim)).reshape(len(width), -1)
-        np.exp(dens, out=dens)
-        vol = width**law.dim
-        masses[s : s + step] = np.einsum("ij,j->i", dens, weights) * vol
-        if gaps is not None:
-            np.subtract(consts[s : s + step, None], dens, out=dens)
-            np.abs(dens, out=dens)
-            gaps[s : s + step] = np.einsum("ij,j->i", dens, weights) * vol
-    return gaps, masses
-
-
-def _log_density_range(
-    law: GaussianLaw, faces: list[_Face], centers: np.ndarray, halfwidth: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Least and greatest log-density on each cell, exactly.
-
-    The log-density is concave, so its least value on a cell sits at a
-    corner.  Its greatest value sits at the peak over one of the cell's
-    faces: each face's peak is computed exactly and kept when it lies inside
-    that face.  All 3^d candidates of every cell go into one log_density call.
-    """
-    m, dim = centers.shape
-    pts = np.empty((m, len(faces), dim))
-    inside = np.ones((m, len(faces)), dtype=bool)
-    for f, face in enumerate(faces):
-        x = pts[:, f, :]
-        x[:] = centers + face.signs * halfwidth
-        for row, i in zip(face.coef, face.free):
-            xi = np.full(m, law.mean[i])
-            for c, j in zip(row, face.fixed):
-                xi += c * (x[:, j] - law.mean[j])
-            inside[:, f] &= np.abs(xi - centers[:, i]) <= halfwidth
-            x[:, i] = xi
-    logs = law.log_density(pts.reshape(-1, dim)).reshape(m, len(faces))
-    lowest = logs[:, : 1 << dim].min(axis=1)
-    highest = np.where(inside, logs, -np.inf).max(axis=1)
-    return lowest, highest
-
-
-class CellIntegrals(NamedTuple):
-    """Totals over all cells from :func:`integrate_cells`, keyed by rule order.
-
-    ``leaf_error`` is half the sum, over sub-cells still straddling at
-    MAX_BISECTION_DEPTH, of |I_hi - I_lo|, the gap between the first two
-    orders' integrals of |const - density| on each such sub-cell.  Every
-    total is exact until its one final rounding, so the order in which the
-    blocks of cells were integrated cannot move it.
-    """
-
-    abs_total: dict[int, float]
-    mass_total: dict[int, float]
-    leaf_error: float
-
-
-def integrate_cells(
-    law: GaussianLaw,
-    consts: np.ndarray,
-    log_consts: np.ndarray,
-    centers: np.ndarray,
-    orders: Sequence[int],
-) -> CellIntegrals:
-    """Integrals of |const - density| and of the density over unit cells.
-
-    ``centers`` (m, d) are the centers of unit cubes, ``consts`` the constant
-    on each and ``log_consts`` its logarithm; one pair of totals over the
-    cells is returned per Gauss-Legendre order in ``orders``, the two
-    orders of :func:`_quad_orders`.  A cell whose density crosses its
-    constant has a kink inside, so it is bisected into its 2^d children
-    before integration, breadth first, up to MAX_BISECTION_DEPTH levels;
-    cells still straddling there are integrated as they are and counted in
-    ``leaf_error``.  The TV uses it in d=3 only: in d <= 2 the closed form
-    along the last axis needs no bisection (see :func:`tv_jittered_vs_gaussian`).
-
-    The frontier is kept as a stack of blocks of cells, so memory stays
-    bounded by the depth times one block's children, and every
-    ``log_density`` call covers at most ``_CELL_BLOCK`` points.
-    """
-    m, dim = centers.shape
-    abs_totals = dict.fromkeys(orders, 0)
-    mass_totals = dict.fromkeys(orders, 0)
-    leaf_total = 0
-    faces = _cell_faces(law)
-    block = max(1, _CELL_BLOCK // len(faces))
-    stack = [
-        (np.arange(s, min(s + block, m)), centers[s : s + block], 0.5, 0)
-        for s in reversed(range(0, m, block))
-    ]
-    while stack:
-        owners, ctr, half, level = stack.pop()
-        lowest, highest = _log_density_range(law, faces, ctr, half)
-        straddle = (lowest <= log_consts[owners]) & (highest >= log_consts[owners])
-        halves = np.full(len(owners), half)
-        unresolved = straddle if level == MAX_BISECTION_DEPTH else None
-        if unresolved is None and straddle.any():
-            shifts = _corner_offsets(dim)
-            kids = (ctr[straddle][:, None, :] + shifts[None, :, :] * half).reshape(-1, dim)
-            kid_owners = np.repeat(owners[straddle], len(shifts))
-            for s in reversed(range(0, len(kids), block)):
-                stack.append((kid_owners[s : s + block], kids[s : s + block], half / 2.0, level + 1))
-            smooth = ~straddle
-            owners, ctr, halves = owners[smooth], ctr[smooth], halves[smooth]
-        gaps = {}
-        for order in orders:
-            gaps[order], masses = _rule_integrals(law, consts[owners], ctr, halves, order)
-            abs_totals[order] += exact_total(gaps[order])
-            mass_totals[order] += exact_total(masses)
-        if unresolved is not None:
-            leaf_total += exact_total(np.abs(gaps[orders[0]] - gaps[orders[1]])[unresolved])
-    return CellIntegrals(
-        {order: total / EXACT_TOTAL_UNIT for order, total in abs_totals.items()},
-        {order: total / EXACT_TOTAL_UNIT for order, total in mass_totals.items()},
-        0.5 * (leaf_total / EXACT_TOTAL_UNIT),
-    )
-
-
-# ---------------------------------------------------------------------------
-# closed form along the last axis (d <= 2)
-
-_erfc = np.frompyfunc(math.erfc, 1, 1)
 _EPS = float(np.finfo(float).eps)
 # Rounding charged per unit of a closed-form term's magnitude: 16 ulps.
 _ROUNDING = 16.0 * _EPS
@@ -444,7 +259,7 @@ def _endpoint_rule(count: int) -> tuple[np.ndarray, np.ndarray]:
 
     psi(u) = u^3 (10 - 15 u + 6 u^2) has psi' = 30 u^2 (1 - u)^2, so it
     flattens the integrand at both ends of a piece: the square-root kinks
-    where a level ellipse is tangent to a cut become smooth enough for
+    where a level ellipsoid is tangent to a cut become smooth enough for
     Gauss-Legendre to converge fast.  Returns the nodes psi(u_j) and the
     weights psi'(u_j) w_j.
     """
@@ -454,11 +269,11 @@ def _endpoint_rule(count: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _slice_integrals(c, log_c, a, b, mean, sd, log_scale):
-    """Integral over y in [a, b] of |c - f(y)| - f(y), in closed form.
+    """Integrals over y in [a, b] of |c - f(y)| - f(y) and of f(y), in closed form.
 
     f = exp(log_scale) times the N(mean, sd^2) density.  It exceeds c
     exactly on |y - mean| < sd rho, with rho^2 = 2 (ln peak(f) - ln c), so
-    with lo, hi that interval clipped to [a, b] the integral is
+    with lo, hi that interval clipped to [a, b] the first integral is
     c [(lo - a) + (b - hi) - (hi - lo)] - 2 [f-mass(a, lo) + f-mass(hi, b)].
     Each normal mass is a difference of tails from ``math.erfc``, always
     taken on the side away from the mean, so no tail cancels.  The caller
@@ -466,7 +281,7 @@ def _slice_integrals(c, log_c, a, b, mean, sd, log_scale):
     rounding y - mean costs little.  Works elementwise on broadcastable
     arrays.
 
-    Returns the integrals and magnitudes that bound their rounding, in ulps
+    Returns both integrals and magnitudes that bound their rounding, in ulps
     up to a small factor: c (|a| + |b|) for the lengths, and for the masses
     each tail t at z weighted by (1 + z^2) (its sensitivity to a relative
     error in z) times 1 + |mean| / sd (that of mean's own rounding), plus 1
@@ -478,107 +293,158 @@ def _slice_integrals(c, log_c, a, b, mean, sd, log_scale):
     lo = np.clip(mean - reach, a, b)
     hi = np.clip(mean + reach, a, b)
     z = (np.stack(np.broadcast_arrays(a, lo, hi, b)) - mean) / sd
-    tail = 0.5 * _erfc(np.abs(z) * math.sqrt(0.5)).astype(float)
-    z0, z1, t0, t1 = z[0::2], z[1::2], tail[0::2], tail[1::2]
-    straddle = (z0 < 0.0) & (z1 > 0.0)
-    mass = np.where(z0 >= 0.0, t0 - t1, np.where(straddle, 1.0 - t0 - t1, t1 - t0))
+    tail = 0.5 * _erfc(np.abs(z) * math.sqrt(0.5))
+    mass, straddle = _normal_mass(z[0::2], z[1::2], tail[0::2], tail[1::2])
     value = c * ((lo - a) + (b - hi) - (hi - lo)) - 2.0 * scale * mass.sum(axis=0)
     spread = (tail * (1.0 + z * z)).sum(axis=0) * (1.0 + np.abs(mean) / sd)
     size = c * (np.abs(a) + np.abs(b)) + 2.0 * scale * (spread + straddle.sum(axis=0))
-    return value, size
+    return value, scale * _normal_mass(z[0], z[3], tail[0], tail[3])[0], size
 
 
-def _closed_form_tv(
-    law: GaussianLaw, log_consts: np.ndarray, points: np.ndarray, quad_order: int
-) -> tuple[float, float]:
-    """TV = 1/2 [1 + sum_cells int (|c - density| - density)] for d <= 2, and its bar.
+def _normal_mass(z0, z1, t0, t1):
+    """Standard normal mass between z0 <= z1 from their tails t = Phi(-|z|),
+    each taken on the side away from 0, and whether it straddles 0."""
+    straddle = (z0 < 0.0) & (z1 > 0.0)
+    return np.where(z0 >= 0.0, t0 - t1, np.where(straddle, 1.0 - t0 - t1, t1 - t0)), straddle
 
-    The last axis is done in closed form (:func:`_slice_integrals`): in d=1
-    that is the whole cell, and the bar is the rounding alone.  In d=2 the
-    outer x1 integral is a rule over pieces (:func:`_outer_pieces`), and
-    the bar adds half the sum over pieces of the gap between its two node
-    counts.  Cells go in blocks of at most ``_CELL_BLOCK`` evaluations; every
-    sum is exact, so the blocks do not move the result.
+
+@lru_cache(maxsize=64)
+def _sections(factor: tuple[tuple[float, ...], ...]) -> list[tuple]:
+    """Where the sections of the level ellipsoid by a cell's faces reach in x1.
+
+    With x = mean + L w the ellipsoid {f = c} is the sphere |w|^2 = q0.  Hold
+    a set S of the inner axes at cell edges, x_S - mean_S = b: the section's
+    w1 spans a1'G b +- s sqrt(q0 - b'G b), with A = L[S], G = (A A')^-1,
+    a1 = L[S, 0] and s = sqrt(1 - a1'G a1).  Returns, per S and per choice of
+    lower (-1/2) or upper (+1/2) edge on each axis of S, the axes, the edge
+    offsets from the cell's center, G a1, G and s; S empty gives the
+    sphere's own ends, w1 = +-sqrt(q0).  ``factor`` is L as nested tuples,
+    so each law's sections are computed once.
     """
-    m, dim = points.shape
-    consts = np.exp(log_consts)
-    # a d=2 cell has at most 7 pieces of 3 + 2 quad_order nodes each
-    block = max(1, _CELL_BLOCK // (1 if dim == 1 else 35 * quad_order))
-    total = rounding = gap = 0
-    for s in range(0, m, block):
-        part = slice(s, s + block)
-        if dim == 1:
-            centers = points[part, 0] - law.mean[0]
-            value, size = _slice_integrals(
-                consts[part], log_consts[part], centers - 0.5, centers + 0.5,
-                0.0, law.cholesky_factor[0, 0], 0.0,
-            )
-        else:
-            value, size, gaps = _outer_pieces(law, consts[part], log_consts[part], points[part], quad_order)
-            gap += exact_total(gaps)
-        total += exact_total(value)
-        rounding += exact_total(size)
-    total, rounding, gap = (t / EXACT_TOTAL_UNIT for t in (total, rounding, gap))
-    # The law's moments are stored rounded: its mean moves by up to an ulp,
-    # which moves the TV by less than that shift in whitened units.
-    stored = dim + float(np.sum(np.abs(law.whitening) * np.abs(law.mean)))
-    error = 0.5 * (gap + _ROUNDING * rounding) + _EPS * stored
-    return min(max(0.5 * (1.0 + total), 0.0), 1.0), error
+    cholesky = np.array(factor)
+    sections = []
+    for size in range(len(cholesky)):
+        for axes in itertools.combinations(range(1, len(cholesky)), size):
+            rows = cholesky[list(axes)]
+            gram = np.linalg.inv(np.einsum("ik,jk->ij", rows, rows))
+            tilt = np.einsum("ij,j->i", gram, rows[:, 0])
+            spread = math.sqrt(max(1.0 - float(np.sum(rows[:, 0] * tilt)), 0.0))
+            for edges in itertools.product((-0.5, 0.5), repeat=size):
+                sections.append((list(axes), np.array(edges), tilt, gram, spread))
+    return sections
 
 
-def _outer_pieces(
-    law: GaussianLaw,
-    consts: np.ndarray,
-    log_consts: np.ndarray,
-    points: np.ndarray,
-    quad_order: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The outer x1 integral over d=2 cells, a rule node at a time.
+def _cell_integrals(cholesky, consts, log_consts, centers, mean, log_scale, quad_order):
+    """Per unit cell, the integrals of |c - f| - f and of f, their rounding
+    magnitudes and their quadrature gaps, a (5, m) array in that order.
 
-    Given x1 the density is the x1 marginal times a normal in x2, so the x2
-    integral is :func:`_slice_integrals`.  As a function of x1 it has kinks
-    where the level ellipse {density = c} ends and where it crosses the
-    cell's two x2 edges: at most 6 cuts.  With x = mean + L w (L the lower
-    Cholesky factor) the ellipse is the circle |w|^2 = q0 = 2 (log_norm - ln c):
-    it ends at w1 = +-sqrt(q0) and meets the line x2 = mean2 + u where
-    w1 = (u l21 +- l22 sqrt(s22 q0 - u^2)) / s22.  Each piece between cuts
-    takes 3 quad_order nodes of :func:`_endpoint_rule` and, for the gap,
-    2 quad_order.  Returns the weighted terms at 3 quad_order nodes, their
-    rounding magnitudes, and each piece's |I(3 quad_order) - I(2 quad_order)|.
+    f is exp(log_scale) times the N(mean, L L') density, L = ``cholesky``;
+    ``centers`` and ``mean`` (m, d) are measured from one point near the
+    mass, and ``consts`` holds each cell's c, ``log_consts`` its logarithm.
+    The last axis is in closed form (:func:`_slice_integrals`), its gaps 0.
+    Above it, with x1 = mean1 + l11 w1, f is the x1 marginal times the
+    normal of the other axes given x1, whose factor is L[1:, 1:] and whose
+    mean moves by L[1:, 0] w1, so the x1 integral is a rule over this
+    function one dimension down.  As a function of x1 that integrand has
+    kinks where the sections of {f = c} by the cell's faces end
+    (:func:`_sections`).  Cut there, each piece takes 3 ``quad_order`` nodes
+    of :func:`_endpoint_rule`, and its gap adds the difference to
+    2 ``quad_order`` nodes to the gaps one dimension down.  Cells go in
+    blocks of at most ``_CELL_BLOCK`` evaluations one dimension down, and
+    no cell's result depends on the others.
     """
-    (l11, _), (l21, l22) = law.cholesky_factor
-    mu1, mu2 = law.mean
-    s22 = l21 * l21 + l22 * l22
-    k1, k2 = points[:, 0], points[:, 1]
-    q0 = 2.0 * (law.log_norm - log_consts)
+    dim = len(cholesky)
+    # a cell has at most 2 3^(d-1) + 1 pieces, of 3 quad_order nodes each
+    block = max(1, _CELL_BLOCK // (1 if dim == 1 else (2 * 3 ** (dim - 1) + 1) * 3 * quad_order))
+    if len(consts) > block:
+        return np.concatenate([
+            _cell_integrals(cholesky, consts[s : s + block], log_consts[s : s + block],
+                            centers[s : s + block], mean[s : s + block],
+                            log_scale[s : s + block], quad_order)
+            for s in range(0, len(consts), block)
+        ], axis=1)
+    if dim == 1:
+        value, mass, size = _slice_integrals(
+            consts, log_consts, centers[:, 0] - 0.5, centers[:, 0] + 0.5,
+            mean[:, 0], cholesky[0, 0], log_scale,
+        )
+        return np.stack([value, mass, size, np.zeros_like(value), np.zeros_like(value)])
+    l11 = cholesky[0, 0]
+    log_norm = -0.5 * dim * math.log(2.0 * math.pi) - float(np.sum(np.log(np.diag(cholesky))))
+    q0 = 2.0 * (log_scale + log_norm - log_consts)
+    offset = centers - mean
+    lo, hi = offset[:, 0] - 0.5, offset[:, 0] + 0.5
+    cuts = [lo, hi]
     with np.errstate(invalid="ignore"):
-        cuts = [k1 - 0.5, k1 + 0.5, mu1 - l11 * np.sqrt(q0), mu1 + l11 * np.sqrt(q0)]
-        for edge in (k2 - 0.5, k2 + 0.5):
-            u = edge - mu2
-            root = l22 * np.sqrt(s22 * q0 - u * u)
-            cuts += [mu1 + l11 * (u * l21 - root) / s22, mu1 + l11 * (u * l21 + root) / s22]
+        for axes, edges, tilt, gram, spread in _sections(tuple(map(tuple, cholesky))):
+            b = offset[:, axes] + edges
+            mid = np.einsum("ij,j->i", b, tilt)
+            rad = spread * np.sqrt(q0 - np.einsum("ij,jk,ik->i", b, gram, b))
+            cuts += [l11 * (mid - rad), l11 * (mid + rad)]
     cuts = np.column_stack(cuts)
-    cuts = np.clip(np.where(np.isnan(cuts), k1[:, None] + 0.5, cuts),
-                   k1[:, None] - 0.5, k1[:, None] + 0.5)
+    cuts = np.clip(np.where(np.isnan(cuts), hi[:, None], cuts), lo[:, None], hi[:, None])
     cuts.sort(axis=1)
     left, right = cuts[:, :-1], cuts[:, 1:]
     keep = right > left
     owner = np.nonzero(keep)[0]
     left, width = left[keep][:, None], (right - left)[keep][:, None]
-    u_lo = (k2[owner] - 0.5 - mu2)[:, None]
     log_marginal = -math.log(l11 * math.sqrt(2.0 * math.pi))
     results = []
     for count in (3 * quad_order, 2 * quad_order):
         nodes, weights = _endpoint_rule(count)
-        w1 = (left + width * nodes - mu1) / l11
-        value, size = _slice_integrals(
-            consts[owner, None], log_consts[owner, None], u_lo, u_lo + 1.0,
-            l21 * w1, l22, log_marginal - 0.5 * w1 * w1,
-        )
+        w1 = (left + width * nodes) / l11
+        rows = np.repeat(owner, count)
+        inner = _cell_integrals(
+            cholesky[1:, 1:], consts[rows], log_consts[rows], centers[rows, 1:],
+            mean[rows, 1:] + np.multiply.outer(w1.ravel(), cholesky[1:, 0]),
+            (log_scale[owner, None] + log_marginal - 0.5 * w1 * w1).ravel(), quad_order,
+        ).reshape(5, *w1.shape)
         # the marginal's own rounding grows with its exponent
-        results.append((value * (width * weights), size * (1.0 + w1 * w1) * (width * weights)))
-    (terms, sizes), (coarse, _) = results
-    return terms.ravel(), sizes.ravel(), np.abs(terms.sum(axis=1) - coarse.sum(axis=1))
+        inner[2] *= 1.0 + w1 * w1
+        results.append((inner * (width * weights)).sum(axis=-1))
+    pieces, coarse = results
+    pieces[3:] += np.abs(pieces[:2] - coarse[:2])
+    return np.add.reduceat(pieces, np.flatnonzero(np.diff(owner, prepend=-1)), axis=1)
+
+
+def _cube_quadrature(
+    params: ExperimentParams, discrete_law: str, law: GaussianLaw, quad_order: int
+) -> tuple[TVResult, TVResult]:
+    """TV(jittered law, Gaussian) and TV(lattice law, rounded Gaussian), one pass.
+
+    Over the support cells k, with p_k the pmf and m_k the Gaussian mass of
+    the cell (:func:`_cell_integrals`), the first TV is
+    1/2 [1 + sum_k int_cell(k) (|p_k - density| - density)].  The rounded
+    Gaussian puts m_k on every cell of the lattice, and off the support p
+    is 0 while the cells tile the space, so the second TV is
+    1/2 [sum_k |p_k - m_k| + (1 - sum_k m_k)].  Each bar is the quadrature
+    gaps plus the rounding; an error in m_k moves the second TV by up to
+    that error.  Every sum is exact, so the blocks of cells cannot move a bit.
+    """
+    if not 2 <= quad_order <= MAX_QUAD_ORDER:
+        raise ValidationError(f"quad_order must lie in [2, {MAX_QUAD_ORDER}]")
+    if params.dim > MAX_QUAD_DIM:
+        raise ValidationError(
+            f"quadrature supports dimension <= {MAX_QUAD_DIM}; "
+            "use the Monte Carlo path instead"
+        )
+    if law.dim != params.dim:
+        raise ValidationError("Gaussian dimension does not match the experiment")
+    points = _support_points(params, (discrete_law,))
+    log_consts = _log_pmf_matrix(params, _canonical_law(discrete_law), points)
+    consts = np.exp(log_consts)
+    m, dim = points.shape
+    cells = _cell_integrals(law.cholesky_factor, consts, log_consts, points - law.mean,
+                            np.zeros((m, dim)), np.zeros(m), quad_order)
+    total, masses, rounding, gap, mass_gap = map(exact_sum, cells)
+    # The law's moments are stored rounded: its mean moves by up to an ulp,
+    # which moves either TV by less than that shift in whitened units.
+    stored = _EPS * (dim + float(np.sum(np.abs(law.whitening) * np.abs(law.mean))))
+    before = TVResult(min(max(0.5 * (1.0 + total), 0.0), 1.0), METHOD_QUAD,
+                      0.5 * (gap + _ROUNDING * rounding) + stored)
+    after = TVResult(0.5 * (exact_sum(np.abs(consts - cells[1])) + max(0.0, 1.0 - masses)),
+                     METHOD_QUAD, mass_gap + _ROUNDING * (rounding + masses) + stored)
+    return before, after
 
 
 # ---------------------------------------------------------------------------
@@ -614,51 +480,13 @@ def tv_jittered_vs_gaussian(
 
     value = 1/2 [ sum_k int_cube(k) |pmf(k) - density| + (1 - sum_k int_cube(k) density) ];
     the complement term accounts for Gaussian mass outside the support cubes,
-    keeping the result exact up to quadrature error.  In d <= 2 the last
-    axis is integrated in closed form (:func:`_closed_form_tv`): d=1 needs
-    no rule at all, and d=2 takes 3 ``quad_order`` outer nodes per piece,
-    its bar the gap to 2 ``quad_order`` plus the rounding.  In d=3 cubes
-    where the density crosses the cube's constant are bisected before
-    integration (:func:`integrate_cells`), and the bar is the gap between
-    the two orders of :func:`_quad_orders`.
+    keeping the result exact up to quadrature error.  The last axis is
+    integrated in closed form, so d=1 needs no rule at all; every axis above
+    it takes 3 ``quad_order`` nodes per piece of each cell, cut at the kinks,
+    and the bar is the gap to 2 ``quad_order`` plus the rounding
+    (:func:`_cell_integrals`).
     """
-    if quad_order < 2:
-        raise ValidationError("quad_order must be at least 2")
-    if params.dim > MAX_QUAD_DIM:
-        raise ValidationError(
-            f"quadrature supports dimension <= {MAX_QUAD_DIM}; "
-            "use the Monte Carlo path instead"
-        )
-    if law.dim != params.dim:
-        raise ValidationError("Gaussian dimension does not match the experiment")
-    points = _support_points(params, (discrete_law,))
-    logp = _log_pmf_matrix(params, _canonical_law(discrete_law), points)
-    if params.dim <= 2:
-        value, error = _closed_form_tv(law, logp, points.astype(float), quad_order)
-        return TVResult(value=value, method=METHOD_QUAD, error_estimate=error)
-    orders = _quad_orders(quad_order)
-    parts = integrate_cells(law, np.exp(logp), logp, points.astype(float), orders)
-    value, gap = _tv_and_gap([(parts.abs_total[o], parts.mass_total[o]) for o in orders])
-    error = parts.leaf_error + 1e-12 + 1e-16 * len(points) + gap
-    return TVResult(value=min(max(value, 0.0), 1.0), method=METHOD_QUAD, error_estimate=error)
-
-
-def _quad_orders(quad_order: int) -> tuple[int, int]:
-    """The rule orders of a quadrature TV: ``quad_order``, then a strictly lower
-    one for its bar, max(2, quad_order // 2), or the 1-point rule at order 2."""
-    return quad_order, (max(2, quad_order // 2) if quad_order > 2 else 1)
-
-
-def _tv_and_gap(totals: Sequence[tuple[float, float]]) -> tuple[float, float]:
-    """TV at the first order of :func:`_quad_orders` and its gap to the last.
-
-    ``totals`` holds, per order, the correctly rounded sums over the cells
-    of |pmf - density| and of the Gaussian mass; the TV is
-    1/2 [sum |.| + max(0, 1 - sum mass)], the complement counting the mass
-    outside the cells.
-    """
-    values = [0.5 * (gaps + max(0.0, 1.0 - masses)) for gaps, masses in totals]
-    return values[0], abs(values[0] - values[-1])
+    return _cube_quadrature(params, discrete_law, law, quad_order)[0]
 
 
 def tv_monte_carlo(
@@ -695,7 +523,7 @@ def tv_monte_carlo(
         term = 1.0 - np.exp(logd - logp)
         np.clip(term, 0.0, None, out=term)
         chunk_sums.append(float(np.sum(term)))
-        chunk_sq_sums.append(float(np.dot(term, term)))
+        chunk_sq_sums.append(float(np.sum(np.square(term, out=term))))
     total = math.fsum(chunk_sums)
     total_sq = math.fsum(chunk_sq_sums)
     mean = total / sample_count

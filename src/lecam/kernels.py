@@ -6,9 +6,9 @@ rounding inverts it.  Because rounding a jittered point always recovers the
 original point, a data-processing argument turns a one-sided total-variation
 bound into a bound on both deficiencies at once; ``data_processing_check``
 validates that chain numerically.  The TVs themselves come from
-``distances.tv_pair`` (the ``*-gauss`` pairs) and, for the rounded Gaussian,
-from tensor cube rules over the support cells alone, with the two-order error
-bar of the d=3 quadrature TV.
+``distances.tv_pair`` (the ``*-gauss`` pairs) and, for the check, from one
+pass of the cube quadrature, which gives each support cell's Gaussian mass
+beside the jittered law's TV and so the rounded Gaussian's TV with it.
 """
 
 from __future__ import annotations
@@ -16,27 +16,20 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
-import numpy as np
-
 from .distances import (
     DEFAULT_MC_SAMPLES,
     DEFAULT_QUAD_ORDER,
+    _cube_quadrature,
     _gaussian_term_scale,
-    _quad_orders,
     _require_regime,
-    _rule_integrals,
-    _support_points,
-    _tv_and_gap,
     build_gaussian,
-    tv_jittered_vs_gaussian,
     tv_pair,
 )
 from .errors import RegimeError
 from .expansion import _map_ordered
 from .lattice import ExperimentParams
 # apply_jitter is the jitter kernel; it lives in numerics and is re-exported here
-from .numerics import SlopeFit, apply_jitter, exact_sum, fit_loglog_slope, round_half_away
-from .pmf import hypergeometric_log_pmf_matrix
+from .numerics import SlopeFit, apply_jitter, fit_loglog_slope, round_half_away
 from .records import ScanRecord
 
 # Method of the deficiency rows of a Le Cam scan point outside the regime.
@@ -197,23 +190,14 @@ def data_processing_check(
     Off the support the pmf p is 0, so a cube there adds just m_k, and the
     cubes tile R^d, so those masses add up to 1 - sum_supp m_k:
     tv_after = 1/2 [sum_supp |p_k - m_k| + (1 - sum_supp m_k)], summed over
-    the support cells alone.
+    the support cells alone.  Both TVs come from one pass of the cell
+    integrator, which yields each cell's m_k beside its |p_k - density|.
     """
-    law = build_gaussian(params)
-    before = tv_jittered_vs_gaussian(params, "hypergeometric", law, quad_order)
-    centers = _support_points(params, ("hyper",))
-    pmf = np.exp(hypergeometric_log_pmf_matrix(params, centers))
-    halves = np.full(len(centers), 0.5)
-    totals = []
-    for order in _quad_orders(quad_order):
-        masses = _rule_integrals(law, None, centers.astype(float), halves, order)[1]
-        totals.append((exact_sum(np.abs(pmf - masses)), exact_sum(masses)))
-    tv_after, gap = _tv_and_gap(totals)
-    err_after = gap + 1e-12
+    before, after = _cube_quadrature(params, "hypergeometric", build_gaussian(params), quad_order)
     return DataProcessingResult(
         tv_before=before.value,
-        tv_after=tv_after,
-        slack=before.value - tv_after,
+        tv_after=after.value,
+        slack=before.value - after.value,
         error_before=before.error_estimate,
-        error_after=err_after,
+        error_after=after.error_estimate,
     )

@@ -9,6 +9,7 @@ were produced by running ``python tests/oracles.py``.
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 from itertools import product
 
@@ -295,6 +296,103 @@ def tv_jitter_gauss_2d(masses: list[Fraction], lattice: list[tuple[int, int]],
 
 
 # ---------------------------------------------------------------------------
+# three-dimensional jittered-law vs Gaussian TV, closed form in x3
+
+def _level_crossings(prec, axis, point, q0):
+    """Where t'Pt = q0 along coordinate ``axis``, the others held at ``point``.
+
+    ``prec`` is the precision matrix of the marginal on len(point)
+    coordinates; the crossings are the roots of a quadratic in t_axis."""
+    others = [j for j in range(len(point)) if j != axis]
+    a = prec[axis, axis]
+    b = sum(prec[axis, j] * point[j] for j in others)
+    c = sum(prec[j, k] * point[j] * point[k] for j in others for k in others) - q0
+    disc = b * b - a * c
+    if disc < 0:
+        return []
+    root = mpmath.sqrt(disc)
+    return [(-b - root) / a, (-b + root) / a]
+
+
+def tv_jitter_gauss_3d(masses: list[Fraction], lattice: list[tuple[int, int, int]],
+                       mean: list[Fraction], cov: list[list[Fraction]]) -> mpmath.mpf:
+    """TV between sum_k masses[k] * Uniform(cell k) and a trivariate normal.
+
+    TV = 1/2 [1 + sum_cells int_cell (|c - phi| - phi)].  {phi > c} is the
+    ellipsoid t'Pt < q0 (t = x - mean, P the inverse covariance).  Given
+    (t1, t2), phi is a scaled normal in t3 of mean m3 = -(P31 t1 + P32 t2) / P33
+    and variance 1 / P33, above c on |t3 - m3| < rho, so the t3 integral is
+    in closed form: c (b3 - a3) - 2 [c (hi - lo) + mass(a3, lo) + mass(hi, b3)]
+    with lo, hi = m3 -+ rho clipped to the cell.  That leaves a nested
+    mpmath.quad (tanh-sinh, for the square-root kinks) over (t1, t2), each
+    split where its integrand has kinks: t2 where the ellipse in (t2, t3)
+    ends or meets a t3 edge, t1 where the ellipsoid, or its section by a
+    face or an edge of the cell, ends.  A section by the coordinates F held
+    at edges ends where the marginal quadratic form on {t1} and F, whose
+    precision is the inverse of that block of the covariance, equals q0.
+    Works at 20 digits.
+    """
+    with mpmath.workdps(20):
+        mu = [_mpf(v) for v in mean]
+        sigma = mpmath.matrix([[_mpf(v) for v in row] for row in cov])
+        prec = mpmath.inverse(sigma)
+        peak = 1 / (mpmath.sqrt((2 * mpmath.pi) ** 3 * mpmath.det(sigma)))
+        p33 = prec[2, 2]
+        sd3 = 1 / mpmath.sqrt(p33)
+
+        def marginal(keep):
+            return mpmath.inverse(mpmath.matrix([[sigma[i, j] for j in keep] for i in keep]))
+
+        # (t1, t2) marginal, and the marginals of the outer cuts per set F
+        outer_marginals = [(fixed, marginal([0] + fixed)) for fixed in ([], [1], [2], [1, 2])]
+        inner_marginals = [([], marginal([0, 1])), ([2], prec)]
+        half = mpmath.mpf(1) / 2
+        total = mpmath.mpf(0)
+        for cell, mass in zip(lattice, masses):
+            c = _mpf(mass)
+            q0 = 2 * mpmath.log(peak / c) if c < peak else None
+            edges = [(k - half - m, k + half - m) for k, m in zip(cell, mu)]
+            (lo1, hi1), (lo2, hi2), (a3, b3) = edges
+
+            def normal_mass(t1, t2, lo, hi):
+                m3 = -(prec[2, 0] * t1 + prec[2, 1] * t2) / p33
+                r = (prec[0, 0] * t1 * t1 + 2 * prec[0, 1] * t1 * t2 + prec[1, 1] * t2 * t2
+                     - p33 * m3 * m3)
+                scale = peak * mpmath.exp(-r / 2) * mpmath.sqrt(2 * mpmath.pi) * sd3
+                return scale * (mpmath.ncdf(hi, m3, sd3) - mpmath.ncdf(lo, m3, sd3))
+
+            def slice_gap(t1, t2, c=c, q0=q0, a3=a3, b3=b3):
+                m3 = -(prec[2, 0] * t1 + prec[2, 1] * t2) / p33
+                lo = hi = min(max(m3, a3), b3)
+                if q0 is not None:
+                    r = (prec[0, 0] * t1 * t1 + 2 * prec[0, 1] * t1 * t2 + prec[1, 1] * t2 * t2
+                         - p33 * m3 * m3)
+                    if q0 > r:
+                        rho = mpmath.sqrt((q0 - r) / p33)
+                        lo, hi = min(max(m3 - rho, a3), b3), min(max(m3 + rho, a3), b3)
+                below = c * (hi - lo) + normal_mass(t1, t2, a3, lo) + normal_mass(t1, t2, hi, b3)
+                return c * (b3 - a3) - 2 * below
+
+            def inner(t1, q0=q0, lo2=lo2, hi2=hi2, a3=a3, b3=b3):
+                cuts = {lo2, hi2}
+                if q0 is not None:
+                    for fixed, m in inner_marginals:
+                        for e in ((a3, b3) if fixed else (None,)):
+                            point = [t1, None] + ([e] if fixed else [])
+                            cuts.update(_level_crossings(m, 1, point, q0))
+                pts = sorted(t for t in cuts if lo2 <= t <= hi2)
+                return mpmath.quad(lambda t2: slice_gap(t1, t2), pts)
+
+            cuts = {lo1, hi1}
+            if q0 is not None:
+                for fixed, m in outer_marginals:
+                    for held in product(*[edges[i] for i in fixed]):
+                        cuts.update(_level_crossings(m, 0, [None, *held], q0))
+            total += mpmath.quad(inner, sorted(t for t in cuts if lo1 <= t <= hi1))
+        return (1 + total) / 2
+
+
+# ---------------------------------------------------------------------------
 # finite-population law vs the Gaussian rounded onto the lattice
 
 def _mpf(value: Fraction) -> mpmath.mpf:
@@ -385,6 +483,14 @@ def main() -> None:
 
     print("# clamp mass of Normal(n p, n p) below zero at n=16, p=1/2")
     print("Phi(-sqrt(8)) =", f(mpmath.ncdf(-mpmath.sqrt(8))))
+
+    if "--3d" in sys.argv:  # some minutes per instance
+        for population, draws, counts in ((4, 1, (1, 1, 1, 1)), (60, 4, (6, 12, 18, 24))):
+            print(f"# jittered hyper vs normal, N={population} n={draws} counts={counts}")
+            points = list(support_points(counts, draws))
+            masses = [hyper_prob(population, counts, draws, k) for k in points]
+            moments = gaussian_moments(population, counts, draws)
+            print("tv_jitter_hyper_gauss_3d =", f(tv_jitter_gauss_3d(masses, points, *moments)))
 
 
 if __name__ == "__main__":

@@ -257,6 +257,15 @@ class TestExitCodes:
         assert proc.returncode == 3
         assert "validation" in proc.stderr
 
+    @pytest.mark.parametrize("command", ["tv", "dpi-check"])
+    def test_huge_quad_order_is_validation(self, command):
+        # refused before any rule is built, so nothing is allocated
+        extra = ("--pair", "jitterhyper-gauss", "--method", "quad") if command == "tv" else ()
+        proc = run_cli(command, "--N", "64", "--n", "8", "--Np", "32,32",
+                       "--quad-order", str(10**9), *extra)
+        assert proc.returncode == 3
+        assert "quad_order" in proc.stderr
+
     @pytest.mark.parametrize("args", [
         ("tv", "--pair", "jitterhyper-gauss", "--N", "64", "--n", "8", "--Np", "32,32",
          "--method", "mc", "--samples", "10000"),

@@ -294,13 +294,9 @@ class TestQuadratureTV:
             combined = lhs.error_estimate + mid.error_estimate + rhs.error_estimate
             assert lhs.value <= mid.value + rhs.value + combined
 
-    def test_bar_order_is_strictly_lower(self):
-        assert distances._quad_orders(2) == (2, 1)
-        for order in range(3, 40):
-            assert distances._quad_orders(order) == (order, max(2, order // 2))
-
     def test_order_two_bar_covers_its_error_in_three_dimensions(self):
-        # the reference's orders (6, 3) share no rule with order 2's (2, 1)
+        # order 2 takes 6 nodes per piece and its bar from 4; the reference's
+        # 18 and 12 share no rule with them
         params = validate_params(8, 1, (2, 2, 2, 2))
         law = build_gaussian(params)
         coarse = tv_jittered_vs_gaussian(params, "hyper", law, 2)
@@ -308,10 +304,13 @@ class TestQuadratureTV:
         gap = abs(coarse.value - reference.value)
         assert gap + reference.error_estimate <= coarse.error_estimate
 
-    def test_order_validation(self):
+    @pytest.mark.parametrize("order", [1, 10**9])
+    def test_order_validation(self, order):
+        # 10^9 is refused before any rule is built: leggauss(3 q) would ask
+        # for (3 q)^2 doubles
         law = build_gaussian(WIDE)
-        with pytest.raises(ValidationError):
-            tv_jittered_vs_gaussian(WIDE, "hyper", law, 1)
+        with pytest.raises(ValidationError, match="quad_order"):
+            tv_jittered_vs_gaussian(WIDE, "hyper", law, order)
 
     def test_dimension_cap(self):
         params = validate_params(25, 6, (5, 5, 5, 5, 5))
@@ -322,6 +321,8 @@ class TestQuadratureTV:
 
 class TestCellIntegrator:
     def test_log_density_calls_are_few(self, monkeypatch):
+        # every dimension goes by the closed form along the last axis and
+        # rules above it: no density call at all
         calls = []
         original = GaussianLaw.log_density
 
@@ -330,49 +331,20 @@ class TestCellIntegrator:
             return original(self, x)
 
         monkeypatch.setattr(GaussianLaw, "log_density", counted)
-        tv_jittered_vs_gaussian(CUBE_D3, "hyper", build_gaussian(CUBE_D3), 4)
-        assert 0 < len(calls) <= 400
-        assert max(calls) <= distances._CELL_BLOCK
-        # d <= 2 goes by the closed form along the last axis: no density call
-        calls.clear()
-        for params in (WIDE, BALANCED_D2):
+        for params in (CUBE_D3, WIDE, BALANCED_D2):
             tv_jittered_vs_gaussian(params, "hyper", build_gaussian(params), 8)
         assert calls == []
 
     def test_block_size_does_not_move_values(self, monkeypatch):
-        # every sum over cells and sub-cells is exact, so the blocks cannot
-        # move a bit; d=3 goes through integrate_cells, d <= 2 through the
-        # closed form
+        # no cell's integrals depend on the others and every sum over cells
+        # is exact, so the blocks cannot move a bit; at 64 evaluations every
+        # block above the last axis holds a single row
         cases = ((CUBE_D3, "hyper", 4), (CUBE_D3, "multi", 2), (BALANCED_D2, "hyper", 8),
                  (WIDE, "multi", 8))
         wide = [tv_jittered_vs_gaussian(p, w, build_gaussian(p), o) for p, w, o in cases]
-        monkeypatch.setattr(distances, "_CELL_BLOCK", 2048)
-        narrow = [tv_jittered_vs_gaussian(p, w, build_gaussian(p), o) for p, w, o in cases[:2]]
         monkeypatch.setattr(distances, "_CELL_BLOCK", 64)
-        narrow += [tv_jittered_vs_gaussian(p, w, build_gaussian(p), o) for p, w, o in cases[2:]]
+        narrow = [tv_jittered_vs_gaussian(p, w, build_gaussian(p), o) for p, w, o in cases]
         assert narrow == wide
-
-    @pytest.mark.parametrize(
-        "params, cell",
-        [(validate_params(12, 2, (1, 7, 4)), (0, 2)), (validate_params(12, 3, (1, 3, 8)), (0, 1))],
-    )
-    def test_straddle_missed_by_corners_and_center(self, params, cell):
-        # the peak of the density over this cell lies on an edge, above the
-        # cell's constant, while every corner and the center lie below it
-        law = build_gaussian(params)
-        center = np.array([cell], dtype=float)
-        faces = distances._cell_faces(law)
-        (lowest,), (highest,) = distances._log_density_range(law, faces, center, 0.5)
-        log_const = hypergeometric_log_pmf(params, cell)
-        probes = np.vstack([center + distances._corner_offsets(2), center])
-        assert law.log_density(probes).max() < log_const < highest
-        assert lowest < log_const
-        grid = np.linspace(-0.5, 0.5, 401)
-        pts = np.stack(np.meshgrid(grid, grid, indexing="ij"), axis=-1).reshape(-1, 2) + center
-        dense = law.log_density(pts)
-        assert dense.max() <= highest + 1e-12
-        assert highest - dense.max() < 1e-3
-        assert lowest == pytest.approx(dense.min(), abs=1e-12)
 
     @pytest.mark.parametrize(
         "params, expected",
@@ -383,53 +355,12 @@ class TestCellIntegrator:
     )
     def test_missed_straddle_instances_match_reference(self, params, expected):
         # independent values: closed form in x2, tanh-sinh in x1 split at the
-        # kinks, at 30 digits (bench/reference.py).  With corner-and-center
-        # probes these came out 3.0e-5 and 3.3e-4 off.
+        # kinks, at 30 digits (bench/reference.py).  On cells (0, 2) and
+        # (0, 1) the density's peak lies on an edge, above the cell's
+        # constant, while every corner and the center lie below it
         tv = tv_jittered_vs_gaussian(params, "hyper", build_gaussian(params), 8)
         assert abs(tv.value - expected) <= 1e-7
         assert abs(tv.value - expected) <= tv.error_estimate
-
-    def test_log_density_range_contains_a_dense_grid(self):
-        # so no crossing a dense grid sees on a cell can be missed
-        grid = np.linspace(-0.5, 0.5, 61)
-        offsets = np.stack(np.meshgrid(grid, grid, indexing="ij"), axis=-1).reshape(-1, 2)
-        for params in (THREE_CAT, validate_params(18, 9, (6, 6, 6)), validate_params(30, 5, (3, 9, 18))):
-            law = build_gaussian(params)
-            cells = np.array(list(oracles.support_points(params.counts, params.sample_size)))
-            lowest, highest = distances._log_density_range(
-                law, distances._cell_faces(law), cells.astype(float), 0.5
-            )
-            dense = law.log_density((cells[:, None, :] + offsets).reshape(-1, 2)).reshape(len(cells), -1)
-            assert np.all(dense.max(axis=1) <= highest + 1e-12)
-            assert np.all(dense.min(axis=1) >= lowest - 1e-12)
-
-    def test_unresolved_leaves_enter_the_error_bar(self, monkeypatch):
-        # d=3: the bar holds the leaf term on top of the gap between orders
-        seen = []
-        original = distances.integrate_cells
-
-        def spied(*args):
-            seen.append(original(*args))
-            return seen[-1]
-
-        monkeypatch.setattr(distances, "integrate_cells", spied)
-        tv = tv_jittered_vs_gaussian(CUBE_D3, "hyper", build_gaussian(CUBE_D3), 8)
-        (parts,) = seen
-        value, gap = distances._tv_and_gap([(parts.abs_total[o], parts.mass_total[o]) for o in (8, 4)])
-        assert parts.leaf_error > gap > 0.0
-        assert tv.value == value
-        assert tv.error_estimate >= parts.leaf_error + gap
-
-    def test_leaf_term_covers_what_the_gap_misses(self):
-        # the bisection is the same in every dimension; on this d=2 instance
-        # an independent value exists (bench/reference.py), and the gap
-        # between orders 16 and 8 alone (5.1e-10) misses its error (1.16e-9)
-        law = build_gaussian(BALANCED_D2)
-        points = np.array(list(oracles.support_points(BALANCED_D2.counts, 9)), dtype=float)
-        logp = np.array([hypergeometric_log_pmf(BALANCED_D2, tuple(map(int, k))) for k in points])
-        parts = distances.integrate_cells(law, np.exp(logp), logp, points, (16, 8))
-        value, gap = distances._tv_and_gap([(parts.abs_total[o], parts.mass_total[o]) for o in (16, 8)])
-        assert gap < abs(value - 0.13353567546459466) <= gap + parts.leaf_error
 
     def test_quadrature_wakes_no_blas_threads(self):
         # under OpenBLAS's default pool every BLAS call wakes a worker that
@@ -481,7 +412,7 @@ def _skewed(n, ratio):
 
 
 class TestClosedForm:
-    """The d <= 2 route: closed form along the last axis, against the oracles."""
+    """Closed form along the last axis and rules above it, against the oracles."""
 
     @pytest.mark.parametrize("params, which", [
         (_skewed(4, 1), "hyper"),
@@ -534,6 +465,16 @@ class TestClosedForm:
             assert abs(tv.value - expected) <= tv.error_estimate
         # at the default order
         assert abs(tv.value - expected) <= 1e-14 and tv.error_estimate <= 1e-11
+
+    @pytest.mark.parametrize("order", [2, 8])
+    @pytest.mark.parametrize("params, expected", [
+        (CUBE_D3, 0.48794382937296244182),
+        (validate_params(60, 4, (6, 12, 18, 24)), 0.33259944316658699817),
+    ], ids=["cube", "skewed"])
+    def test_three_dimensions_match_the_oracle(self, params, expected, order):
+        # oracles.tv_jitter_gauss_3d at 20 digits (`python tests/oracles.py --3d`)
+        tv = tv_jittered_vs_gaussian(params, "hyper", build_gaussian(params), order)
+        assert abs(tv.value - expected) <= tv.error_estimate
 
 
 class TestMonteCarloTV:
