@@ -12,6 +12,7 @@ validation, 4 resource cap.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -246,7 +247,11 @@ def _cmd_dpi_check(args) -> int:
 # ---------------------------------------------------------------------------
 # parser
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: ``parse_args`` keeps no state between
+    calls, and building it costs milliseconds (each argument's help formatter
+    asks for the terminal size)."""
     parser = argparse.ArgumentParser(
         prog="lecam",
         description=(

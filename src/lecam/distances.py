@@ -195,10 +195,28 @@ def _support_points(params: ExperimentParams, laws: Sequence[str]) -> np.ndarray
 
 
 def _log_pmf_matrix(params: ExperimentParams, which: str, points: np.ndarray) -> np.ndarray:
+    """Log-pmf of ``which`` at each row of an (m, dim) array of points.
+
+    When every entry lies in [0, n] and the (n+1)**dim codes ``sum_i k_i (n+1)**i``
+    number at most m, as for a batch of draws, the kernel runs once per
+    distinct point and is gathered back.  Its rows do not interact, so the
+    values are those of one row at a time, bit for bit.
+    """
     which = _canonical_law(which)
+    n, dim = params.sample_size, params.dim
+    points, gather = np.asarray(points, dtype=np.int64), None
+    if (points.shape[1:] == (dim,) and (n + 1) ** dim <= len(points)
+            and points.min() >= 0 and points.max() <= n):
+        radix = (n + 1) ** np.arange(dim, dtype=np.int64)
+        codes = points @ radix
+        present = np.bincount(codes) > 0
+        points = np.flatnonzero(present)[:, None] // radix % (n + 1)
+        gather = (np.cumsum(present) - 1)[codes]
     if which == HYPERGEOMETRIC:
-        return hypergeometric_log_pmf_matrix(params, points)
-    return multinomial_log_pmf_matrix(params.sample_size, params.weights, points)
+        out = hypergeometric_log_pmf_matrix(params, points)
+    else:
+        out = multinomial_log_pmf_matrix(params.sample_size, params.weights, points)
+    return out if gather is None else out[gather]
 
 
 @dataclass(frozen=True)

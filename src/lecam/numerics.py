@@ -179,11 +179,17 @@ def apply_jitter(point: Sequence[int], rng: np.random.Generator, size: int | Non
     arr = np.asarray(point, dtype=float)
     if arr.ndim == 1 and size is not None:
         arr = np.broadcast_to(arr, (int(size), arr.size))
-    noise = rng.random(arr.shape) - 0.5
+    out = rng.random(arr.shape) - 0.5
+    out += arr
     if arr.ndim >= 1:
-        flat = noise.reshape(-1)
-        flat[flat == -0.5] = 0.0  # rng.random can return exactly 0; stay in the open cube
-    return arr + noise
+        # stay in the open cube: rng.random can return 0, and k + (1/2 - 2**-53)
+        # rounds to k + 1/2 for k >= 1.  A sum on a face keeps its lattice point;
+        # out - arr is exact, as out lies within a factor 2 of k, or k = 0.
+        offset = out - arr
+        face = np.abs(offset, out=offset) == 0.5
+        if face.any():
+            out[face] = arr[face]
+    return out
 
 
 def _seed_sequence(seed: int | np.random.SeedSequence) -> np.random.SeedSequence:

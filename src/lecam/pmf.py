@@ -13,7 +13,9 @@ one routine, ``_sample_sequential``: inversion by table lookup (Devroye 1986,
 *Non-Uniform Random Variate Generation*, ch. III).  Each coordinate builds one
 2-D table, a row per remaining draw count, from the log-pmf kernels above, in
 blocks of bounded size; rows are normalised from their mode, so no mass
-underflows at any sample size, and one halving search serves every row.
+underflows at any sample size.  One search serves every row: indexed by a
+guide table (Chen and Asau 1974), with a few bounded forward steps and a
+halving search inside the cell for the uniforms they leave.
 """
 
 from __future__ import annotations
@@ -239,19 +241,54 @@ def multinomial_moments(sample_size: int, weights: Sequence[float]) -> MomentSum
 # Entries per block of conditional tables (one row, if a row is longer): the
 # sampler's temporaries stay bounded however many draw counts a coordinate sees.
 _TABLE_BLOCK = 1 << 14
+# Forward steps from a uniform's guide cell before the halving search takes over.
+_GUIDE_STEPS = 2
 
 
 def _first_at_least(cdf: np.ndarray, rows: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """``np.searchsorted(cdf[row], u)`` per uniform, by one halving search over all
-    rows; each row ends in exactly 1.0 > u, so probes past its end are clamped onto it."""
-    width = cdf.shape[1]
+    """``np.searchsorted(cdf[row], u)`` per uniform, by an indexed search (Chen and
+    Asau 1974; Devroye 1986, section III.2.4); each row ends in exactly 1.0 > u.
+
+    Each row is cut into G = 2**ceil(log2 width) cells, so ``u * G`` is exact;
+    a guide, from one bincount of ``cdf * G`` (at most G), holds where each
+    cell's entries start.  A uniform starts at the first entry of its cell,
+    which is at most its answer, and takes ``_GUIDE_STEPS`` forward steps; the
+    few it leaves, where mass piles into one cell, finish by a halving search
+    inside that cell.  The guide costs a pass over the table, so with fewer
+    uniforms than half its entries one halving search over whole rows is
+    cheaper.
+    """
+    height, width = cdf.shape
     flat, first = cdf.ravel(), rows * width
-    at, end = first.copy(), first + (width - 1)
-    probe, below = np.empty_like(at), np.empty(u.shape, dtype=bool)
-    for bit in reversed(range((width - 1).bit_length())):
+    if 2 * u.size < cdf.size:
+        return _halving_search(flat, first, first + (width - 1), u) - first
+    cells = 1 << (width - 1).bit_length()
+    slots = (cdf * cells).astype(np.intp)
+    slots += np.arange(0, height * (cells + 1), cells + 1)[:, None]
+    # starts[r * (G + 1) + c]: the flat index of row r's first entry >= c / G
+    starts = np.zeros(height * (cells + 1) + 1, dtype=np.intp)
+    np.cumsum(np.bincount(slots.ravel(), minlength=height * (cells + 1)), out=starts[1:])
+    cell = (u * cells).astype(np.intp)
+    cell += rows * (cells + 1)
+    at = starts[cell]
+    for _ in range(_GUIDE_STEPS):
+        at += flat.take(at) < u
+    left = np.flatnonzero(flat.take(at) < u)
+    if left.size:
+        at[left] = _halving_search(flat, at[left] + 1, starts[cell[left] + 1], u[left])
+    return at - first
+
+
+def _halving_search(
+    flat: np.ndarray, start: np.ndarray, end: np.ndarray, u: np.ndarray
+) -> np.ndarray:
+    """The first index in ``[start, end]`` whose entry is at least u, given that the
+    entry at ``end`` is; probes past ``end`` are clamped onto it."""
+    at, probe, below = start.copy(), np.empty_like(start), np.empty(u.shape, dtype=bool)
+    for bit in reversed(range(int((end - start).max(initial=0)).bit_length())):
         np.minimum(np.add(at, (1 << bit) - 1, out=probe), end, out=probe)
         at += np.less(flat.take(probe), u, out=below) * (1 << bit)
-    return at - first
+    return at
 
 
 def _sample_sequential(

@@ -7,6 +7,7 @@ import sys
 import pytest
 
 from lecam import expand, read_csv, validate_params
+from lecam.cli import build_parser, main
 
 CMD = [sys.executable, "-m", "lecam"]
 
@@ -309,3 +310,33 @@ class TestExitCodes:
     def test_help_exits_zero(self):
         assert run_cli("--help").returncode == 0
         assert run_cli("tv", "--help").returncode == 0
+
+
+class TestParserReuse:
+    # a usage error between commands, and defaults (--method, --json) that a
+    # leaked namespace would carry from one command into the next
+    COMMANDS = [
+        ["tv", "--pair", "hyper-multi", "--N", "10", "--n", "5", "--Np", "5,5",
+         "--method", "exact", "--json"],
+        ["pmf", "--dist", "hyper", "--N", "10", "--n", "5", "--Np", "5,5"],
+        ["pmf", "--dist", "multi", "--N", "12", "--n", "4", "--Np", "4,4,4", "--k", "1,2"],
+        ["lecam-scan", "--n", "4", "--Np", "1,1", "--json"],
+    ]
+
+    @staticmethod
+    def _run_all(capsys, fresh):
+        outputs = []
+        for argv in TestParserReuse.COMMANDS:
+            if fresh:
+                build_parser.cache_clear()
+            code = main(argv)
+            outputs.append((code, *capsys.readouterr()))
+        return outputs
+
+    def test_one_parser_serves_every_call_as_fresh_ones_do(self, capsys):
+        fresh = self._run_all(capsys, fresh=True)
+        build_parser.cache_clear()
+        reused = self._run_all(capsys, fresh=False)
+        assert build_parser.cache_info().misses == 1
+        assert [code for code, _, _ in reused] == [0, 2, 0, 0]
+        assert reused == fresh

@@ -19,6 +19,9 @@ from lecam import (
     build_gaussian,
     hellinger_discrete,
     hypergeometric_log_pmf,
+    hypergeometric_log_pmf_matrix,
+    make_generator,
+    multinomial_log_pmf_matrix,
     tail_probability_check,
     tv_bound_parts,
     tv_discrete,
@@ -240,6 +243,48 @@ class TestJitteredLaw:
         )
         jittered = tv_pair(params, "jitterhyper-jittermulti")
         assert jittered.value == pytest.approx(expected, abs=1e-10)
+
+
+class TestLogPmfPerPoint:
+    # d=2, n=4: 25 codes; counts (3, 5, 22) put k_0 = 4 off the
+    # hypergeometric support, and rows summing past n are off both
+    PARAMS = validate_params(30, 4, (3, 5, 22))
+
+    @staticmethod
+    def _kernel_rows(monkeypatch, which):
+        """Rows handed to the kernel, one entry per call."""
+        name = {"hyper": "hypergeometric_log_pmf_matrix", "multi": "multinomial_log_pmf_matrix"}
+        kernel, calls = getattr(distances, name[which]), []
+
+        def spy(*args):
+            calls.append(len(args[-1]))
+            return kernel(*args)
+
+        monkeypatch.setattr(distances, name[which], spy)
+        return calls
+
+    @pytest.mark.parametrize("which", ["hyper", "multi"])
+    @pytest.mark.parametrize("rows, low, per_point", [
+        (400, 0, True),     # repeated draws, off-support rows among them
+        (20, 0, False),     # fewer rows than codes
+        (400, -1, False),   # a negative entry
+        (400, 1, False),    # an entry past n
+    ], ids=["repeats", "few-rows", "negative", "past-n"])
+    def test_matches_the_row_kernel_bit_for_bit(self, monkeypatch, which, rows, low, per_point):
+        params = self.PARAMS
+        points = make_generator(5).integers(0, params.sample_size + 1, size=(rows, params.dim))
+        if low:
+            points[7, 1] = -1 if low < 0 else params.sample_size + 1
+        if which == "hyper":
+            want = hypergeometric_log_pmf_matrix(params, points)
+        else:
+            want = multinomial_log_pmf_matrix(params.sample_size, params.weights, points)
+        assert np.isneginf(want).any() and np.isfinite(want).any()
+        calls = self._kernel_rows(monkeypatch, which)
+        got = distances._log_pmf_matrix(params, which, points)
+        assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
+        distinct = len(np.unique(points, axis=0))
+        assert calls == [distinct if per_point else rows]
 
 
 class TestQuadratureTV:

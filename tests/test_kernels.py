@@ -35,6 +35,18 @@ class TestJitterRound:
         offsets = cloud - np.array([3.0, 1.0])
         assert (offsets > -0.5).all() and (offsets < 0.5).all()
 
+    @pytest.mark.parametrize("u", [0.0, 1 - 2.0**-53])
+    def test_jitter_at_the_extreme_uniforms_stays_in_open_cube(self, u):
+        # k + (1/2 - 2**-53) rounds to k + 1/2 for k >= 1, and k - 1/2 is a face too
+        class Extreme:
+            def random(self, shape):
+                return np.full(shape, u)
+
+        points = np.array([[0, 1], [3, 250], [500_000, 0]])
+        cloud = apply_jitter(points, Extreme())
+        assert (np.abs(cloud - points) < 0.5).all()
+        assert (apply_round(cloud) == points).all()
+
     def test_jitter_is_centered(self):
         rng = make_generator(1)
         cloud = apply_jitter((5,), rng, size=200_000)

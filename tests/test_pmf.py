@@ -470,21 +470,61 @@ class TestInversionEdgesAcrossDrawCounts:
         assert (draws[:, 1] == want).all()
 
 
+def _assert_search_is_searchsorted(cdf, rows, u):
+    want = [np.searchsorted(cdf[r], x) for r, x in zip(rows, u)]
+    assert _first_at_least(cdf, rows, u).tolist() == want
+
+
+def _normalised_cdf(mass):
+    cdf = np.cumsum(mass, axis=1)
+    return cdf / cdf[:, -1:]
+
+
 def test_halving_search_is_searchsorted():
     # rows with ties (counts of zero mass), one with all its mass on its
     # first count; uniforms at 0, on entries, between them and just below 1
     rng = np.random.default_rng(3)
     mass = rng.random((5, 9)) * (rng.random((5, 9)) < 0.6)
     mass[:, 0], mass[4, 1:] = 1.0, 0.0
-    cdf = np.cumsum(mass, axis=1)
-    cdf /= cdf[:, -1:]
+    cdf = _normalised_cdf(mass)
     rows = np.repeat(np.arange(5), 40)
     u = np.concatenate([cdf[r][rng.integers(0, 9, 20)] for r in range(5)])
     u = np.stack([u, rng.random(u.size)], axis=1).reshape(-1)
     u[::37], u[5::37] = 0.0, 1.0
     u = np.minimum(u, np.nextafter(1.0, 0.0))
-    want = [np.searchsorted(cdf[r], x) for r, x in zip(rows, u)]
-    assert _first_at_least(cdf, rows, u).tolist() == want
+    _assert_search_is_searchsorted(cdf, rows, u)
+    # rows of width 1, 2, 2**j and 2**j + 1, whose guides have 1, 2, 2**j and
+    # 2**(j + 1) cells, with ties and all the mass on the first or last count;
+    # uniforms at 0, on every entry and at 1 - 2**-53.  All of them take the
+    # guided search; fewer than half as many as entries, the halving search
+    top = np.nextafter(1.0, 0.0)
+    for width in (1, 2, 8, 9, 16, 17):
+        mass = rng.random((6, width)) * (rng.random((6, width)) < 0.6)
+        mass[:, 0] += 1e-3
+        mass[4], mass[5] = 0.0, 0.0
+        mass[4, 0], mass[5, -1] = 1.0, 1.0
+        cdf = _normalised_cdf(mass)
+        u = np.minimum(np.concatenate([[0.0] * 6, cdf.ravel(), [top] * 6]), top)
+        rows = np.concatenate([np.arange(6), np.repeat(np.arange(6), width), np.arange(6)])
+        _assert_search_is_searchsorted(cdf, rows, u)
+        few = rng.choice(u.size, (cdf.size - 1) // 2, replace=False)
+        _assert_search_is_searchsorted(cdf, rows[few], u[few])
+
+
+def test_guided_search_where_the_mass_piles_into_end_cells():
+    # a d=1 row at n = 10**5: about 49,000 entries of each tail lie below
+    # 1/G (the guide's first cell) or at least 1 - 1/G (its last cell, or
+    # exactly 1.0), so uniforms there outrun the bounded walk and finish by
+    # the halving search inside their cell
+    n = 100_000
+    ks = np.arange(n + 1)
+    log_pmf = _multinomial_log_pmf_rows(np.log([0.5, 0.5]), np.column_stack([ks, n - ks]))
+    cdf = _normalised_cdf(np.exp(log_pmf - log_pmf.max())[None, :])
+    cells = 1 << n.bit_length()
+    assert (cdf < 1 / cells).sum() > 45_000 and (cdf >= 1 - 1 / cells).sum() > 45_000
+    top = np.nextafter(1.0, 0.0)
+    u = np.minimum(np.concatenate([[0.0], cdf[0], np.nextafter(cdf[0], 0.0), [top]]), top)
+    _assert_search_is_searchsorted(cdf, np.zeros(u.size, dtype=np.int64), u)
 
 
 @pytest.mark.parametrize("law", ["hyper", "multi"])
