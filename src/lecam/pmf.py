@@ -254,14 +254,10 @@ def _first_at_least(cdf: np.ndarray, rows: np.ndarray, u: np.ndarray) -> np.ndar
     cell's entries start.  A uniform starts at the first entry of its cell,
     which is at most its answer, and takes ``_GUIDE_STEPS`` forward steps; the
     few it leaves, where mass piles into one cell, finish by a halving search
-    inside that cell.  The guide costs a pass over the table, so with fewer
-    uniforms than half its entries one halving search over whole rows is
-    cheaper.
+    inside that cell.
     """
     height, width = cdf.shape
     flat, first = cdf.ravel(), rows * width
-    if 2 * u.size < cdf.size:
-        return _halving_search(flat, first, first + (width - 1), u) - first
     cells = 1 << (width - 1).bit_length()
     slots = (cdf * cells).astype(np.intp)
     slots += np.arange(0, height * (cells + 1), cells + 1)[:, None]

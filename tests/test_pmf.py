@@ -495,8 +495,8 @@ def test_halving_search_is_searchsorted():
     _assert_search_is_searchsorted(cdf, rows, u)
     # rows of width 1, 2, 2**j and 2**j + 1, whose guides have 1, 2, 2**j and
     # 2**(j + 1) cells, with ties and all the mass on the first or last count;
-    # uniforms at 0, on every entry and at 1 - 2**-53.  All of them take the
-    # guided search; fewer than half as many as entries, the halving search
+    # uniforms at 0, on every entry and at 1 - 2**-53, all at once and a
+    # sparse subset of fewer uniforms than half the entries
     top = np.nextafter(1.0, 0.0)
     for width in (1, 2, 8, 9, 16, 17):
         mass = rng.random((6, width)) * (rng.random((6, width)) < 0.6)
@@ -531,7 +531,8 @@ def test_guided_search_where_the_mass_piles_into_end_cells():
 def test_sampler_memory_is_bounded_by_the_block(law):
     # d=3 at n=10^4: the later coordinates see over 200 draw counts each,
     # with tables of about 7,500 entries.  One table of every count at once
-    # peaked at about 215 MB here; blocks of _TABLE_BLOCK entries at about 3 MB
+    # peaked at about 215 MB here; blocks of _TABLE_BLOCK entries at about 3 MB.
+    # Every block builds its guide, with far fewer uniforms than entries
     params = validate_params(10**6, 10_000, (250_000,) * 4)
     tracemalloc.start()
     try:
@@ -541,6 +542,22 @@ def test_sampler_memory_is_bounded_by_the_block(law):
         tracemalloc.stop()
     assert np.unique(draws[:, 0]).size >= 100
     assert peak < 16 * 2**20, peak
+
+
+@pytest.mark.parametrize("law", ["hyper", "multi"])
+def test_guided_search_memory_at_a_wide_row(law):
+    # d=1 at n=10^5: one row of 100,001 entries, longer than a block, and
+    # 10^5 uniforms, so the guide has 2**17 + 1 cells.  The peak, about 17
+    # to 20 MB, is set by the log-pmf kernel and the draws, not the guide
+    params = validate_params(10**6, 10**5, (500_000, 500_000))
+    tracemalloc.start()
+    try:
+        draws = _sample(params, law, make_generator(0), 10**5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert draws.shape == (10**5, 1)
+    assert peak < 32 * 2**20, peak
 
 
 def _draw_digest(draws) -> str:
