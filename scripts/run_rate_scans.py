@@ -13,7 +13,6 @@ Run from the repository root:
 from __future__ import annotations
 
 import argparse
-from dataclasses import dataclass, field
 from pathlib import Path
 
 from lecam import (
@@ -25,39 +24,23 @@ from lecam import (
     write_csv,
 )
 
-
-@dataclass
-class Config:
-    outdir: Path = Path("results")
-    populations: tuple[int, ...] = (16, 32, 64, 128, 256, 512)
-    expansion_n: int = 8
-    expansion_point: tuple[int, ...] = (2,)
-    weight_pattern: tuple[int, ...] = (1, 1)
-    lecam_sample_sizes: tuple[int, ...] = (4, 6, 8, 12, 16)
-    quad_order: int = 8
-    gamma: float = 0.75
-    jobs: int = 1
-    slopes: dict = field(default_factory=dict)
+POPULATIONS = (16, 32, 64, 128, 256, 512)
+EXPANSION_N = 8
+EXPANSION_POINT = (2,)
+WEIGHT_PATTERN = (1, 1)
+LECAM_SAMPLE_SIZES = (4, 6, 8, 12, 16)
+GAMMA = 0.75
 
 
-def expansion_study(config: Config) -> list[ScanRecord]:
-    family = [
-        scaled_params(N, config.expansion_n, config.weight_pattern) for N in config.populations
-    ]
+def expansion_study() -> list[ScanRecord]:
+    family = [scaled_params(N, EXPANSION_N, WEIGHT_PATTERN) for N in POPULATIONS]
     records = []
     for order in (1, 2):
-        scan = residual_scan(
-            family,
-            lambda p: config.expansion_point,
-            order=order,
-            gamma=config.gamma,
-            jobs=config.jobs,
-        )
+        scan = residual_scan(family, lambda p: EXPANSION_POINT, order=order, gamma=GAMMA)
         records.extend(scan.records)
         if scan.degenerate:
             print(f"order {order}: residuals sit at the rounding floor for this family")
         else:
-            config.slopes[f"residual_order{order}"] = scan.fit.slope
             print(
                 f"order {order}: slope {scan.fit.slope:+.4f} "
                 f"(r^2 = {scan.fit.r_squared:.6f})"
@@ -65,27 +48,26 @@ def expansion_study(config: Config) -> list[ScanRecord]:
     return records
 
 
-def lecam_study(config: Config) -> list[ScanRecord]:
-    family = [scaled_params(n**3, n, config.weight_pattern) for n in config.lecam_sample_sizes]
-    scan = lecam_scan(family, quad_order=config.quad_order, jobs=config.jobs)
+def lecam_study() -> list[ScanRecord]:
+    family = [scaled_params(n**3, n, WEIGHT_PATTERN) for n in LECAM_SAMPLE_SIZES]
+    scan = lecam_scan(family)  # d=1: the quadrature order is only range-checked
     value = {(r.sample_size, r.quantity): r.value for r in scan.records}
-    for n in config.lecam_sample_sizes:
+    for n in LECAM_SAMPLE_SIZES:
         print(f"n={n:<4d} N={n**3:<7d} le_cam_upper={value[n, 'le_cam_upper']:.6e} "
               f"budget={value[n, 'budget']:.6e}")
     for quantity, fit in scan.fits.items():
         if fit is None:
             print(f"{quantity} slope vs n: skipped, fewer than 4 usable points")
         else:
-            config.slopes[quantity] = fit.slope
             print(f"{quantity} slope vs n: {fit.slope:+.4f} (r^2 = {fit.r_squared:.6f})")
     return list(scan.records)
 
 
-def bound_pieces_study(config: Config) -> list[ScanRecord]:
+def bound_pieces_study() -> list[ScanRecord]:
     records = []
-    for n in config.lecam_sample_sizes:
+    for n in LECAM_SAMPLE_SIZES:
         N = n**3
-        params = scaled_params(N, n, config.weight_pattern)
+        params = scaled_params(N, n, WEIGHT_PATTERN)
         parts = tv_bound_parts(params)
         for quantity, value in (
             ("tail_sum", parts.tail_sum),
@@ -112,20 +94,16 @@ def bound_pieces_study(config: Config) -> list[ScanRecord]:
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--outdir", type=Path, default=Path("results"))
-    parser.add_argument("--quad-order", type=int, default=8)
-    parser.add_argument("--jobs", type=int, default=1)
-    args = parser.parse_args()
-
-    config = Config(outdir=args.outdir, quad_order=args.quad_order, jobs=args.jobs)
-    config.outdir.mkdir(parents=True, exist_ok=True)
+    outdir = parser.parse_args().outdir
+    outdir.mkdir(parents=True, exist_ok=True)
 
     print("== expansion residual rates ==")
-    write_csv(expansion_study(config), config.outdir / "expansion_residuals.csv")
+    write_csv(expansion_study(), outdir / "expansion_residuals.csv")
     print("== deficiency bounds, N = n^3 ==")
-    write_csv(lecam_study(config), config.outdir / "lecam_bounds.csv")
+    write_csv(lecam_study(), outdir / "lecam_bounds.csv")
     print("== explicit bound pieces ==")
-    write_csv(bound_pieces_study(config), config.outdir / "bound_pieces.csv")
-    print(f"tables written under {config.outdir}/")
+    write_csv(bound_pieces_study(), outdir / "bound_pieces.csv")
+    print(f"tables written under {outdir}/")
 
 
 if __name__ == "__main__":

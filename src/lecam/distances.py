@@ -24,16 +24,19 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import RegimeError, ValidationError
 from .lattice import (
     ExperimentParams,
+    _check_cap,
     count_vector_levels,
     count_vector_matrix,
+    count_vector_size,
     support_matrix,
+    support_size,
     validate_params,
     weight_ratio,
 )
@@ -187,9 +190,9 @@ class JitteredLaw:
         return float(out[0]) if single else out
 
 
-def _support_points(params: ExperimentParams, laws: Sequence[str]) -> np.ndarray:
-    """Lattice points that carry the mass of every law in ``laws``."""
-    if MULTINOMIAL in map(_canonical_law, laws):
+def _support_points(params: ExperimentParams, law: str) -> np.ndarray:
+    """Lattice points that carry the mass of ``law``."""
+    if _canonical_law(law) == MULTINOMIAL:
         return count_vector_matrix(params.sample_size, params.dim)
     return support_matrix(params)
 
@@ -448,7 +451,7 @@ def _cube_quadrature(
         )
     if law.dim != params.dim:
         raise ValidationError("Gaussian dimension does not match the experiment")
-    points = _support_points(params, (discrete_law,))
+    points = _support_points(params, discrete_law)
     log_consts = _log_pmf_matrix(params, _canonical_law(discrete_law), points)
     consts = np.exp(log_consts)
     m, dim = points.shape
@@ -472,20 +475,26 @@ def tv_discrete(params: ExperimentParams, law_a: str, law_b: str) -> TVResult:
     """Exact TV between the two discrete laws, ``1/2 sum q |expm1(r)|`` over
     the count vectors, from the multinomial pmf q and the log-ratio r (-inf
     off the hypergeometric support) of :func:`pmf.leaf_log_pmfs`.  Two copies
-    of one law have r = 0: their TV is exactly 0, their lattice built for the bar."""
+    of one law have r = 0: their TV is exactly 0, its bar from the lattice's
+    size, counted, not built, under the same cap as an enumeration."""
     a = _canonical_law(law_a)
     b = _canonical_law(law_b)
     if a == b:
-        return TVResult(0.0, METHOD_EXACT, _discrete_error(_support_points(params, (a,))))
+        if a == MULTINOMIAL:
+            size, what = count_vector_size(params.sample_size, params.dim), "count-vector set"
+        else:
+            size, what = support_size(params), "support"
+        _check_cap(size, what)
+        return TVResult(0.0, METHOD_EXACT, _discrete_error(size))
     log_q, r = leaf_log_pmfs(params, count_vector_levels(params.sample_size, params.dim))
     terms = np.abs(np.expm1(r, out=r), out=r)  # in place, as in the fold
     terms *= np.exp(log_q, out=log_q)
-    return TVResult(0.5 * exact_sum(terms), METHOD_EXACT, _discrete_error(log_q))
+    return TVResult(0.5 * exact_sum(terms), METHOD_EXACT, _discrete_error(len(log_q)))
 
 
-def _discrete_error(points: np.ndarray) -> float:
-    """Bar of an exact TV over ``points``: each term carries at most a few ulps."""
-    return 1e-15 * len(points) + 1e-15
+def _discrete_error(size: int) -> float:
+    """Bar of an exact TV over ``size`` points: each term carries at most a few ulps."""
+    return 1e-15 * size + 1e-15
 
 
 def tv_jittered_vs_gaussian(

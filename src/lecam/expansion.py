@@ -131,7 +131,6 @@ def residual_scan(
     k_rule: Callable[[ExperimentParams], Sequence[int]],
     order: int,
     gamma=DEFAULT_TRUNCATION,
-    jobs: int = 1,
 ) -> ResidualScan:
     """Measure |exact - approximation| along a family of growing populations.
 
@@ -150,7 +149,7 @@ def residual_scan(
     g = _exact_gamma(gamma)
     if not 0 < g < 1:
         raise ValidationError("gamma must lie in (0, 1) for a residual scan")
-    tasks = []
+    points = []
     for params in family:
         point = tuple(int(v) for v in k_rule(params))
         if not in_truncated_set(params, point, g):
@@ -158,8 +157,8 @@ def residual_scan(
                 f"point {point} violates the gamma={float(g)} truncation at "
                 f"population {params.population}"
             )
-        tasks.append((params, point, order))
-    results = _map_ordered(_residual_point, tasks, jobs)
+        points.append((params, point))
+    results = [_residual_point(params, point, order) for params, point in points]
     records = tuple(record for record, _ in results)
     resolved = [
         (record.population, record.value)
@@ -172,9 +171,10 @@ def residual_scan(
     return ResidualScan(records=records, fit=fit, degenerate=False)
 
 
-def _residual_point(task: tuple[ExperimentParams, LatticePoint, int]) -> tuple[ScanRecord, float]:
+def _residual_point(
+    params: ExperimentParams, point: LatticePoint, order: int
+) -> tuple[ScanRecord, float]:
     """The residual's record and the exact log-ratio it was measured against."""
-    params, point, order = task
     result = expand(params, point)
     residual = result.residual1 if order == 1 else result.residual2
     record = ScanRecord(
@@ -189,20 +189,3 @@ def _residual_point(task: tuple[ExperimentParams, LatticePoint, int]) -> tuple[S
     )
     return record, result.exact
 
-
-def _map_ordered(fn, items, jobs: int):
-    """``[fn(x) for x in items]``, over at most ``jobs`` worker processes.
-
-    The pool never starts more workers than there are items.  Results keep
-    the order of ``items``, so scans are identical at any ``jobs``;
-    ``kernels.lecam_scan`` uses this too.
-    """
-    if jobs < 1:
-        raise ValidationError("jobs must be at least 1")
-    jobs = min(jobs, len(items))
-    if jobs <= 1:
-        return [fn(x) for x in items]
-    from concurrent.futures import ProcessPoolExecutor
-
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items))

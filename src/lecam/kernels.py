@@ -25,8 +25,7 @@ from .distances import (
     build_gaussian,
     tv_pair,
 )
-from .errors import RegimeError
-from .expansion import _map_ordered
+from .errors import RegimeError, ValidationError
 from .lattice import ExperimentParams
 # apply_jitter is the jitter kernel; it lives in numerics and is re-exported here
 from .numerics import SlopeFit, apply_jitter, fit_loglog_slope, round_half_away
@@ -150,6 +149,23 @@ def lecam_scan(
         pts = [(r.sample_size, r.value) for r in records if r.quantity == quantity and r.value > 0]
         fits[quantity] = fit_loglog_slope(*zip(*pts)) if len(pts) >= 4 else None
     return LecamScan(records=records, fits=fits)
+
+
+def _map_ordered(fn, items, jobs: int):
+    """``[fn(x) for x in items]``, over at most ``jobs`` worker processes.
+
+    The pool never starts more workers than there are items.  Results keep
+    the order of ``items``, so scans are identical at any ``jobs``.
+    """
+    if jobs < 1:
+        raise ValidationError("jobs must be at least 1")
+    jobs = min(jobs, len(items))
+    if jobs <= 1:
+        return [fn(x) for x in items]
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
+        return list(pool.map(fn, items))
 
 
 def _lecam_point(task: tuple) -> list[ScanRecord]:

@@ -200,9 +200,12 @@ def support_matrix(params: ExperimentParams) -> np.ndarray:
     """Support points as an (m, dim) int64 array in lexicographic order.
 
     Raises :class:`SupportCapError` when the support is larger than the cap;
-    callers should fall back to the Monte Carlo paths in that case.
+    callers should fall back to the Monte Carlo paths in that case.  The
+    support lies among the count vectors, so it is counted exactly, at
+    O(dim * n) in Python, only when they outnumber the cap.
     """
-    _check_cap(support_size(params), "support")
+    if count_vector_size(params.sample_size, params.dim) > support_cap():
+        _check_cap(support_size(params), "support")
     return _level_points(_bounded_levels(params.counts, params.sample_size))
 
 

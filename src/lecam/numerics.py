@@ -81,8 +81,6 @@ _EXACT_SUM_BLOCK = 1 << 16
 # Below this magnitude no partial sum of fsum's can overflow.
 _EXACT_SUM_BOUND = 2.0**960
 _BYTE_WEIGHTS = 1 << np.arange(8)
-# The unit of exact_total: 2**-1127.
-EXACT_TOTAL_UNIT = 1 << 1127
 
 
 def exact_sum(values) -> float:
@@ -98,19 +96,7 @@ def exact_sum(values) -> float:
     x = np.asarray(values, dtype=float).ravel()
     if x.size < _EXACT_SUM_MIN_TERMS or not np.abs(x).max() < _EXACT_SUM_BOUND:
         return math.fsum(x.tolist())
-    total = exact_total(x)
-    return total / EXACT_TOTAL_UNIT if total else math.fsum(x.tolist())
-
-
-def exact_total(values) -> int:
-    """The exact sum of finite terms below 2**960 in magnitude, in units of 2**-1127.
-
-    Totals add exactly, and one division by ``EXACT_TOTAL_UNIT`` rounds
-    their sum correctly, so terms can be summed a block at a time, in any
-    grouping, to the value ``exact_sum`` gives for all of them at once.
-    """
-    x = np.asarray(values, dtype=float).ravel()
-    total = 0
+    total = 0  # in units of 2**-1127
     for s in range(0, x.size, _EXACT_SUM_BLOCK):
         mantissas, exponents = np.frexp(x[s : s + _EXACT_SUM_BLOCK])
         high = np.trunc(np.ldexp(mantissas, 27))
@@ -121,7 +107,7 @@ def exact_total(values) -> int:
         digits = bins.astype(np.int64).reshape(-1, 8) @ _BYTE_WEIGHTS  # base 2**8
         used = np.flatnonzero(digits)
         total += sum(d << 8 * i for i, d in zip(used.tolist(), digits[used].tolist()))
-    return total
+    return total / (1 << 1127) if total else math.fsum(x.tolist())
 
 
 @dataclass(frozen=True)

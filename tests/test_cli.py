@@ -136,12 +136,16 @@ class TestScans:
             -2.278, abs=0.1
         )
 
-    def test_expansion_scan_respects_jobs(self, tmp_path):
-        base = ("expansion-scan", "--N", "16,32,64,128", "--n", "8", "--Np", "1,1",
-                "--k", "2")
-        serial = run_cli(*base, "--jobs", "1")
-        parallel = run_cli(*base, "--jobs", "2")
-        assert serial.stdout == parallel.stdout
+    def test_lecam_scan_is_identical_at_any_jobs(self, tmp_path):
+        # each point draws from its own seed, so the pool cannot move a bit
+        runs = []
+        for jobs in ("1", "2"):
+            out = tmp_path / f"jobs{jobs}.csv"
+            proc = run_cli("lecam-scan", "--method", "mc", "--samples", "10000",
+                           "--n", "4,8,12,16", "--Np", "1,1", "--jobs", jobs, "--out", str(out))
+            assert proc.returncode == 0, proc.stderr
+            runs.append((proc.stdout, out.read_bytes()))
+        assert runs[0] == runs[1]
 
     def test_expansion_scan_needs_four_points(self):
         proc = run_cli("expansion-scan", "--N", "16,32", "--n", "8",
@@ -277,15 +281,17 @@ class TestExitCodes:
         assert proc.returncode == 3
         assert "seed must be a non-negative integer" in proc.stderr
 
-    @pytest.mark.parametrize("args", [
-        ("lecam-scan", "--n", "4,8", "--Np", "1,1"),
-        ("expansion-scan", "--N", "16,32,64,128", "--n", "8", "--Np", "1,1", "--k", "2"),
-    ], ids=["lecam-scan", "expansion-scan"])
     @pytest.mark.parametrize("jobs", ["0", "-2"])
-    def test_jobs_below_one_is_validation(self, args, jobs):
-        proc = run_cli(*args, "--jobs", jobs)
+    def test_jobs_below_one_is_validation(self, jobs):
+        proc = run_cli("lecam-scan", "--n", "4,8", "--Np", "1,1", "--jobs", jobs)
         assert proc.returncode == 3
         assert "jobs must be at least 1" in proc.stderr
+
+    def test_expansion_scan_takes_no_jobs(self):
+        proc = run_cli("expansion-scan", "--N", "16,32,64,128", "--n", "8", "--Np", "1,1",
+                       "--k", "2", "--jobs", "2")
+        assert proc.returncode == 2
+        assert "unrecognized arguments: --jobs 2" in proc.stderr
 
     @pytest.mark.parametrize("gamma", ["nan", "inf", "-inf"])
     def test_nonfinite_gamma_is_validation(self, gamma):

@@ -31,6 +31,7 @@ from lecam import (
     validate_params,
 )
 import lecam.distances as distances
+import lecam.lattice as lattice
 from strategies import experiment_params
 
 BALANCED = validate_params(10, 5, (5, 5))
@@ -58,6 +59,18 @@ class TestDiscreteTV:
         for params in (BALANCED, THREE_CAT, validate_params(12, 9, (3, 4, 5))):
             assert tv_discrete(params, "hyper", "hyper").value == 0.0
             assert tv_discrete(params, "multi", "multi").value == 0.0
+
+    def test_same_law_bar_counts_the_lattice_without_building_it(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a lattice was built for a TV of exactly 0")
+
+        monkeypatch.setattr(lattice, "_bounded_levels", refuse)
+        for params in (BALANCED, THREE_CAT, validate_params(12, 9, (3, 4, 5))):
+            n = params.sample_size
+            for law, points in (("multi", oracles.count_vectors(params.dim, n)),
+                                ("hyper", oracles.support_points(params.counts, n))):
+                size = sum(1 for _ in points)
+                assert tv_discrete(params, law, law).error_estimate == 1e-15 * size + 1e-15
 
     def test_law_aliases(self):
         a = tv_discrete(BALANCED, "hypergeometric", "multinomial")

@@ -1,4 +1,3 @@
-import concurrent.futures
 import math
 from fractions import Fraction
 
@@ -18,7 +17,6 @@ from lecam import (
     second_order_bracket,
     validate_params,
 )
-from lecam.expansion import _map_ordered
 from strategies import params_with_point
 
 BALANCED = validate_params(10, 5, (5, 5))
@@ -154,11 +152,6 @@ class TestResidualScan:
         with pytest.raises(ValidationError):
             residual_scan(DOUBLING_FAMILY, lambda p: (2,), order=1, gamma=gamma)
 
-    def test_parallel_matches_serial(self):
-        serial = residual_scan(DOUBLING_FAMILY, lambda p: (2,), order=1, jobs=1)
-        parallel = residual_scan(DOUBLING_FAMILY, lambda p: (2,), order=1, jobs=2)
-        assert serial.records == parallel.records
-
     def test_empty_family_rejected(self):
         with pytest.raises(ValidationError):
             residual_scan([], lambda p: (2,), order=1)
@@ -179,31 +172,3 @@ def test_oracle_brackets_reproduce_mpmath_expansion():
     assert abs(float(exact) - 0.23889190828234892) < 1e-15
     assert mpmath.isfinite(exact)
 
-
-def test_pool_never_exceeds_the_item_count(monkeypatch):
-    seen = []
-
-    class RecordingPool:
-        def __init__(self, max_workers):
-            seen.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            return map(fn, items)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-    assert _map_ordered(abs, [-1, -2], jobs=4) == [1, 2]
-    assert seen == [2]
-    assert _map_ordered(abs, [-3], jobs=4) == [3]
-    assert seen == [2]
-
-
-@pytest.mark.parametrize("jobs", [0, -1])
-def test_jobs_below_one_are_refused(jobs):
-    with pytest.raises(ValidationError, match="jobs must be at least 1"):
-        _map_ordered(abs, [-1, -2], jobs=jobs)

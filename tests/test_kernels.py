@@ -1,3 +1,4 @@
+import concurrent.futures
 import math
 from fractions import Fraction
 
@@ -22,6 +23,7 @@ from lecam import (
     tv_pair,
     validate_params,
 )
+from lecam.kernels import _map_ordered
 
 WIDE = validate_params(64, 8, (32, 32))
 THREE_CAT = validate_params(12, 4, (4, 4, 4))
@@ -216,3 +218,32 @@ class TestDataProcessing:
         for order in (2, 6, 8):
             result = data_processing_check(params, quad_order=order)
             assert abs(result.tv_after - expected) <= result.error_after
+
+
+def test_pool_never_exceeds_the_item_count(monkeypatch):
+    seen = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            seen.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    assert _map_ordered(abs, [-1, -2], jobs=4) == [1, 2]
+    assert seen == [2]
+    assert _map_ordered(abs, [-3], jobs=4) == [3]
+    assert seen == [2]
+
+
+@pytest.mark.parametrize("jobs", [0, -1])
+def test_jobs_below_one_are_refused(jobs):
+    with pytest.raises(ValidationError, match="jobs must be at least 1"):
+        _map_ordered(abs, [-1, -2], jobs=jobs)

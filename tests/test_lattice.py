@@ -29,6 +29,7 @@ from lecam import (
     validate_params,
     weight_ratio,
 )
+import lecam.lattice as lattice
 from lecam.lattice import SUPPORT_CAP_ENV
 from strategies import experiment_params
 
@@ -138,6 +139,24 @@ class TestSupport:
         assert err.value.cap == 5
         assert err.value.required == 13
 
+    @pytest.mark.parametrize("population,draws,counts", [
+        (40, 30, (20, 20)),
+        (12, 4, (4, 4, 4)),
+        (12, 9, (3, 4, 5)),
+        (20, 6, (2, 3, 5, 10)),
+    ])
+    def test_support_under_the_cap_is_not_counted(self, monkeypatch, population, draws, counts):
+        # the support lies among the count vectors, so when those fit the
+        # cap the O(dim * n) exact count is skipped and the enumeration alone
+        # must keep to the support
+        def refuse(*args):
+            raise AssertionError("the support was counted")
+
+        params = validate_params(population, draws, counts)
+        monkeypatch.setattr(lattice, "_bounded_vector_count", refuse)
+        got = [tuple(row) for row in support_matrix(params).tolist()]
+        assert got == list(oracles.support_points(counts, draws))
+
     @pytest.mark.parametrize("raw", ["many", "0"])
     def test_cap_env_must_be_positive_integer(self, monkeypatch, raw):
         monkeypatch.setenv(SUPPORT_CAP_ENV, raw)
@@ -152,6 +171,7 @@ class TestSupport:
         pytest.param(lambda p: tv_jittered_vs_gaussian(p, "hyper", build_gaussian(p)),
                      id="tv_jittered_vs_gaussian"),
         pytest.param(lambda p: tv_pair(p, "hyper-hyper"), id="tv_pair"),
+        pytest.param(lambda p: tv_pair(p, "multi-multi"), id="tv_pair_same_multinomial"),
         pytest.param(data_processing_check, id="data_processing_check"),
     ])
     def test_env_cap_reaches_every_enumeration(self, monkeypatch, call):

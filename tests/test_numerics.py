@@ -10,11 +10,9 @@ from lecam import ValidationError, fit_loglog_slope, log_factorial, make_generat
 from lecam.numerics import (
     _EXACT_SUM_BLOCK,
     _EXACT_SUM_MIN_TERMS,
-    EXACT_TOTAL_UNIT,
     LOG_FACTORIAL_TABLE_SIZE,
     compensated_cumsum,
     exact_sum,
-    exact_total,
 )
 
 
@@ -133,17 +131,6 @@ class TestExactSum:
         terms = np.arange(2000.0).reshape(40, 50) / 3.0
         assert exact_sum(terms) == math.fsum(terms.ravel().tolist())
         assert exact_sum([0.1] * 1000) == math.fsum([0.1] * 1000)
-
-    @pytest.mark.parametrize("kind", ["log-normal", "subnormal", "mixed-signs", "full-mantissas"])
-    def test_block_totals_add_to_the_fsum(self, kind):
-        # exact_total of any split, the pieces below the small-array cutoff
-        # too, adds up to one correctly rounded sum
-        rng = np.random.default_rng(7)
-        for _ in range(10):
-            terms = _random_terms(rng, kind, 3000)
-            cuts = np.sort(rng.integers(0, terms.size, 6))
-            total = sum(exact_total(block) for block in np.split(terms, cuts))
-            assert total / EXACT_TOTAL_UNIT == math.fsum(terms.tolist())
 
 
 class TestCompensatedCumsum:
