@@ -41,6 +41,7 @@ from .lattice import (
     weight_ratio,
 )
 from .numerics import (
+    _exact_sum_of_blocks,
     apply_jitter,
     exact_sum,
     make_generator,
@@ -486,10 +487,30 @@ def tv_discrete(params: ExperimentParams, law_a: str, law_b: str) -> TVResult:
             size, what = support_size(params), "support"
         _check_cap(size, what)
         return TVResult(0.0, METHOD_EXACT, _discrete_error(size))
-    log_q, r = leaf_log_pmfs(params, count_vector_levels(params.sample_size, params.dim))
-    terms = np.abs(np.expm1(r, out=r), out=r)  # in place, as in the fold
-    terms *= np.exp(log_q, out=log_q)
-    return TVResult(0.5 * exact_sum(terms), METHOD_EXACT, _discrete_error(len(log_q)))
+    size = count_vector_size(params.sample_size, params.dim)
+    return TVResult(0.5 * _leaf_sum(params, _tv_terms), METHOD_EXACT, _discrete_error(size))
+
+
+def _tv_terms(log_q: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """``q |expm1(r)|`` over a block, in place."""
+    np.abs(np.expm1(r, out=r), out=r)
+    r *= np.exp(log_q, out=log_q)
+    return r
+
+
+def _hellinger_terms(log_q: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """``q expm1(r / 2)**2`` over a block, in place."""
+    r *= 0.5
+    np.square(np.expm1(r, out=r), out=r)
+    r *= np.exp(log_q, out=log_q)
+    return r
+
+
+def _leaf_sum(params: ExperimentParams, terms) -> float:
+    """The exact sum of ``terms`` over the count vectors' blocks of
+    :func:`pmf.leaf_log_pmfs`: no leaf-sized array is made."""
+    levels = count_vector_levels(params.sample_size, params.dim)
+    return _exact_sum_of_blocks(lambda: itertools.starmap(terms, leaf_log_pmfs(params, levels)))
 
 
 def _discrete_error(size: int) -> float:
@@ -604,11 +625,7 @@ def hellinger_discrete(params: ExperimentParams) -> HellingerResult:
     Also returns 2 * sqrt(H^2), a conservative upper bound on their TV
     distance (TV <= sqrt(H^2 (2 - H^2)) <= 2 H).
     """
-    log_q, r = leaf_log_pmfs(params, count_vector_levels(params.sample_size, params.dim))
-    r *= 0.5
-    terms = np.square(np.expm1(r, out=r), out=r)  # in place, as in the fold
-    terms *= np.exp(log_q, out=log_q)
-    h_squared = 0.5 * exact_sum(terms)
+    h_squared = 0.5 * _leaf_sum(params, _hellinger_terms)
     return HellingerResult(h_squared=h_squared, tv_bound=math.sqrt(4.0 * h_squared))
 
 

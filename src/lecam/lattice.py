@@ -5,6 +5,12 @@ from a population of ``population`` objects split into ``dim + 1``
 categories.  Category weights are stored as the exact integer counts
 ``population * p_i`` so that normalization and membership checks never
 involve floating-point rounding.
+
+Every lattice comes from one enumerator, ``_bounded_levels``: a tree built
+one coordinate at a time down to the parents of its leaves, whose last level
+``_leaf_blocks`` expands a cache-sized block of leaves at a time, so no
+leaf-sized temporary is made.  Support sizes are counted exactly without
+building anything.
 """
 
 from __future__ import annotations
@@ -14,7 +20,7 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
-from typing import NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -27,11 +33,19 @@ SUPPORT_CAP_ENV = "LECAM_SUPPORT_CAP"
 LatticePoint = tuple[int, ...]
 
 
-class Levels(NamedTuple):
-    """A lattice built one coordinate at a time (see ``_bounded_levels``)."""
+# Leaves per block when the last level is expanded: each block's temporaries
+# stay in cache, where leaf-sized arrays would each pay their page faults.
+_LEAF_BLOCK = 1 << 15
 
-    steps: list[tuple[np.ndarray, np.ndarray]]  # per coordinate: children per parent, values
-    last: np.ndarray  # the derived last count of every leaf
+
+class Levels(NamedTuple):
+    """A lattice built one coordinate at a time down to the parents of its
+    leaves (see ``_bounded_levels``); ``_leaf_blocks`` expands the last level."""
+
+    steps: list[tuple[np.ndarray, np.ndarray]]  # per coordinate bar the last: sizes, values
+    low: np.ndarray  # per parent: the lowest value of the last free coordinate
+    runs: np.ndarray  # per parent: how many leaves, valued low, low + 1, ...
+    remaining: np.ndarray  # per parent: the draws left for the last two counts
 
 
 @dataclass(frozen=True)
@@ -139,14 +153,25 @@ def support_cap() -> int:
 
 
 def _bounded_vector_count(counts: Sequence[int], total: int) -> int:
-    """Number of integer vectors with 0 <= k_i <= counts[i] and sum == total."""
-    ways = [1] + [0] * total
+    """Number of integer vectors with 0 <= k_i <= counts[i] and sum == total.
+
+    k -> counts - k maps them one-to-one onto the vectors summing to
+    sum(counts) - total, so the smaller total is counted.  One whole-array
+    prefix sum per count, in int64 while the largest prefix, at most the
+    C(total + d, d) vectors of d = len(counts) - 1 counts summing to at most
+    total, fits it, and in Python ints above.
+    """
+    total = min(total, sum(counts) - total)
+    if total < 0:
+        return 0
+    wide = math.comb(total + len(counts) - 1, len(counts) - 1) >= 1 << 63
+    ways = np.zeros(total + 1, dtype=object if wide else np.int64)
+    ways[0] = 1
+    sums = np.arange(total + 1)
     for c in counts:
-        prefix = [0]
-        for w in ways:
-            prefix.append(prefix[-1] + w)
-        ways = [prefix[s + 1] - prefix[max(0, s - c)] for s in range(total + 1)]
-    return ways[total]
+        prefix = np.concatenate((np.zeros(1, dtype=ways.dtype), np.cumsum(ways)))
+        ways = prefix[1:] - prefix[np.maximum(sums - min(c, total), 0)]
+    return int(ways[total])
 
 
 def support_size(params: ExperimentParams) -> int:
@@ -157,8 +182,9 @@ def support_size(params: ExperimentParams) -> int:
 def _bounded_levels(counts: Sequence[int], total: int) -> Levels:
     """Every k with 0 <= k_i <= counts[i] and total - sum(k) in [0, counts[-1]],
     as the leaves of a tree built one coordinate at a time, in lexicographic
-    order: each level holds its values and how many children each entry of
-    the level above has, and ``last`` holds each leaf's derived last count."""
+    order: each level above the leaves holds its values and how many children
+    each entry of the level above has.  The leaves themselves are left as one
+    run of consecutive values per parent, for ``_leaf_blocks`` to expand."""
     counts = [min(c, total) for c in counts]  # exact, and keeps the bounds in int64
     remaining = np.array([total], dtype=np.int64)
     capacity = sum(counts[1:])  # what the categories after the current one absorb
@@ -166,23 +192,58 @@ def _bounded_levels(counts: Sequence[int], total: int) -> Levels:
     for i in range(len(counts) - 1):
         lo = np.maximum(remaining - capacity, 0)
         sizes = np.minimum(remaining, counts[i]) - lo + 1
-        # a parent's children run lo, lo + 1, ... from its first row onwards;
-        # in place, since each fresh leaf-sized array costs its page faults
+        if i == len(counts) - 2:
+            break
+        # a parent's children run lo, lo + 1, ... from its first row onwards
         values = np.repeat(lo - np.cumsum(sizes) + sizes, sizes)
         values += np.arange(len(values))
         remaining = np.repeat(remaining, sizes)
         remaining -= values
         capacity -= counts[i + 1]
         steps.append((sizes, values))
-    return Levels(steps, remaining)
+    return Levels(steps, lo, sizes, remaining)
+
+
+def _leaf_blocks(levels: Levels) -> Iterator[tuple[slice, np.ndarray, np.ndarray, np.ndarray]]:
+    """The leaves in order, at most ``_LEAF_BLOCK`` at a time: per block the
+    parents it hangs from (a slice), how many of its leaves each has, and the
+    leaves' last free coordinate and derived last count.  A parent with more
+    leaves than a block is split across blocks."""
+    ends = np.cumsum(levels.runs)
+    # leaf number i, the j-th of parent p, is valued low[p] + j = i + shift[p]
+    shift = levels.low + levels.runs - ends
+    size = int(ends[-1])
+    for start in range(0, size, _LEAF_BLOCK):
+        stop = min(start + _LEAF_BLOCK, size)
+        parents = slice(int(np.searchsorted(ends, start, side="right")),
+                        int(np.searchsorted(ends, stop)) + 1)
+        runs = np.minimum(ends[parents], stop)
+        runs[1:] -= ends[parents][:-1]
+        runs[0] -= start
+        values = np.repeat(shift[parents], runs)
+        values += np.arange(start, stop)
+        last = np.repeat(levels.remaining[parents], runs)
+        last -= values
+        yield parents, runs, values, last
 
 
 def _level_points(levels: Levels) -> np.ndarray:
-    """The leaves as an (m, dim) int64 array, each level's values repeated down."""
+    """The leaves as a C-ordered (m, dim) int64 array, filled a block at a time
+    from their parents' rows, each level's values repeated down to them."""
     columns = []
     for sizes, values in levels.steps:
         columns = [np.repeat(col, sizes) for col in columns] + [values]
-    return np.column_stack(columns)
+    # each parent's row; the last column is the leaf's own, set per block
+    heads = np.column_stack(columns + [np.zeros(len(levels.runs), dtype=np.int64)])
+    points = np.empty((int(levels.runs.sum()), heads.shape[1]), dtype=np.int64)
+    row = 0
+    for parents, runs, values, _ in _leaf_blocks(levels):
+        block = points[row : row + len(values)]
+        rows = np.repeat(np.arange(parents.start, parents.stop), runs)
+        heads.take(rows, axis=0, out=block, mode="clip")  # clip: unbuffered
+        block[:, -1] = values
+        row += len(values)
+    return points
 
 
 def _check_cap(size: int, what: str) -> None:
@@ -220,6 +281,10 @@ def enumerate_support(params: ExperimentParams) -> list[LatticePoint]:
 
 def count_vector_size(sample_size: int, dim: int) -> int:
     """Number of non-negative integer vectors of length dim with sum <= sample_size."""
+    if not isinstance(sample_size, (int, np.integer)) or sample_size < 0:
+        raise ValidationError(f"sample_size must be a non-negative integer, got {sample_size!r}")
+    if not isinstance(dim, (int, np.integer)) or dim < 1:
+        raise ValidationError(f"dim must be a positive integer, got {dim!r}")
     return math.comb(sample_size + dim, dim)
 
 

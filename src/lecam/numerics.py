@@ -6,14 +6,16 @@ large ones from the Stirling series; the two branches agree to ~1e-15
 relative error at the crossover.  Hypergeometric probabilities subtract no
 log-factorials: ``pmf.log_ratio_matrix`` builds them from prefix sums.
 Sums over a lattice go through ``exact_sum``, which returns ``math.fsum``'s
-correctly rounded value from whole-array passes.
+correctly rounded value from whole-array passes, or through
+``_exact_sum_of_blocks``, the same sum over terms made a block at a time.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -83,31 +85,63 @@ _EXACT_SUM_BOUND = 2.0**960
 _BYTE_WEIGHTS = 1 << np.arange(8)
 
 
-def exact_sum(values) -> float:
-    """``math.fsum`` of an array of floats, bit for bit, in whole-array passes.
+def _block_total(x: np.ndarray) -> int:
+    """The exact sum of finite floats below ``_EXACT_SUM_BOUND``, as an integer
+    in units of 2**-1127.
 
-    Each finite term is M * 2**(e - 53) with M a 53-bit integer.  The halves
-    of M = hi * 2**26 + lo are summed by exponent with ``np.bincount``, a
-    block at a time, in bins that stay integers far below 2**53 and so
-    exact.  The bins are added as Python integers and one integer division
-    rounds the total correctly, as fsum does.  Small arrays, non-finite or
-    huge terms and a zero total (whose sign fsum settles) go to fsum itself.
+    Each term is M * 2**(e - 53) with M a 53-bit integer.  The halves of
+    M = hi * 2**26 + lo are summed by exponent with ``np.bincount``, a block
+    at a time, in bins that stay integers far below 2**53 and so exact; the
+    bins are added as Python integers.  Most steps work in place: each fresh
+    array costs its page faults.
     """
-    x = np.asarray(values, dtype=float).ravel()
-    if x.size < _EXACT_SUM_MIN_TERMS or not np.abs(x).max() < _EXACT_SUM_BOUND:
-        return math.fsum(x.tolist())
-    total = 0  # in units of 2**-1127
+    total = 0
     for s in range(0, x.size, _EXACT_SUM_BLOCK):
         mantissas, exponents = np.frexp(x[s : s + _EXACT_SUM_BLOCK])
-        high = np.trunc(np.ldexp(mantissas, 27))
-        low = np.ldexp(mantissas, 53) - np.ldexp(high, 26)
+        np.ldexp(mantissas, 27, out=mantissas)  # exact: hi and 2**-26 lo
+        high = np.trunc(mantissas)
+        low = np.ldexp(np.subtract(mantissas, high, out=mantissas), 26, out=mantissas)
         # bin i weighs 2**(i - 1127): the least term, 2**-1074, lands in bin 1
-        slots = np.concatenate((exponents + 1100, exponents + 1074), dtype=np.intp)
-        bins = np.bincount(slots, np.concatenate((high, low)), minlength=2128)
+        slots = exponents.astype(np.intp)
+        slots += 1100
+        bins = np.bincount(slots, high, minlength=2128)
+        slots -= 26
+        bins += np.bincount(slots, low, minlength=2128)
         digits = bins.astype(np.int64).reshape(-1, 8) @ _BYTE_WEIGHTS  # base 2**8
         used = np.flatnonzero(digits)
         total += sum(d << 8 * i for i, d in zip(used.tolist(), digits[used].tolist()))
-    return total / (1 << 1127) if total else math.fsum(x.tolist())
+    return total
+
+
+def exact_sum(values) -> float:
+    """``math.fsum`` of an array of floats, bit for bit, in whole-array passes.
+
+    Small arrays go to fsum itself; see ``_exact_sum_of_blocks``.
+    """
+    x = np.asarray(values, dtype=float).ravel()
+    if x.size < _EXACT_SUM_MIN_TERMS:
+        return math.fsum(x.tolist())
+    return _exact_sum_of_blocks(lambda: (x,))
+
+
+def _exact_sum_of_blocks(blocks: Callable[[], Iterable[np.ndarray]]) -> float:
+    """``math.fsum`` of every term of the blocks that ``blocks()`` yields, bit
+    for bit, never joining them.
+
+    Each block joins one exact integer total (``_block_total``), and one
+    integer division rounds it correctly, as fsum does.  fsum's own cases,
+    a non-finite or huge term or a zero total (whose sign fsum settles),
+    call ``blocks()`` again and fsum every term.
+    """
+    total = 0
+    for x in blocks():
+        if not np.abs(x).max(initial=0.0) < _EXACT_SUM_BOUND:
+            break
+        total += _block_total(x)
+    else:
+        if total:
+            return total / (1 << 1127)
+    return math.fsum(itertools.chain.from_iterable(x.tolist() for x in blocks()))
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,8 @@ log-sum-exp or compensated summation.  Every hypergeometric log-probability
 is the multinomial one at weights ``counts / N`` plus ``log_ratio_matrix``,
 so no two log-factorials of size N log N are ever subtracted.  The kernels
 add a row's terms one whole column at a time, left to right; over a whole
-lattice ``leaf_log_pmfs`` folds one table per coordinate down its levels.
+lattice ``leaf_log_pmfs`` folds one table per coordinate down its levels to
+the leaves' parents and yields the leaves a cache-sized block at a time.
 
 Both samplers draw one coordinate at a time from its conditional law through
 one routine, ``_sample_sequential``: inversion by table lookup (Devroye 1986,
@@ -22,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -31,6 +32,7 @@ from .lattice import (
     ExperimentParams,
     LatticePoint,
     Levels,
+    _leaf_blocks,
     point_in_support,
 )
 from .numerics import compensated_cumsum, log_factorial
@@ -128,15 +130,20 @@ def log_ratio_matrix(counts: Sequence[int], ks: np.ndarray) -> np.ndarray:
     return out
 
 
-def leaf_log_pmfs(params: ExperimentParams, levels: Levels) -> tuple[np.ndarray, np.ndarray]:
-    """``ln Q`` (multinomial) and ``r = ln P - ln Q`` at every leaf of ``levels``.
+def leaf_log_pmfs(
+    params: ExperimentParams, levels: Levels
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """``ln Q`` (multinomial) and ``r = ln P - ln Q`` at the leaves of ``levels``,
+    one block of ``lattice._leaf_blocks`` at a time, in order.
 
     Each law is a product of one factor per category, so each coordinate
     gets a table over ``0..n``: ``k ln p_i - ln k!`` for Q, and ``T_{c_i}[k]``
     of :func:`log_ratio_matrix` for r (-inf past ``c_i``).  Each level sets
-    ``S = S[parent] + table_i[values]``, from ``ln n!`` and ``-T_N[n]``, and
-    the last count's table is added at the leaves; no point is built.  When
-    ``2n > N`` every leaf flips: P is read at ``c - k`` after ``N - n`` draws.
+    ``S = S[parent] + table_i[values]``, from ``ln n!`` and ``-T_N[n]``, down
+    to the leaves' parents; a leaf adds the last free coordinate's table and
+    then the last count's, ``(S[parent] + table_d-1[k]) + table_d[last]``, so
+    no leaf-sized array is made.  When ``2n > N`` every leaf flips: P is read
+    at ``c - k`` after ``N - n`` draws.
     """
     c = np.array(params.counts, dtype=np.int64)
     N, n = params.population, params.sample_size
@@ -153,14 +160,19 @@ def leaf_log_pmfs(params: ExperimentParams, levels: Levels) -> tuple[np.ndarray,
     ratio_0 = log_factorial(draws) - log_factorial(n) - tables[-1, draws]
     log_q, r = np.array([log_factorial(n)]), np.array([ratio_0])
     for i, (sizes, values) in enumerate(levels.steps):
-        # in place: each fresh leaf-sized array costs its page faults
         log_q = np.repeat(log_q, sizes)
         log_q += multi[i][values]
         r = np.repeat(r, sizes)
         r += ratio[i][values]
-    log_q += multi[-1][levels.last]
-    r += ratio[-1][levels.last]
-    return log_q, r
+    free = len(levels.steps)  # the last free coordinate
+    for parents, runs, values, last in _leaf_blocks(levels):
+        block_q = np.repeat(log_q[parents], runs)
+        block_q += multi[free].take(values)
+        block_q += multi[-1].take(last)
+        block_r = np.repeat(r[parents], runs)
+        block_r += ratio[free].take(values)
+        block_r += ratio[-1].take(last)
+        yield block_q, block_r
 
 
 def _check_weights(weights: Sequence[float]) -> np.ndarray:

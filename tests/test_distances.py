@@ -3,6 +3,8 @@ import os
 import subprocess
 import sys
 import textwrap
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -183,6 +185,90 @@ class TestHellinger:
             h = hellinger_discrete(params)
             tv = tv_discrete(params, "hyper", "multi").value
             assert h.h_squared - 1e-12 <= tv <= h.tv_bound + 1e-12
+
+
+def _exact_reprs(population, draws, counts):
+    """The reprs of tv_discrete's hyper-multi value and bar and of
+    hellinger_discrete's H^2 and TV bound."""
+    params = validate_params(population, draws, counts)
+    tv, h = tv_discrete(params, "hyper", "multi"), hellinger_discrete(params)
+    return tuple(map(repr, (tv.value, tv.error_estimate, h.h_squared, h.tv_bound)))
+
+
+# (N, n, counts, TV, bar, H^2, TV bound) as reprs: the four exact-wide
+# instances of bench/workloads.py, a flipped instance (2n > N) and a d=1
+# instance, both longer than a block of leaves, and four small instances
+# that the block tests split, the first at d=1.  Made at commit 1bafb11,
+# before the last level of the lattice was expanded in blocks, by this
+# file's helper (it calls only the public functions) from the repository root:
+#   PYTHONPATH=src:tests python -c "import test_distances as t; \
+#     [print(c[:3], t._exact_reprs(*c[:3])) for c in t.PINNED_EXACT]"
+PINNED_EXACT = [
+    (1000, 84, (250,) * 4, "0.04040797682807486", "1.05996e-10",
+     "0.001426395762515882", "0.07553530995543427"),
+    (900, 88, (100, 200, 300, 300), "0.0473094858418018", "1.2148600000000003e-10",
+     "0.0019637624932086423", "0.08862871979688396"),
+    (250, 60, (50,) * 5, "0.14667278922012986", "6.35377e-10",
+     "0.018450782829537233", "0.2716673173536871"),
+    (600, 30, (100,) * 6, "0.030701969443509138", "3.24633e-10",
+     "0.0007972389643669209", "0.05647084077174417"),
+    (1000, 700, (200, 300, 500), "0.41781115127035645", "2.46052e-10",
+     "0.1576445751639848", "0.7940896049287758"),
+    (10**5, 40_000, (30_000, 70_000), "0.1229364552147158", "4.000200000000001e-11",
+     "0.01600492154047952", "0.25302111801570654"),
+    (500, 150, (100, 400), "0.08605280320938606", "1.52e-13",
+     "0.00785360764370748", "0.17724116501205334"),
+    (60, 45, (10, 20, 30), "0.47219903569794086", "1.0820000000000002e-12",
+     "0.2170430210727354", "0.9317575244080091"),
+    (40, 12, (10,) * 4, "0.15775851117350814", "4.560000000000001e-13",
+     "0.022498070906096634", "0.2999871390983062"),
+    (30, 6, (6,) * 5, "0.11214429708222817", "2.11e-13",
+     "0.011071824012520147", "0.21044547049076773"),
+]
+
+
+def _pinned_id(case):
+    return f"N{case[0]}-n{case[1]}-d{len(case[2]) - 1}"
+
+
+@pytest.mark.parametrize("case", PINNED_EXACT, ids=_pinned_id)
+def test_exact_outputs_are_pinned(case):
+    assert _exact_reprs(*case[:3]) == case[3:]
+
+
+@pytest.mark.parametrize("block", [1, 7, 64])
+@pytest.mark.parametrize("case", PINNED_EXACT[-4:], ids=_pinned_id)
+def test_pinned_exact_outputs_do_not_depend_on_the_block(monkeypatch, block, case):
+    # blocks of one leaf, of a few and of a few parents' leaves; the d=1
+    # instance's one parent (the root, 151 leaves) is split at every size
+    monkeypatch.setattr(lattice, "_LEAF_BLOCK", block)
+    assert _exact_reprs(*case[:3]) == case[3:]
+
+
+def test_exact_tv_memory_is_bounded_by_the_block():
+    # 635,376 count vectors at d=4: a leaf-sized array is 5.1 MB, and the
+    # fold that made them peaked at 24.9 MB; about 5 MB in blocks of leaves
+    params = validate_params(250, 60, (50,) * 5)
+    tracemalloc.start()
+    try:
+        tv = tv_discrete(params, "hyper", "multi")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert repr(tv.value) == PINNED_EXACT[2][3]
+    assert peak < 8 * 2**20, peak
+
+
+def test_same_law_hypergeometric_counts_its_support_fast():
+    # 11 support points at N=10^6, n=999,990, counted at N - n = 10 draws;
+    # the pure-Python count over n took over a second
+    params = validate_params(10**6, 999_990, (500_000, 500_000))
+    start = time.perf_counter()
+    tv = tv_discrete(params, "hyper", "hyper")
+    elapsed = time.perf_counter() - start
+    assert tv.value == 0.0
+    assert tv.error_estimate == 1e-15 * 11 + 1e-15
+    assert elapsed < 0.25, elapsed
 
 
 class TestGaussianLaw:

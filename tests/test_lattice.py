@@ -1,3 +1,4 @@
+import hashlib
 import math
 from fractions import Fraction
 
@@ -188,6 +189,121 @@ class TestSupport:
         assert not point_in_support(params, (-1,))
         with pytest.raises(ValidationError):
             point_in_support(params, (1, 1))
+
+
+def _matrix_pin(matrix):
+    """First 16 hex digits of the sha256 of a matrix's bytes, its row count and
+    whether it is C-ordered."""
+    digest = hashlib.sha256(matrix.tobytes()).hexdigest()[:16]
+    return digest, len(matrix), matrix.flags.c_contiguous
+
+
+# (n, d, digest, rows, C-ordered) of count_vector_matrix and (N, n, counts,
+# digest, rows, C-ordered) of support_matrix, for d = 1 to 5: the larger ones
+# span blocks of leaves (the count vectors include the exact-wide instances
+# of bench/workloads.py), the last five of each list are split by the block
+# tests.  Made at commit 1bafb11, before the last level of the lattice was
+# expanded in blocks, by this file's helper from the repository root:
+#   PYTHONPATH=src:tests python -c "import test_lattice as t, lecam as l; \
+#     [print(c[:2], t._matrix_pin(l.count_vector_matrix(*c[:2]))) \
+#      for c in t.PINNED_COUNT_VECTORS]; \
+#     [print(c[:3], t._matrix_pin(l.support_matrix(l.validate_params(*c[:3])))) \
+#      for c in t.PINNED_SUPPORTS]"
+PINNED_COUNT_VECTORS = [
+    (10**5, 1, "4ed88cfb37e95077", 100_001, True),
+    (300, 2, "41f36a4bc8044944", 45_451, True),
+    (84, 3, "7bd78bd8657ed59b", 105_995, True),
+    (60, 4, "41fe6ca4826c826d", 635_376, True),
+    (30, 5, "d42680556f15512a", 324_632, True),
+    (150, 1, "9bdd2c2c50c27255", 151, True),
+    (30, 2, "6cf6555be3376e88", 496, True),
+    (10, 3, "72fb9b85ac36fa16", 286, True),
+    (6, 4, "0e07bd73c4e87c7a", 210, True),
+    (5, 5, "f8ca028cad3281ac", 252, True),
+]
+PINNED_SUPPORTS = [
+    (10**5, 50_000, (40_000, 60_000), "aaf04ce999bbbdc7", 40_001, True),
+    (1000, 700, (200, 300, 500), "1a9911e44a365c4d", 40_401, True),
+    (200, 40, (10, 30, 60, 100), "5ba352bc37c2dad6", 7161, True),
+    (120, 24, (8, 16, 24, 32, 40), "684b65c7484392f7", 16_269, True),
+    (90, 20, (5, 10, 15, 20, 20, 20), "56a01bb934a951ca", 39_430, True),
+    (500, 150, (100, 400), "861bc235cf300c3c", 101, True),
+    (60, 45, (10, 20, 30), "2a1545049c3b73a4", 121, True),
+    (40, 12, (3, 7, 10, 20), "2f323e888f36c9c5", 252, True),
+    (30, 10, (2, 4, 6, 8, 10), "89cab0072a6891d9", 521, True),
+    (24, 9, (1, 2, 3, 4, 6, 8), "fb8f613ccc5a3888", 579, True),
+]
+
+
+def _count_vectors_id(case):
+    return f"n{case[0]}-d{case[1]}"
+
+
+def _support_id(case):
+    return f"N{case[0]}-n{case[1]}-d{len(case[2]) - 1}"
+
+
+@pytest.mark.parametrize("case", PINNED_COUNT_VECTORS, ids=_count_vectors_id)
+def test_count_vector_matrices_are_pinned(case):
+    assert _matrix_pin(count_vector_matrix(*case[:2])) == case[2:]
+
+
+@pytest.mark.parametrize("case", PINNED_SUPPORTS, ids=_support_id)
+def test_support_matrices_are_pinned(case):
+    assert _matrix_pin(support_matrix(validate_params(*case[:3]))) == case[3:]
+
+
+@pytest.mark.parametrize("block", [1, 7, 64])
+def test_pinned_matrices_do_not_depend_on_the_block(monkeypatch, block):
+    # the d=1 lattices have one parent, the root, split at every block size
+    monkeypatch.setattr(lattice, "_LEAF_BLOCK", block)
+    for case in PINNED_COUNT_VECTORS[-5:]:
+        assert _matrix_pin(count_vector_matrix(*case[:2])) == case[2:]
+    for case in PINNED_SUPPORTS[-5:]:
+        assert _matrix_pin(support_matrix(validate_params(*case[:3]))) == case[3:]
+
+
+class TestCountVectorArguments:
+    @pytest.mark.parametrize("sample_size, dim, match", [
+        (3, 0, "dim"),
+        (3, -1, "dim"),
+        (3, 1.0, "dim"),
+        (-1, 2, "sample_size"),
+        (2.5, 2, "sample_size"),
+        ("3", 2, "sample_size"),
+    ])
+    def test_invalid_arguments_are_validation_errors(self, sample_size, dim, match):
+        for call in (count_vector_size, count_vector_matrix):
+            with pytest.raises(ValidationError, match=match):
+                call(sample_size, dim)
+
+    def test_no_draws_is_the_zero_vector(self):
+        assert count_vector_size(0, 3) == 1
+        assert count_vector_matrix(0, 3).tolist() == [[0, 0, 0]]
+        assert count_vector_matrix(np.int64(2), np.int64(1)).tolist() == [[0], [1], [2]]
+
+
+class TestSupportSize:
+    @pytest.mark.parametrize(
+        "counts", [(1, 1), (3, 4, 5), (2, 2, 2, 2), (1, 5, 2, 7), (6, 1, 3, 2, 4)]
+    )
+    def test_matches_brute_force_at_every_draw_count(self, counts):
+        # draws up to the census, so every flipped count 2n > N is included
+        population = sum(counts)
+        for draws in range(population + 1):
+            want = sum(1 for _ in oracles.support_points(counts, draws))
+            assert lattice._bounded_vector_count(counts, draws) == want
+            if draws:
+                assert support_size(validate_params(population, draws, counts)) == want
+
+    def test_counts_past_int64_exactly(self):
+        # the largest prefix, C(2500 + 7, 7), passes 2**63: Python integers;
+        # the oracle is inclusion-exclusion over the counts exceeded
+        counts, draws = (1000,) * 8, 2500
+        assert math.comb(draws + 7, 7) >= 2**63
+        want = sum((-1) ** j * math.comb(8, j) * math.comb(draws - 1001 * j + 7, 7)
+                   for j in range(draws // 1001 + 1))
+        assert lattice._bounded_vector_count(counts, draws) == want
 
 
 class TestTruncatedSet:

@@ -11,6 +11,7 @@ from lecam.numerics import (
     _EXACT_SUM_BLOCK,
     _EXACT_SUM_MIN_TERMS,
     LOG_FACTORIAL_TABLE_SIZE,
+    _exact_sum_of_blocks,
     compensated_cumsum,
     exact_sum,
 )
@@ -131,6 +132,47 @@ class TestExactSum:
         terms = np.arange(2000.0).reshape(40, 50) / 3.0
         assert exact_sum(terms) == math.fsum(terms.ravel().tolist())
         assert exact_sum([0.1] * 1000) == math.fsum([0.1] * 1000)
+
+
+def _sum_of_blocks(block):
+    """``_exact_sum_of_blocks`` over fresh copies of an array's blocks, as the
+    lattice yields them, each call anew."""
+    def total(terms):
+        terms = np.asarray(terms, dtype=float)
+        return _exact_sum_of_blocks(
+            lambda: (terms[s : s + block].copy() for s in range(0, terms.size, block))
+        )
+    return total
+
+
+class TestExactSumOfBlocks:
+    @pytest.mark.parametrize("kind", ["log-normal", "subnormal", "mixed-signs", "full-mantissas"])
+    @pytest.mark.parametrize("block", [1, 7, 64, 1000])
+    def test_matches_fsum_of_the_joined_blocks(self, kind, block):
+        rng = np.random.default_rng(block)
+        for _ in range(3):
+            terms = _random_terms(rng, kind, 1000)
+            assert _fsum_outcome(_sum_of_blocks(block), terms) == _fsum_outcome(
+                math.fsum, terms.tolist())
+
+    @given(st.lists(st.floats(allow_nan=True, allow_infinity=True), max_size=40),
+           st.integers(1, 9))
+    def test_any_floats_as_fsum(self, terms, block):
+        assert _fsum_outcome(_sum_of_blocks(block), terms) == _fsum_outcome(math.fsum, terms)
+
+    @pytest.mark.parametrize("block", [1, 3, 2000])
+    @pytest.mark.parametrize(
+        "special",
+        [[], [0.0], [-0.0], [float("inf")], [-float("inf")], [float("nan")],
+         [float("inf"), -float("inf")], [1e308, 1e308, -1e308]],
+    )
+    def test_special_values_as_fsum(self, block, special):
+        # fsum settles a non-finite or huge term and a zero total; the blocks
+        # before such a term have already joined the integer total
+        for size in (0, 5, 600):
+            terms = np.concatenate([np.full(size, -0.0), special, np.full(size, 0.25)])
+            assert _fsum_outcome(_sum_of_blocks(block), terms) == _fsum_outcome(
+                math.fsum, terms.tolist())
 
 
 class TestCompensatedCumsum:

@@ -235,7 +235,8 @@ class TestLeafLogPmfs:
         n, d = params.sample_size, params.dim
         points = count_vector_matrix(n, d)
         tol = 4 * np.spacing(n * math.log(params.population))
-        log_q, r = leaf_log_pmfs(params, count_vector_levels(n, d))
+        blocks = list(leaf_log_pmfs(params, count_vector_levels(n, d)))
+        log_q, r = (np.concatenate(parts) for parts in zip(*blocks))
         log_p = log_q + r
         want_p = hypergeometric_log_pmf_matrix(params, points)
         want_q = multinomial_log_pmf_matrix(params.sample_size, params.weights, points)
