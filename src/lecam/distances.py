@@ -49,6 +49,7 @@ from .numerics import (
     split_seed,
 )
 from .pmf import (
+    _row_codes,
     hypergeometric_log_pmf_matrix,
     leaf_log_pmfs,
     multinomial_log_pmf_matrix,
@@ -212,7 +213,7 @@ def _log_pmf_matrix(params: ExperimentParams, which: str, points: np.ndarray) ->
     if (points.shape[1:] == (dim,) and (n + 1) ** dim <= len(points)
             and points.min() >= 0 and points.max() <= n):
         radix = (n + 1) ** np.arange(dim, dtype=np.int64)
-        codes = points @ radix
+        codes = _row_codes(points, n + 1)
         present = np.bincount(codes) > 0
         points = np.flatnonzero(present)[:, None] // radix % (n + 1)
         gather = (np.cumsum(present) - 1)[codes]
@@ -549,6 +550,10 @@ def tv_monte_carlo(
     Uses TV = E_X[(1 - density(X)/jittered(X))^+] with X drawn from the
     jittered law; reports the sample mean and its standard error (a
     one-sigma band).  ``density`` is any object with a log_density method.
+    A :class:`JitteredLaw` target needs no jitter: its density at a jittered
+    draw is its pmf at the draw, which the jitter never leaves the open cube
+    of, and the jitter is each chunk generator's last use.  So its log-pmf is
+    read at the draws themselves, the same bits as through the jitter.
     """
     if sample_count < MIN_MC_SAMPLES:
         raise ValidationError(f"sample_count must be at least {MIN_MC_SAMPLES}")
@@ -567,7 +572,12 @@ def tv_monte_carlo(
         else:
             draws = sample_multinomial(params.sample_size, params.weights, gen, size=m)
         logp = _log_pmf_matrix(params, which, draws)
-        logd = density.log_density(apply_jitter(draws, gen))
+        if type(density) is JitteredLaw:
+            # a jittered draw stays in its own open cube and rounds back to
+            # it, and the jitter is the generator's last use: skip both
+            logd = _log_pmf_matrix(density.params, density.which, draws)
+        else:
+            logd = density.log_density(apply_jitter(draws, gen))
         term = 1.0 - np.exp(logd - logp)
         np.clip(term, 0.0, None, out=term)
         chunk_sums.append(float(np.sum(term)))
@@ -594,7 +604,8 @@ def tv_pair(
     Gaussian is summed exactly ("auto" or "exact", :func:`tv_discrete`):
     the unit cubes around lattice points are disjoint, so jittering both
     laws leaves their TV unchanged.  The jittered discrete pair can also be
-    estimated by Monte Carlo against :class:`JitteredLaw` ("mc").  A
+    estimated by Monte Carlo against :class:`JitteredLaw` ("mc"), which
+    reads the second law's pmf at the draws with no jitter.  A
     jittered law and its Gaussian are integrated cube by cube ("auto" or
     "quad") or estimated by Monte Carlo ("mc").  Any other combination
     raises :class:`ValidationError`.

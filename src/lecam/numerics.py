@@ -197,18 +197,26 @@ def apply_jitter(point: Sequence[int], rng: np.random.Generator, size: int | Non
     when ``point`` is an (m, d) array and size is None, one draw per row.
     """
     arr = np.asarray(point, dtype=float)
+    # stay in the open cube: rng.random can return 0, and k + (1/2 - 2**-53)
+    # rounds to k + 1/2 for k >= 1.  A sum on a face keeps its lattice point.
+    # Only an offset within ulp(max |k| + 1/2) of -1/2 or 1/2 can round onto
+    # a face, so only those offsets take the exact test; in it out - arr is
+    # exact, as out lies within a factor 2 of k, or k = 0.
+    reach = None
+    if arr.size and arr.ndim >= 1:
+        reach = 0.5 - np.spacing(max(arr.max(), -arr.min()) + 0.5)
     if arr.ndim == 1 and size is not None:
         arr = np.broadcast_to(arr, (int(size), arr.size))
-    out = rng.random(arr.shape) - 0.5
+    out = rng.random(arr.shape)
+    out -= 0.5
+    edge = None
+    if reach is not None and out.size and (out.max() >= reach or out.min() <= -reach):
+        edge = np.flatnonzero(np.abs(out) >= reach)
     out += arr
-    if arr.ndim >= 1:
-        # stay in the open cube: rng.random can return 0, and k + (1/2 - 2**-53)
-        # rounds to k + 1/2 for k >= 1.  A sum on a face keeps its lattice point;
-        # out - arr is exact, as out lies within a factor 2 of k, or k = 0.
-        offset = out - arr
-        face = np.abs(offset, out=offset) == 0.5
-        if face.any():
-            out[face] = arr[face]
+    if edge is not None:
+        flat, k = out.reshape(-1), arr.flat[edge]
+        face = np.abs(flat[edge] - k) == 0.5
+        flat[edge[face]] = k[face]
     return out
 
 

@@ -659,6 +659,36 @@ class TestMonteCarloTV:
         assert mc.error_estimate > 0.0
         assert abs(mc.value - quad.value) < 3 * mc.error_estimate
 
+    @pytest.mark.parametrize("chunk", [None, 3000], ids=["one-chunk", "several-chunks"])
+    @pytest.mark.parametrize("which, other", [("hyper", "multi"), ("multi", "hyper")])
+    @pytest.mark.parametrize("params", [WIDE, BALANCED_D2, validate_params(500, 10, (100,) * 5)],
+                             ids=["d1", "d2", "d4"])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_jittered_target_matches_the_jitter_path(self, monkeypatch, seed, params, which, other,
+                                                     chunk):
+        # a JitteredLaw target reads the pmf at the draws themselves; any
+        # other density gets the jittered draws, and this one rounds them back
+        class Plain:
+            def __init__(self, law):
+                self.law = law
+
+            def log_density(self, x):
+                return self.law.log_density(x)
+
+        if chunk:
+            monkeypatch.setattr(distances, "_MC_CHUNK", chunk)
+        target = JitteredLaw(params, other)
+        want = tv_monte_carlo(params, which, Plain(target), 10_000, seed)
+
+        def no_jitter(*args):
+            raise AssertionError("a jittered lattice target needs no jitter")
+
+        monkeypatch.setattr(distances, "apply_jitter", no_jitter)
+        got = tv_monte_carlo(params, which, target, 10_000, seed)
+        assert got.value.hex() == want.value.hex()
+        assert got.error_estimate.hex() == want.error_estimate.hex()
+        assert got.value > 0.0
+
     def test_same_law_is_exactly_zero(self):
         params = validate_params(8, 4, (4, 4))
         mc = tv_monte_carlo(params, "hyper", JitteredLaw(params, "hyper"), 10_000, seed=1)

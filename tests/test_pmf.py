@@ -471,9 +471,22 @@ class TestInversionEdgesAcrossDrawCounts:
         assert (draws[:, 1] == want).all()
 
 
+def _searchsorted_per_row(cdf, u, rows=None):
+    """Row r's ``np.searchsorted`` (side left) per uniform, as a flat index into
+    ``cdf``: plus r * width.  ``rows=None`` means the one row of ``cdf``."""
+    if rows is None:
+        assert cdf.shape[0] == 1
+        return np.searchsorted(cdf[0], u)
+    want = np.empty(u.size, dtype=np.intp)
+    for r in np.unique(rows):
+        at = rows == r
+        want[at] = r * cdf.shape[1] + np.searchsorted(cdf[r], u[at])
+    return want
+
+
 def _assert_search_is_searchsorted(cdf, rows, u):
-    want = [np.searchsorted(cdf[r], x) for r, x in zip(rows, u)]
-    assert _first_at_least(cdf, rows, u).tolist() == want
+    got = _first_at_least(cdf, u) if rows is None else _first_at_least(cdf, u, rows)
+    assert got.tolist() == _searchsorted_per_row(cdf, u, rows).tolist()
 
 
 def _normalised_cdf(mass):
@@ -496,8 +509,9 @@ def test_halving_search_is_searchsorted():
     _assert_search_is_searchsorted(cdf, rows, u)
     # rows of width 1, 2, 2**j and 2**j + 1, whose guides have 1, 2, 2**j and
     # 2**(j + 1) cells, with ties and all the mass on the first or last count;
-    # uniforms at 0, on every entry and at 1 - 2**-53, all at once and a
-    # sparse subset of fewer uniforms than half the entries
+    # uniforms at 0, on every entry and at 1 - 2**-53, all at once, eight
+    # times over (a guide 4 or 8 times finer) and a sparse subset of fewer
+    # uniforms than half the entries
     top = np.nextafter(1.0, 0.0)
     for width in (1, 2, 8, 9, 16, 17):
         mass = rng.random((6, width)) * (rng.random((6, width)) < 0.6)
@@ -508,6 +522,7 @@ def test_halving_search_is_searchsorted():
         u = np.minimum(np.concatenate([[0.0] * 6, cdf.ravel(), [top] * 6]), top)
         rows = np.concatenate([np.arange(6), np.repeat(np.arange(6), width), np.arange(6)])
         _assert_search_is_searchsorted(cdf, rows, u)
+        _assert_search_is_searchsorted(cdf, np.tile(rows, 8), np.tile(u, 8))
         few = rng.choice(u.size, (cdf.size - 1) // 2, replace=False)
         _assert_search_is_searchsorted(cdf, rows[few], u[few])
 
@@ -526,6 +541,42 @@ def test_guided_search_where_the_mass_piles_into_end_cells():
     top = np.nextafter(1.0, 0.0)
     u = np.minimum(np.concatenate([[0.0], cdf[0], np.nextafter(cdf[0], 0.0), [top]]), top)
     _assert_search_is_searchsorted(cdf, np.zeros(u.size, dtype=np.int64), u)
+    # the sampler's first coordinate omits rows; with at least 8 uniforms per
+    # coarse cell the guide is 8 times finer, and the piled cells stay piled
+    _assert_search_is_searchsorted(cdf, None, u)
+    _assert_search_is_searchsorted(cdf, None, np.tile(u, 6))
+
+
+@pytest.mark.parametrize("uniforms", [5, 4000], ids=["coarse-guide", "fine-guide"])
+@pytest.mark.parametrize("width", [1, 2, 9, 16, 17, 1000])
+def test_search_of_one_row_with_rows_omitted(width, uniforms):
+    # ties, leading counts of zero mass and all the mass on one count; the
+    # uniforms include 0, every entry and 1 - 2**-53, with as few uniforms
+    # as entries or fewer (a guide of 2**ceil(log2 width) cells) and with up
+    # to _GUIDE_FINENESS times more (a guide that many times finer)
+    rng = np.random.default_rng(width)
+    top = np.nextafter(1.0, 0.0)
+    for mass in (rng.random(width) * (rng.random(width) < 0.6), np.eye(width)[width // 2]):
+        mass[0] = 0.0 if width > 1 else 1.0
+        mass[-1] += 1e-3
+        cdf = _normalised_cdf(mass[None, :])
+        u = np.concatenate([[0.0, top], cdf[0], rng.random(uniforms)])
+        _assert_search_is_searchsorted(cdf, None, np.minimum(u, top)[:uniforms])
+
+
+@pytest.mark.parametrize("uniforms", [4, 5000], ids=["coarse-guide", "fine-guide"])
+def test_search_at_the_extreme_uniforms(uniforms):
+    # u = 0 finds each row's first entry, 0 where counts of zero mass lead;
+    # u = 1 - 2**-53 the first entry at 1.0, before any trailing zero mass
+    rng = np.random.default_rng(4)
+    mass = rng.random((4, 13)) + 1e-3
+    mass[0, :5] = mass[1, -6:] = 0.0
+    mass[2], mass[3] = 0.0, 0.0
+    mass[2, 0] = mass[3, 6] = 1.0
+    cdf = _normalised_cdf(mass)
+    rows = np.arange(uniforms) % 4
+    for u in (0.0, np.nextafter(1.0, 0.0)):
+        _assert_search_is_searchsorted(cdf, rows, np.full(uniforms, u))
 
 
 @pytest.mark.parametrize("law", ["hyper", "multi"])
@@ -559,6 +610,17 @@ def test_guided_search_memory_at_a_wide_row(law):
         tracemalloc.stop()
     assert draws.shape == (10**5, 1)
     assert peak < 32 * 2**20, peak
+
+
+@pytest.mark.parametrize("size", [1, 1000])
+@pytest.mark.parametrize("counts", [(5, 5), (4, 4, 4), (3,) * 5], ids=["d1", "d2", "d4"])
+@pytest.mark.parametrize("law", ["hyper", "multi"])
+def test_samplers_return_c_ordered_draws(law, counts, size):
+    # the sampler fills one coordinate's draws at a time, then lays them out
+    params = validate_params(sum(counts), 6, counts)
+    draws = _sample(params, law, make_generator(0), size)
+    assert draws.shape == (size, params.dim) and draws.dtype == np.int64
+    assert draws.flags.c_contiguous and draws.strides == (8 * params.dim, 8)
 
 
 def _draw_digest(draws) -> str:
@@ -605,6 +667,35 @@ def test_draws_are_pinned(case):
 def test_pinned_draws_do_not_depend_on_the_block(monkeypatch, case):
     monkeypatch.setattr(pmf, "_TABLE_BLOCK", 20)
     assert _pinned_digests(*case[:4]) == case[4:]
+
+
+@pytest.mark.parametrize("block", [None, 40], ids=["one-block", "several-blocks"])
+@pytest.mark.parametrize("law", ["hyper", "multi"])
+@pytest.mark.parametrize("case", [PINNED_DRAWS[i] for i in (0, 2, 3)],
+                         ids=["N1e6-n500-d1", "N4096-n16-d2", "N500-n10-d4"])
+def test_sampler_searches_are_searchsorted(monkeypatch, block, law, case):
+    # every search the sampler makes, in one block per coordinate or several,
+    # against np.searchsorted row by row; the first coordinate searches one
+    # row with rows omitted, and the draws keep their pinned digest
+    search, calls = pmf._first_at_least, []
+
+    def checked(cdf, u, rows=None):
+        got = search(cdf, u, rows)
+        assert got.tolist() == _searchsorted_per_row(cdf, u, rows).tolist()
+        calls.append(rows is None)
+        return got
+
+    monkeypatch.setattr(pmf, "_first_at_least", checked)
+    if block:
+        monkeypatch.setattr(pmf, "_TABLE_BLOCK", block)
+    N, n, counts, size = case[:4]
+    params = validate_params(N, n, counts)
+    draws = _sample(params, law, make_generator(0), size)
+    assert _draw_digest(draws) == case[4 if law == "hyper" else 5]
+    assert calls[0] and not any(calls[1:])
+    dim = len(counts) - 1
+    # the first coordinate's one row is one block at any block size
+    assert len(calls) > dim if block and dim > 1 else len(calls) == dim
 
 
 def test_rounded_to_one_weight_draws_are_pinned():
