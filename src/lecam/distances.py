@@ -8,10 +8,11 @@ moments.  Discrete pairs are summed exactly, and so are jittered discrete
 pairs: the unit cubes around lattice points are disjoint, so jittering both
 laws leaves their TV unchanged.  Jittered-versus-Gaussian pairs are
 integrated cube by cube by one recursive integrator (``_cell_integrals``):
-the last axis in closed form, as sums of normal tails from ``math.erfc``
-(``_slice_integrals``), which is the whole cell in d=1, and every axis
-above it by a Gauss-Legendre rule over pieces of the cell cut where the
-integrand |pmf - density| has kinks.  The same pass gives each cell's
+the last axis in closed form, as sums of normal tails that one numpy
+kernel computes a block of cells at a time (``_erfc``, called by
+``_slice_integrals``), which is the whole cell in d=1, and every axis above
+it by a Gauss-Legendre rule over pieces of the cell cut where the integrand
+|pmf - density| has kinks.  The same pass gives each cell's
 Gaussian mass, so the TV to the Gaussian rounded onto the lattice comes
 with it.  A Monte Carlo estimator covers everything beyond dimension three
 and checks the samplers against a jittered target.
@@ -28,6 +29,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from ._erfc_table import ERFC_TABLE
 from .errors import RegimeError, ValidationError
 from .lattice import (
     ExperimentParams,
@@ -199,28 +201,40 @@ def _support_points(params: ExperimentParams, law: str) -> np.ndarray:
     return support_matrix(params)
 
 
-def _log_pmf_matrix(params: ExperimentParams, which: str, points: np.ndarray) -> np.ndarray:
-    """Log-pmf of ``which`` at each row of an (m, dim) array of points.
+def _distinct_points(params: ExperimentParams, points) -> tuple[np.ndarray, np.ndarray | None]:
+    """The distinct rows of an (m, dim) array of lattice points and the index
+    that gathers them back, or the points and None where that does not pay.
 
-    When every entry lies in [0, n] and the (n+1)**dim codes ``sum_i k_i (n+1)**i``
-    number at most m, as for a batch of draws, the kernel runs once per
-    distinct point and is gathered back.  Its rows do not interact, so the
-    values are those of one row at a time, bit for bit.
+    It pays when every entry lies in [0, n] and the (n+1)**dim codes
+    ``sum_i k_i (n+1)**i`` number at most m, as for a batch of draws.
     """
-    which = _canonical_law(which)
     n, dim = params.sample_size, params.dim
-    points, gather = np.asarray(points, dtype=np.int64), None
+    points = np.asarray(points, dtype=np.int64)
     if (points.shape[1:] == (dim,) and (n + 1) ** dim <= len(points)
             and points.min() >= 0 and points.max() <= n):
         radix = (n + 1) ** np.arange(dim, dtype=np.int64)
         codes = _row_codes(points, n + 1)
         present = np.bincount(codes) > 0
-        points = np.flatnonzero(present)[:, None] // radix % (n + 1)
-        gather = (np.cumsum(present) - 1)[codes]
+        return np.flatnonzero(present)[:, None] // radix % (n + 1), (np.cumsum(present) - 1)[codes]
+    return points, None
+
+
+def _law_log_pmf(params: ExperimentParams, which: str, points: np.ndarray) -> np.ndarray:
+    """The row kernel of the canonical law ``which`` at each row of ``points``."""
     if which == HYPERGEOMETRIC:
-        out = hypergeometric_log_pmf_matrix(params, points)
-    else:
-        out = multinomial_log_pmf_matrix(params.sample_size, params.weights, points)
+        return hypergeometric_log_pmf_matrix(params, points)
+    return multinomial_log_pmf_matrix(params.sample_size, params.weights, points)
+
+
+def _log_pmf_matrix(params: ExperimentParams, which: str, points: np.ndarray) -> np.ndarray:
+    """Log-pmf of ``which`` at each row of an (m, dim) array of points.
+
+    The kernel runs once per distinct point where that pays
+    (:func:`_distinct_points`) and is gathered back.  Its rows do not
+    interact, so the values are those of one row at a time, bit for bit.
+    """
+    points, gather = _distinct_points(params, points)
+    out = _law_log_pmf(params, _canonical_law(which), points)
     return out if gather is None else out[gather]
 
 
@@ -265,14 +279,59 @@ class TailCheck(NamedTuple):
 # ---------------------------------------------------------------------------
 # the cell integrator: closed form along the last axis, a rule above it
 
+# One row of coefficients per degree, for Horner's rule to gather by piece.
+_ERFC_COEFFS = np.array([row.split() for row in ERFC_TABLE.strip().splitlines()], float).T.copy()
+_ERFC_PIECES = float(_ERFC_COEFFS.shape[1])
+# erfc(28) < 2**-1080 rounds to 0: clipping there sends inf to 0, not NaN.
+_ERFC_CLIP = 28.0
+# Clearing a double's low 27 bits leaves 26 significant bits, so z * z is exact.
+_HIGH_BITS = np.int64(-(1 << 27))
+
+
 def _erfc(x: np.ndarray) -> np.ndarray:
-    """``math.erfc`` elementwise (its few-ulp accuracy is what the bars assume),
-    mapped over a list, which beats a ufunc over Python objects."""
-    return np.fromiter(map(math.erfc, x.ravel().tolist()), float, x.size).reshape(x.shape)
+    """erfc elementwise over an array of x >= 0 (no NaN), in whole-array
+    passes: within 6 ulps where the result is a normal float, within
+    2 units of 2**-1074 below, and 0 from x = 27.226 on, where erfc itself
+    rounds to 0 (``tests/test_distances.py`` checks this against mpmath).
+
+    erfc(x) = g(x) / (1 + 2x) * exp(-x^2), with g = (1 + 2x) erfcx between
+    1 and 1.3 read from ``_erfc_table`` (fitted by
+    ``scripts/fit_erfc_table.py``): 64 equal pieces of y = (x - 4) / (x + 4)
+    over [-1, 1), each a polynomial of degree 7 in v = u - k on piece
+    k <= u < k + 1 of u = 32 (y + 1) = 64 x / (x + 4), evaluated by
+    Horner's rule on coefficients gathered by piece.  exp(-x^2) is
+    exp(-z^2) exp((z - x)(z + x)) with z = x less its low 27 bits (the
+    fdlibm split): z^2 is exact and the second exponent is below 5e-5.
+    The input is not written to.
+    """
+    x = np.minimum(x, _ERFC_CLIP)
+    buf = x + 4.0
+    u = x * _ERFC_PIECES
+    u /= buf
+    piece = u.astype(np.intp)
+    v = np.subtract(u, piece, out=u)
+    # "clip" skips take's bounds check, which copies ``out``; u <= 56 here
+    g = _ERFC_COEFFS[0].take(piece, mode="clip")
+    for coeffs in _ERFC_COEFFS[1:]:
+        g *= v
+        g += coeffs.take(piece, out=buf, mode="clip")
+    np.multiply(x, 2.0, out=buf)
+    buf += 1.0
+    g /= buf
+    z = np.bitwise_and(x.view(np.int64), _HIGH_BITS, out=v.view(np.int64)).view(float)
+    np.subtract(z, x, out=buf)
+    x += z
+    buf *= x
+    g *= np.exp(buf, out=buf)
+    z *= z
+    g *= np.exp(np.negative(z, out=z), out=z)
+    return g
 
 
 _EPS = float(np.finfo(float).eps)
-# Rounding charged per unit of a closed-form term's magnitude: 16 ulps.
+# Rounding charged per unit of a closed-form term's magnitude: 16 ulps, of
+# which 6 are the tails' own (the bound ``_erfc`` is tested to) and the rest
+# the few roundings that combine them.
 _ROUNDING = 16.0 * _EPS
 
 
@@ -298,11 +357,11 @@ def _slice_integrals(c, log_c, a, b, mean, sd, log_scale):
     exactly on |y - mean| < sd rho, with rho^2 = 2 (ln peak(f) - ln c), so
     with lo, hi that interval clipped to [a, b] the first integral is
     c [(lo - a) + (b - hi) - (hi - lo)] - 2 [f-mass(a, lo) + f-mass(hi, b)].
-    Each normal mass is a difference of tails from ``math.erfc``, always
-    taken on the side away from the mean, so no tail cancels.  The caller
-    measures y from a point near the mass (the Gaussian's mean), so that
-    rounding y - mean costs little.  Works elementwise on broadcastable
-    arrays.
+    Each normal mass is a difference of tails Phi(-|z|), always taken on
+    the side away from the mean, so no tail cancels; one :func:`_erfc` call
+    gives the tails at all four edges of every slice.  The caller measures
+    y from a point near the mass (the Gaussian's mean), so that rounding
+    y - mean costs little.  Works elementwise on broadcastable arrays.
 
     Returns both integrals and magnitudes that bound their rounding, in ulps
     up to a small factor: c (|a| + |b|) for the lengths, and for the masses
@@ -553,11 +612,17 @@ def tv_monte_carlo(
     A :class:`JitteredLaw` target needs no jitter: its density at a jittered
     draw is its pmf at the draw, which the jitter never leaves the open cube
     of, and the jitter is each chunk generator's last use.  So its log-pmf is
-    read at the draws themselves, the same bits as through the jitter.
+    read at the draws themselves, the same bits as through the jitter; on
+    the same experiment both laws' log-pmfs are read once per distinct draw
+    and the terms gathered back, the same bits again.
     """
     if sample_count < MIN_MC_SAMPLES:
         raise ValidationError(f"sample_count must be at least {MIN_MC_SAMPLES}")
     which = _canonical_law(discrete_law)
+    # a jittered draw stays in its own open cube and rounds back to it, and
+    # the jitter is each chunk generator's last use: a JitteredLaw target
+    # skips both, and on the same lattice shares the coding of the draws
+    same_lattice = type(density) is JitteredLaw and density.params == params
     n_chunks = (sample_count + _MC_CHUNK - 1) // _MC_CHUNK
     children = split_seed(seed, n_chunks)
     done = 0
@@ -571,15 +636,22 @@ def tv_monte_carlo(
             draws = sample_hypergeometric(params, gen, size=m)
         else:
             draws = sample_multinomial(params.sample_size, params.weights, gen, size=m)
-        logp = _log_pmf_matrix(params, which, draws)
-        if type(density) is JitteredLaw:
-            # a jittered draw stays in its own open cube and rounds back to
-            # it, and the jitter is the generator's last use: skip both
-            logd = _log_pmf_matrix(density.params, density.which, draws)
+        gather = None
+        if same_lattice:
+            # both laws' kernels on each distinct draw, gathered back once
+            points, gather = _distinct_points(params, draws)
+            log_ratio = (_law_log_pmf(params, density.which, points)
+                         - _law_log_pmf(params, which, points))
+        elif type(density) is JitteredLaw:
+            log_ratio = (_log_pmf_matrix(density.params, density.which, draws)
+                         - _log_pmf_matrix(params, which, draws))
         else:
-            logd = density.log_density(apply_jitter(draws, gen))
-        term = 1.0 - np.exp(logd - logp)
+            log_ratio = (density.log_density(apply_jitter(draws, gen))
+                         - _log_pmf_matrix(params, which, draws))
+        term = 1.0 - np.exp(log_ratio)
         np.clip(term, 0.0, None, out=term)
+        if gather is not None:
+            term = term[gather]
         chunk_sums.append(float(np.sum(term)))
         chunk_sq_sums.append(float(np.sum(np.square(term, out=term))))
     total = math.fsum(chunk_sums)

@@ -5,6 +5,7 @@ import sys
 import textwrap
 import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -621,6 +622,87 @@ class TestClosedForm:
         assert abs(tv.value - expected) <= tv.error_estimate
 
 
+_TINY = 2.0**-1022  # the smallest normal double
+_ERFC_EDGES = [0.0, 5e-324, 0.5, 26.55, 27.3, 28.0, 1e300, math.inf]
+
+
+@pytest.fixture(scope="module")
+def erfc_reference():
+    """10^5 points of [0, 27.3] and the edge values, with erfc at each as a
+    double-double (hi, lo) from 30-digit mpmath."""
+    mpmath = pytest.importorskip("mpmath")
+    x = np.concatenate([np.linspace(0.0, 27.3, 100_001), _ERFC_EDGES])
+    hi, lo = np.zeros_like(x), np.zeros_like(x)
+    with mpmath.workdps(30):
+        # erfc decreases, and erfc(28) already rounds to 0
+        assert float(mpmath.erfc(28)) == 0.0
+        for i, v in enumerate(x.tolist()):
+            if v <= 28.0:
+                exact = mpmath.erfc(v)
+                hi[i] = float(exact)
+                lo[i] = float(exact - hi[i])
+    return x, hi, lo
+
+
+class TestErfcKernel:
+    def test_within_its_stated_bound_of_mpmath(self, erfc_reference):
+        x, hi, lo = erfc_reference
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = distances._erfc(x)
+        assert not np.isnan(got).any()
+        # got - hi is exact this close, so err is the error to the rounding
+        err = np.abs((got - hi) - lo)
+        normal = hi >= _TINY
+        ulps = err[normal] / np.spacing(hi[normal])
+        assert ulps.max() <= 6.0, (x[normal][ulps.argmax()], ulps.max())
+        assert (err[~normal] <= 2 * 5e-324).all()
+        assert (got[x >= 27.3] == 0.0).all()
+
+    def test_zero_where_math_erfc_is_zero(self, erfc_reference):
+        x = erfc_reference[0]
+        zero = np.array([math.erfc(v) for v in x.tolist()]) == 0.0
+        assert zero.sum() > 8
+        assert (distances._erfc(x)[zero] == 0.0).all()
+
+    @pytest.mark.parametrize("shape", [(0,), (4, 0), (4, 7)])
+    def test_keeps_shape_and_input(self, shape):
+        x = np.arange(math.prod(shape), dtype=float).reshape(shape) / 3.0
+        before = x.copy()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = distances._erfc(x)
+        assert got.shape == shape
+        assert np.array_equal(x, before)
+        for value, want in zip(x.ravel().tolist(), got.ravel().tolist()):
+            assert want == pytest.approx(math.erfc(value), rel=8 * np.finfo(float).eps)
+
+    def test_infinity_gives_zero(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = distances._erfc(np.array([[math.inf, 0.0], [1e300, 40.0]]))
+        assert got.tolist() == [[0.0, 1.0], [0.0, 0.0]]
+
+    @pytest.mark.parametrize("params", [WIDE, BALANCED_D2], ids=["d1", "d2"])
+    def test_quadrature_takes_no_scalar_erfc(self, monkeypatch, params):
+        # one code path: every tail comes from the kernel
+        def scalar_erfc(x):
+            raise AssertionError("math.erfc called")
+
+        monkeypatch.setattr(distances.math, "erfc", scalar_erfc)
+        assert tv_jittered_vs_gaussian(params, "hyper", build_gaussian(params)).value > 0.0
+
+
+class _Plain:
+    """A density with nothing but ``log_density``: Monte Carlo jitters its draws."""
+
+    def __init__(self, law):
+        self.law = law
+
+    def log_density(self, x):
+        return self.law.log_density(x)
+
+
 class TestMonteCarloTV:
     def test_agrees_with_quadrature(self):
         law = build_gaussian(WIDE)
@@ -668,17 +750,10 @@ class TestMonteCarloTV:
                                                      chunk):
         # a JitteredLaw target reads the pmf at the draws themselves; any
         # other density gets the jittered draws, and this one rounds them back
-        class Plain:
-            def __init__(self, law):
-                self.law = law
-
-            def log_density(self, x):
-                return self.law.log_density(x)
-
         if chunk:
             monkeypatch.setattr(distances, "_MC_CHUNK", chunk)
         target = JitteredLaw(params, other)
-        want = tv_monte_carlo(params, which, Plain(target), 10_000, seed)
+        want = tv_monte_carlo(params, which, _Plain(target), 10_000, seed)
 
         def no_jitter(*args):
             raise AssertionError("a jittered lattice target needs no jitter")
@@ -688,6 +763,31 @@ class TestMonteCarloTV:
         assert got.value.hex() == want.value.hex()
         assert got.error_estimate.hex() == want.error_estimate.hex()
         assert got.value > 0.0
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_jittered_target_of_another_experiment_matches_the_jitter_path(self, seed):
+        params = validate_params(500, 10, (100,) * 5)
+        target = JitteredLaw(validate_params(600, 10, (100, 100, 100, 100, 200)), "multi")
+        want = tv_monte_carlo(params, "hyper", _Plain(target), 20_000, seed)
+        got = tv_monte_carlo(params, "hyper", target, 20_000, seed)
+        assert got.value.hex() == want.value.hex()
+        assert got.error_estimate.hex() == want.error_estimate.hex()
+
+    @pytest.mark.parametrize("same, codings", [(True, 1), (False, 2)])
+    def test_jittered_target_codes_each_batch_once(self, monkeypatch, same, codings):
+        # on the same experiment one coding of the draws serves both laws
+        calls = []
+        row_codes = distances._row_codes
+
+        def counted(*args):
+            calls.append(args)
+            return row_codes(*args)
+
+        monkeypatch.setattr(distances, "_row_codes", counted)
+        params = validate_params(500, 10, (100,) * 5)
+        other = params if same else validate_params(600, 10, (100, 100, 100, 100, 200))
+        tv_monte_carlo(params, "hyper", JitteredLaw(other, "multi"), 20_000, seed=0)
+        assert len(calls) == codings
 
     def test_same_law_is_exactly_zero(self):
         params = validate_params(8, 4, (4, 4))

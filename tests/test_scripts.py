@@ -1,10 +1,16 @@
-"""The research script writes the same tables as the CLI scans on its grid."""
+"""The research script writes the same tables as the CLI scans on its grid,
+and the erfc table's fitting script reproduces the committed table."""
 
+import importlib.util
+import math
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from lecam import read_csv
+import lecam.distances as distances
 from lecam.records import records_equal
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -36,3 +42,20 @@ def test_rate_scans_match_cli(tmp_path):
                    "--out", f"order{order}.csv"], tmp_path)
         expected += read_csv(tmp_path / f"order{order}.csv")
     assert records_equal(read_csv(outdir / "expansion_residuals.csv"), expected)
+
+
+def test_erfc_table_matches_a_fresh_fit(tmp_path, monkeypatch):
+    pytest.importorskip("mpmath")
+    script = ROOT / "scripts" / "fit_erfc_table.py"
+    assert "matches a fresh fit" in run([sys.executable, str(script), "--check"], tmp_path)
+
+    # a table one bit off in one coefficient fails the check
+    spec = importlib.util.spec_from_file_location("fit_erfc_table", script)
+    fit = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(fit)
+    table = distances._ERFC_COEFFS.T.tolist()
+    table[7][3] = math.nextafter(table[7][3], math.inf)
+    copy = tmp_path / "_erfc_table.py"
+    copy.write_text(fit.render(table))
+    monkeypatch.setattr(fit, "TABLE_PATH", copy)
+    assert fit.main(["--check"]) == 1
