@@ -4,29 +4,31 @@ All probabilities are carried as natural logarithms so that supports with
 thousands of points never underflow; sums over supports go through
 log-sum-exp or compensated summation.  Every hypergeometric log-probability
 is the multinomial one at weights ``counts / N`` plus ``log_ratio_matrix``,
-so no two log-factorials of size N log N are ever subtracted.  The kernels
-add a row's terms one whole column at a time, left to right; over a whole
-lattice ``leaf_log_pmfs`` folds one table per coordinate down its levels to
-the leaves' parents and yields the leaves a cache-sized block at a time.
+so no two log-factorials of size N log N are ever subtracted.  Both are a
+row constant plus one term per category, ``k ln w_i - ln k!`` and for the
+ratio ``T_{c_i}[k]``, tabled by ``_log_pmf_tables``.  The row kernels add
+these terms a whole column at a time, left to right; ``leaf_log_pmfs``
+folds the tables down a lattice's levels in the same order and yields the
+leaves a cache-sized block at a time.
 
 Both samplers draw one coordinate at a time from its conditional law through
 one routine, ``_sample_sequential``: inversion by table lookup (Devroye 1986,
-*Non-Uniform Random Variate Generation*, ch. III).  Each coordinate builds one
-2-D table, a row per remaining draw count, from the log-pmf kernels above, in
-blocks of bounded size; the first coordinate's table is one row, as every
-draw still has all n to place.  Rows are normalised from their mode, so no
-mass underflows at any sample size.  One search serves every row: indexed by
-a guide table (Chen and Asau 1974), as fine as the block's uniforms pay for,
-where one comparison settles most uniforms and a halving search inside the
-cell the rest.  It returns a flat index into the block's table, so one
-``take`` from the table of counts gives the draws.
+*Non-Uniform Random Variate Generation*, ch. III).  Each coordinate reads a
+2-D table, a row per remaining draw count, from its two tables built once,
+in blocks of bounded size; the first coordinate's table is one row, as
+every draw still has all n to place.  Rows are normalised from their mode,
+so no mass underflows at any sample size.  One search serves every row:
+indexed by a guide table (Chen and Asau 1974), as fine as the block's
+uniforms pay for, where one comparison settles most uniforms and a halving
+search inside the cell the rest.  It returns a flat index into the block's
+table, so one ``take`` from the table of counts gives the draws.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -93,30 +95,21 @@ def hypergeometric_log_pmf(params: ExperimentParams, point: Sequence[int]) -> Lo
 
 
 def hypergeometric_log_pmf_matrix(params: ExperimentParams, points: np.ndarray) -> np.ndarray:
-    """Vectorized log-pmf over an (m, dim) array of points; -inf off support."""
+    """Vectorized log-pmf over an (m, dim) array of points; -inf off support.
+
+    Past n = N/2 rows are read at what they leave, ``counts - k``: as likely,
+    fewer draws enter the sums, and a census row is exactly certain."""
     ks = _full_count_matrix(points, params.dim, params.sample_size)
-    return _hypergeometric_log_pmf_rows(params.counts, ks)
+    c = np.array(params.counts, dtype=np.int64)
+    if 2 * params.sample_size > params.population:
+        ks = c - ks
+    return _multinomial_log_pmf_rows(np.log(c / params.population), ks) + log_ratio_matrix(c, ks)
 
 
-def _hypergeometric_log_pmf_rows(counts: Sequence[int], ks: np.ndarray) -> np.ndarray:
-    """Log-pmf of full count rows, each summing to its own draw count.
-
-    A row drawing over half the population is evaluated at what it leaves
-    behind, ``counts - k``, which is as likely: fewer draws enter the sums,
-    and a census row is exactly certain.
-    """
-    c = np.asarray(counts, dtype=np.int64)
-    N = c.sum()
-    flip = 2 * ks.sum(axis=1) > N
-    if flip.any():
-        ks = np.where(flip[:, None], c - ks, ks)
-    return _multinomial_log_pmf_rows(np.log(c / N), ks) + log_ratio_matrix(c, ks)
-
-
-def _ratio_tables(counts: np.ndarray, top: int) -> np.ndarray:
+def _ratio_tables(sizes: np.ndarray, top: int) -> np.ndarray:
     """``T_c[k] = sum_{j<k} log(1 - j/c)``, k = 0..top, to about an ulp, for
-    each count and then N; not finite past k = c."""
-    sizes = np.concatenate((counts, counts.sum(keepdims=True)))[:, None]
+    each size c; not finite past k = c."""
+    sizes = sizes[:, None]
     j = np.arange(top)
     with np.errstate(divide="ignore", invalid="ignore"):
         # log1p(-j/c) up to j = c/2; past it the argument nears -1 and its
@@ -124,6 +117,15 @@ def _ratio_tables(counts: np.ndarray, top: int) -> np.ndarray:
         return compensated_cumsum(
             np.where(2 * j <= sizes, np.log1p(-j / sizes), np.log((sizes - j) / sizes))
         )
+
+
+def _log_pmf_tables(log_w: np.ndarray, top: int, sizes: np.ndarray | None = None) -> tuple:
+    """Per category i, over k = 0..top, the multinomial term ``k ln w_i - ln k!``
+    and, given sizes, ``T_c[k]`` per size c: with the counts c_i, added to the
+    first, the hypergeometric term (not finite past k = c_i)."""
+    k = np.arange(top + 1)
+    multi = k * log_w[:, None] - log_factorial(k)
+    return multi, None if sizes is None else _ratio_tables(sizes, top)
 
 
 def log_ratio_matrix(counts: Sequence[int], ks: np.ndarray) -> np.ndarray:
@@ -145,7 +147,7 @@ def log_ratio_matrix(counts: Sequence[int], ks: np.ndarray) -> np.ndarray:
     # the tables reach the longest row on the support; the lookups of rows
     # off it are clipped into them and their results overwritten
     top = n.max(initial=0) if bad is None else n.max(initial=0, where=~bad)
-    tables = _ratio_tables(counts, top)
+    tables = _ratio_tables(np.append(counts, counts.sum()), top)
     out = -np.take(tables[-1], n, mode="clip")
     for table, col in zip(tables, cols):
         out += np.take(table, col, mode="clip")
@@ -161,25 +163,24 @@ def leaf_log_pmfs(
     one block of ``lattice._leaf_blocks`` at a time, in order.
 
     Each law is a product of one factor per category, so each coordinate
-    gets a table over ``0..n``: ``k ln p_i - ln k!`` for Q, and ``T_{c_i}[k]``
-    of :func:`log_ratio_matrix` for r (-inf past ``c_i``).  Each level sets
-    ``S = S[parent] + table_i[values]``, from ``ln n!`` and ``-T_N[n]``, down
-    to the leaves' parents; a leaf adds the last free coordinate's table and
-    then the last count's, ``(S[parent] + table_d-1[k]) + table_d[last]``, so
-    no leaf-sized array is made.  When ``2n > N`` every leaf flips: P is read
-    at ``c - k`` after ``N - n`` draws.
+    gets a table over ``0..n`` from :func:`_log_pmf_tables`: ``k ln p_i -
+    ln k!`` for Q, and ``T_{c_i}[k]`` for r (-inf past ``c_i``).  Each level
+    sets ``S = S[parent] + table_i[values]``, from ``ln n!`` and ``-T_N[n]``,
+    down to the leaves' parents; a leaf adds the last free coordinate's table
+    and then the last count's, ``(S[parent] + table_d-1[k]) + table_d[last]``,
+    so no leaf-sized array is made.  When ``2n > N`` every leaf flips: P is
+    read at ``c - k`` after ``N - n`` draws.
     """
     c = np.array(params.counts, dtype=np.int64)
     N, n = params.population, params.sample_size
     k = np.arange(n + 1)
-    log_w = np.log(c / N)[:, None]
-    multi = k * log_w - log_factorial(k)
     draws = min(n, N - n)  # a leaf drawing over half of N flips to c - k
     off = k > c[:, None]
     j = np.where(off, 0, c[:, None] - k if draws < n else k)
-    tables = _ratio_tables(c, max(draws, j.max()))
+    multi, tables = _log_pmf_tables(np.log(c / N), max(n, j.max()), np.append(c, N))
     # T at j, plus Q's factor at j less at k: exactly 0 unless the leaves flip
-    ratio = np.take_along_axis(tables[:-1], j, axis=1) + (j * log_w - log_factorial(j) - multi)
+    at_j = np.take_along_axis(multi, j, axis=1)
+    ratio = np.take_along_axis(tables[:-1], j, axis=1) + (at_j - multi[:, : n + 1])
     ratio[off] = -np.inf
     ratio_0 = log_factorial(draws) - log_factorial(n) - tables[-1, draws]
     log_q, r = np.array([log_factorial(n)]), np.array([ratio_0])
@@ -235,18 +236,15 @@ def multinomial_log_pmf_matrix(
 def _multinomial_log_pmf_rows(log_w: np.ndarray, ks: np.ndarray) -> np.ndarray:
     """Log-pmf of full count rows drawn with replacement; each row sum is its draw count.
 
-    A row's terms are added a whole column at a time, left to right."""
+    From ``ln t!``, each column's ``k ln w_i - ln k!`` (an entry of
+    :func:`_log_pmf_tables`, by the same expression) is added a whole column
+    at a time, left to right, as :func:`leaf_log_pmfs` adds its tables."""
     cols = ks.T
     bad = (cols < 0).any(axis=0) if cols.min(initial=0) < 0 else None
     cols = cols if bad is None else np.where(bad, 0, cols)
-    facts = log_factorial(cols)
-    for row in facts[1:]:
-        facts[0] += row
-    terms = cols[0] * log_w[0]
-    for col, w in zip(cols[1:], log_w[1:]):
-        terms += col * w
-    total = log_factorial(cols.sum(axis=0)) - facts[0]
-    total += terms
+    total = log_factorial(cols.sum(axis=0))
+    for col, w, fact in zip(cols, log_w, log_factorial(cols)):
+        total += col * w - fact
     return total if bad is None else np.where(bad, -np.inf, total)
 
 
@@ -333,30 +331,30 @@ def _halving_search(
 
 def _sample_sequential(
     sample_size: int,
-    dim: int,
     rng: np.random.Generator,
     size: int | None,
-    conditional: Callable[[int, np.ndarray], tuple],
+    coordinates: Sequence[tuple[np.ndarray, int, int]],
 ) -> LatticePoint | np.ndarray:
     """Draw count vectors one coordinate at a time, by inversion of tabled cdfs.
 
-    ``conditional(i, t)`` maps a column of draw counts still to place to
-    coordinate i's lowest and highest feasible counts and a log-pmf kernel over
-    full count rows ``[k, t - k]``.  The first coordinate has the one count
-    t = n; later ones take their distinct t from a bincount, and each block of
-    at most ``_TABLE_BLOCK`` table entries takes one kernel call.  A row is
-    normalised from its mode (so no mass underflows) and summed along itself,
-    the same bits as a 1-D table per t; the search's flat index reads the
-    drawn count from the block's table of counts.  One ``rng.random(m)`` is
-    consumed per coordinate, and each coordinate's draws fill one contiguous
-    row until the (m, dim) result is laid out.
+    Coordinate i is ``(tables, c, o)``: of t draws left it takes k, from
+    ``max(0, t - o)`` to ``min(t, c)``, with log-pmf ``tables[0][k] +
+    tables[1][t - k]`` up to a row constant; a row with 2t > c + o reads
+    ``(c - k, o - (t - k))``, as likely and below t.  The tables reach n.
+    The first coordinate has the one count t = n; later ones take their
+    distinct t from a bincount, and each block of at most ``_TABLE_BLOCK``
+    entries is one gather.  A row is normalised from its mode (so no mass
+    underflows) and summed along itself, the same bits as a 1-D table per
+    t; the search's flat index reads the drawn count from the block's table
+    of counts.  One ``rng.random(m)`` is consumed per coordinate, and each
+    coordinate's draws fill one row of the (dim, m) draws.
     """
     m = 1 if size is None else int(size)
     if m < 1:
         raise ValidationError("size must be a positive integer")
-    out = np.empty((dim, m), dtype=np.int64)
+    out = np.empty((len(coordinates), m), dtype=np.int64)
     remaining = None  # the first coordinate places all n draws
-    for i, drawn in enumerate(out):
+    for i, ((tables, c, o), drawn) in enumerate(zip(coordinates, out)):
         u = rng.random(m)
         if remaining is None:
             ts, rows = np.array([sample_size]), None
@@ -367,11 +365,17 @@ def _sample_sequential(
         block = (rows // per_block).astype(np.int32) if per_block < ts.size else None
         for start in range(0, ts.size, per_block):
             t = ts[start : start + per_block, None]
-            low, high, log_pmf_rows = conditional(i, t)
+            low, high = np.maximum(t - o, 0), np.minimum(t, c)
             offsets = np.arange((high - low).max() + 1)
             ks = np.minimum(low + offsets, high)  # past the highest count: masked below
-            log_pmf = log_pmf_rows(np.array([ks.ravel(), (t - ks).ravel()]).T).reshape(ks.shape)
-            cdf = np.exp(log_pmf - log_pmf.max(axis=1, keepdims=True))
+            s, j = t, ks
+            flip = 2 * t > c + o
+            if flip.any():
+                s, j = np.where(flip, c + o - t, t), np.where(flip, c - ks, ks)
+            cdf = tables[0].take(j)
+            cdf += tables[1].take(s - j)
+            cdf -= cdf.max(axis=1, keepdims=True)
+            np.exp(cdf, out=cdf)
             cdf[offsets > high - low] = 0.0
             np.cumsum(cdf, axis=1, out=cdf)
             cdf /= cdf[:, -1:]
@@ -380,7 +384,7 @@ def _sample_sequential(
             else:
                 picks = np.flatnonzero(block == start // per_block)
                 drawn[picks] = ks.take(_first_at_least(cdf, u[picks], rows[picks] - start))
-        if i + 1 == dim:
+        if i + 1 == len(out):
             break
         if remaining is None:
             remaining = sample_size - drawn
@@ -404,14 +408,13 @@ def sample_hypergeometric(
     ``rng.random`` is consumed, so the stream is stable across library
     versions and identical seeds reproduce identical samples.
     """
-    counts = params.counts
-    others = [params.population - sum(counts[: i + 1]) for i in range(params.dim)]
-
-    def conditional(i, t):
-        low, high = np.maximum(t - others[i], 0), np.minimum(t, counts[i])
-        return low, high, lambda ks: _hypergeometric_log_pmf_rows((counts[i], others[i]), ks)
-
-    return _sample_sequential(params.sample_size, params.dim, rng, size, conditional)
+    n, counts = params.sample_size, params.counts
+    coordinates = []
+    for i in range(params.dim):
+        pair = np.array([counts[i], sum(counts[i + 1 :])])
+        multi, ratio = _log_pmf_tables(np.log(pair / pair.sum()), n, pair)
+        coordinates.append((multi + ratio, *pair.tolist()))
+    return _sample_sequential(n, rng, size, coordinates)
 
 
 def sample_multinomial(
@@ -425,15 +428,11 @@ def sample_multinomial(
     Coordinate i, given t draws left, is binomial with success probability
     q = w_i / sum_{l >= i} w_l; its failure probability is taken as
     sum_{l > i} w_l over the same sum, which stays positive where q rounds
-    to 1.
+    to 1.  No count bounds it, so it passes c = o = n and never flips.
     """
     if sample_size < 1:
         raise ValidationError("sample_size must be a positive integer")
     w = _check_weights(weights)
-    tails = [math.fsum(w[i:].tolist()) for i in range(w.size)]
-
-    def conditional(i, t):
-        log_w = np.log(np.array([w[i], tails[i + 1]]) / tails[i])
-        return np.zeros_like(t), t, lambda ks: _multinomial_log_pmf_rows(log_w, ks)
-
-    return _sample_sequential(sample_size, w.size - 1, rng, size, conditional)
+    n, tails = sample_size, [math.fsum(w[i:].tolist()) for i in range(w.size)]
+    log_w = [np.log(np.array([w[i], tails[i + 1]]) / tails[i]) for i in range(w.size - 1)]
+    return _sample_sequential(n, rng, size, [(_log_pmf_tables(lw, n)[0], n, n) for lw in log_w])

@@ -1,5 +1,8 @@
+import contextlib
 import hashlib
+import io
 import itertools
+import json
 import math
 import tracemalloc
 import warnings
@@ -32,7 +35,7 @@ from lecam.lattice import count_vector_levels, point_in_support
 from lecam.numerics import log_factorial
 from lecam.pmf import (
     _first_at_least,
-    _hypergeometric_log_pmf_rows,
+    _log_pmf_tables,
     _multinomial_log_pmf_rows,
     leaf_log_pmfs,
     log_ratio_matrix,
@@ -227,7 +230,8 @@ class TestLeafLogPmfs:
         """The fold over every count vector against the two matrices; returns ln P.
 
         Every count vector, so rows off the hypergeometric support and,
-        whenever 2n > N, census-flipped rows are included.  n ln N bounds
+        whenever 2n > N, census-flipped rows are included.  ln Q, and r
+        unless the rows flip, agree byte for byte.  n ln N bounds
         every table term the matrices add on a finite row: ln k!, k |ln p_i|
         and |T_c[k]| for k <= n, and for a flipped row the same at c - k,
         which stays below N - n < n.
@@ -238,12 +242,16 @@ class TestLeafLogPmfs:
         blocks = list(leaf_log_pmfs(params, count_vector_levels(n, d)))
         log_q, r = (np.concatenate(parts) for parts in zip(*blocks))
         log_p = log_q + r
-        want_p = hypergeometric_log_pmf_matrix(params, points)
+        # the row kernels add the fold's table entries in the fold's order
         want_q = multinomial_log_pmf_matrix(params.sample_size, params.weights, points)
+        assert log_q.tobytes() == want_q.tobytes()
+        if 2 * n <= params.population:
+            full = np.column_stack([points, n - points.sum(axis=1)])
+            assert r.tobytes() == log_ratio_matrix(params.counts, full).tobytes()
+        want_p = hypergeometric_log_pmf_matrix(params, points)
         assert np.array_equal(np.isneginf(log_p), np.isneginf(want_p))
         finite = np.isfinite(want_p)
         assert np.abs(log_p[finite] - want_p[finite]).max() <= tol
-        assert np.abs(log_q - want_q).max() <= tol
         return log_p
 
     @given(experiment_params(max_dim=3, max_count=6, max_draws=8))
@@ -263,7 +271,8 @@ class TestSharedMultinomialRows:
     @given(experiment_params(max_dim=3, max_count=9, max_draws=9))
     def test_columns_add_left_to_right_as_a_row_loop(self, params):
         # the kernel sums whole columns; this loop adds each row's terms in
-        # the same order, one scalar at a time
+        # the same order, one scalar at a time: ln t!, then k ln w_i - ln k!
+        # per column, left to right
         log_w = np.log(np.array(params.weights))
         ks = np.array([
             row + (params.sample_size - sum(row),)
@@ -271,12 +280,10 @@ class TestSharedMultinomialRows:
         ])
         got = _multinomial_log_pmf_rows(log_w, ks)
         for row, value in zip(ks.tolist(), got.tolist()):
-            facts = log_factorial(row[0])
-            terms = row[0] * log_w[0]
-            for k, w in zip(row[1:], log_w[1:]):
-                facts += log_factorial(k)
-                terms += k * w
-            assert value == log_factorial(sum(row)) - facts + terms
+            total = log_factorial(sum(row))
+            for k, w in zip(row, log_w):
+                total += k * w - log_factorial(k)
+            assert value == total
 
 
 class TestMoments:
@@ -445,23 +452,26 @@ class TestInversionEdgesAcrossDrawCounts:
     @pytest.mark.parametrize("law", ["hyper", "multi"])
     def test_every_cdf_boundary_matches_the_one_table_per_count(self, table_block, law):
         # uniforms at, just below and just above every entry of each draw
-        # count's 1-D cdf, built as one table per count: an entry of the
-        # blocked 2-D table off by one ulp would move a draw
+        # count's 1-D cdf, read from the coordinate's tables one count at a
+        # time: an entry of the blocked 2-D table off by one ulp would move a draw
         params = validate_params(4096, 60, (1024, 1024, 2048))
         spread = np.linspace(0.0, 1.0, 400, endpoint=False)
         t = params.sample_size - _sample(params, law, _FixedUniforms(spread, 0.5), 400)[:, 0]
-        rest = params.population - sum(params.counts[:2])
+        # coordinate 1's two tables, as the sampler builds them; at most 60
+        # of its c + o = 3072 objects are drawn, so no row flips
+        n = params.sample_size
+        if law == "hyper":
+            pair = np.array(params.counts[1:])
+            multi, ratio = _log_pmf_tables(np.log(pair / pair.sum()), n, pair)
+            tables = multi + ratio
+        else:
+            w = np.array(params.weights)
+            tails = [math.fsum(w[1:]), math.fsum(w[2:])]
+            tables = _log_pmf_tables(np.log(np.array([w[1], tails[1]]) / tails[0]), n)[0]
         u, want = np.empty(400), np.empty(400, dtype=np.int64)
         for j, (tj, low, high) in enumerate(zip(t, *_feasible(params, law, t, 1))):
             ks = np.arange(low, high + 1)
-            rows = np.column_stack([ks, tj - ks])
-            if law == "hyper":
-                log_pmf = _hypergeometric_log_pmf_rows((params.counts[1], rest), rows)
-            else:
-                # the conditional weights as the sampler forms them
-                w = np.array(params.weights)
-                tails = [math.fsum(w[1:]), math.fsum(w[2:])]
-                log_pmf = _multinomial_log_pmf_rows(np.log(np.array([w[1], tails[1]]) / tails[0]), rows)
+            log_pmf = tables[0][ks] + tables[1][tj - ks]
             cdf = np.cumsum(np.exp(log_pmf - log_pmf.max()))
             cdf /= cdf[-1]
             at = cdf[(j // 3) % ks.size]
@@ -583,7 +593,8 @@ def test_search_at_the_extreme_uniforms(uniforms):
 def test_sampler_memory_is_bounded_by_the_block(law):
     # d=3 at n=10^4: the later coordinates see over 200 draw counts each,
     # with tables of about 7,500 entries.  One table of every count at once
-    # peaked at about 215 MB here; blocks of _TABLE_BLOCK entries at about 3 MB.
+    # peaked at about 215 MB here; blocks of _TABLE_BLOCK entries at about
+    # 1.4 to 3 MB, most of it building each coordinate's tables.
     # Every block builds its guide, with far fewer uniforms than entries
     params = validate_params(10**6, 10_000, (250_000,) * 4)
     tracemalloc.start()
@@ -599,8 +610,8 @@ def test_sampler_memory_is_bounded_by_the_block(law):
 @pytest.mark.parametrize("law", ["hyper", "multi"])
 def test_guided_search_memory_at_a_wide_row(law):
     # d=1 at n=10^5: one row of 100,001 entries, longer than a block, and
-    # 10^5 uniforms, so the guide has 2**17 + 1 cells.  The peak, about 17
-    # to 20 MB, is set by the log-pmf kernel and the draws, not the guide
+    # 10^5 uniforms, so the guide has 2**17 + 1 cells.  The peak, about 9.5
+    # to 15 MB, is set by the row's gathers, its table and the draws
     params = validate_params(10**6, 10**5, (500_000, 500_000))
     tracemalloc.start()
     try:
@@ -669,6 +680,32 @@ def test_pinned_draws_do_not_depend_on_the_block(monkeypatch, case):
     assert _pinned_digests(*case[:4]) == case[4:]
 
 
+@pytest.mark.parametrize("case", [c for c in PINNED_DRAWS if len(c[2]) in (3, 5)],
+                         ids=lambda c: f"N{c[0]}-n{c[1]}-d{len(c[2]) - 1}")
+def test_each_coordinate_builds_its_tables_once(monkeypatch, case):
+    # blocks of 20 entries split the later coordinates' rows over many
+    # blocks, which all read the tables built once per coordinate; where some
+    # c_i < n (and at the census) the tables hold entries that are not
+    # finite past c_i, and no row reads one
+    build, builds = pmf._log_pmf_tables, []
+
+    def counted(*args):
+        builds.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(pmf, "_log_pmf_tables", counted)
+    monkeypatch.setattr(pmf, "_TABLE_BLOCK", 20)
+    N, n, counts, size = case[:4]
+    params = validate_params(N, n, counts)
+    for law, digest in zip(("hyper", "multi"), case[4:]):
+        builds.clear()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            draws = _sample(params, law, make_generator(0), size)
+        assert len(builds) == params.dim
+        assert _draw_digest(draws) == digest
+
+
 @pytest.mark.parametrize("block", [None, 40], ids=["one-block", "several-blocks"])
 @pytest.mark.parametrize("law", ["hyper", "multi"])
 @pytest.mark.parametrize("case", [PINNED_DRAWS[i] for i in (0, 2, 3)],
@@ -703,28 +740,41 @@ def test_rounded_to_one_weight_draws_are_pinned():
     assert _draw_digest(draws) == "b852f6fadd176343"
 
 
-# `lecam tv --method mc --samples 100000 --seed 7 --json` on the four mc-draws
-# instances that run without a known fault, byte for byte as at commit 897bd35
-# but for the last error_estimate (was 3.6851909063355296e-05): the squared
-# terms are now summed by np.sum, whose result does not depend on the BLAS
-# thread count as np.dot's did
+def _mc_argv(pair, population, draws, counts):
+    return ["tv", "--pair", pair, "--N", population, "--n", draws, "--Np", counts,
+            "--method", "mc", "--samples", "100000", "--seed", "7", "--json"]
+
+
+def _mc_output(pair, population, draws, counts):
+    """The tv and error_estimate that ``lecam tv --json`` prints for this Monte Carlo run."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(_mc_argv(pair, population, draws, counts)) == 0
+    printed = json.loads(out.getvalue())
+    return printed["tv"], printed["error_estimate"]
+
+
+# (pair, N, n, counts, tv, error_estimate) of `lecam tv --method mc --samples
+# 100000 --seed 7 --json` on the first four mc-draws instances of
+# bench/workloads.py.  Made by this file's helper (it calls only the CLI)
+# from the repository root:
+#   PYTHONPATH=src:tests python -c "import test_pmf as t; \
+#     [print(c[:4], t._mc_output(*c[:4])) for c in t.PINNED_MC_OUTPUTS]"
 PINNED_MC_OUTPUTS = [
     ("jitterhyper-gauss", "1000000", "500", "500000,500000",
-     0.008961170587857425, 4.9603101878285545e-05),
+     0.008961170587844628, 4.960310187833232e-05),
     ("jittermulti-gauss", "1000000", "500", "500000,500000",
-     0.008964395723440762, 5.001757409827927e-05),
+     0.00896439572342766, 5.001757409832744e-05),
     ("jitterhyper-gauss", "4096", "16", "1024,1024,2048",
-     0.10550741376334061, 0.00047844568957631833),
+     0.10550741376334047, 0.0004784456895763186),
     ("jitterhyper-jittermulti", "500", "10", "100,100,100,100,100",
-     0.010308181617187783, 3.685190906335538e-05),
+     0.010308181617187847, 3.685190906335553e-05),
 ]
 
 
 @pytest.mark.parametrize("pair, N, n, counts, tv, error", PINNED_MC_OUTPUTS)
 def test_monte_carlo_outputs_are_pinned(capsys, pair, N, n, counts, tv, error):
-    argv = ["tv", "--pair", pair, "--N", N, "--n", n, "--Np", counts, "--method", "mc",
-            "--samples", "100000", "--seed", "7", "--json"]
-    assert main(argv) == 0
+    assert main(_mc_argv(pair, N, n, counts)) == 0
     want = (f'{{\n  "tv": {tv!r},\n  "method": "monte-carlo",\n'
             f'  "error_estimate": {error!r}\n}}\n')
     assert capsys.readouterr().out == want

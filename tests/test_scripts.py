@@ -1,5 +1,6 @@
-"""The research script writes the same tables as the CLI scans on its grid,
-and the erfc table's fitting script reproduces the committed table."""
+"""The research script writes the same tables as the CLI scans on its grid and
+as the committed ``results/``, and the erfc table's fitting script reproduces
+the committed table."""
 
 import importlib.util
 import math
@@ -42,6 +43,10 @@ def test_rate_scans_match_cli(tmp_path):
                    "--out", f"order{order}.csv"], tmp_path)
         expected += read_csv(tmp_path / f"order{order}.csv")
     assert records_equal(read_csv(outdir / "expansion_residuals.csv"), expected)
+
+    # the committed tables are the ones the script writes now
+    for name in ("lecam_bounds.csv", "expansion_residuals.csv", "bound_pieces.csv"):
+        assert records_equal(read_csv(ROOT / "results" / name), read_csv(outdir / name)), name
 
 
 def test_erfc_table_matches_a_fresh_fit(tmp_path, monkeypatch):
