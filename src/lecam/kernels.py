@@ -16,6 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
+import numpy as np
+
 from .distances import (
     DEFAULT_MC_SAMPLES,
     DEFAULT_QUAD_ORDER,
@@ -157,7 +159,7 @@ def _map_ordered(fn, items, jobs: int):
     The pool never starts more workers than there are items.  Results keep
     the order of ``items``, so scans are identical at any ``jobs``.
     """
-    if jobs < 1:
+    if not isinstance(jobs, (int, np.integer)) or jobs < 1:
         raise ValidationError("jobs must be at least 1")
     jobs = min(jobs, len(items))
     if jobs <= 1:

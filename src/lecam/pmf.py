@@ -349,8 +349,8 @@ def _sample_sequential(
     of counts.  One ``rng.random(m)`` is consumed per coordinate, and each
     coordinate's draws fill one row of the (dim, m) draws.
     """
-    m = 1 if size is None else int(size)
-    if m < 1:
+    m = 1 if size is None else size
+    if not isinstance(m, (int, np.integer)) or m < 1:
         raise ValidationError("size must be a positive integer")
     out = np.empty((len(coordinates), m), dtype=np.int64)
     remaining = None  # the first coordinate places all n draws

@@ -23,7 +23,6 @@ from lecam import (
     hellinger_discrete,
     hypergeometric_log_pmf,
     hypergeometric_log_pmf_matrix,
-    make_generator,
     multinomial_log_pmf_matrix,
     tail_probability_check,
     tv_bound_parts,
@@ -331,6 +330,23 @@ class TestJitteredLaw:
             hypergeometric_log_pmf(BALANCED, (3,)), abs=1e-14
         )
 
+    @pytest.mark.parametrize("which", ["hyper", "multi"])
+    def test_density_off_the_support_is_exactly_the_row_kernel(self, which):
+        # (30, 4, (3, 5, 22)): rows round to a negative count, past n, past
+        # c_0 = 3 (off the hypergeometric support only) and onto the support
+        params = validate_params(30, 4, (3, 5, 22))
+        x = np.array([[-0.6, 1.2], [1.0, -1.4], [0.2, 4.6], [2.5, 2.5], [4.4, 0.3],
+                      [1.2, 0.9], [0.0, 2.0]])
+        centers = np.array([[-1, 1], [1, -1], [0, 5], [3, 3], [4, 0], [1, 1], [0, 2]])
+        if which == "hyper":
+            want = hypergeometric_log_pmf_matrix(params, centers)
+        else:
+            want = multinomial_log_pmf_matrix(params.sample_size, params.weights, centers)
+        got = JitteredLaw(params, which).log_density(x)
+        assert np.isneginf(got[:4]).all() and np.isfinite(got[5:]).all()
+        assert np.isneginf(got[4]) == (which == "hyper")
+        assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
+
     def test_jitter_preserves_tv(self):
         expected = float(oracles.tv_jittered_pair(64, (32, 32), 8))
         assert tv_pair(WIDE, "jitterhyper-jittermulti").value == pytest.approx(expected, abs=1e-10)
@@ -345,46 +361,62 @@ class TestJitteredLaw:
         assert jittered.value == pytest.approx(expected, abs=1e-10)
 
 
-class TestLogPmfPerPoint:
-    # d=2, n=4: 25 codes; counts (3, 5, 22) put k_0 = 4 off the
-    # hypergeometric support, and rows summing past n are off both
-    PARAMS = validate_params(30, 4, (3, 5, 22))
+class TestMonteCarloRowKernels:
+    # d=2, n=4: 25 codes, so a chunk of 10,000 draws is coded; d=4, n=10:
+    # 14,641 codes, more than the draws, so no chunk is
+    CODED = validate_params(30, 4, (3, 5, 22))
+    UNCODED = validate_params(500, 10, (100,) * 5)
+    OTHER = {2: validate_params(36, 6, (6, 10, 20)),
+             4: validate_params(600, 10, (100, 100, 100, 100, 200))}
 
     @staticmethod
-    def _kernel_rows(monkeypatch, which):
-        """Rows handed to the kernel, one entry per call."""
-        name = {"hyper": "hypergeometric_log_pmf_matrix", "multi": "multinomial_log_pmf_matrix"}
-        kernel, calls = getattr(distances, name[which]), []
+    def _spy(monkeypatch, name, calls):
+        kernel = getattr(distances, name)
 
         def spy(*args):
-            calls.append(len(args[-1]))
+            calls.append(args[-1])
             return kernel(*args)
 
-        monkeypatch.setattr(distances, name[which], spy)
-        return calls
+        monkeypatch.setattr(distances, name, spy)
 
-    @pytest.mark.parametrize("which", ["hyper", "multi"])
-    @pytest.mark.parametrize("rows, low, per_point", [
-        (400, 0, True),     # repeated draws, off-support rows among them
-        (20, 0, False),     # fewer rows than codes
-        (400, -1, False),   # a negative entry
-        (400, 1, False),    # an entry past n
-    ], ids=["repeats", "few-rows", "negative", "past-n"])
-    def test_matches_the_row_kernel_bit_for_bit(self, monkeypatch, which, rows, low, per_point):
-        params = self.PARAMS
-        points = make_generator(5).integers(0, params.sample_size + 1, size=(rows, params.dim))
-        if low:
-            points[7, 1] = -1 if low < 0 else params.sample_size + 1
-        if which == "hyper":
-            want = hypergeometric_log_pmf_matrix(params, points)
-        else:
-            want = multinomial_log_pmf_matrix(params.sample_size, params.weights, points)
-        assert np.isneginf(want).any() and np.isfinite(want).any()
-        calls = self._kernel_rows(monkeypatch, which)
-        got = distances._log_pmf_matrix(params, which, points)
-        assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
-        distinct = len(np.unique(points, axis=0))
-        assert calls == [distinct if per_point else rows]
+    @pytest.mark.parametrize("chunk", [None, 4000], ids=["one-chunk", "three-chunks"])
+    @pytest.mark.parametrize("target", ["gauss", "same", "other"])
+    @pytest.mark.parametrize("params", [CODED, UNCODED], ids=["coded", "uncoded"])
+    def test_each_kernel_runs_once_per_chunk_on_the_distinct_draws(self, monkeypatch, params,
+                                                                   target, chunk):
+        if chunk:
+            monkeypatch.setattr(distances, "_MC_CHUNK", chunk)
+        density = {"gauss": build_gaussian(params), "same": JitteredLaw(params, "multi"),
+                   "other": JitteredLaw(self.OTHER[params.dim], "multi")}[target]
+        draws, hyper, multi = [], [], []
+        sampler = distances.sample_hypergeometric
+
+        def recorded(*args, **kwargs):
+            draws.append(sampler(*args, **kwargs))
+            return draws[-1]
+
+        monkeypatch.setattr(distances, "sample_hypergeometric", recorded)
+        self._spy(monkeypatch, "hypergeometric_log_pmf_matrix", hyper)
+        self._spy(monkeypatch, "multinomial_log_pmf_matrix", multi)
+        tv_monte_carlo(params, "hyper", density, 10_000, seed=3)
+        assert len(draws) == (3 if chunk else 1)
+        coded = (params.sample_size + 1) ** params.dim <= len(draws[0])
+        assert coded == (params is self.CODED)
+        want = [np.unique(d, axis=0) if coded else d for d in draws]
+        for rows in [hyper] + ([] if target == "gauss" else [multi]):
+            assert [len(r) for r in rows] == [len(w) for w in want]
+            for got, expected in zip(rows, want):
+                # distinct draws come in code order, not sorted
+                assert (np.unique(got, axis=0) if coded else got).tolist() == expected.tolist()
+        if target == "gauss":
+            assert multi == []
+
+    @pytest.mark.parametrize("density", [
+        JitteredLaw(OTHER[4], "multi"), build_gaussian(OTHER[4]),
+    ], ids=["jittered", "gauss"])
+    def test_a_target_of_another_dimension_is_refused(self, density):
+        with pytest.raises(ValidationError):
+            tv_monte_carlo(self.CODED, "hyper", density, 10_000, seed=0)
 
 
 class TestQuadratureTV:
@@ -456,6 +488,11 @@ class TestQuadratureTV:
         law = build_gaussian(WIDE)
         with pytest.raises(ValidationError, match="quad_order"):
             tv_jittered_vs_gaussian(WIDE, "hyper", law, order)
+
+    @pytest.mark.parametrize("params", [WIDE, THREE_CAT], ids=["d1", "d2"])
+    def test_order_must_be_an_integer(self, params):
+        with pytest.raises(ValidationError, match="quad_order must be an integer"):
+            tv_jittered_vs_gaussian(params, "hyper", build_gaussian(params), 8.5)
 
     def test_dimension_cap(self):
         params = validate_params(25, 6, (5, 5, 5, 5, 5))
@@ -773,9 +810,12 @@ class TestMonteCarloTV:
         assert got.value.hex() == want.value.hex()
         assert got.error_estimate.hex() == want.error_estimate.hex()
 
-    @pytest.mark.parametrize("same, codings", [(True, 1), (False, 2)])
-    def test_jittered_target_codes_each_batch_once(self, monkeypatch, same, codings):
-        # on the same experiment one coding of the draws serves both laws
+    @pytest.mark.parametrize("chunk", [None, 15_000], ids=["one-chunk", "two-chunks"])
+    @pytest.mark.parametrize("target", ["same", "other", "gauss"])
+    def test_jittered_target_codes_each_batch_once(self, monkeypatch, target, chunk):
+        # one coding of each chunk's draws serves both laws, whatever the target
+        if chunk:
+            monkeypatch.setattr(distances, "_MC_CHUNK", chunk)
         calls = []
         row_codes = distances._row_codes
 
@@ -785,9 +825,12 @@ class TestMonteCarloTV:
 
         monkeypatch.setattr(distances, "_row_codes", counted)
         params = validate_params(500, 10, (100,) * 5)
-        other = params if same else validate_params(600, 10, (100, 100, 100, 100, 200))
-        tv_monte_carlo(params, "hyper", JitteredLaw(other, "multi"), 20_000, seed=0)
-        assert len(calls) == codings
+        density = {"same": JitteredLaw(params, "multi"), "gauss": build_gaussian(params),
+                   "other": JitteredLaw(validate_params(600, 10, (100, 100, 100, 100, 200)),
+                                        "multi")}[target]
+        # 14,641 codes: one chunk of 30,000 draws or two of 15,000 are all coded
+        tv_monte_carlo(params, "hyper", density, 30_000, seed=0)
+        assert len(calls) == (2 if chunk else 1)
 
     def test_same_law_is_exactly_zero(self):
         params = validate_params(8, 4, (4, 4))
@@ -807,6 +850,14 @@ class TestMonteCarloTV:
         law = build_gaussian(WIDE)
         with pytest.raises(ValidationError):
             tv_monte_carlo(WIDE, "hyper", law, 100, seed=0)
+
+    @pytest.mark.parametrize("call", [
+        lambda: tv_monte_carlo(WIDE, "hyper", build_gaussian(WIDE), 1e5, seed=0),
+        lambda: tv_pair(WIDE, "jitterhyper-gauss", "mc", sample_count=1e5),
+    ], ids=["tv_monte_carlo", "tv_pair"])
+    def test_sample_count_must_be_an_integer(self, call):
+        with pytest.raises(ValidationError, match="sample_count must be an integer"):
+            call()
 
 
 class TestBoundParts:

@@ -247,3 +247,16 @@ def test_pool_never_exceeds_the_item_count(monkeypatch):
 def test_jobs_below_one_are_refused(jobs):
     with pytest.raises(ValidationError, match="jobs must be at least 1"):
         _map_ordered(abs, [-1, -2], jobs=jobs)
+
+
+def test_jobs_must_be_an_integer():
+    with pytest.raises(ValidationError, match="jobs must be at least 1"):
+        lecam_scan([WIDE, WIDE], jobs=1.5)
+
+
+@pytest.mark.parametrize("call", [
+    deficiency_upper_bounds, lambda params, **kwargs: lecam_scan([params], **kwargs),
+], ids=["deficiency_upper_bounds", "lecam_scan"])
+def test_sample_count_must_be_an_integer(call):
+    with pytest.raises(ValidationError, match="sample_count must be an integer"):
+        call(WIDE, tv_method="mc", sample_count=1e5)

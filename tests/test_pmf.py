@@ -355,6 +355,11 @@ class TestSamplers:
         b = sample_hypergeometric(THREE_CAT, make_generator(42), size=64)
         assert (a == b).all()
 
+    @pytest.mark.parametrize("law", ["hyper", "multi"])
+    def test_size_must_be_an_integer(self, law):
+        with pytest.raises(ValidationError, match="size must be a positive integer"):
+            _sample(THREE_CAT, law, make_generator(0), 2.5)
+
     def test_census_sampling_is_exact(self):
         params = validate_params(7, 7, (3, 4))
         draws = sample_hypergeometric(params, make_generator(1), size=100)
