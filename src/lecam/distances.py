@@ -114,6 +114,8 @@ class GaussianLaw:
     log_norm: float = field(init=False, repr=False)
 
     def __post_init__(self):
+        if not all(np.isfinite(a).all() for a in (self.mean, self.covariance, self.cholesky_factor)):
+            raise ValidationError("mean, covariance and Cholesky factor must be finite")
         dim = self.mean.size
         whitening = np.tril(np.linalg.inv(self.cholesky_factor))
         log_det_half = float(np.sum(np.log(np.diag(self.cholesky_factor))))
@@ -124,8 +126,9 @@ class GaussianLaw:
     def from_moments(cls, mean, covariance) -> "GaussianLaw":
         mean = np.asarray(mean, dtype=float)
         covariance = np.asarray(covariance, dtype=float)
-        if mean.ndim != 1 or covariance.shape != (mean.size, mean.size):
-            raise ValidationError("mean must be a d-vector and covariance d x d")
+        if (mean.ndim != 1 or covariance.shape != (mean.size, mean.size)
+                or not (np.isfinite(mean).all() and np.isfinite(covariance).all())):
+            raise ValidationError("mean must be a finite d-vector and covariance finite d x d")
         if not np.allclose(covariance, covariance.T, rtol=0.0, atol=1e-12):
             raise ValidationError("covariance must be symmetric")
         try:
@@ -337,37 +340,33 @@ def _slice_integrals(c, log_c, a, b, mean, sd, log_scale):
     exactly on |y - mean| < sd rho, with rho^2 = 2 (ln peak(f) - ln c), so
     with lo, hi that interval clipped to [a, b] the first integral is
     c [(lo - a) + (b - hi) - (hi - lo)] - 2 [f-mass(a, lo) + f-mass(hi, b)].
-    Each normal mass is a difference of tails Phi(-|z|), always taken on
-    the side away from the mean, so no tail cancels; one :func:`_erfc` call
-    gives the tails at all four edges of every slice.  The caller measures
-    y from a point near the mass (the Gaussian's mean), so that rounding
-    y - mean costs little.  Works elementwise on broadcastable arrays.
+    Each normal mass is a difference of tails Phi(-|z|) taken on the side
+    away from the mean, so no tail cancels: [a, lo] lies below the mean and
+    [hi, b] above it (or is empty), so each side is one difference, and only
+    the cell's own mass can span the mean.  One :func:`_erfc` call gives
+    the tails at all four edges of every slice.  The caller measures y from
+    a point near the mass (the Gaussian's mean), so that rounding y - mean
+    costs little.  Works elementwise on (m,) arrays.
 
     Returns both integrals and magnitudes that bound their rounding, in ulps
     up to a small factor: c (|a| + |b|) for the lengths, and for the masses
     each tail t at z weighted by (1 + z^2) (its sensitivity to a relative
-    error in z) times 1 + |mean| / sd (that of mean's own rounding), plus 1
-    for each mass that straddles the mean.
+    error in z) times 1 + |mean| / sd (that of mean's own rounding).
     """
     scale = np.exp(log_scale)
     log_peak = log_scale - math.log(sd * math.sqrt(2.0 * math.pi))
     reach = sd * np.sqrt(np.maximum(2.0 * (log_peak - log_c), 0.0))
     lo = np.clip(mean - reach, a, b)
     hi = np.clip(mean + reach, a, b)
-    z = (np.stack(np.broadcast_arrays(a, lo, hi, b)) - mean) / sd
+    z = (np.stack((a, lo, hi, b)) - mean) / sd
     tail = 0.5 * _erfc(np.abs(z) * math.sqrt(0.5))
-    mass, straddle = _normal_mass(z[0::2], z[1::2], tail[0::2], tail[1::2])
-    value = c * ((lo - a) + (b - hi) - (hi - lo)) - 2.0 * scale * mass.sum(axis=0)
+    sides = (tail[1] - tail[0]) + (tail[2] - tail[3])
+    value = c * ((lo - a) + (b - hi) - (hi - lo)) - 2.0 * scale * sides
     spread = (tail * (1.0 + z * z)).sum(axis=0) * (1.0 + np.abs(mean) / sd)
-    size = c * (np.abs(a) + np.abs(b)) + 2.0 * scale * (spread + straddle.sum(axis=0))
-    return value, scale * _normal_mass(z[0], z[3], tail[0], tail[3])[0], size
-
-
-def _normal_mass(z0, z1, t0, t1):
-    """Standard normal mass between z0 <= z1 from their tails t = Phi(-|z|),
-    each taken on the side away from 0, and whether it straddles 0."""
-    straddle = (z0 < 0.0) & (z1 > 0.0)
-    return np.where(z0 >= 0.0, t0 - t1, np.where(straddle, 1.0 - t0 - t1, t1 - t0)), straddle
+    size = c * (np.abs(a) + np.abs(b)) + 2.0 * scale * spread
+    mass = np.where(z[0] >= 0.0, tail[0] - tail[3],
+                    np.where(z[3] > 0.0, 1.0 - tail[0] - tail[3], tail[3] - tail[0]))
+    return value, scale * mass, size
 
 
 @lru_cache(maxsize=64)
@@ -437,14 +436,13 @@ def _cell_integrals(cholesky, consts, log_consts, centers, mean, log_scale, quad
     offset = centers - mean
     lo, hi = offset[:, 0] - 0.5, offset[:, 0] + 0.5
     cuts = [lo, hi]
-    with np.errstate(invalid="ignore"):
+    with np.errstate(invalid="ignore"):  # a missed section cuts at NaN: fmax sends it to lo
         for axes, edges, tilt, gram, spread in _sections(tuple(map(tuple, cholesky))):
             b = offset[:, axes] + edges
             mid = np.einsum("ij,j->i", b, tilt)
             rad = spread * np.sqrt(q0 - np.einsum("ij,jk,ik->i", b, gram, b))
             cuts += [l11 * (mid - rad), l11 * (mid + rad)]
-    cuts = np.column_stack(cuts)
-    cuts = np.clip(np.where(np.isnan(cuts), hi[:, None], cuts), lo[:, None], hi[:, None])
+    cuts = np.fmin(np.fmax(np.column_stack(cuts), lo[:, None]), hi[:, None])
     cuts.sort(axis=1)
     left, right = cuts[:, :-1], cuts[:, 1:]
     keep = right > left
@@ -751,8 +749,8 @@ def tail_probability_check(params: ExperimentParams, coord: int) -> TailCheck:
     (c, N - c), so the tail is a short exact sum of its masses.  ``coord``
     indexes the dim + 1 categories, 0-based.
     """
-    if not 0 <= coord <= params.dim:
-        raise ValidationError(f"coord must lie in [0, {params.dim}]")
+    if not isinstance(coord, (int, np.integer)) or not 0 <= coord <= params.dim:
+        raise ValidationError(f"coord must be an integer in [0, {params.dim}]")
     N = params.population
     n = params.sample_size
     c = params.counts[coord]

@@ -15,6 +15,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
+import numpy as np
+
 from .errors import ValidationError
 from .lattice import (
     ExperimentParams,
@@ -144,8 +146,8 @@ def residual_scan(
     """
     if len(family) == 0:
         raise ValidationError("residual_scan requires a non-empty family")
-    if order not in (1, 2):
-        raise ValidationError("order must be 1 or 2")
+    if not isinstance(order, (int, np.integer)) or order not in (1, 2):
+        raise ValidationError("order must be the integer 1 or 2")
     g = _exact_gamma(gamma)
     if not 0 < g < 1:
         raise ValidationError("gamma must lie in (0, 1) for a residual scan")
@@ -182,7 +184,7 @@ def _residual_point(
         sample_size=params.sample_size,
         dim=params.dim,
         weights=params.weights,
-        quantity=f"abs_residual_order{order}",
+        quantity=f"abs_residual_order{int(order)}",
         value=abs(residual),
         error=0.0,
         method="exact-log-ratio",

@@ -10,6 +10,7 @@ import warnings
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 import oracles
@@ -20,6 +21,7 @@ from lecam import (
     RegimeError,
     ValidationError,
     build_gaussian,
+    data_processing_check,
     hellinger_discrete,
     hypergeometric_log_pmf,
     hypergeometric_log_pmf_matrix,
@@ -271,6 +273,77 @@ def test_same_law_hypergeometric_counts_its_support_fast():
     assert elapsed < 0.25, elapsed
 
 
+def _quad_reprs(population, draws, counts, pair, quad_order):
+    """The reprs of the quadrature's value and bar: ``tv_pair(..., "quad")``
+    for a pair, or data_processing_check's TV before and its bar, after and
+    its bar for "dpi"."""
+    params = validate_params(population, draws, counts)
+    if pair == "dpi":
+        dpi = data_processing_check(params, quad_order)
+        values = (dpi.tv_before, dpi.error_before, dpi.tv_after, dpi.error_after)
+    else:
+        tv = tv_pair(params, pair, "quad", quad_order=quad_order)
+        values = (tv.value, tv.error_estimate)
+    return tuple(map(repr, values))
+
+
+# (N, n, counts, pair, quad order, reprs): the five quad-kinked operations of
+# bench/workloads.py, d=1 at both laws (the second instance flipped, 2n > N),
+# the two missed-straddle instances of TestCellIntegrator and d=3 at both
+# laws.  Made at commit b4817be, before the closed form's side masses became
+# one tail difference each, by this file's helper from the repository root:
+#   PYTHONPATH=src:tests python -c "import test_distances as t; \
+#     [print(c[:5], t._quad_reprs(*c[:5])) for c in t.PINNED_QUAD]"
+PINNED_QUAD = [
+    (729, 9, (243, 243, 243), "jitterhyper-gauss", 8,
+     ("0.13353567546459744", "6.65569866456027e-13")),
+    (729, 9, (243, 243, 243), "jittermulti-gauss", 8,
+     ("0.1342716844506523", "8.320398337232463e-13")),
+    (729, 9, (243, 243, 243), "dpi", 8,
+     ("0.13353567546459744", "6.65569866456027e-13",
+      "0.051841480857527565", "1.8912664685318281e-13")),
+    (729, 9, (81, 162, 486), "jitterhyper-gauss", 8,
+     ("0.19201705277161635", "1.345502864154245e-12")),
+    (729, 9, (81, 162, 486), "jittermulti-gauss", 8,
+     ("0.19391688935108353", "1.316025541882386e-12")),
+    (64, 8, (32, 32), "jitterhyper-gauss", 8,
+     ("0.07709449224307435", "3.311383376540963e-14")),
+    (64, 8, (32, 32), "jittermulti-gauss", 8,
+     ("0.07034351559717217", "3.302073373033444e-14")),
+    (20, 15, (8, 12), "jitterhyper-gauss", 8,
+     ("0.32032017144138125", "3.368555121548939e-14")),
+    (20, 15, (8, 12), "jittermulti-gauss", 8,
+     ("0.053665964218581885", "4.370666215938692e-14")),
+    (12, 2, (1, 7, 4), "jitterhyper-gauss", 8,
+     ("0.2982760774081546", "2.191126518963723e-11")),
+    (12, 3, (1, 3, 8), "jitterhyper-gauss", 8,
+     ("0.2792704818510967", "4.3236372603775595e-12")),
+    (64, 4, (16, 16, 16, 16), "jitterhyper-gauss", 8,
+     ("0.31055706113834824", "2.1771018449209224e-12")),
+    (64, 4, (16, 16, 16, 16), "jittermulti-gauss", 2,
+     ("0.31917429159683475", "0.0035136766610882157")),
+]
+
+
+def _quad_id(case):
+    return f"N{case[0]}-n{case[1]}-Np{','.join(map(str, case[2]))}-{case[3]}-q{case[4]}"
+
+
+@pytest.mark.parametrize("case", PINNED_QUAD, ids=_quad_id)
+def test_quadrature_outputs_are_pinned(case):
+    # a face section that misses the ellipsoid leaves a NaN cut: never a warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _quad_reprs(*case[:5]) == case[5]
+
+
+@pytest.mark.parametrize("case", [PINNED_QUAD[i] for i in (2, 5, 10, 12)], ids=_quad_id)
+def test_pinned_quadrature_outputs_do_not_depend_on_the_block(monkeypatch, case):
+    # at 64 evaluations every block above the last axis holds a single row
+    monkeypatch.setattr(distances, "_CELL_BLOCK", 64)
+    assert _quad_reprs(*case[:5]) == case[5]
+
+
 class TestGaussianLaw:
     def test_build_moments(self):
         law = build_gaussian(WIDE)
@@ -318,6 +391,29 @@ class TestGaussianLaw:
     def test_degenerate_covariance_rejected(self):
         with pytest.raises(ValidationError):
             GaussianLaw.from_moments([0.0, 0.0], [[1.0, 1.0], [1.0, 1.0]])
+
+    @pytest.mark.parametrize("mean, covariance", [
+        ([4.0], [[math.inf]]),
+        ([math.inf], [[2.0]]),
+        ([math.nan], [[2.0]]),
+        ([4.0], [[math.nan]]),
+        ([0.0, 0.0], [[1.0, math.nan], [math.nan, 1.0]]),
+    ], ids=["inf-variance", "inf-mean", "nan-mean", "nan-variance", "nan-covariance"])
+    def test_non_finite_moments_rejected(self, mean, covariance):
+        # an infinite variance or mean made Monte Carlo read 1.0 +- 0.0 and
+        # the quadrature NaN +- NaN; a NaN covariance was called asymmetric
+        with pytest.raises(ValidationError, match="finite"):
+            GaussianLaw.from_moments(mean, covariance)
+
+    @pytest.mark.parametrize("mean, covariance, factor", [
+        ([math.inf], [[2.0]], [[math.sqrt(2.0)]]),
+        ([4.0], [[math.inf]], [[math.inf]]),
+        ([4.0], [[2.0]], [[math.nan]]),
+    ], ids=["mean", "covariance", "factor"])
+    def test_constructor_rejects_non_finite_fields(self, mean, covariance, factor):
+        with pytest.raises(ValidationError, match="finite"):
+            GaussianLaw(mean=np.array(mean), covariance=np.array(covariance),
+                        cholesky_factor=np.array(factor))
 
 
 class TestJitteredLaw:
@@ -499,6 +595,65 @@ class TestQuadratureTV:
         law = build_gaussian(params)
         with pytest.raises(ValidationError):
             tv_jittered_vs_gaussian(params, "hyper", law, 4)
+
+
+def _slice_reference(c, log_c, a, b, mean, sd, log_scale):
+    """The closed form as it stood with every mass, each side's too, through
+    a three-way branch on the signs of its ends and one more unit of the bar
+    per side mass that straddles the mean; also returns lo, hi and the z's."""
+    def normal_mass(z0, z1, t0, t1):
+        straddle = (z0 < 0.0) & (z1 > 0.0)
+        return np.where(z0 >= 0.0, t0 - t1, np.where(straddle, 1.0 - t0 - t1, t1 - t0)), straddle
+
+    scale = np.exp(log_scale)
+    log_peak = log_scale - math.log(sd * math.sqrt(2.0 * math.pi))
+    reach = sd * np.sqrt(np.maximum(2.0 * (log_peak - log_c), 0.0))
+    lo = np.clip(mean - reach, a, b)
+    hi = np.clip(mean + reach, a, b)
+    z = (np.stack(np.broadcast_arrays(a, lo, hi, b)) - mean) / sd
+    tail = 0.5 * distances._erfc(np.abs(z) * math.sqrt(0.5))
+    mass, straddle = normal_mass(z[0::2], z[1::2], tail[0::2], tail[1::2])
+    value = c * ((lo - a) + (b - hi) - (hi - lo)) - 2.0 * scale * mass.sum(axis=0)
+    spread = (tail * (1.0 + z * z)).sum(axis=0) * (1.0 + np.abs(mean) / sd)
+    size = c * (np.abs(a) + np.abs(b)) + 2.0 * scale * (spread + straddle.sum(axis=0))
+    return (value, scale * normal_mass(z[0], z[3], tail[0], tail[3])[0], size), lo, hi, z
+
+
+@st.composite
+def _slices(draw):
+    """(m,) arrays c, log c, a, b, mean and log scale, and a scalar sd: unit
+    cells below, around and above the mean or with the mean on an edge, at
+    levels from far below the peak to above it (reach 0)."""
+    sd = 10.0 ** draw(st.floats(-3.0, 3.0))
+    rows = []
+    for _ in range(draw(st.integers(1, 8))):
+        mean = draw(st.floats(-50.0, 50.0))
+        place = draw(st.sampled_from(["free", "mean-at-a", "mean-at-b"]))
+        if place == "free":
+            a = mean + draw(st.floats(-12.0, 12.0)) * max(sd, 1.0) - 0.5
+        else:
+            a = mean if place == "mean-at-a" else mean - 1.0
+        b = mean if place == "mean-at-b" else a + 1.0
+        log_scale = draw(st.floats(-20.0, 0.0))
+        log_peak = log_scale - math.log(sd * math.sqrt(2.0 * math.pi))
+        log_c = log_peak + draw(st.one_of(st.floats(-40.0, 0.0), st.floats(0.0, 5.0)))
+        rows.append((math.exp(log_c), log_c, a, b, mean, log_scale))
+    c, log_c, a, b, mean, log_scale = map(np.array, zip(*rows))
+    return c, log_c, a, b, mean, sd, log_scale
+
+
+@settings(max_examples=300)
+@given(_slices())
+def test_slice_sides_are_one_tail_difference_each(args):
+    # the sides' three-way branch and straddle count, written out above, give
+    # the same bits: [a, lo] never reaches above the mean nor [hi, b] below it
+    c, log_c, a, b, mean, sd, log_scale = args
+    expected, lo, hi, z = _slice_reference(*args)
+    for got, want in zip(distances._slice_integrals(*args), expected):
+        assert got.tobytes() == want.tobytes()
+    below, above = lo > a, hi < b
+    assert np.all(lo[below] <= mean[below]) and np.all(z[1][below] <= 0.0)
+    assert np.all(hi[above] >= mean[above]) and np.all(z[2][above] >= 0.0)
 
 
 class TestCellIntegrator:
@@ -908,6 +1063,12 @@ class TestTailCheck:
     def test_coordinate_range(self):
         with pytest.raises(ValidationError):
             tail_probability_check(SKEWED, 2)
+
+    @pytest.mark.parametrize("coord", [0.0, 1.0, "0", None])
+    def test_coordinate_must_be_an_integer(self, coord):
+        with pytest.raises(ValidationError, match="integer"):
+            tail_probability_check(SKEWED, coord)
+        assert tail_probability_check(SKEWED, np.int64(0)) == tail_probability_check(SKEWED, 0)
 
     def test_approaches_with_replacement_tail_from_below(self):
         # without replacement is the more concentrated scheme, so the exact

@@ -2,6 +2,7 @@ import math
 from fractions import Fraction
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import given
 
@@ -155,6 +156,17 @@ class TestResidualScan:
     def test_empty_family_rejected(self):
         with pytest.raises(ValidationError):
             residual_scan([], lambda p: (2,), order=1)
+
+    @pytest.mark.parametrize("order", [1.0, 2.0, "1", None])
+    def test_order_must_be_an_integer(self, order):
+        with pytest.raises(ValidationError, match="integer"):
+            residual_scan(DOUBLING_FAMILY, lambda p: (2,), order=order)
+
+    @pytest.mark.parametrize("order, quantity", [(True, "abs_residual_order1"),
+                                                 (np.int64(2), "abs_residual_order2")])
+    def test_quantity_names_the_integer_order(self, order, quantity):
+        scan = residual_scan(DOUBLING_FAMILY, lambda p: (2,), order=order)
+        assert [r.quantity for r in scan.records] == [quantity] * 5
 
 
 def test_residuals_shrink_with_population():
