@@ -35,6 +35,7 @@ from .errors import RegimeError, ValidationError
 from .lattice import (
     ExperimentParams,
     _check_cap,
+    _level_points,
     count_vector_levels,
     count_vector_matrix,
     count_vector_size,
@@ -52,13 +53,17 @@ from .numerics import (
     split_seed,
 )
 from .pmf import (
+    _full_count_matrix,
+    _multinomial_log_pmf_rows,
     _row_codes,
     hypergeometric_log_pmf_matrix,
     leaf_log_pmfs,
+    log_ratio_matrix,
     multinomial_log_pmf_matrix,
     multinomial_moments,
     sample_hypergeometric,
     sample_multinomial,
+    scheffe_levels,
 )
 
 HYPERGEOMETRIC = "hypergeometric"
@@ -515,11 +520,16 @@ def _cube_quadrature(
 # total variation computations
 
 def tv_discrete(params: ExperimentParams, law_a: str, law_b: str) -> TVResult:
-    """Exact TV between the two discrete laws, ``1/2 sum q |expm1(r)|`` over
-    the count vectors, from the multinomial pmf q and the log-ratio r (-inf
-    off the hypergeometric support) of :func:`pmf.leaf_log_pmfs`.  Two copies
-    of one law have r = 0: their TV is exactly 0, its bar from the lattice's
-    size, counted, not built, under the same cap as an enumeration."""
+    """Exact TV between the two discrete laws, summed over the Scheffe set
+    only: ``TV = sum_{k in A} (P_k - Q_k)`` with ``A = {P > Q}``, whose points
+    :func:`pmf.scheffe_levels` enumerates, about the n**(d/2) of the
+    ellipsoid ``chi^2 < d`` against the n**d count vectors.  Each term is
+    ``P (-expm1(-r))``, its positive part, with ``ln Q`` from the multinomial
+    row kernel and, where 2n <= N, ``r`` from :func:`pmf.log_ratio_matrix`;
+    where 2n > N, ``ln P`` from the hypergeometric one, read at ``c - k``,
+    and ``r = ln P - ln Q``.  Two copies of one law have r = 0: their TV is
+    exactly 0, its bar from the lattice's size, counted, not built, under the
+    same cap as an enumeration."""
     a = _canonical_law(law_a)
     b = _canonical_law(law_b)
     if a == b:
@@ -530,14 +540,18 @@ def tv_discrete(params: ExperimentParams, law_a: str, law_b: str) -> TVResult:
         _check_cap(size, what)
         return TVResult(0.0, METHOD_EXACT, _discrete_error(size))
     size = count_vector_size(params.sample_size, params.dim)
-    return TVResult(0.5 * _leaf_sum(params, _tv_terms), METHOD_EXACT, _discrete_error(size))
-
-
-def _tv_terms(log_q: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """``q |expm1(r)|`` over a block, in place."""
-    np.abs(np.expm1(r, out=r), out=r)
-    r *= np.exp(log_q, out=log_q)
-    return r
+    points = _level_points(scheffe_levels(params))
+    c = np.array(params.counts, dtype=np.int64)
+    ks = _full_count_matrix(points, params.dim, params.sample_size)
+    log_q = _multinomial_log_pmf_rows(np.log(c / params.population), ks)
+    if 2 * params.sample_size > params.population:
+        log_p = hypergeometric_log_pmf_matrix(params, points)
+        r = log_p - log_q
+    else:
+        r = log_ratio_matrix(c, ks)
+        log_p = log_q + r
+    terms = np.exp(log_p) * -np.expm1(-r)
+    return TVResult(exact_sum(np.maximum(terms, 0.0)), METHOD_EXACT, _discrete_error(size))
 
 
 def _hellinger_terms(log_q: np.ndarray, r: np.ndarray) -> np.ndarray:

@@ -9,8 +9,9 @@ involve floating-point rounding.
 Every lattice comes from one enumerator, ``_bounded_levels``: a tree built
 one coordinate at a time down to the parents of its leaves, whose last level
 ``_leaf_blocks`` expands a cache-sized block of leaves at a time, so no
-leaf-sized temporary is made.  Support sizes are counted exactly without
-building anything.
+leaf-sized temporary is made.  A bound callback may narrow each parent's
+children, as the Scheffe set of the exact TV does.  Support sizes are
+counted exactly without building anything.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ import numpy as np
 from .errors import SupportCapError, ValidationError
 
 DEFAULT_SUPPORT_CAP = 10_000_000
+MAX_POPULATION = (1 << 63) - 1
 SUPPORT_CAP_ENV = "LECAM_SUPPORT_CAP"
 
 # First dim category counts; the last count is derived as sample_size - sum.
@@ -76,10 +78,17 @@ def validate_params(
 
     ``weights`` may be integer counts summing to ``population`` or exact
     rationals summing to 1 whose denominators divide ``population``.  Floats
-    are rejected: the lattice constraint is exact and so is its check.
+    are rejected: the lattice constraint is exact and so is its check.  The
+    population must fit int64, below 2**63, as every table and kernel reads
+    counts in it.
     """
     if not isinstance(population, (int, np.integer)) or population < 1:
         raise ValidationError("population must be a positive integer")
+    if population > MAX_POPULATION:
+        # every count and the sample size lie below it, so all fit int64
+        raise ValidationError(
+            f"population {population} exceeds {MAX_POPULATION}, the largest int64"
+        )
     if not isinstance(sample_size, (int, np.integer)) or sample_size < 1:
         raise ValidationError("sample_size must be a positive integer")
     if sample_size > population:
@@ -179,12 +188,18 @@ def support_size(params: ExperimentParams) -> int:
     return _bounded_vector_count(params.counts, params.sample_size)
 
 
-def _bounded_levels(counts: Sequence[int], total: int) -> Levels:
+def _bounded_levels(counts: Sequence[int], total: int, bound=None) -> Levels:
     """Every k with 0 <= k_i <= counts[i] and total - sum(k) in [0, counts[-1]],
     as the leaves of a tree built one coordinate at a time, in lexicographic
     order: each level above the leaves holds its values and how many children
     each entry of the level above has.  The leaves themselves are left as one
-    run of consecutive values per parent, for ``_leaf_blocks`` to expand."""
+    run of consecutive values per parent, for ``_leaf_blocks`` to expand.
+
+    ``bound(i, lo, sizes, remaining)``, if given, narrows each parent's run of
+    candidates ``lo, ..., lo + sizes - 1`` for coordinate i, given the draws it
+    has left, and returns the narrowed ``(lo, sizes)``; a size of 0 leaves a
+    parent no children.  It sees the levels in order, and each level's
+    candidates are charged to the cap before it is called."""
     counts = [min(c, total) for c in counts]  # exact, and keeps the bounds in int64
     remaining = np.array([total], dtype=np.int64)
     capacity = sum(counts[1:])  # what the categories after the current one absorb
@@ -192,6 +207,9 @@ def _bounded_levels(counts: Sequence[int], total: int) -> Levels:
     for i in range(len(counts) - 1):
         lo = np.maximum(remaining - capacity, 0)
         sizes = np.minimum(remaining, counts[i]) - lo + 1
+        if bound is not None:
+            _check_cap(int(sizes.sum()), f"level {i + 1} of a bounded lattice")
+            lo, sizes = bound(i, lo, sizes, remaining)
         if i == len(counts) - 2:
             break
         # a parent's children run lo, lo + 1, ... from its first row onwards
@@ -246,12 +264,11 @@ def _level_points(levels: Levels) -> np.ndarray:
     return points
 
 
-def _check_cap(size: int, what: str) -> None:
+def _check_cap(size: int, what: str, advice: str = "use the Monte Carlo paths instead") -> None:
     limit = support_cap()
     if size > limit:
         raise SupportCapError(
-            f"{what} has {size} points, above the cap of {limit}; "
-            "use the Monte Carlo paths instead",
+            f"{what} has {size} points, above the cap of {limit}; {advice}",
             required=size,
             cap=limit,
         )

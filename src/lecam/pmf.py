@@ -9,7 +9,8 @@ row constant plus one term per category, ``k ln w_i - ln k!`` and for the
 ratio ``T_{c_i}[k]``, tabled by ``_log_pmf_tables``.  The row kernels add
 these terms a whole column at a time, left to right; ``leaf_log_pmfs``
 folds the tables down a lattice's levels in the same order and yields the
-leaves a cache-sized block at a time.
+leaves a cache-sized block at a time.  ``scheffe_levels`` bounds the ratio's
+tables to enumerate only the points where P may exceed Q.
 
 Both samplers draw one coordinate at a time from its conditional law through
 one routine, ``_sample_sequential``: inversion by table lookup (Devroye 1986,
@@ -37,6 +38,8 @@ from .lattice import (
     ExperimentParams,
     LatticePoint,
     Levels,
+    _bounded_levels,
+    _check_cap,
     _leaf_blocks,
     point_in_support,
 )
@@ -106,17 +109,30 @@ def hypergeometric_log_pmf_matrix(params: ExperimentParams, points: np.ndarray) 
     return _multinomial_log_pmf_rows(np.log(c / params.population), ks) + log_ratio_matrix(c, ks)
 
 
-def _ratio_tables(sizes: np.ndarray, top: int) -> np.ndarray:
-    """``T_c[k] = sum_{j<k} log(1 - j/c)``, k = 0..top, to about an ulp, for
-    each size c; not finite past k = c."""
+def _check_table_cap(dim: int, sample_size: int, what: str) -> None:
+    """Charge tables over k = 0..n, n + 1 entries per free coordinate, to the
+    cap before any is built: they grow with n, not with the points read."""
+    _check_cap(dim * (sample_size + 1), f"{what} over n = {sample_size}",
+               "lower n or raise the cap")
+
+
+def _ratio_increments(sizes: np.ndarray, top: int) -> np.ndarray:
+    """``log(1 - j/c)``, j = 0..top - 1, for each size c: falling in j, and
+    not finite from j = c."""
     sizes = sizes[:, None]
     j = np.arange(top)
     with np.errstate(divide="ignore", invalid="ignore"):
         # log1p(-j/c) up to j = c/2; past it the argument nears -1 and its
         # rounding is amplified, while (c - j) / c is rounded once
-        return compensated_cumsum(
-            np.where(2 * j <= sizes, np.log1p(-j / sizes), np.log((sizes - j) / sizes))
-        )
+        return np.where(2 * j <= sizes, np.log1p(-j / sizes), np.log((sizes - j) / sizes))
+
+
+def _ratio_tables(sizes: np.ndarray, top: int) -> np.ndarray:
+    """``T_c[k] = sum_{j<k} log(1 - j/c)``, k = 0..top, to about an ulp, for
+    each size c; not finite past k = c."""
+    increments = _ratio_increments(sizes, top)
+    with np.errstate(invalid="ignore"):
+        return compensated_cumsum(increments)
 
 
 def _log_pmf_tables(log_w: np.ndarray, top: int, sizes: np.ndarray | None = None) -> tuple:
@@ -154,6 +170,77 @@ def log_ratio_matrix(counts: Sequence[int], ks: np.ndarray) -> np.ndarray:
     if bad is not None:
         out[bad] = -np.inf
     return out
+
+
+def _merge_falling(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The entries of two falling arrays as one falling array: each entry of
+    b goes after the entries of a at least as large."""
+    at = np.searchsorted(-a, -b, side="right")
+    at += np.arange(len(b))
+    out = np.empty(len(a) + len(b))
+    out[at] = b
+    rest = np.ones(len(out), dtype=bool)
+    rest[at] = False
+    out[rest] = a
+    return out
+
+
+def scheffe_levels(params: ExperimentParams) -> Levels:
+    """Levels (see ``lattice._bounded_levels``) of the count vectors where P,
+    drawing without replacement, may exceed Q, drawing with replacement: a
+    superset, by a rounding margin, of the Scheffe set ``A = {k : r(k) > 0}``.
+
+    ``r = sum_i T_{c_i}[k_i] - T_N[n]`` with each ``T_c`` concave, so A is a
+    convex set of lattice points, and a prefix ``k_0..k_i`` with partial sum
+    S completes into it only if ``S + V[rem]`` exceeds ``T_N[n]``, where
+    ``V[m]``, the best sum over the categories still to place of m draws, is
+    the sum of the m largest increments ``log(1 - j/c)`` among them (the
+    greedy allocation of a separable concave sum; Ibaraki and Katoh 1988,
+    *Resource Allocation Problems*).  ``S + T_{c_i}[k] + V[rem - k]`` is
+    concave in k, so each parent keeps one run of children: from its first to
+    its last candidate above the threshold.  At the last free coordinate V is
+    the last count's table itself, so that level, and all of d=1, merges
+    nothing.  Each level's candidates are charged to the cap, and so are the
+    tables, before they are built.
+    """
+    c = np.array(params.counts, dtype=np.int64)
+    n, dim = params.sample_size, params.dim
+    _check_table_cap(dim, n, "the log-ratio table")
+    increments = _ratio_increments(np.append(c, params.population), n)
+    with np.errstate(invalid="ignore"):
+        tables = compensated_cumsum(increments)  # not finite past k = c, never read
+    # the tables' rounding, a few ulps of their size, and some slack: a
+    # superset of A only adds terms that are positive parts of P - Q <= 0
+    threshold = tables[-1, n] - (1e-9 + 1e-13 * abs(tables[-1, n]))
+    # per level, V over the categories after it, from the last level up
+    best = [tables[dim]]
+    merged = increments[dim, : c[dim]]
+    for i in range(dim - 1, 0, -1):
+        merged = _merge_falling(increments[i, : c[i]], merged)[:n]
+        best.insert(0, compensated_cumsum(merged))
+    partial = np.zeros(1)  # per parent: sum_{j<i} T_{c_j}[k_j]
+
+    def bound(i, lo, sizes, remaining):
+        nonlocal partial
+        ends = np.cumsum(sizes)
+        k = np.repeat(lo + sizes - ends, sizes)
+        k += np.arange(len(k))
+        s = np.repeat(partial, sizes)
+        s += tables[i].take(k)
+        kept = np.flatnonzero(s + best[i].take(np.repeat(remaining, sizes) - k) > threshold)
+        # each parent's kept candidates lie at kept[a:b]
+        a, b = kept.searchsorted(ends - sizes), kept.searchsorted(ends)
+        some = b > a
+        first, last = kept[a[some]], kept[b[some] - 1]
+        runs = last - first + 1
+        lo, sizes = lo.copy(), np.zeros_like(sizes)
+        lo[some], sizes[some] = k[first], runs
+        at = np.repeat(first - np.cumsum(runs) + runs, runs)
+        at += np.arange(len(at))
+        partial = s[at]
+        return lo, sizes
+
+    return _bounded_levels(params.counts, n, bound)
 
 
 def leaf_log_pmfs(
@@ -409,6 +496,7 @@ def sample_hypergeometric(
     versions and identical seeds reproduce identical samples.
     """
     n, counts = params.sample_size, params.counts
+    _check_table_cap(params.dim, n, "the sampler's table")
     coordinates = []
     for i in range(params.dim):
         pair = np.array([counts[i], sum(counts[i + 1 :])])
@@ -433,6 +521,7 @@ def sample_multinomial(
     if sample_size < 1:
         raise ValidationError("sample_size must be a positive integer")
     w = _check_weights(weights)
+    _check_table_cap(w.size - 1, sample_size, "the sampler's table")
     n, tails = sample_size, [math.fsum(w[i:].tolist()) for i in range(w.size)]
     log_w = [np.log(np.array([w[i], tails[i + 1]]) / tails[i]) for i in range(w.size - 1)]
     return _sample_sequential(n, rng, size, [(_log_pmf_tables(lw, n)[0], n, n) for lw in log_w])

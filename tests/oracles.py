@@ -133,6 +133,33 @@ def log_multi_prob(population: int, counts: tuple[int, ...], draws: int,
         return +total
 
 
+def tv_support(population: int, counts: tuple[int, ...], draws: int) -> mpmath.mpf:
+    """TV as the sum of (P - Q)^+ over the support of P (Scheffe's identity),
+    both pmfs from 60-digit log-gammas, each read once per category and count."""
+    with mpmath.workdps(60):
+        log_w = [mpmath.log(mpmath.mpf(c) / population) for c in counts]
+        log_q0 = mpmath.loggamma(draws + 1)
+        log_p0 = -_log_binom(population, draws)
+        terms = {}
+
+        def term(i: int, k: int):
+            if (i, k) not in terms:
+                terms[i, k] = (_log_binom(counts[i], k),
+                               k * log_w[i] - mpmath.loggamma(k + 1))
+            return terms[i, k]
+
+        total = mpmath.mpf(0)
+        for point in support_points(counts, draws):
+            full = point + (draws - sum(point),)
+            log_p, log_q = log_p0, log_q0
+            for i, k in enumerate(full):
+                p_term, q_term = term(i, k)
+                log_p += p_term
+                log_q += q_term
+            total += max(mpmath.exp(log_p) - mpmath.exp(log_q), 0)
+        return +total
+
+
 # ---------------------------------------------------------------------------
 # log-ratio and its polynomial truncations, exact rational brackets
 

@@ -313,6 +313,24 @@ class TestExitCodes:
         assert proc.returncode == 4
         assert "support has 5 points" in proc.stderr
 
+    def test_population_past_int64_is_validation(self):
+        half = str(2**62)
+        proc = run_cli("tv", "--pair", "hyper-multi", "--N", str(2**63), "--n", "4",
+                       "--Np", f"{half},{half}")
+        assert proc.returncode == 3
+        assert "largest int64" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_sampler_tables_over_cap_are_resource_error(self):
+        # refused before a table is built: at the default cap this instance
+        # asks for 4.47 GiB; a small cap keeps a regression from allocating it
+        proc = run_cli("tv", "--N", "1000000000", "--n", "300000000",
+                       "--Np", "500000000,500000000", "--pair", "jitterhyper-gauss",
+                       "--method", "mc", "--samples", "10000",
+                       env_extra={"LECAM_SUPPORT_CAP": "1000"})
+        assert proc.returncode == 4
+        assert "sampler's table over n = 300000000 has 300000001 points" in proc.stderr
+
     def test_help_exits_zero(self):
         assert run_cli("--help").returncode == 0
         assert run_cli("tv", "--help").returncode == 0

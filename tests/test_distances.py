@@ -19,6 +19,7 @@ from lecam import (
     JitteredLaw,
     TV_PAIRS,
     RegimeError,
+    SupportCapError,
     ValidationError,
     build_gaussian,
     data_processing_check,
@@ -36,6 +37,9 @@ from lecam import (
 )
 import lecam.distances as distances
 import lecam.lattice as lattice
+from lecam.lattice import _level_points
+import lecam.pmf as pmf
+from lecam.pmf import scheffe_levels
 from strategies import experiment_params
 
 BALANCED = validate_params(10, 5, (5, 5))
@@ -99,6 +103,74 @@ class TestDiscreteTV:
         params = validate_params(N, 16, (N // 4, 3 * N // 4))
         tv = tv_discrete(params, "hyper", "multi")
         assert abs(tv.value - float(oracles.tv_exact(N, params.counts, 16))) <= tv.error_estimate
+
+
+# (N, n, counts): d = 1 to 5 with N <= 60, rows with 2n > N (flipped) and
+# census rows (n = N) among them, and a single draw, where P = Q.
+SCHEFFE_BRUTE = [
+    (10, 5, (5, 5)), (60, 17, (7, 53)), (41, 30, (20, 21)), (9, 9, (4, 5)),
+    (12, 1, (3, 9)), (12, 4, (4, 4, 4)), (60, 45, (10, 20, 30)), (33, 20, (1, 2, 30)),
+    (15, 15, (4, 5, 6)), (40, 12, (10,) * 4), (24, 17, (2, 3, 7, 12)),
+    (30, 6, (6,) * 5), (20, 13, (1, 3, 4, 5, 7)), (25, 8, (3, 2, 5, 4, 2, 9)),
+    (12, 12, (1, 2, 2, 3, 1, 3)),
+]
+
+
+def _scheffe_kept(params):
+    return _level_points(scheffe_levels(params))
+
+
+@pytest.mark.parametrize("case", SCHEFFE_BRUTE, ids=lambda c: f"N{c[0]}-n{c[1]}-d{len(c[2]) - 1}")
+def test_scheffe_set_keeps_every_point_where_p_exceeds_q(case):
+    N, n, counts = case
+    params = validate_params(N, n, counts)
+    kept = set(map(tuple, _scheffe_kept(params).tolist()))
+    above = {point for point in oracles.support_points(counts, n)
+             if oracles.hyper_prob(N, counts, n, point) > oracles.multi_prob(N, counts, n, point)}
+    assert above <= kept
+    tv = tv_discrete(params, "hyper", "multi")
+    assert abs(tv.value - float(oracles.tv_exact(N, counts, n))) <= tv.error_estimate
+    assert tv_discrete(params, "hyper", "hyper").value == 0.0
+    assert tv_discrete(params, "multi", "multi").value == 0.0
+
+
+def test_scheffe_set_is_the_ellipsoid_not_the_lattice():
+    # d=3, N=10^6, n=500: 21,084,251 count vectors, over the default cap, and
+    # 15,299 points kept.  Pinned to the sum over every count vector at
+    # commit 17c4145, with the cap raised, from the repository root:
+    #   LECAM_SUPPORT_CAP=30000000 PYTHONPATH=src python -m lecam tv \
+    #     --N 1000000 --n 500 --Np 250000,250000,250000,250000 --pair hyper-multi --json
+    params = validate_params(10**6, 500, (250_000,) * 4)
+    start = time.perf_counter()
+    tv = tv_discrete(params, "hyper", "multi")
+    elapsed = time.perf_counter() - start
+    assert abs(tv.value - 0.00023112963949509843) <= 1e-16
+    assert tv.error_estimate == 1e-15 * 21_084_251 + 1e-15
+    assert len(_scheffe_kept(params)) == 15_299
+    assert elapsed < 0.25, elapsed
+
+
+def test_log_ratio_tables_are_charged_to_the_cap(monkeypatch):
+    # 11 support points, but tables over n + 1 = 999,991 draw counts
+    def refuse(*args):
+        raise AssertionError("a table was built")
+
+    monkeypatch.setenv(lattice.SUPPORT_CAP_ENV, "999990")
+    monkeypatch.setattr(pmf, "_ratio_increments", refuse)
+    with pytest.raises(SupportCapError) as err:
+        tv_discrete(validate_params(10**6, 999_990, (500_000, 500_000)), "hyper", "multi")
+    assert (err.value.required, err.value.cap) == (999_991, 999_990)
+
+
+def test_flipped_tv_within_its_bar_at_a_large_sample():
+    # 11 support points at N=10^6, n=999,990; P read at c - k after 10 draws.
+    # oracles.tv_support(10**6, (500_000, 500_000), 999_990), 60 digits
+    oracle = 0.991223403675296151611343233408
+    params = validate_params(10**6, 999_990, (500_000, 500_000))
+    tv = tv_discrete(params, "hyper", "multi")
+    error = abs(tv.value - oracle)
+    assert error <= tv.error_estimate
+    assert error <= 2e-11
 
 
 # The library call each (pair, method) of tv_pair stands for, at quad_order 4
@@ -200,31 +272,33 @@ def _exact_reprs(population, draws, counts):
 # (N, n, counts, TV, bar, H^2, TV bound) as reprs: the four exact-wide
 # instances of bench/workloads.py, a flipped instance (2n > N) and a d=1
 # instance, both longer than a block of leaves, and four small instances
-# that the block tests split, the first at d=1.  Made at commit 1bafb11,
-# before the last level of the lattice was expanded in blocks, by this
-# file's helper (it calls only the public functions) from the repository root:
+# that the block tests split, the first at d=1.  The bars, H^2 and TV
+# bounds were made at commit 1bafb11, before the last level of the lattice
+# was expanded in blocks; the TVs when the exact TV became a sum over the
+# Scheffe set {P > Q}.  Both by this file's helper (it calls only the
+# public functions) from the repository root:
 #   PYTHONPATH=src:tests python -c "import test_distances as t; \
 #     [print(c[:3], t._exact_reprs(*c[:3])) for c in t.PINNED_EXACT]"
 PINNED_EXACT = [
     (1000, 84, (250,) * 4, "0.04040797682807486", "1.05996e-10",
      "0.001426395762515882", "0.07553530995543427"),
-    (900, 88, (100, 200, 300, 300), "0.0473094858418018", "1.2148600000000003e-10",
+    (900, 88, (100, 200, 300, 300), "0.04730948584180183", "1.2148600000000003e-10",
      "0.0019637624932086423", "0.08862871979688396"),
-    (250, 60, (50,) * 5, "0.14667278922012986", "6.35377e-10",
+    (250, 60, (50,) * 5, "0.14667278922012975", "6.35377e-10",
      "0.018450782829537233", "0.2716673173536871"),
-    (600, 30, (100,) * 6, "0.030701969443509138", "3.24633e-10",
+    (600, 30, (100,) * 6, "0.03070196944350903", "3.24633e-10",
      "0.0007972389643669209", "0.05647084077174417"),
-    (1000, 700, (200, 300, 500), "0.41781115127035645", "2.46052e-10",
+    (1000, 700, (200, 300, 500), "0.41781115127044843", "2.46052e-10",
      "0.1576445751639848", "0.7940896049287758"),
-    (10**5, 40_000, (30_000, 70_000), "0.1229364552147158", "4.000200000000001e-11",
+    (10**5, 40_000, (30_000, 70_000), "0.12293645521525436", "4.000200000000001e-11",
      "0.01600492154047952", "0.25302111801570654"),
-    (500, 150, (100, 400), "0.08605280320938606", "1.52e-13",
+    (500, 150, (100, 400), "0.08605280320938662", "1.52e-13",
      "0.00785360764370748", "0.17724116501205334"),
-    (60, 45, (10, 20, 30), "0.47219903569794086", "1.0820000000000002e-12",
+    (60, 45, (10, 20, 30), "0.4721990356979383", "1.0820000000000002e-12",
      "0.2170430210727354", "0.9317575244080091"),
-    (40, 12, (10,) * 4, "0.15775851117350814", "4.560000000000001e-13",
+    (40, 12, (10,) * 4, "0.15775851117350806", "4.560000000000001e-13",
      "0.022498070906096634", "0.2999871390983062"),
-    (30, 6, (6,) * 5, "0.11214429708222817", "2.11e-13",
+    (30, 6, (6,) * 5, "0.1121442970822282", "2.11e-13",
      "0.011071824012520147", "0.21044547049076773"),
 ]
 

@@ -75,6 +75,18 @@ class TestValidateParams:
         with pytest.raises(ValidationError):
             validate_params(10, 5, [10])
 
+    @pytest.mark.parametrize("weights", [(2**62, 2**62), (Fraction(1, 2), Fraction(1, 2))])
+    def test_rejects_a_population_past_int64(self, weights):
+        with pytest.raises(ValidationError, match="largest int64"):
+            validate_params(2**63, 4, weights)
+
+    def test_population_below_2_to_the_63_works(self):
+        params = validate_params(2**62, 6, (2**61, 2**61))
+        assert 0 < tv_discrete(params, "hyper", "multi").value < 1e-17
+        assert 0 < hellinger_discrete(params).h_squared < 1e-30
+        top = validate_params(2**63 - 1, 6, (2**62, 2**62 - 1))
+        assert 0 < tv_discrete(top, "hyper", "multi").value < 1e-17
+
 
 class TestScaledParams:
     def test_scales_pattern_exactly(self):

@@ -14,6 +14,7 @@ from scipy import stats
 
 import oracles
 from lecam import (
+    SupportCapError,
     ValidationError,
     count_vector_matrix,
     enumerate_support,
@@ -31,7 +32,7 @@ from lecam import (
 )
 from lecam import pmf
 from lecam.cli import main
-from lecam.lattice import count_vector_levels, point_in_support
+from lecam.lattice import SUPPORT_CAP_ENV, count_vector_levels, point_in_support
 from lecam.numerics import log_factorial
 from lecam.pmf import (
     _first_at_least,
@@ -364,6 +365,21 @@ class TestSamplers:
         params = validate_params(7, 7, (3, 4))
         draws = sample_hypergeometric(params, make_generator(1), size=100)
         assert (draws[:, 0] == 3).all()
+
+    @pytest.mark.parametrize("law", ["hyper", "multi"])
+    def test_tables_are_charged_to_the_cap_before_any_is_built(self, monkeypatch, law):
+        # dim (n + 1) entries: 2 * 500 fit a cap of 1000, 2 * 501 do not;
+        # at n = 687,498,282 the tables would take gigabytes
+        def refuse(*args):
+            raise AssertionError("a table was built")
+
+        monkeypatch.setenv(SUPPORT_CAP_ENV, "1000")
+        _sample(validate_params(3 * 499, 499, (499,) * 3), law, make_generator(0), 10)
+        monkeypatch.setattr(pmf, "_log_pmf_tables", refuse)
+        for n in (500, 687_498_282):
+            with pytest.raises(SupportCapError) as err:
+                _sample(validate_params(3 * n, n, (n,) * 3), law, make_generator(0), 10)
+            assert (err.value.required, err.value.cap) == (2 * (n + 1), 1000)
 
 
 class _FixedUniforms:
