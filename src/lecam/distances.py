@@ -107,30 +107,22 @@ def _canonical_law(name: str) -> str:
 class GaussianLaw:
     """Multivariate normal with its covariance factored once.
 
-    ``whitening`` is the inverse of the lower Cholesky factor L, so the
+    The constructor checks the moments, finite, symmetric and positive
+    definite, and derives the lower Cholesky factor L from the covariance,
+    so the two cannot disagree.  ``whitening`` is the inverse of L, so the
     Mahalanobis form of x is |whitening (x - mean)|^2, and ``log_norm`` is
     the log normalising constant -d/2 log(2 pi) - log det L.
     """
 
     mean: np.ndarray
     covariance: np.ndarray
-    cholesky_factor: np.ndarray
+    cholesky_factor: np.ndarray = field(init=False)
     whitening: np.ndarray = field(init=False, repr=False)
     log_norm: float = field(init=False, repr=False)
 
     def __post_init__(self):
-        if not all(np.isfinite(a).all() for a in (self.mean, self.covariance, self.cholesky_factor)):
-            raise ValidationError("mean, covariance and Cholesky factor must be finite")
-        dim = self.mean.size
-        whitening = np.tril(np.linalg.inv(self.cholesky_factor))
-        log_det_half = float(np.sum(np.log(np.diag(self.cholesky_factor))))
-        object.__setattr__(self, "whitening", whitening)
-        object.__setattr__(self, "log_norm", -0.5 * dim * math.log(2.0 * math.pi) - log_det_half)
-
-    @classmethod
-    def from_moments(cls, mean, covariance) -> "GaussianLaw":
-        mean = np.asarray(mean, dtype=float)
-        covariance = np.asarray(covariance, dtype=float)
+        mean = np.asarray(self.mean, dtype=float)
+        covariance = np.asarray(self.covariance, dtype=float)
         if (mean.ndim != 1 or covariance.shape != (mean.size, mean.size)
                 or not (np.isfinite(mean).all() and np.isfinite(covariance).all())):
             raise ValidationError("mean must be a finite d-vector and covariance finite d x d")
@@ -140,7 +132,16 @@ class GaussianLaw:
             factor = np.linalg.cholesky(covariance)
         except np.linalg.LinAlgError:
             raise ValidationError("covariance must be positive definite") from None
-        return cls(mean=mean, covariance=covariance, cholesky_factor=factor)
+        log_det_half = float(np.sum(np.log(np.diag(factor))))
+        derived = {
+            "mean": mean,
+            "covariance": covariance,
+            "cholesky_factor": factor,
+            "whitening": np.tril(np.linalg.inv(factor)),
+            "log_norm": -0.5 * mean.size * math.log(2.0 * math.pi) - log_det_half,
+        }
+        for name, value in derived.items():
+            object.__setattr__(self, name, value)
 
     @property
     def dim(self) -> int:
@@ -176,7 +177,7 @@ class GaussianLaw:
 def build_gaussian(params: ExperimentParams) -> GaussianLaw:
     """Gaussian with the with-replacement law's mean and covariance."""
     moments = multinomial_moments(params.sample_size, params.weights)
-    return GaussianLaw.from_moments(moments.mean, moments.covariance)
+    return GaussianLaw(moments.mean, moments.covariance)
 
 
 class JitteredLaw:
@@ -525,11 +526,12 @@ def tv_discrete(params: ExperimentParams, law_a: str, law_b: str) -> TVResult:
     :func:`pmf.scheffe_levels` enumerates, about the n**(d/2) of the
     ellipsoid ``chi^2 < d`` against the n**d count vectors.  Each term is
     ``P (-expm1(-r))``, its positive part, with ``ln Q`` from the multinomial
-    row kernel and, where 2n <= N, ``r`` from :func:`pmf.log_ratio_matrix`;
-    where 2n > N, ``ln P`` from the hypergeometric one, read at ``c - k``,
-    and ``r = ln P - ln Q``.  Two copies of one law have r = 0: their TV is
-    exactly 0, its bar from the lattice's size, counted, not built, under the
-    same cap as an enumeration."""
+    row kernel and, where 2n <= N, ``r`` from :func:`pmf.log_ratio_matrix`
+    on the bound's own tables; where 2n > N, ``ln P`` from the
+    hypergeometric one, read at ``c - k``, and ``r = ln P - ln Q``.  Two
+    copies of one law have r = 0: their TV is exactly 0, its bar from the
+    lattice's size, counted, not built, under the same cap as an
+    enumeration."""
     a = _canonical_law(law_a)
     b = _canonical_law(law_b)
     if a == b:
@@ -540,7 +542,8 @@ def tv_discrete(params: ExperimentParams, law_a: str, law_b: str) -> TVResult:
         _check_cap(size, what)
         return TVResult(0.0, METHOD_EXACT, _discrete_error(size))
     size = count_vector_size(params.sample_size, params.dim)
-    points = _level_points(scheffe_levels(params))
+    levels, tables = scheffe_levels(params)
+    points = _level_points(levels)
     c = np.array(params.counts, dtype=np.int64)
     ks = _full_count_matrix(points, params.dim, params.sample_size)
     log_q = _multinomial_log_pmf_rows(np.log(c / params.population), ks)
@@ -548,7 +551,7 @@ def tv_discrete(params: ExperimentParams, law_a: str, law_b: str) -> TVResult:
         log_p = hypergeometric_log_pmf_matrix(params, points)
         r = log_p - log_q
     else:
-        r = log_ratio_matrix(c, ks)
+        r = log_ratio_matrix(c, ks, tables)
         log_p = log_q + r
     terms = np.exp(log_p) * -np.expm1(-r)
     return TVResult(exact_sum(np.maximum(terms, 0.0)), METHOD_EXACT, _discrete_error(size))

@@ -108,7 +108,11 @@ def _truncations(params: ExperimentParams, point: Sequence[int]) -> tuple[float,
 
 def expand(params: ExperimentParams, point: Sequence[int]) -> ExpansionResult:
     """Exact log-ratio together with both approximations and their residuals."""
-    exact = log_ratio_exact(params, point)
+    return _expansion(params, point, log_ratio_exact(params, point))
+
+
+def _expansion(params: ExperimentParams, point: Sequence[int], exact: float) -> ExpansionResult:
+    """:func:`expand` at a point whose exact log-ratio is given."""
     o1, o2 = _truncations(params, point)
     return ExpansionResult(
         exact=exact,
@@ -136,13 +140,16 @@ def residual_scan(
 ) -> ResidualScan:
     """Measure |exact - approximation| along a family of growing populations.
 
-    Every (params, k) pair must lie in the gamma-truncated set.  Residuals
-    at or below ``RESIDUAL_FLOOR_ULPS`` ulps of the point's exact log-ratio
-    are left out of the fit; with fewer than four left (the single-draw
-    case, where they vanish identically) the scan is reported as degenerate
-    instead of fitted.  A family sitting on a zero of the next bracket is
-    still fitted: its residual decays one order faster than the truncation
-    order suggests.
+    Every (params, k) pair must lie in the gamma-truncated set.  The exact
+    log-ratios come from one :func:`lecam.pmf.log_ratio_matrix` call per
+    dimension in the family, a row per point with its own counts: the bits
+    of :func:`log_ratio_exact`, with the tables built in one pass.
+    Residuals at or below ``RESIDUAL_FLOOR_ULPS`` ulps of the point's exact
+    log-ratio are left out of the fit; with fewer than four left (the
+    single-draw case, where they vanish identically) the scan is reported as
+    degenerate instead of fitted.  A family sitting on a zero of the next
+    bracket is still fitted: its residual decays one order faster than the
+    truncation order suggests.
     """
     if len(family) == 0:
         raise ValidationError("residual_scan requires a non-empty family")
@@ -160,12 +167,13 @@ def residual_scan(
                 f"population {params.population}"
             )
         points.append((params, point))
-    results = [_residual_point(params, point, order) for params, point in points]
-    records = tuple(record for record, _ in results)
+    exact = _log_ratios(points)
+    records = tuple(_residual_record(params, point, value, order)
+                    for (params, point), value in zip(points, exact))
     resolved = [
         (record.population, record.value)
-        for record, exact in results
-        if record.value > RESIDUAL_FLOOR_ULPS * math.ulp(exact)
+        for record, value in zip(records, exact)
+        if record.value > RESIDUAL_FLOOR_ULPS * math.ulp(value)
     ]
     if len(resolved) < 4:
         return ResidualScan(records=records, fit=None, degenerate=True)
@@ -173,13 +181,26 @@ def residual_scan(
     return ResidualScan(records=records, fit=fit, degenerate=False)
 
 
-def _residual_point(
-    params: ExperimentParams, point: LatticePoint, order: int
-) -> tuple[ScanRecord, float]:
-    """The residual's record and the exact log-ratio it was measured against."""
-    result = expand(params, point)
+def _log_ratios(points: Sequence[tuple[ExperimentParams, LatticePoint]]) -> list[float]:
+    """:func:`log_ratio_exact` at each support point of its experiment, from
+    one kernel call per dimension."""
+    by_dim: dict[int, list[int]] = {}
+    for i, (params, _) in enumerate(points):
+        by_dim.setdefault(params.dim, []).append(i)
+    out = np.empty(len(points))
+    for at in by_dim.values():
+        counts = [points[i][0].counts for i in at]
+        out[at] = log_ratio_matrix(counts, [full_counts(*points[i]) for i in at])
+    return out.tolist()
+
+
+def _residual_record(
+    params: ExperimentParams, point: LatticePoint, exact: float, order: int
+) -> ScanRecord:
+    """The record of the residual against a point's exact log-ratio."""
+    result = _expansion(params, point, exact)
     residual = result.residual1 if order == 1 else result.residual2
-    record = ScanRecord(
+    return ScanRecord(
         population=params.population,
         sample_size=params.sample_size,
         dim=params.dim,
@@ -189,5 +210,4 @@ def _residual_point(
         error=0.0,
         method="exact-log-ratio",
     )
-    return record, result.exact
 

@@ -109,6 +109,12 @@ def hypergeometric_log_pmf_matrix(params: ExperimentParams, points: np.ndarray) 
     return _multinomial_log_pmf_rows(np.log(c / params.population), ks) + log_ratio_matrix(c, ks)
 
 
+# Entries per block of tables built at once (one row, if a row is longer): the
+# temporaries stay bounded however many draw counts a sampler's coordinate
+# sees, or however many populations one log-ratio call reads.
+_TABLE_BLOCK = 1 << 14
+
+
 def _check_table_cap(dim: int, sample_size: int, what: str) -> None:
     """Charge tables over k = 0..n, n + 1 entries per free coordinate, to the
     cap before any is built: they grow with n, not with the points read."""
@@ -144,31 +150,75 @@ def _log_pmf_tables(log_w: np.ndarray, top: int, sizes: np.ndarray | None = None
     return multi, None if sizes is None else _ratio_tables(sizes, top)
 
 
-def log_ratio_matrix(counts: Sequence[int], ks: np.ndarray) -> np.ndarray:
-    """ln P(k) - ln Q(k) per row of an (m, len(counts)) matrix of full counts.
+def log_ratio_matrix(
+    counts: Sequence[int] | np.ndarray, ks: np.ndarray, tables: np.ndarray | None = None
+) -> np.ndarray:
+    """ln P(k) - ln Q(k) per row of an (m, d + 1) matrix of full counts.
 
-    P draws without replacement from a population split into ``counts``, Q
+    P draws without replacement from a population split into counts, Q
     with replacement at weights ``counts / N``; a row's sum is its draw
-    count n.  The ratio is exactly ``sum_i T_{c_i}[k_i] - T_N[n]`` with
-    ``T_c[k] = sum_{j<k} log(1 - j/c)``, read from one compensated prefix
-    table per count (:func:`_ratio_tables`).  -inf where some k_i is
-    negative or exceeds c_i.
+    count n.  ``counts`` is one (d + 1,) vector shared by every row, or an
+    (m, d + 1) matrix with a population per row.  The ratio is exactly
+    ``sum_i T_{c_i}[k_i] - T_N[n]`` with ``T_c[k] = sum_{j<k} log(1 - j/c)``,
+    read from compensated prefix tables (:func:`_ratio_tables`), ``-T_N[n]``
+    first and then each count's term, left to right.  Shared counts may
+    come with their tables, rows ``c_0..c_d, N`` up to some k at least every
+    row sum on the support, as :func:`scheffe_levels` builds them; tables
+    built here are charged to the cap first, d (n + 1) entries a row.  -inf
+    where some k_i is negative or exceeds c_i.
     """
     counts = np.asarray(counts, dtype=np.int64)
     cols = np.asarray(ks, dtype=np.int64).T
     # read unsigned, a negative count exceeds every count
-    over = cols.view(np.uint64) > counts.view(np.uint64)[:, None]
+    limits = counts.T if counts.ndim == 2 else counts[:, None]
+    over = cols.view(np.uint64) > limits.view(np.uint64)
     bad = over.any(axis=0) if over.any() else None
     n = cols.sum(axis=0)
     # the tables reach the longest row on the support; the lookups of rows
     # off it are clipped into them and their results overwritten
     top = n.max(initial=0) if bad is None else n.max(initial=0, where=~bad)
-    tables = _ratio_tables(np.append(counts, counts.sum()), top)
+    if tables is None:
+        _check_table_cap(len(cols) - 1, int(top), "the log-ratio table")
+    if counts.ndim == 2:
+        # rows off the support read the first entries of their own tables
+        out = _per_row_log_ratios(counts, cols if bad is None else np.where(bad, 0, cols), top)
+    else:
+        if tables is None:
+            tables = _ratio_tables(np.append(counts, counts.sum()), top)
+        out = _read_log_ratios(tables, cols, n)
+    if bad is not None:
+        out[bad] = -np.inf
+    return out
+
+
+def _read_log_ratios(tables: np.ndarray, cols: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """``-T_N[n] + sum_i T_{c_i}[k_i]``, in that order, from table rows
+    ``c_0..c_d, N``; lookups past either end are clipped."""
     out = -np.take(tables[-1], n, mode="clip")
     for table, col in zip(tables, cols):
         out += np.take(table, col, mode="clip")
-    if bad is not None:
-        out[bad] = -np.inf
+    return out
+
+
+def _per_row_log_ratios(counts: np.ndarray, cols: np.ndarray, top: int) -> np.ndarray:
+    """:func:`_read_log_ratios` per row of (m, d + 1) ``counts``, each row from
+    its own tables up to ``top``.  A block of rows, of at most ``_TABLE_BLOCK``
+    entries (one row, if a row's tables are longer), gets its tables from
+    one :func:`_ratio_tables` call over the sizes ``c_0..c_d, N`` of all its
+    rows, size by size, so each size's row lays the block's tables end to
+    end; a row's lookups are shifted to its own.  Each table entry depends
+    only on the increments before it, so a row's terms have the bits of a
+    call with its counts alone."""
+    sizes = np.column_stack([counts, counts.sum(axis=1)]).T
+    width = int(top) + 1
+    per_block = max(1, _TABLE_BLOCK // (len(sizes) * width))
+    out = np.empty(len(counts))
+    for start in range(0, len(counts), per_block):
+        block = slice(start, start + per_block)
+        rows = cols[:, block]
+        shift = np.arange(rows.shape[1]) * width
+        tables = _ratio_tables(sizes[:, block].ravel(), top).reshape(len(sizes), -1)
+        out[block] = _read_log_ratios(tables, rows + shift, rows.sum(axis=0) + shift)
     return out
 
 
@@ -185,10 +235,12 @@ def _merge_falling(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def scheffe_levels(params: ExperimentParams) -> Levels:
+def scheffe_levels(params: ExperimentParams) -> tuple[Levels, np.ndarray]:
     """Levels (see ``lattice._bounded_levels``) of the count vectors where P,
     drawing without replacement, may exceed Q, drawing with replacement: a
-    superset, by a rounding margin, of the Scheffe set ``A = {k : r(k) > 0}``.
+    superset, by a rounding margin, of the Scheffe set ``A = {k : r(k) > 0}``;
+    and the tables ``T`` over k = 0..n, rows ``c_0..c_d, N``, that bound them,
+    which :func:`log_ratio_matrix` reads at the kept points.
 
     ``r = sum_i T_{c_i}[k_i] - T_N[n]`` with each ``T_c`` concave, so A is a
     convex set of lattice points, and a prefix ``k_0..k_i`` with partial sum
@@ -240,7 +292,7 @@ def scheffe_levels(params: ExperimentParams) -> Levels:
         partial = s[at]
         return lo, sizes
 
-    return _bounded_levels(params.counts, n, bound)
+    return _bounded_levels(params.counts, n, bound), tables
 
 
 def leaf_log_pmfs(
@@ -359,9 +411,6 @@ def multinomial_moments(sample_size: int, weights: Sequence[float]) -> MomentSum
     return MomentSummary(mean=mean, covariance=covariance)
 
 
-# Entries per block of conditional tables (one row, if a row is longer): the
-# sampler's temporaries stay bounded however many draw counts a coordinate sees.
-_TABLE_BLOCK = 1 << 14
 # Guide cells per table entry, at most: a finer guide settles more uniforms by
 # its first comparison.  The fineness is spent only up to the block's uniforms.
 _GUIDE_FINENESS = 8

@@ -117,7 +117,7 @@ SCHEFFE_BRUTE = [
 
 
 def _scheffe_kept(params):
-    return _level_points(scheffe_levels(params))
+    return _level_points(scheffe_levels(params)[0])
 
 
 @pytest.mark.parametrize("case", SCHEFFE_BRUTE, ids=lambda c: f"N{c[0]}-n{c[1]}-d{len(c[2]) - 1}")
@@ -160,6 +160,18 @@ def test_log_ratio_tables_are_charged_to_the_cap(monkeypatch):
     with pytest.raises(SupportCapError) as err:
         tv_discrete(validate_params(10**6, 999_990, (500_000, 500_000)), "hyper", "multi")
     assert (err.value.required, err.value.cap) == (999_991, 999_990)
+
+
+def test_log_ratio_tables_are_built_once(monkeypatch):
+    # where 2n <= N the kernel reads r from the bound's own tables
+    params = validate_params(1000, 84, (250,) * 4)
+    want = tv_discrete(params, "hyper", "multi")
+
+    def refuse(*args):
+        raise AssertionError("a second table was built")
+
+    monkeypatch.setattr(pmf, "_ratio_tables", refuse)
+    assert tv_discrete(params, "hyper", "multi") == want
 
 
 def test_flipped_tv_within_its_bar_at_a_large_sample():
@@ -460,11 +472,11 @@ class TestGaussianLaw:
 
     def test_asymmetric_covariance_rejected(self):
         with pytest.raises(ValidationError):
-            GaussianLaw.from_moments([0.0, 0.0], [[1.0, 0.5], [0.2, 1.0]])
+            GaussianLaw([0.0, 0.0], [[1.0, 0.5], [0.2, 1.0]])
 
     def test_degenerate_covariance_rejected(self):
         with pytest.raises(ValidationError):
-            GaussianLaw.from_moments([0.0, 0.0], [[1.0, 1.0], [1.0, 1.0]])
+            GaussianLaw([0.0, 0.0], [[1.0, 1.0], [1.0, 1.0]])
 
     @pytest.mark.parametrize("mean, covariance", [
         ([4.0], [[math.inf]]),
@@ -477,17 +489,25 @@ class TestGaussianLaw:
         # an infinite variance or mean made Monte Carlo read 1.0 +- 0.0 and
         # the quadrature NaN +- NaN; a NaN covariance was called asymmetric
         with pytest.raises(ValidationError, match="finite"):
-            GaussianLaw.from_moments(mean, covariance)
+            GaussianLaw(mean, covariance)
 
-    @pytest.mark.parametrize("mean, covariance, factor", [
-        ([math.inf], [[2.0]], [[math.sqrt(2.0)]]),
-        ([4.0], [[math.inf]], [[math.inf]]),
-        ([4.0], [[2.0]], [[math.nan]]),
-    ], ids=["mean", "covariance", "factor"])
-    def test_constructor_rejects_non_finite_fields(self, mean, covariance, factor):
+    @pytest.mark.parametrize("mean, covariance", [
+        ([math.inf], [[2.0]]),
+        ([4.0], [[math.inf]]),
+    ], ids=["mean", "covariance"])
+    def test_constructor_rejects_non_finite_fields(self, mean, covariance):
         with pytest.raises(ValidationError, match="finite"):
-            GaussianLaw(mean=np.array(mean), covariance=np.array(covariance),
-                        cholesky_factor=np.array(factor))
+            GaussianLaw(mean=np.array(mean), covariance=np.array(covariance))
+
+    def test_constructor_derives_the_factor_from_the_covariance(self):
+        # a factor passed beside the covariance once went unchecked: covariance
+        # [[2.0]] with factor [[1.0]] read TV 0.1702 at (64, 8, (32, 32)), where
+        # the stated law gives 0.0771
+        with pytest.raises(TypeError):
+            GaussianLaw(mean=np.array([4.0]), covariance=np.array([[2.0]]),
+                        cholesky_factor=np.array([[1.0]]))
+        law = GaussianLaw(mean=np.array([4.0]), covariance=np.array([[2.0]]))
+        assert law.cholesky_factor.tolist() == [[math.sqrt(2.0)]]
 
 
 class TestJitteredLaw:

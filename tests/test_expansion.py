@@ -4,7 +4,7 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, strategies as st
 
 import oracles
 from lecam import (
@@ -18,6 +18,8 @@ from lecam import (
     second_order_bracket,
     validate_params,
 )
+from lecam import pmf
+from lecam.lattice import in_truncated_set
 from strategies import params_with_point
 
 BALANCED = validate_params(10, 5, (5, 5))
@@ -167,6 +169,46 @@ class TestResidualScan:
     def test_quantity_names_the_integer_order(self, order, quantity):
         scan = residual_scan(DOUBLING_FAMILY, lambda p: (2,), order=order)
         assert [r.quantity for r in scan.records] == [quantity] * 5
+
+
+def _assert_scan_is_expand_point_by_point(family, points, gamma=0.75):
+    """Each record of the batched scan has the bits of ``expand`` at its point."""
+    by_member = {id(params): point for params, point in zip(family, points)}
+    for order in (1, 2):
+        scan = residual_scan(family, lambda p: by_member[id(p)], order=order, gamma=gamma)
+        want = [abs(getattr(expand(params, point), f"residual{order}"))
+                for params, point in zip(family, points)]
+        assert [r.value.hex() for r in scan.records] == [w.hex() for w in want]
+
+
+class TestBatchedScan:
+    @pytest.mark.parametrize("k", range(2, 7))
+    def test_criterion_03_family(self, k):
+        _assert_scan_is_expand_point_by_point(DOUBLING_FAMILY, [(k,)] * len(DOUBLING_FAMILY))
+
+    def test_d2_family_of_48_populations(self):
+        # the benchmark's d=2 scan: pattern 1,1,2, n=6, N = 32..1536
+        family = [validate_params(32 * j, 6, (8 * j, 8 * j, 16 * j)) for j in range(1, 49)]
+        _assert_scan_is_expand_point_by_point(family, [(1, 2)] * len(family))
+
+    def test_members_of_different_sample_sizes(self):
+        family = [validate_params(N, n, (N // 4, 3 * N // 4))
+                  for N, n in ((64, 8), (128, 3), (256, 16), (512, 5), (2**20, 40))]
+        _assert_scan_is_expand_point_by_point(family, [(2,)] * len(family))
+
+    def test_tables_are_built_in_blocks(self, monkeypatch):
+        # a block of two rows: every block boundary keeps each row's bits
+        monkeypatch.setattr(pmf, "_TABLE_BLOCK", 2 * 4 * 17)
+        family = [validate_params(16 * j, 16, (4 * j, 4 * j, 8 * j)) for j in range(2, 9)]
+        _assert_scan_is_expand_point_by_point(family, [(3, 5)] * len(family))
+
+    @given(st.lists(
+        params_with_point(max_dim=3, max_count=40, max_draws=8).filter(
+            lambda pair: in_truncated_set(*pair, 0.9)),
+        min_size=1, max_size=6))
+    def test_mixed_family(self, pairs):
+        # members of different dimensions, sample sizes and counts, in any order
+        _assert_scan_is_expand_point_by_point(*zip(*pairs), gamma=0.9)
 
 
 def test_residuals_shrink_with_population():

@@ -224,6 +224,44 @@ class TestLogRatioMatrix:
         assert got[on_support].tobytes() == log_ratio_matrix(c, good)[order[on_support]].tobytes()
         assert np.all(got[~on_support] == -np.inf)
 
+    def test_one_row_of_its_own_counts_is_the_shared_call(self):
+        counts, row = (7, 11, 30), [(2, 5, 9)]
+        got = log_ratio_matrix([counts], row)
+        assert got.tobytes() == log_ratio_matrix(counts, row).tobytes()
+
+    @pytest.mark.parametrize("block", [1, 64, 1 << 14])
+    def test_rows_of_their_own_counts_keep_the_shared_bits(self, monkeypatch, block):
+        # populations and draw counts differ from row to row, some rows leave
+        # the support, and blocks of tables end between rows (one row a block
+        # when its tables are longer than the block)
+        monkeypatch.setattr(pmf, "_TABLE_BLOCK", block)
+        counts = [(5, 7), (50, 70), (3, 2**40), (5, 7), (1000, 1), (8, 8)]
+        rows = [(2, 3), (40, 60), (3, 0), (6, 0), (0, 1), (-1, 3)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = log_ratio_matrix(counts, rows)
+        want = np.concatenate([log_ratio_matrix(c, [row]) for c, row in zip(counts, rows)])
+        assert got.tobytes() == want.tobytes()
+        assert np.isneginf(got).tolist() == [False, False, False, True, False, True]
+
+    def test_tables_are_charged_to_the_cap(self, monkeypatch, capsys):
+        # n = 10^9: one row's tables would take 7.45 GiB; refused before any
+        # is built, whichever form the counts take
+        def refuse(*args):
+            raise AssertionError("a table was built")
+
+        monkeypatch.setenv(SUPPORT_CAP_ENV, "1000")
+        monkeypatch.setattr(pmf, "_ratio_increments", refuse)
+        half = 10**9
+        for counts in ((half, half), [(half, half)]):
+            with pytest.raises(SupportCapError) as err:
+                log_ratio_matrix(counts, [(half // 2, half // 2)])
+            assert (err.value.required, err.value.cap) == (half + 1, 1000)
+        args = ["ratio", "--N", str(2 * half), "--n", str(half), "--Np", f"{half},{half}",
+                "--k", str(half // 2), "--json"]
+        assert main(args) == 4
+        assert "log-ratio table over n = 1000000000" in capsys.readouterr().err
+
 
 class TestLeafLogPmfs:
     @staticmethod
