@@ -58,7 +58,6 @@ from .pmf import (
     _row_codes,
     hypergeometric_log_pmf_matrix,
     leaf_log_pmfs,
-    log_ratio_matrix,
     multinomial_log_pmf_matrix,
     multinomial_moments,
     sample_hypergeometric,
@@ -526,9 +525,9 @@ def tv_discrete(params: ExperimentParams, law_a: str, law_b: str) -> TVResult:
     :func:`pmf.scheffe_levels` enumerates, about the n**(d/2) of the
     ellipsoid ``chi^2 < d`` against the n**d count vectors.  Each term is
     ``P (-expm1(-r))``, its positive part, with ``ln Q`` from the multinomial
-    row kernel and, where 2n <= N, ``r`` from :func:`pmf.log_ratio_matrix`
-    on the bound's own tables; where 2n > N, ``ln P`` from the
-    hypergeometric one, read at ``c - k``, and ``r = ln P - ln Q``.  Two
+    row kernel and, where 2n <= N, ``r`` from the bound's own running sums;
+    where 2n > N, ``ln P`` from the hypergeometric one, read at ``c - k``,
+    and ``r = ln P - ln Q``.  Two
     copies of one law have r = 0: their TV is exactly 0, its bar from the
     lattice's size, counted, not built, under the same cap as an
     enumeration."""
@@ -542,7 +541,7 @@ def tv_discrete(params: ExperimentParams, law_a: str, law_b: str) -> TVResult:
         _check_cap(size, what)
         return TVResult(0.0, METHOD_EXACT, _discrete_error(size))
     size = count_vector_size(params.sample_size, params.dim)
-    levels, tables = scheffe_levels(params)
+    levels, r = scheffe_levels(params)
     points = _level_points(levels)
     c = np.array(params.counts, dtype=np.int64)
     ks = _full_count_matrix(points, params.dim, params.sample_size)
@@ -551,7 +550,6 @@ def tv_discrete(params: ExperimentParams, law_a: str, law_b: str) -> TVResult:
         log_p = hypergeometric_log_pmf_matrix(params, points)
         r = log_p - log_q
     else:
-        r = log_ratio_matrix(c, ks, tables)
         log_p = log_q + r
     terms = np.exp(log_p) * -np.expm1(-r)
     return TVResult(exact_sum(np.maximum(terms, 0.0)), METHOD_EXACT, _discrete_error(size))

@@ -165,22 +165,28 @@ def _bounded_vector_count(counts: Sequence[int], total: int) -> int:
     """Number of integer vectors with 0 <= k_i <= counts[i] and sum == total.
 
     k -> counts - k maps them one-to-one onto the vectors summing to
-    sum(counts) - total, so the smaller total is counted.  One whole-array
-    prefix sum per count, in int64 while the largest prefix, at most the
-    C(total + d, d) vectors of d = len(counts) - 1 counts summing to at most
-    total, fits it, and in Python ints above.
+    sum(counts) - total, so the smaller total t is counted: one prefix sum
+    per count but the largest, over the sums up to t they reach, and for the
+    largest one window sum over ``[t - c_max, t]``.  That table is charged to
+    the cap first: it is the support at d=1 and never longer, as at least
+    ``min(t, N - c_max) + 1`` vectors sum to t <= N/2.  In int64 while the
+    C(t + d, d) vectors of d = len(counts) - 1 counts summing to at most t
+    fit it, and in Python ints above.
     """
     total = min(total, sum(counts) - total)
     if total < 0:
         return 0
-    wide = math.comb(total + len(counts) - 1, len(counts) - 1) >= 1 << 63
-    ways = np.zeros(total + 1, dtype=object if wide else np.int64)
+    *others, largest = sorted(counts)
+    top = min(total, sum(min(c, total) for c in others))
+    _check_cap(top + 1, "support" if len(others) == 1 else "the support count's table")
+    wide = math.comb(total + len(others), len(others)) >= 1 << 63
+    ways = np.zeros(top + 1, dtype=object if wide else np.int64)
     ways[0] = 1
-    sums = np.arange(total + 1)
-    for c in counts:
+    sums = np.arange(top + 1)
+    for c in others:
         prefix = np.concatenate((np.zeros(1, dtype=ways.dtype), np.cumsum(ways)))
-        ways = prefix[1:] - prefix[np.maximum(sums - min(c, total), 0)]
-    return int(ways[total])
+        ways = prefix[1:] - prefix[np.maximum(sums - min(c, top), 0)]
+    return int(ways[max(total - largest, 0) :].sum())
 
 
 def support_size(params: ExperimentParams) -> int:
@@ -352,8 +358,8 @@ def in_truncated_set(params: ExperimentParams, point: Sequence[int], gamma) -> b
     if not point_in_support(params, point):
         raise ValidationError(f"point {tuple(point)} lies outside the support")
     ks = full_counts(params, point)
-    # k_i / p_i <= g N  <=>  k_i <= g * counts_i
-    return all(Fraction(k) <= g * c for k, c in zip(ks, params.counts))
+    # k_i / p_i <= g N  <=>  k_i <= g * counts_i, cleared of g's denominator
+    return all(k * g.denominator <= g.numerator * c for k, c in zip(ks, params.counts))
 
 
 def weight_ratio(params: ExperimentParams) -> float:

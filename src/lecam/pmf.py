@@ -10,7 +10,7 @@ ratio ``T_{c_i}[k]``, tabled by ``_log_pmf_tables``.  The row kernels add
 these terms a whole column at a time, left to right; ``leaf_log_pmfs``
 folds the tables down a lattice's levels in the same order and yields the
 leaves a cache-sized block at a time.  ``scheffe_levels`` bounds the ratio's
-tables to enumerate only the points where P may exceed Q.
+tables to enumerate only the points where P may exceed Q, and sums r there.
 
 Both samplers draw one coordinate at a time from its conditional law through
 one routine, ``_sample_sequential``: inversion by table lookup (Devroye 1986,
@@ -150,9 +150,7 @@ def _log_pmf_tables(log_w: np.ndarray, top: int, sizes: np.ndarray | None = None
     return multi, None if sizes is None else _ratio_tables(sizes, top)
 
 
-def log_ratio_matrix(
-    counts: Sequence[int] | np.ndarray, ks: np.ndarray, tables: np.ndarray | None = None
-) -> np.ndarray:
+def log_ratio_matrix(counts: Sequence[int] | np.ndarray, ks: np.ndarray) -> np.ndarray:
     """ln P(k) - ln Q(k) per row of an (m, d + 1) matrix of full counts.
 
     P draws without replacement from a population split into counts, Q
@@ -161,11 +159,9 @@ def log_ratio_matrix(
     (m, d + 1) matrix with a population per row.  The ratio is exactly
     ``sum_i T_{c_i}[k_i] - T_N[n]`` with ``T_c[k] = sum_{j<k} log(1 - j/c)``,
     read from compensated prefix tables (:func:`_ratio_tables`), ``-T_N[n]``
-    first and then each count's term, left to right.  Shared counts may
-    come with their tables, rows ``c_0..c_d, N`` up to some k at least every
-    row sum on the support, as :func:`scheffe_levels` builds them; tables
-    built here are charged to the cap first, d (n + 1) entries a row.  -inf
-    where some k_i is negative or exceeds c_i.
+    first and then each count's term, left to right.  The tables are charged
+    to the cap first, d (n + 1) entries a row.  -inf where some k_i is
+    negative or exceeds c_i.
     """
     counts = np.asarray(counts, dtype=np.int64)
     cols = np.asarray(ks, dtype=np.int64).T
@@ -177,15 +173,12 @@ def log_ratio_matrix(
     # the tables reach the longest row on the support; the lookups of rows
     # off it are clipped into them and their results overwritten
     top = n.max(initial=0) if bad is None else n.max(initial=0, where=~bad)
-    if tables is None:
-        _check_table_cap(len(cols) - 1, int(top), "the log-ratio table")
+    _check_table_cap(len(cols) - 1, int(top), "the log-ratio table")
     if counts.ndim == 2:
         # rows off the support read the first entries of their own tables
         out = _per_row_log_ratios(counts, cols if bad is None else np.where(bad, 0, cols), top)
     else:
-        if tables is None:
-            tables = _ratio_tables(np.append(counts, counts.sum()), top)
-        out = _read_log_ratios(tables, cols, n)
+        out = _read_log_ratios(_ratio_tables(np.append(counts, counts.sum()), top), cols, n)
     if bad is not None:
         out[bad] = -np.inf
     return out
@@ -239,21 +232,21 @@ def scheffe_levels(params: ExperimentParams) -> tuple[Levels, np.ndarray]:
     """Levels (see ``lattice._bounded_levels``) of the count vectors where P,
     drawing without replacement, may exceed Q, drawing with replacement: a
     superset, by a rounding margin, of the Scheffe set ``A = {k : r(k) > 0}``;
-    and the tables ``T`` over k = 0..n, rows ``c_0..c_d, N``, that bound them,
-    which :func:`log_ratio_matrix` reads at the kept points.
+    and ``r`` at their leaves, in order, with the bits of
+    :func:`log_ratio_matrix`.
 
     ``r = sum_i T_{c_i}[k_i] - T_N[n]`` with each ``T_c`` concave, so A is a
     convex set of lattice points, and a prefix ``k_0..k_i`` with partial sum
-    S completes into it only if ``S + V[rem]`` exceeds ``T_N[n]``, where
-    ``V[m]``, the best sum over the categories still to place of m draws, is
-    the sum of the m largest increments ``log(1 - j/c)`` among them (the
-    greedy allocation of a separable concave sum; Ibaraki and Katoh 1988,
-    *Resource Allocation Problems*).  ``S + T_{c_i}[k] + V[rem - k]`` is
-    concave in k, so each parent keeps one run of children: from its first to
-    its last candidate above the threshold.  At the last free coordinate V is
-    the last count's table itself, so that level, and all of d=1, merges
-    nothing.  Each level's candidates are charged to the cap, and so are the
-    tables, before they are built.
+    S from ``-T_N[n]`` completes into it only if ``S + V[rem]`` exceeds 0,
+    where ``V[m]``, the best sum over the categories still to place of m
+    draws, is the sum of the m largest increments ``log(1 - j/c)`` among them
+    (the greedy allocation of a separable concave sum; Ibaraki and Katoh
+    1988, *Resource Allocation Problems*).  ``S + T_{c_i}[k] + V[rem - k]``
+    is concave in k, so each parent keeps one run of children: from its first
+    to its last candidate above the threshold.  At the last free coordinate V
+    is the last count's table, so that level, and all of d=1, merges nothing,
+    and its sums are r.  Each level's candidates are charged to the cap, and
+    so are the tables, before they are built.
     """
     c = np.array(params.counts, dtype=np.int64)
     n, dim = params.sample_size, params.dim
@@ -263,23 +256,24 @@ def scheffe_levels(params: ExperimentParams) -> tuple[Levels, np.ndarray]:
         tables = compensated_cumsum(increments)  # not finite past k = c, never read
     # the tables' rounding, a few ulps of their size, and some slack: a
     # superset of A only adds terms that are positive parts of P - Q <= 0
-    threshold = tables[-1, n] - (1e-9 + 1e-13 * abs(tables[-1, n]))
+    threshold = -(1e-9 + 1e-13 * abs(tables[-1, n]))
     # per level, V over the categories after it, from the last level up
     best = [tables[dim]]
     merged = increments[dim, : c[dim]]
     for i in range(dim - 1, 0, -1):
         merged = _merge_falling(increments[i, : c[i]], merged)[:n]
         best.insert(0, compensated_cumsum(merged))
-    partial = np.zeros(1)  # per parent: sum_{j<i} T_{c_j}[k_j]
+    partial = r = -tables[-1, n : n + 1]  # per parent: -T_N[n] + sum_{j<i} T_{c_j}[k_j]
 
     def bound(i, lo, sizes, remaining):
-        nonlocal partial
+        nonlocal partial, r
         ends = np.cumsum(sizes)
         k = np.repeat(lo + sizes - ends, sizes)
         k += np.arange(len(k))
         s = np.repeat(partial, sizes)
         s += tables[i].take(k)
-        kept = np.flatnonzero(s + best[i].take(np.repeat(remaining, sizes) - k) > threshold)
+        total = s + best[i].take(np.repeat(remaining, sizes) - k)
+        kept = np.flatnonzero(total > threshold)
         # each parent's kept candidates lie at kept[a:b]
         a, b = kept.searchsorted(ends - sizes), kept.searchsorted(ends)
         some = b > a
@@ -289,10 +283,10 @@ def scheffe_levels(params: ExperimentParams) -> tuple[Levels, np.ndarray]:
         lo[some], sizes[some] = k[first], runs
         at = np.repeat(first - np.cumsum(runs) + runs, runs)
         at += np.arange(len(at))
-        partial = s[at]
+        partial, r = s[at], total[at]
         return lo, sizes
 
-    return _bounded_levels(params.counts, n, bound), tables
+    return _bounded_levels(params.counts, n, bound), r
 
 
 def leaf_log_pmfs(

@@ -331,6 +331,28 @@ class TestExitCodes:
         assert proc.returncode == 4
         assert "sampler's table over n = 300000000 has 300000001 points" in proc.stderr
 
+    @pytest.mark.parametrize("pair", ["hyper-hyper", "jitterhyper-gauss"])
+    def test_support_count_over_cap_is_resource_error(self, pair):
+        # the count's table would be 2^39 + 1 int64 entries, 4 TiB: refused
+        # before it is built, under an address-space limit in case it is not
+        half = str(2**39)
+        limited = ("import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (2 * 10**9,) * 2); "
+                   "from lecam.cli import main; sys.exit(main())")
+        proc = subprocess.run(
+            [sys.executable, "-c", limited, "tv", "--N", str(2**40), "--n", half,
+             "--Np", f"{half},{half}", "--pair", pair],
+            capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 4
+        assert "support has 549755813889 points" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_four_point_support_at_n_of_half_a_trillion_is_counted(self):
+        proc = run_cli("tv", "--N", str(10**12), "--n", str(5 * 10**11),
+                       "--Np", f"1,1,{10**12 - 2}", "--pair", "hyper-hyper", "--json")
+        assert proc.returncode == 0, proc.stderr
+        out = json.loads(proc.stdout)
+        assert (out["tv"], out["error_estimate"]) == (0.0, 1e-15 * 4 + 1e-15)
+
     def test_help_exits_zero(self):
         assert run_cli("--help").returncode == 0
         assert run_cli("tv", "--help").returncode == 0

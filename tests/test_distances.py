@@ -163,14 +163,17 @@ def test_log_ratio_tables_are_charged_to_the_cap(monkeypatch):
 
 
 def test_log_ratio_tables_are_built_once(monkeypatch):
-    # where 2n <= N the kernel reads r from the bound's own tables
+    # where 2n <= N, r is the bound's own running sums: no second table is
+    # built and the kernel is not called
     params = validate_params(1000, 84, (250,) * 4)
     want = tv_discrete(params, "hyper", "multi")
 
     def refuse(*args):
-        raise AssertionError("a second table was built")
+        raise AssertionError("r was computed a second time")
 
     monkeypatch.setattr(pmf, "_ratio_tables", refuse)
+    monkeypatch.setattr(pmf, "log_ratio_matrix", refuse)
+    monkeypatch.setattr(pmf, "_read_log_ratios", refuse)
     assert tv_discrete(params, "hyper", "multi") == want
 
 

@@ -31,8 +31,8 @@ from lecam import (
     weight_ratio,
 )
 import lecam.lattice as lattice
-from lecam.lattice import SUPPORT_CAP_ENV
-from strategies import experiment_params
+from lecam.lattice import SUPPORT_CAP_ENV, full_counts
+from strategies import experiment_params, params_with_point
 
 
 class TestValidateParams:
@@ -299,11 +299,13 @@ class TestSupportSize:
     @pytest.mark.parametrize(
         "counts", [(1, 1), (3, 4, 5), (2, 2, 2, 2), (1, 5, 2, 7), (6, 1, 3, 2, 4)]
     )
-    def test_matches_brute_force_at_every_draw_count(self, counts):
-        # draws up to the census, so every flipped count 2n > N is included
+    def test_matches_brute_force_at_every_draw_count(self, monkeypatch, counts):
+        # draws up to the census, so every flipped count 2n > N is included;
+        # a cap at the exact support still counts it
         population = sum(counts)
         for draws in range(population + 1):
             want = sum(1 for _ in oracles.support_points(counts, draws))
+            monkeypatch.setenv(SUPPORT_CAP_ENV, str(want))
             assert lattice._bounded_vector_count(counts, draws) == want
             if draws:
                 assert support_size(validate_params(population, draws, counts)) == want
@@ -316,6 +318,26 @@ class TestSupportSize:
         want = sum((-1) ** j * math.comb(8, j) * math.comb(draws - 1001 * j + 7, 7)
                    for j in range(draws // 1001 + 1))
         assert lattice._bounded_vector_count(counts, draws) == want
+
+    def test_table_reaches_the_smaller_counts_not_n(self):
+        # 4 points at n = 5 * 10^11: the table covers the two unit counts' sums
+        params = validate_params(10**12, 5 * 10**11, (1, 1, 10**12 - 2))
+        assert support_size(params) == 4
+        assert tv_discrete(params, "hyper", "hyper").error_estimate == 1e-15 * 4 + 1e-15
+
+    def test_table_past_the_cap_is_refused_before_it_is_built(self, monkeypatch):
+        # at d=1 the table is the support, 2^39 + 1 points (4 TiB of int64)
+        def refuse(*args):
+            raise AssertionError("a table was built")
+
+        half = 2**39
+        params = validate_params(2 * half, half, (half, half))
+        monkeypatch.setattr(lattice.np, "zeros", refuse)
+        for count in (lambda: support_size(params),
+                      lambda: tv_discrete(params, "hyper", "hyper")):
+            with pytest.raises(SupportCapError) as err:
+                count()
+            assert (err.value.required, err.value.cap) == (half + 1, lattice.DEFAULT_SUPPORT_CAP)
 
 
 class TestTruncatedSet:
@@ -345,6 +367,20 @@ class TestTruncatedSet:
         params = validate_params(10, 5, (5, 5))
         assert in_truncated_set(params, (2,), 0.75)
         assert not in_truncated_set(params, (5,), 0.75)
+
+    @given(params_with_point(max_dim=3, max_count=10**6, max_draws=10**6), st.data())
+    def test_integer_test_is_the_fraction_test(self, case, data):
+        # gamma on the boundary k_i = gamma c_i, as a Fraction, its nearest
+        # float and that float's neighbours, against the rational comparison
+        params, point = case
+        ks = full_counts(params, point)
+        i = data.draw(st.integers(0, params.dim))
+        edge = Fraction(max(ks[i], 1), params.counts[i])
+        near = float(edge)
+        for g in (edge, near, math.nextafter(near, 0), math.nextafter(near, 2)):
+            if 0 < g <= 1:
+                want = all(Fraction(k) <= Fraction(g) * c for k, c in zip(ks, params.counts))
+                assert in_truncated_set(params, point, g) == want
 
     def test_membership_monotone_in_gamma(self):
         params = validate_params(12, 6, (5, 7))

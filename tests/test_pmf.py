@@ -9,7 +9,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 from scipy import stats
 
 import oracles
@@ -32,7 +32,7 @@ from lecam import (
 )
 from lecam import pmf
 from lecam.cli import main
-from lecam.lattice import SUPPORT_CAP_ENV, count_vector_levels, point_in_support
+from lecam.lattice import SUPPORT_CAP_ENV, _level_points, count_vector_levels, point_in_support
 from lecam.numerics import log_factorial
 from lecam.pmf import (
     _first_at_least,
@@ -223,6 +223,15 @@ class TestLogRatioMatrix:
         on_support = order < len(good)
         assert got[on_support].tobytes() == log_ratio_matrix(c, good)[order[on_support]].tobytes()
         assert np.all(got[~on_support] == -np.inf)
+
+    @given(experiment_params(max_dim=5, max_count=10**6, max_draws=24))
+    def test_scheffe_sums_are_the_kernel_bits(self, params):
+        # where 2n <= N the bound's running sums, from -T_N[n], end in r at
+        # each kept leaf, added in the kernel's order
+        assume(2 * params.sample_size <= params.population)
+        levels, r = pmf.scheffe_levels(params)
+        ks = pmf._full_count_matrix(_level_points(levels), params.dim, params.sample_size)
+        assert r.tobytes() == log_ratio_matrix(params.counts, ks).tobytes()
 
     def test_one_row_of_its_own_counts_is_the_shared_call(self):
         counts, row = (7, 11, 30), [(2, 5, 9)]
