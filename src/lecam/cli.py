@@ -126,7 +126,8 @@ def _cmd_expansion_scan(args) -> int:
         write_csv(records, args.out)
     fits = {}
     if scan.degenerate:
-        summary = "degenerate: fewer than 4 residuals above the rounding floor"
+        summary = ("degenerate: fewer than 4 residuals above the rounding floor, "
+                   "or all at one population")
     else:
         fits[f"abs_residual_order{args.order}"] = scan.fit
         summary = _slope_line(f"abs_residual_order{args.order}", scan.fit)
@@ -221,7 +222,7 @@ def _cmd_lecam_scan(args) -> int:
             )
         for name, fit in scan.fits.items():
             if fit is None:
-                print(f"slope({name}) skipped: fewer than 4 usable points")
+                print(f"slope({name}) skipped: fewer than 4 usable points, or one n")
             else:
                 print(_slope_line(name, fit))
     return EXIT_OK

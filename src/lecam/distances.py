@@ -14,7 +14,11 @@ kernel computes a block of cells at a time (``_erfc``, called by
 it by a Gauss-Legendre rule over pieces of the cell cut where the integrand
 |pmf - density| has kinks.  The same pass gives each cell's
 Gaussian mass, so the TV to the Gaussian rounded onto the lattice comes
-with it.  A Monte Carlo estimator covers everything beyond dimension three
+with it.  One pass takes the cells of many pairs at once
+(``_cube_quadrature``, which a scan hands a whole family): the cells go
+grouped by pair, each group with its own Gaussian's constants, and each
+pair's sums are taken over its own cells, so a pair's TV has the same bits
+alone or in a family.  A Monte Carlo estimator covers everything beyond dimension three
 and checks the samplers against a jittered target; it reads the log-pmf of
 the sampled law, and of a jittered lattice target, once per distinct draw.
 """
@@ -26,7 +30,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -34,13 +38,13 @@ from ._erfc_table import ERFC_TABLE
 from .errors import RegimeError, ValidationError
 from .lattice import (
     ExperimentParams,
+    _capped_support_size,
     _check_cap,
     _level_points,
     count_vector_levels,
     count_vector_matrix,
     count_vector_size,
     support_matrix,
-    support_size,
     validate_params,
     weight_ratio,
 )
@@ -53,6 +57,7 @@ from .numerics import (
     split_seed,
 )
 from .pmf import (
+    _family_log_pmfs,
     _full_count_matrix,
     _multinomial_log_pmf_rows,
     _row_codes,
@@ -125,7 +130,9 @@ class GaussianLaw:
         if (mean.ndim != 1 or covariance.shape != (mean.size, mean.size)
                 or not (np.isfinite(mean).all() and np.isfinite(covariance).all())):
             raise ValidationError("mean must be a finite d-vector and covariance finite d x d")
-        if not np.allclose(covariance, covariance.T, rtol=0.0, atol=1e-12):
+        # np.allclose(covariance, covariance.T, rtol=0, atol=1e-12), in a
+        # tenth of its time: the entries are finite
+        if np.abs(covariance - covariance.T).max() > 1e-12:
             raise ValidationError("covariance must be symmetric")
         try:
             factor = np.linalg.cholesky(covariance)
@@ -338,10 +345,11 @@ def _endpoint_rule(count: int) -> tuple[np.ndarray, np.ndarray]:
     return u**3 * (10.0 - 15.0 * u + 6.0 * u * u), 15.0 * (u * (1.0 - u)) ** 2 * w
 
 
-def _slice_integrals(c, log_c, a, b, mean, sd, log_scale):
+def _slice_integrals(c, log_c, a, b, mean, sd, log_scale, log_sd):
     """Integrals over y in [a, b] of |c - f(y)| - f(y) and of f(y), in closed form.
 
-    f = exp(log_scale) times the N(mean, sd^2) density.  It exceeds c
+    f = exp(log_scale) times the N(mean, sd^2) density, and ``log_sd`` is
+    ln(sd sqrt(2 pi)), which the caller takes per law by ``math.log``.  It exceeds c
     exactly on |y - mean| < sd rho, with rho^2 = 2 (ln peak(f) - ln c), so
     with lo, hi that interval clipped to [a, b] the first integral is
     c [(lo - a) + (b - hi) - (hi - lo)] - 2 [f-mass(a, lo) + f-mass(hi, b)].
@@ -351,7 +359,7 @@ def _slice_integrals(c, log_c, a, b, mean, sd, log_scale):
     the cell's own mass can span the mean.  One :func:`_erfc` call gives
     the tails at all four edges of every slice.  The caller measures y from
     a point near the mass (the Gaussian's mean), so that rounding y - mean
-    costs little.  Works elementwise on (m,) arrays.
+    costs little.  Works elementwise on (m,) arrays, sd and ``log_sd`` too.
 
     Returns both integrals and magnitudes that bound their rounding, in ulps
     up to a small factor: c (|a| + |b|) for the lengths, and for the masses
@@ -359,7 +367,7 @@ def _slice_integrals(c, log_c, a, b, mean, sd, log_scale):
     error in z) times 1 + |mean| / sd (that of mean's own rounding).
     """
     scale = np.exp(log_scale)
-    log_peak = log_scale - math.log(sd * math.sqrt(2.0 * math.pi))
+    log_peak = log_scale - log_sd
     reach = sd * np.sqrt(np.maximum(2.0 * (log_peak - log_c), 0.0))
     lo = np.clip(mean - reach, a, b)
     hi = np.clip(mean + reach, a, b)
@@ -374,8 +382,19 @@ def _slice_integrals(c, log_c, a, b, mean, sd, log_scale):
     return value, scale * mass, size
 
 
-@lru_cache(maxsize=64)
-def _sections(factor: tuple[tuple[float, ...], ...]) -> list[tuple]:
+@lru_cache(maxsize=256)
+def _law_constants(factor: tuple[tuple[float, ...], ...]) -> tuple[float, float, list[tuple]]:
+    """A law's constants in the cell integrator, from its factor L as nested
+    tuples, so each is computed once: ln(l11 sqrt(2 pi)), the log
+    normalising constant of N(0, L L') and, above d=1, :func:`_sections`."""
+    cholesky = np.array(factor)
+    dim = len(cholesky)
+    log_sd = math.log(cholesky[0, 0] * math.sqrt(2.0 * math.pi))
+    log_norm = -0.5 * dim * math.log(2.0 * math.pi) - float(np.sum(np.log(np.diag(cholesky))))
+    return log_sd, log_norm, _sections(cholesky) if dim > 1 else []
+
+
+def _sections(cholesky: np.ndarray) -> list[tuple]:
     """Where the sections of the level ellipsoid by a cell's faces reach in x1.
 
     With x = mean + L w the ellipsoid {f = c} is the sphere |w|^2 = q0.  Hold
@@ -384,10 +403,8 @@ def _sections(factor: tuple[tuple[float, ...], ...]) -> list[tuple]:
     a1 = L[S, 0] and s = sqrt(1 - a1'G a1).  Returns, per S and per choice of
     lower (-1/2) or upper (+1/2) edge on each axis of S, the axes, the edge
     offsets from the cell's center, G a1, G and s; S empty gives the
-    sphere's own ends, w1 = +-sqrt(q0).  ``factor`` is L as nested tuples,
-    so each law's sections are computed once.
+    sphere's own ends, w1 = +-sqrt(q0).
     """
-    cholesky = np.array(factor)
     sections = []
     for size in range(len(cholesky)):
         for axes in itertools.combinations(range(1, len(cholesky)), size):
@@ -400,69 +417,82 @@ def _sections(factor: tuple[tuple[float, ...], ...]) -> list[tuple]:
     return sections
 
 
-def _cell_integrals(cholesky, consts, log_consts, centers, mean, log_scale, quad_order):
+def _cell_integrals(cholesky, bounds, consts, log_consts, centers, mean, log_scale, quad_order):
     """Per unit cell, the integrals of |c - f| - f and of f, their rounding
     magnitudes and their quadrature gaps, a (5, m) array in that order.
 
-    f is exp(log_scale) times the N(mean, L L') density, L = ``cholesky``;
-    ``centers`` and ``mean`` (m, d) are measured from one point near the
-    mass, and ``consts`` holds each cell's c, ``log_consts`` its logarithm.
-    The last axis is in closed form (:func:`_slice_integrals`), its gaps 0.
-    Above it, with x1 = mean1 + l11 w1, f is the x1 marginal times the
-    normal of the other axes given x1, whose factor is L[1:, 1:] and whose
-    mean moves by L[1:, 0] w1, so the x1 integral is a rule over this
-    function one dimension down.  As a function of x1 that integrand has
-    kinks where the sections of {f = c} by the cell's faces end
-    (:func:`_sections`).  Cut there, each piece takes 3 ``quad_order`` nodes
-    of :func:`_endpoint_rule`, and its gap adds the difference to
+    ``cholesky`` stacks one lower factor L per law, and the cells of law j
+    are ``bounds[j]:bounds[j + 1]``; f is exp(log_scale) times the
+    N(mean, L L') density.  ``centers`` and ``mean`` (m, d) are measured
+    from one point near the mass, and ``consts`` holds each cell's c,
+    ``log_consts`` its logarithm.  Each law's constants are its own, as with
+    that law alone:
+    its factor's entries, its ``math.log`` normalisers and its
+    :func:`_sections`.  The last axis is in closed form
+    (:func:`_slice_integrals`), its gaps 0.  Above it, with x1 = mean1 +
+    l11 w1, f is the x1 marginal times the normal of the other axes given
+    x1, whose factor is L[1:, 1:] and whose mean moves by L[1:, 0] w1, so
+    the x1 integral is a rule over this function one dimension down.  As a
+    function of x1 that integrand has kinks where the sections of {f = c}
+    by the cell's faces end.  Cut there, each piece takes 3 ``quad_order``
+    nodes of :func:`_endpoint_rule`, and its gap adds the difference to
     2 ``quad_order`` nodes to the gaps one dimension down.  Cells go in
     blocks of at most ``_CELL_BLOCK`` evaluations one dimension down, and
     no cell's result depends on the others.
     """
-    dim = len(cholesky)
+    dim = cholesky.shape[1]
     # a cell has at most 2 3^(d-1) + 1 pieces, of 3 quad_order nodes each
     block = max(1, _CELL_BLOCK // (1 if dim == 1 else (2 * 3 ** (dim - 1) + 1) * 3 * quad_order))
     if len(consts) > block:
         return np.concatenate([
-            _cell_integrals(cholesky, consts[s : s + block], log_consts[s : s + block],
-                            centers[s : s + block], mean[s : s + block],
-                            log_scale[s : s + block], quad_order)
+            _cell_integrals(cholesky, np.clip(bounds, s, s + block) - s, consts[s : s + block],
+                            log_consts[s : s + block], centers[s : s + block],
+                            mean[s : s + block], log_scale[s : s + block], quad_order)
             for s in range(0, len(consts), block)
         ], axis=1)
+    l11 = cholesky[:, 0, 0]
+    log_sd, log_norm, sections = zip(*[_law_constants(tuple(map(tuple, f))) for f in cholesky])
     if dim == 1:
         value, mass, size = _slice_integrals(
             consts, log_consts, centers[:, 0] - 0.5, centers[:, 0] + 0.5,
-            mean[:, 0], cholesky[0, 0], log_scale,
+            mean[:, 0], _per_cell(l11, bounds), log_scale, _per_cell(log_sd, bounds),
         )
         return np.stack([value, mass, size, np.zeros_like(value), np.zeros_like(value)])
-    l11 = cholesky[0, 0]
-    log_norm = -0.5 * dim * math.log(2.0 * math.pi) - float(np.sum(np.log(np.diag(cholesky))))
-    q0 = 2.0 * (log_scale + log_norm - log_consts)
+    q0 = 2.0 * (log_scale + _per_cell(log_norm, bounds) - log_consts)
     offset = centers - mean
     lo, hi = offset[:, 0] - 0.5, offset[:, 0] + 0.5
-    cuts = [lo, hi]
+    ends = []  # per law, its cells' cuts at the two ends of each section
     with np.errstate(invalid="ignore"):  # a missed section cuts at NaN: fmax sends it to lo
-        for axes, edges, tilt, gram, spread in _sections(tuple(map(tuple, cholesky))):
-            b = offset[:, axes] + edges
-            mid = np.einsum("ij,j->i", b, tilt)
-            rad = spread * np.sqrt(q0 - np.einsum("ij,jk,ik->i", b, gram, b))
-            cuts += [l11 * (mid - rad), l11 * (mid + rad)]
+        for j, cells in _law_slices(bounds):
+            ends.append([])
+            for axes, edges, tilt, gram, spread in sections[j]:
+                b = offset[cells, axes] + edges
+                mid = np.einsum("ij,j->i", b, tilt)
+                rad = spread * np.sqrt(q0[cells] - np.einsum("ij,jk,ik->i", b, gram, b))
+                ends[-1] += [l11[j] * (mid - rad), l11[j] * (mid + rad)]
+    cuts = [lo, hi, *(ends[0] if len(ends) == 1 else map(np.concatenate, zip(*ends)))]
     cuts = np.fmin(np.fmax(np.column_stack(cuts), lo[:, None]), hi[:, None])
     cuts.sort(axis=1)
     left, right = cuts[:, :-1], cuts[:, 1:]
     keep = right > left
     owner = np.nonzero(keep)[0]
     left, width = left[keep][:, None], (right - left)[keep][:, None]
-    log_marginal = -math.log(l11 * math.sqrt(2.0 * math.pi))
+    piece_bounds = owner.searchsorted(bounds)  # the pieces of each law's cells
+    # the scaled x1 marginal's log-density at w1 is this less w1^2 / 2
+    log_marginal = log_scale[owner] - _per_cell(log_sd, piece_bounds)
+    l11 = _per_cell(cholesky[:, :1, 0], piece_bounds)
+    tilt = _per_cell(cholesky[:, None, 1:, 0], piece_bounds)
     results = []
     for count in (3 * quad_order, 2 * quad_order):
         nodes, weights = _endpoint_rule(count)
         w1 = (left + width * nodes) / l11
         rows = np.repeat(owner, count)
+        # take, not fancy indexing: a third of the time on the (m, d) rows
         inner = _cell_integrals(
-            cholesky[1:, 1:], consts[rows], log_consts[rows], centers[rows, 1:],
-            mean[rows, 1:] + np.multiply.outer(w1.ravel(), cholesky[1:, 0]),
-            (log_scale[owner, None] + log_marginal - 0.5 * w1 * w1).ravel(), quad_order,
+            cholesky[:, 1:, 1:], piece_bounds * count, consts.take(rows), log_consts.take(rows),
+            centers[:, 1:].take(rows, axis=0),
+            mean[:, 1:].take(rows, axis=0) + (w1[..., None] * tilt).reshape(-1, dim - 1),
+            (log_marginal[:, None] - 0.5 * w1 * w1).ravel(), quad_order,
         ).reshape(5, *w1.shape)
         # the marginal's own rounding grows with its exponent
         inner[2] *= 1.0 + w1 * w1
@@ -472,10 +502,58 @@ def _cell_integrals(cholesky, consts, log_consts, centers, mean, log_scale, quad
     return np.add.reduceat(pieces, np.flatnonzero(np.diff(owner, prepend=-1)), axis=1)
 
 
+def _per_cell(values, bounds: np.ndarray):
+    """Per-law ``values`` (along the first axis) at each cell, the cells of
+    law j being ``bounds[j]:bounds[j + 1]``: the one law's own entry, which
+    numpy broadcasts, where there is one law."""
+    return values[0] if len(values) == 1 else np.repeat(values, np.diff(bounds), axis=0)
+
+
+def _law_slices(bounds: np.ndarray) -> list[tuple[int, slice]]:
+    """Each law that has cells, with the slice of its cells."""
+    bounds = bounds.tolist()
+    return [(j, slice(a, b)) for j, (a, b) in enumerate(zip(bounds, bounds[1:])) if b > a]
+
+
+def _support_log_pmfs(
+    laws: list[tuple[ExperimentParams, str]]
+) -> tuple[list[np.ndarray], np.ndarray]:
+    """Each (params, canonical law)'s cells, its support (the count vectors
+    for the multinomial), and the log-pmf at every cell in that order, from
+    one :func:`pmf._family_log_pmfs` call per kind of law: the bits of
+    :func:`_law_log_pmf` law by law.  Where every count reaches n the
+    hypergeometric support is the count vectors, so laws of one n and
+    dimension share them (a scan point's two laws)."""
+    shared, points = {}, []  # (n, dim): the count vectors, once enumerated
+    for p, which in laws:
+        if which == HYPERGEOMETRIC and min(p.counts) < p.sample_size:
+            points.append(support_matrix(p))
+            continue
+        key = p.sample_size, p.dim
+        if key not in shared:
+            shared[key] = (count_vector_matrix(*key) if which == MULTINOMIAL
+                           else support_matrix(p))
+        points.append(shared[key])
+    ends = np.cumsum([len(x) for x in points]).tolist()
+    log_pmf = np.empty(ends[-1])
+    for kind in (MULTINOMIAL, HYPERGEOMETRIC):
+        at = [i for i, (_, which) in enumerate(laws) if which == kind]
+        if at:
+            values = _family_log_pmfs([laws[i][0] for i in at], [points[i] for i in at],
+                                      hypergeometric=kind == HYPERGEOMETRIC)
+            stop = 0
+            for i in at:
+                start, stop = stop, stop + len(points[i])
+                log_pmf[ends[i] - len(points[i]) : ends[i]] = values[start:stop]
+    return points, log_pmf
+
+
 def _cube_quadrature(
-    params: ExperimentParams, discrete_law: str, law: GaussianLaw, quad_order: int
-) -> tuple[TVResult, TVResult]:
-    """TV(jittered law, Gaussian) and TV(lattice law, rounded Gaussian), one pass.
+    items: Sequence[tuple[ExperimentParams, str, GaussianLaw]], quad_order: int
+) -> list[tuple[TVResult, TVResult]]:
+    """Per item (params, discrete law, :class:`GaussianLaw`), TV(jittered law,
+    Gaussian) and TV(lattice law, rounded Gaussian), every item's cells in
+    one pass of the cell integrator per dimension.
 
     Over the support cells k, with p_k the pmf and m_k the Gaussian mass of
     the cell (:func:`_cell_integrals`), the first TV is
@@ -484,36 +562,47 @@ def _cube_quadrature(
     is 0 while the cells tile the space, so the second TV is
     1/2 [sum_k |p_k - m_k| + (1 - sum_k m_k)].  Each bar is the quadrature
     gaps plus the rounding; an error in m_k moves the second TV by up to
-    that error.  Every sum is exact, so the blocks of cells cannot move a bit.
+    that error.  Every sum is exact and taken over the item's own cells,
+    so neither the blocks of cells nor the other items can move a bit.
     """
     if not isinstance(quad_order, (int, np.integer)) or not 2 <= quad_order <= MAX_QUAD_ORDER:
         raise ValidationError(f"quad_order must be an integer in [2, {MAX_QUAD_ORDER}]")
-    if params.dim > MAX_QUAD_DIM:
-        raise ValidationError(
-            f"quadrature supports dimension <= {MAX_QUAD_DIM}; "
-            "use the Monte Carlo path instead"
-        )
-    if law.dim != params.dim:
-        raise ValidationError("Gaussian dimension does not match the experiment")
-    which = _canonical_law(discrete_law)
-    if which == MULTINOMIAL:
-        points = count_vector_matrix(params.sample_size, params.dim)
-    else:
-        points = support_matrix(params)
-    log_consts = _law_log_pmf(params, which, points)
-    consts = np.exp(log_consts)
-    m, dim = points.shape
-    cells = _cell_integrals(law.cholesky_factor, consts, log_consts, points - law.mean,
-                            np.zeros((m, dim)), np.zeros(m), quad_order)
-    total, masses, rounding, gap, mass_gap = map(exact_sum, cells)
-    # The law's moments are stored rounded: its mean moves by up to an ulp,
-    # which moves either TV by less than that shift in whitened units.
-    stored = _EPS * (dim + float(np.sum(np.abs(law.whitening) * np.abs(law.mean))))
-    before = TVResult(min(max(0.5 * (1.0 + total), 0.0), 1.0), METHOD_QUAD,
-                      0.5 * (gap + _ROUNDING * rounding) + stored)
-    after = TVResult(0.5 * (exact_sum(np.abs(consts - cells[1])) + max(0.0, 1.0 - masses)),
-                     METHOD_QUAD, mass_gap + _ROUNDING * (rounding + masses) + stored)
-    return before, after
+    for params, _, law in items:
+        if params.dim > MAX_QUAD_DIM:
+            raise ValidationError(
+                f"quadrature supports dimension <= {MAX_QUAD_DIM}; "
+                "use the Monte Carlo path instead"
+            )
+        if law.dim != params.dim:
+            raise ValidationError("Gaussian dimension does not match the experiment")
+    which = [_canonical_law(name) for _, name, _ in items]
+    out = [None] * len(items)
+    for dim in sorted({params.dim for params, _, _ in items}):
+        at = [i for i, (params, _, _) in enumerate(items) if params.dim == dim]
+        gaussians = [items[i][2] for i in at]
+        points, log_consts = _support_log_pmfs([(items[i][0], which[i]) for i in at])
+        consts = np.exp(log_consts)
+        m = len(consts)
+        cells = _cell_integrals(
+            np.array([law.cholesky_factor for law in gaussians]),
+            np.cumsum([0] + [len(p) for p in points]), consts, log_consts,
+            np.concatenate([p - law.mean for p, law in zip(points, gaussians)]),
+            np.zeros((m, dim)), np.zeros(m), quad_order)
+        stop = 0
+        for i, p, law in zip(at, points, gaussians):
+            start, stop = stop, stop + len(p)
+            total, masses, rounding, gap, mass_gap = map(exact_sum, cells[:, start:stop])
+            # The law's moments are stored rounded: its mean moves by up to an ulp,
+            # which moves either TV by less than that shift in whitened units.
+            stored = _EPS * (dim + float(np.sum(np.abs(law.whitening) * np.abs(law.mean))))
+            before = TVResult(min(max(0.5 * (1.0 + total), 0.0), 1.0), METHOD_QUAD,
+                              0.5 * (gap + _ROUNDING * rounding) + stored)
+            after = TVResult(
+                0.5 * (exact_sum(np.abs(consts[start:stop] - cells[1, start:stop]))
+                       + max(0.0, 1.0 - masses)),
+                METHOD_QUAD, mass_gap + _ROUNDING * (rounding + masses) + stored)
+            out[i] = before, after
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -535,10 +624,10 @@ def tv_discrete(params: ExperimentParams, law_a: str, law_b: str) -> TVResult:
     b = _canonical_law(law_b)
     if a == b:
         if a == MULTINOMIAL:
-            size, what = count_vector_size(params.sample_size, params.dim), "count-vector set"
+            size = count_vector_size(params.sample_size, params.dim)
+            _check_cap(size, "count-vector set")
         else:
-            size, what = support_size(params), "support"
-        _check_cap(size, what)
+            size = _capped_support_size(params)
         return TVResult(0.0, METHOD_EXACT, _discrete_error(size))
     size = count_vector_size(params.sample_size, params.dim)
     levels, r = scheffe_levels(params)
@@ -591,7 +680,7 @@ def tv_jittered_vs_gaussian(
     and the bar is the gap to 2 ``quad_order`` plus the rounding
     (:func:`_cell_integrals`).
     """
-    return _cube_quadrature(params, discrete_law, law, quad_order)[0]
+    return _cube_quadrature([(params, discrete_law, law)], quad_order)[0][0]
 
 
 def tv_monte_carlo(
@@ -716,16 +805,18 @@ def _tail_summand(params: ExperimentParams, coord: int) -> tuple[int, float]:
     return nu, math.exp(log_term)
 
 
-def _require_regime(params: ExperimentParams) -> None:
-    """Raise :class:`RegimeError` unless the sample is at most 3/4 of the population.
+def _in_regime(params: ExperimentParams) -> bool:
+    """Whether the sample is at most 3/4 of the population, the regime where
+    the TV bound pieces and the deficiency bounds hold."""
+    return 4 * params.sample_size <= 3 * params.population
 
-    The TV bound pieces and the deficiency bounds hold only in this regime.
-    """
-    n = params.sample_size
-    N = params.population
-    if 4 * n > 3 * N:
+
+def _require_regime(params: ExperimentParams) -> None:
+    """Raise :class:`RegimeError` outside :func:`_in_regime`."""
+    if not _in_regime(params):
         raise RegimeError(
-            f"sample_size {n} exceeds three quarters of population {N}"
+            f"sample_size {params.sample_size} exceeds three quarters of "
+            f"population {params.population}"
         )
 
 

@@ -146,10 +146,10 @@ def residual_scan(
     of :func:`log_ratio_exact`, with the tables built in one pass.
     Residuals at or below ``RESIDUAL_FLOOR_ULPS`` ulps of the point's exact
     log-ratio are left out of the fit; with fewer than four left (the
-    single-draw case, where they vanish identically) the scan is reported as
-    degenerate instead of fitted.  A family sitting on a zero of the next
-    bracket is still fitted: its residual decays one order faster than the
-    truncation order suggests.
+    single-draw case, where they vanish identically), or all of them at one
+    population, the scan is reported as degenerate instead of fitted.  A
+    family sitting on a zero of the next bracket is still fitted: its
+    residual decays one order faster than the truncation order suggests.
     """
     if len(family) == 0:
         raise ValidationError("residual_scan requires a non-empty family")
@@ -175,7 +175,7 @@ def residual_scan(
         for record, value in zip(records, exact)
         if record.value > RESIDUAL_FLOOR_ULPS * math.ulp(value)
     ]
-    if len(resolved) < 4:
+    if len(resolved) < 4 or len({x for x, _ in resolved}) < 2:
         return ResidualScan(records=records, fit=None, degenerate=True)
     fit = fit_loglog_slope([x for x, _ in resolved], [y for _, y in resolved])
     return ResidualScan(records=records, fit=fit, degenerate=False)

@@ -9,6 +9,10 @@ validates that chain numerically.  The TVs themselves come from
 ``distances.tv_pair`` (the ``*-gauss`` pairs) and, for the check, from one
 pass of the cube quadrature, which gives each support cell's Gaussian mass
 beside the jittered law's TV and so the rounded Gaussian's TV with it.
+``lecam_scan`` hands the quadrature a whole chunk of its family at once:
+each point's Gaussian, built once, with both of its laws, every cell of
+the chunk in one pass of the cell integrator; Monte Carlo scans go point by
+point.
 """
 
 from __future__ import annotations
@@ -21,8 +25,10 @@ import numpy as np
 from .distances import (
     DEFAULT_MC_SAMPLES,
     DEFAULT_QUAD_ORDER,
+    TVResult,
     _cube_quadrature,
     _gaussian_term_scale,
+    _in_regime,
     _require_regime,
     build_gaussian,
     tv_pair,
@@ -97,14 +103,19 @@ def deficiency_upper_bounds(
     """
     _require_regime(params)
     tv = tv_pair(params, "jitterhyper-gauss", tv_method, quad_order, sample_count, seed)
-    budget = _gaussian_term_scale(params)
+    return _deficiency_report(params, tv)
+
+
+def _deficiency_report(params: ExperimentParams, tv: TVResult) -> DeficiencyReport:
+    """The report of :func:`deficiency_upper_bounds` from TV(jittered
+    hypergeometric law, Gaussian)."""
     delta_forward = tv.value
     delta_backward = tv.value
     return DeficiencyReport(
         delta_P_to_Q=delta_forward,
         delta_Q_to_P=delta_backward,
         le_cam_upper=max(delta_forward, delta_backward),
-        budget=budget,
+        budget=_gaussian_term_scale(params),
         error_estimate=tv.error_estimate,
         method=tv.method,
     )
@@ -116,7 +127,7 @@ class LecamScan:
 
     ``fits`` maps ``le_cam_upper`` and ``tv_jittered_multinomial_gauss`` to
     their fits, or to None when fewer than four points are positive and in
-    the regime.
+    the regime, or when they all share one sample size.
     """
 
     records: tuple[ScanRecord, ...]
@@ -137,45 +148,86 @@ def lecam_scan(
     ``le_cam_upper`` and ``budget`` from :func:`deficiency_upper_bounds`, and
     ``tv_jittered_multinomial_gauss``.  Points outside the regime of the
     bound get NaN deficiency rows with method ``METHOD_FLAGGED`` instead of
-    an error.  Point i uses seed + i, so results are identical at any
-    ``jobs``.
+    an error.  By quadrature ("quad" or "auto") each chunk of points (see
+    :func:`_map_ordered`) builds each point's Gaussian once and integrates
+    both of its laws, or a flagged point's multinomial one, in one pass of
+    the cell integrator, with the bits of :func:`deficiency_upper_bounds`
+    and :func:`tv_pair` point by point.  Point i uses seed + i, so results
+    are identical at any ``jobs``.
     """
     tasks = [
         (params, tv_method, quad_order, sample_count, seed + i)
         for i, params in enumerate(family)
     ]
-    records = tuple(r for bundle in _map_ordered(_lecam_point, tasks, jobs) for r in bundle)
+    records = tuple(r for bundle in _map_ordered(_lecam_points, tasks, jobs) for r in bundle)
     fits = {}
     for quantity in ("le_cam_upper", "tv_jittered_multinomial_gauss"):
         # flagged rows carry NaN, which fails the positivity test
         pts = [(r.sample_size, r.value) for r in records if r.quantity == quantity and r.value > 0]
-        fits[quantity] = fit_loglog_slope(*zip(*pts)) if len(pts) >= 4 else None
+        fittable = len(pts) >= 4 and len({n for n, _ in pts}) >= 2
+        fits[quantity] = fit_loglog_slope(*zip(*pts)) if fittable else None
     return LecamScan(records=records, fits=fits)
 
 
 def _map_ordered(fn, items, jobs: int):
-    """``[fn(x) for x in items]``, over at most ``jobs`` worker processes.
+    """``fn`` over ``items`` in chunks, over at most ``jobs`` worker processes.
 
-    The pool never starts more workers than there are items.  Results keep
-    the order of ``items``, so scans are identical at any ``jobs``.
+    ``fn`` maps a list of items to the list of their results.  The items are
+    dealt round-robin into ``min(jobs, len(items))`` chunks, a worker each,
+    so growing families spread their costly tail; with one job there is one
+    chunk and no pool.  Results keep the order of ``items``, so scans are
+    identical at any ``jobs``.
     """
     if not isinstance(jobs, (int, np.integer)) or jobs < 1:
         raise ValidationError("jobs must be at least 1")
     jobs = min(jobs, len(items))
     if jobs <= 1:
-        return [fn(x) for x in items]
+        return fn(list(items))
     from concurrent.futures import ProcessPoolExecutor
 
     with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items))
+        chunks = list(pool.map(fn, [items[j::jobs] for j in range(jobs)]))
+    out = [None] * len(items)
+    for j, chunk in enumerate(chunks):
+        out[j::jobs] = chunk
+    return out
 
 
-def _lecam_point(task: tuple) -> list[ScanRecord]:
-    """The five records of one scan point; top-level so process pools can pickle it."""
-    params, method, quad_order, sample_count, seed = task
+def _lecam_points(tasks: list[tuple]) -> list[list[ScanRecord]]:
+    """The five records of each scan point of a chunk; top-level so process
+    pools can pickle it."""
+    if not tasks or tasks[0][1] not in ("auto", "quad"):
+        return [_lecam_point(*task) for task in tasks]
+    items = []
+    for params, *_ in tasks:
+        gaussian = build_gaussian(params)
+        if _in_regime(params):
+            items.append((params, "hypergeometric", gaussian))
+        items.append((params, "multinomial", gaussian))
+    results = iter(_cube_quadrature(items, tasks[0][2]))
+    records = []
+    for params, *_ in tasks:
+        report = _deficiency_report(params, next(results)[0]) if _in_regime(params) else None
+        records.append(_point_records(params, report, next(results)[0]))
+    return records
+
+
+def _lecam_point(params, method, quad_order, sample_count, seed) -> list[ScanRecord]:
+    """The five records of one scan point, each TV computed on its own."""
     try:
         report = deficiency_upper_bounds(params, method, quad_order, sample_count, seed)
     except RegimeError:
+        report = None
+    tv = tv_pair(params, "jittermulti-gauss", method, quad_order, sample_count, seed)
+    return _point_records(params, report, tv)
+
+
+def _point_records(
+    params: ExperimentParams, report: DeficiencyReport | None, tv: TVResult
+) -> list[ScanRecord]:
+    """A point's deficiency rows (flagged where ``report`` is None) and its
+    with-replacement TV row."""
+    if report is None:
         nan = float("nan")
         rows = [(name, nan, nan, METHOD_FLAGGED)
                 for name in ("delta_P_to_Q", "delta_Q_to_P", "le_cam_upper", "budget")]
@@ -186,7 +238,6 @@ def _lecam_point(task: tuple) -> list[ScanRecord]:
             ("le_cam_upper", report.le_cam_upper, report.error_estimate, report.method),
             ("budget", report.budget, 0.0, "closed-form"),
         ]
-    tv = tv_pair(params, "jittermulti-gauss", method, quad_order, sample_count, seed)
     rows.append(("tv_jittered_multinomial_gauss", tv.value, tv.error_estimate, tv.method))
     return [
         ScanRecord(params.population, params.sample_size, params.dim, params.weights, *row)
@@ -211,7 +262,8 @@ def data_processing_check(
     the support cells alone.  Both TVs come from one pass of the cell
     integrator, which yields each cell's m_k beside its |p_k - density|.
     """
-    before, after = _cube_quadrature(params, "hypergeometric", build_gaussian(params), quad_order)
+    [(before, after)] = _cube_quadrature(
+        [(params, "hypergeometric", build_gaussian(params))], quad_order)
     return DataProcessingResult(
         tv_before=before.value,
         tv_after=after.value,

@@ -194,6 +194,40 @@ def support_size(params: ExperimentParams) -> int:
     return _bounded_vector_count(params.counts, params.sample_size)
 
 
+def _box_in_support(counts: Sequence[int], total: int) -> int:
+    """The points of one box inside the support, a lower bound on its size
+    from O(d) integer work.
+
+    Count the smaller total t, as :func:`_bounded_vector_count` does.  Give
+    each count but the largest, c_max, a width w_i <= c_i, with
+    W = sum w_i <= min(c_max, t).  Offsets a_i in [0, c_i - w_i] summing into
+    [t - c_max, t - W] exist (t - W >= max(0, t - c_max), and
+    sum (c_i - w_i) >= t - c_max as W <= t <= N - t), so every vector
+    a + j, 0 <= j <= w, sums into [t - c_max, t] and the largest count takes
+    the rest: the box's prod (w_i + 1) points all lie in the support.  The
+    widths share W evenly, smallest counts first.
+    """
+    t = min(total, sum(counts) - total)
+    if t < 0:
+        return 0
+    *others, largest = sorted(counts)
+    room, size = min(largest, t), 1
+    for i, c in enumerate(others):
+        width = min(c, room // (len(others) - i))
+        room -= width
+        size *= width + 1
+    return size
+
+
+def _capped_support_size(params: ExperimentParams) -> int:
+    """:func:`support_size`, refused above the cap, by :func:`_box_in_support`
+    first: a support far past the cap is refused at once, not counted."""
+    _check_cap(_box_in_support(params.counts, params.sample_size), "a box inside the support")
+    size = support_size(params)
+    _check_cap(size, "support")
+    return size
+
+
 def _bounded_levels(counts: Sequence[int], total: int, bound=None) -> Levels:
     """Every k with 0 <= k_i <= counts[i] and total - sum(k) in [0, counts[-1]],
     as the leaves of a tree built one coordinate at a time, in lexicographic
@@ -286,10 +320,11 @@ def support_matrix(params: ExperimentParams) -> np.ndarray:
     Raises :class:`SupportCapError` when the support is larger than the cap;
     callers should fall back to the Monte Carlo paths in that case.  The
     support lies among the count vectors, so it is counted exactly, at
-    O(dim * n) in Python, only when they outnumber the cap.
+    O(dim * n), only when they outnumber the cap and a box inside it does
+    not (:func:`_capped_support_size`).
     """
     if count_vector_size(params.sample_size, params.dim) > support_cap():
-        _check_cap(support_size(params), "support")
+        _capped_support_size(params)
     return _level_points(_bounded_levels(params.counts, params.sample_size))
 
 

@@ -157,8 +157,9 @@ class SlopeFit:
 def fit_loglog_slope(xs: Sequence[float], ys: Sequence[float]) -> SlopeFit:
     """Fit ln(ys) = slope * ln(xs) + intercept by ordinary least squares.
 
-    Requires at least four strictly positive points; a rate measurement on
-    fewer points is not meaningful.
+    Requires at least four strictly positive points, at two or more distinct
+    x values; a rate measurement on fewer points, or at one x, is not
+    meaningful.
     """
     xa = np.asarray(xs, dtype=float)
     ya = np.asarray(ys, dtype=float)
@@ -170,6 +171,8 @@ def fit_loglog_slope(xs: Sequence[float], ys: Sequence[float]) -> SlopeFit:
         raise ValidationError("fit_loglog_slope requires finite values")
     if np.any(xa <= 0) or np.any(ya <= 0):
         raise ValidationError("fit_loglog_slope requires strictly positive values")
+    if len(set(xa.tolist())) < 2:
+        raise ValidationError("fit_loglog_slope needs at least 2 distinct x values")
     lx = np.log(xa)
     ly = np.log(ya)
     slope, intercept = np.polyfit(lx, ly, 1)

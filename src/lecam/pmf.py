@@ -7,9 +7,11 @@ is the multinomial one at weights ``counts / N`` plus ``log_ratio_matrix``,
 so no two log-factorials of size N log N are ever subtracted.  Both are a
 row constant plus one term per category, ``k ln w_i - ln k!`` and for the
 ratio ``T_{c_i}[k]``, tabled by ``_log_pmf_tables``.  The row kernels add
-these terms a whole column at a time, left to right; ``leaf_log_pmfs``
-folds the tables down a lattice's levels in the same order and yields the
-leaves a cache-sized block at a time.  ``scheffe_levels`` bounds the ratio's
+these terms a whole column at a time, left to right, and
+``_family_log_pmfs`` reads the rows of many laws in one call of each, with
+the weights and counts of each row's law; ``leaf_log_pmfs`` folds the
+tables down a lattice's levels in the same order and yields the leaves a
+cache-sized block at a time.  ``scheffe_levels`` bounds the ratio's
 tables to enumerate only the points where P may exceed Q, and sums r there.
 
 Both samplers draw one coordinate at a time from its conditional law through
@@ -102,11 +104,35 @@ def hypergeometric_log_pmf_matrix(params: ExperimentParams, points: np.ndarray) 
 
     Past n = N/2 rows are read at what they leave, ``counts - k``: as likely,
     fewer draws enter the sums, and a census row is exactly certain."""
-    ks = _full_count_matrix(points, params.dim, params.sample_size)
-    c = np.array(params.counts, dtype=np.int64)
-    if 2 * params.sample_size > params.population:
-        ks = c - ks
-    return _multinomial_log_pmf_rows(np.log(c / params.population), ks) + log_ratio_matrix(c, ks)
+    return _family_log_pmfs([params], [points], hypergeometric=True)
+
+
+def _family_log_pmfs(
+    family: Sequence[ExperimentParams], points: Sequence[np.ndarray], hypergeometric: bool
+) -> np.ndarray:
+    """The log-pmf of each law of one dimension at its own (m_i, dim) points,
+    concatenated, from one call of each row kernel: the bits of
+    :func:`hypergeometric_log_pmf_matrix` or :func:`multinomial_log_pmf_matrix`
+    law by law.  One law hands the kernels its log-weights and counts as
+    shared vectors; more hand them one row per point, and
+    :func:`log_ratio_matrix` builds each law's tables once.  A
+    hypergeometric law drawing over half of N reads its rows at ``c - k``."""
+    sizes = [len(x) for x in points]
+
+    def per_row(values):
+        values = np.asarray(values)
+        return values[0] if len(values) == 1 else np.repeat(values, sizes, axis=0)
+
+    ks = [_full_count_matrix(x, p.dim, p.sample_size) for x, p in zip(points, family)]
+    ks = ks[0] if len(ks) == 1 else np.concatenate([k.T for k in ks], axis=1).T
+    if not hypergeometric:
+        return _multinomial_log_pmf_rows(per_row(np.log([p.weights for p in family])).T, ks)
+    counts = np.array([p.counts for p in family], dtype=np.int64)
+    log_w = np.log(counts / np.array([[p.population] for p in family]))
+    counts, flip = per_row(counts), per_row([2 * p.sample_size > p.population for p in family])
+    if flip.any():
+        ks = np.where(flip[..., None], counts - ks, ks)
+    return _multinomial_log_pmf_rows(per_row(log_w).T, ks) + log_ratio_matrix(counts, ks)
 
 
 # Entries per block of tables built at once (one row, if a row is longer): the
@@ -124,13 +150,22 @@ def _check_table_cap(dim: int, sample_size: int, what: str) -> None:
 
 def _ratio_increments(sizes: np.ndarray, top: int) -> np.ndarray:
     """``log(1 - j/c)``, j = 0..top - 1, for each size c: falling in j, and
-    not finite from j = c."""
-    sizes = sizes[:, None]
+    not finite from j = c.
+
+    ``log1p(-j/c)`` up to j = c/2; past it the argument nears -1 and its
+    rounding is amplified, while ``(c - j) / c`` is rounded once.  Each is
+    evaluated on its own side only, by masked passes, or in one pass where
+    every row lies below c/2."""
     j = np.arange(top)
     with np.errstate(divide="ignore", invalid="ignore"):
-        # log1p(-j/c) up to j = c/2; past it the argument nears -1 and its
-        # rounding is amplified, while (c - j) / c is rounded once
-        return np.where(2 * j <= sizes, np.log1p(-j / sizes), np.log((sizes - j) / sizes))
+        if (2 * (top - 1) <= sizes).all():
+            return np.log1p(-j / sizes[:, None])
+        sizes = sizes[:, None]
+        low = 2 * j <= sizes
+        out = np.empty(low.shape)
+        np.log1p(-j / sizes, out=out, where=low)
+        np.log((sizes - j) / sizes, out=out, where=~low)
+    return out
 
 
 def _ratio_tables(sizes: np.ndarray, top: int) -> np.ndarray:
@@ -156,7 +191,8 @@ def log_ratio_matrix(counts: Sequence[int] | np.ndarray, ks: np.ndarray) -> np.n
     P draws without replacement from a population split into counts, Q
     with replacement at weights ``counts / N``; a row's sum is its draw
     count n.  ``counts`` is one (d + 1,) vector shared by every row, or an
-    (m, d + 1) matrix with a population per row.  The ratio is exactly
+    (m, d + 1) matrix with a population per row, whose consecutive rows of
+    equal counts share one set of tables.  The ratio is exactly
     ``sum_i T_{c_i}[k_i] - T_N[n]`` with ``T_c[k] = sum_{j<k} log(1 - j/c)``,
     read from compensated prefix tables (:func:`_ratio_tables`), ``-T_N[n]``
     first and then each count's term, left to right.  The tables are charged
@@ -194,23 +230,32 @@ def _read_log_ratios(tables: np.ndarray, cols: np.ndarray, n: np.ndarray) -> np.
 
 
 def _per_row_log_ratios(counts: np.ndarray, cols: np.ndarray, top: int) -> np.ndarray:
-    """:func:`_read_log_ratios` per row of (m, d + 1) ``counts``, each row from
-    its own tables up to ``top``.  A block of rows, of at most ``_TABLE_BLOCK``
-    entries (one row, if a row's tables are longer), gets its tables from
-    one :func:`_ratio_tables` call over the sizes ``c_0..c_d, N`` of all its
-    rows, size by size, so each size's row lays the block's tables end to
-    end; a row's lookups are shifted to its own.  Each table entry depends
-    only on the increments before it, so a row's terms have the bits of a
-    call with its counts alone."""
-    sizes = np.column_stack([counts, counts.sum(axis=1)]).T
+    """:func:`_read_log_ratios` per row of (m, d + 1) ``counts``, from tables
+    up to ``top`` built once per run of consecutive rows with the same counts.
+    A block of runs, of at most ``_TABLE_BLOCK`` entries (one run, if a run's
+    tables are longer), gets its tables from one :func:`_ratio_tables` call
+    over the sizes ``c_0..c_d, N`` of all its runs, size by size, so each
+    size's row lays the block's tables end to end; a row's lookups are
+    shifted to its run's.  Each table entry depends only on the increments
+    before it, so a row's terms have the bits of a call with its counts
+    alone."""
+    fresh = np.ones(len(counts), dtype=bool)
+    np.logical_or.reduce(counts[1:] != counts[:-1], axis=1, out=fresh[1:])
+    first = np.flatnonzero(fresh)  # per run, its first row
+    heads = counts[first]
+    sizes = np.column_stack([heads, heads.sum(axis=1)]).T
     width = int(top) + 1
     per_block = max(1, _TABLE_BLOCK // (len(sizes) * width))
+    # per row, where its run's tables start in a block's
+    offset = (fresh.cumsum() - 1) * width
     out = np.empty(len(counts))
-    for start in range(0, len(counts), per_block):
-        block = slice(start, start + per_block)
+    for start in range(0, len(heads), per_block):
+        end = start + per_block
+        block = slice(first[start], first[end] if end < len(first) else len(counts))
         rows = cols[:, block]
-        shift = np.arange(rows.shape[1]) * width
-        tables = _ratio_tables(sizes[:, block].ravel(), top).reshape(len(sizes), -1)
+        shift = offset[block] - start * width
+        tables = _ratio_tables(sizes[:, start : start + per_block].ravel(), top)
+        tables = tables.reshape(len(sizes), -1)
         out[block] = _read_log_ratios(tables, rows + shift, rows.sum(axis=0) + shift)
     return out
 
@@ -369,7 +414,9 @@ def multinomial_log_pmf_matrix(
 def _multinomial_log_pmf_rows(log_w: np.ndarray, ks: np.ndarray) -> np.ndarray:
     """Log-pmf of full count rows drawn with replacement; each row sum is its draw count.
 
-    From ``ln t!``, each column's ``k ln w_i - ln k!`` (an entry of
+    ``log_w`` is one (d + 1,) vector of log-weights shared by every row, or
+    a (d + 1, m) array with a column per row.  From ``ln t!``, each
+    column's ``k ln w_i - ln k!`` (an entry of
     :func:`_log_pmf_tables`, by the same expression) is added a whole column
     at a time, left to right, as :func:`leaf_log_pmfs` adds its tables."""
     cols = ks.T

@@ -158,6 +158,14 @@ class TestScans:
         assert proc.returncode == 0
         assert "degenerate" in proc.stdout
 
+    def test_one_population_is_reported_degenerate(self):
+        proc = run_cli("expansion-scan", "--N", "64,64,64,64", "--n", "8",
+                       "--Np", "1,1", "--k", "3", "--json")
+        assert proc.returncode == 0
+        doc = json.loads(proc.stdout)
+        assert doc["degenerate"] is True
+        assert not doc.get("slope_fits")
+
     def test_lecam_scan(self, tmp_path):
         out = tmp_path / "lecam.csv"
         proc = run_cli("lecam-scan", "--n", "4,8", "--Np", "1,1",

@@ -362,6 +362,19 @@ def test_same_law_hypergeometric_counts_its_support_fast():
     assert elapsed < 0.25, elapsed
 
 
+def test_same_law_support_far_past_the_cap_is_refused_fast():
+    # a box inside the support, widths 111,111 x 8 and 111,112 sharing the
+    # largest count's 10^6, has 2.6e45 points: past the cap, so no exact
+    # count over Python ints (8 s) runs
+    params = validate_params(10**7, 5 * 10**6, (10**6,) * 10)
+    start = time.perf_counter()
+    with pytest.raises(SupportCapError) as err:
+        tv_discrete(params, "hyper", "hyper")
+    elapsed = time.perf_counter() - start
+    assert err.value.required == 111_112**8 * 111_113
+    assert elapsed < 0.25, elapsed
+
+
 def _quad_reprs(population, draws, counts, pair, quad_order):
     """The reprs of the quadrature's value and bar: ``tv_pair(..., "quad")``
     for a pair, or data_processing_check's TV before and its bar, after and
@@ -746,7 +759,8 @@ def test_slice_sides_are_one_tail_difference_each(args):
     # the same bits: [a, lo] never reaches above the mean nor [hi, b] below it
     c, log_c, a, b, mean, sd, log_scale = args
     expected, lo, hi, z = _slice_reference(*args)
-    for got, want in zip(distances._slice_integrals(*args), expected):
+    log_sd = math.log(sd * math.sqrt(2.0 * math.pi))
+    for got, want in zip(distances._slice_integrals(*args, log_sd), expected):
         assert got.tobytes() == want.tobytes()
     below, above = lo > a, hi < b
     assert np.all(lo[below] <= mean[below]) and np.all(z[1][below] <= 0.0)

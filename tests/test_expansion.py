@@ -1,4 +1,5 @@
 import math
+import warnings
 from fractions import Fraction
 
 import mpmath
@@ -128,6 +129,19 @@ class TestResidualScan:
         scan = residual_scan(family, lambda p: (1,), order=1)
         assert scan.degenerate
         assert scan.fit is None
+
+    @pytest.mark.parametrize("params, point", [
+        (validate_params(64, 8, (32, 32)), (3,)),
+        # a family hypothesis draws for test_mixed_family: polyfit warned on it
+        (validate_params(4, 2, (1, 3)), (0,)),
+    ])
+    def test_one_population_is_degenerate(self, params, point):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for order in (1, 2):
+                scan = residual_scan([params] * 4, lambda p: point, order=order)
+                assert scan.degenerate
+                assert scan.fit is None
 
     def test_single_draw_stays_degenerate_at_large_populations(self):
         family = [validate_params(2**e, 1, (2 ** (e - 1),) * 2) for e in range(10, 25, 2)]

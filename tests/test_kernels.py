@@ -1,5 +1,6 @@
 import concurrent.futures
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -19,10 +20,12 @@ from lecam import (
     make_generator,
     multinomial_log_pmf,
     sample_multinomial,
+    scaled_params,
     tv_jittered_vs_gaussian,
     tv_pair,
     validate_params,
 )
+from lecam import distances, kernels
 from lecam.kernels import _map_ordered
 
 WIDE = validate_params(64, 8, (32, 32))
@@ -175,12 +178,111 @@ class TestLecamScan:
         assert scan.records[9].method == "cube-quadrature"
         assert scan.fits == {"le_cam_upper": None, "tv_jittered_multinomial_gauss": None}
 
+    def test_points_at_one_sample_size_are_not_fitted(self):
+        # four positive points at one n: no slope, and no polyfit warning
+        family = [validate_params(N, 8, (N // 2, N // 2)) for N in (64, 128, 256, 512)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            scan = lecam_scan(family, quad_order=8)
+        assert all(r.value > 0 for r in scan.records)
+        assert scan.fits == {"le_cam_upper": None, "tv_jittered_multinomial_gauss": None}
+
     def test_fits_slopes_along_cubic_growth(self):
         family = [validate_params(n**3, n, (n**3 // 2, n**3 // 2)) for n in (4, 6, 8, 12)]
         scan = lecam_scan(family, quad_order=8)
         for fit in scan.fits.values():
             assert fit.points_used == 4
             assert -0.6 < fit.slope < -0.4
+
+
+def _cubic(pattern, ns):
+    """The family of ``lecam-scan --Np pattern --n ns``: N = n^3."""
+    return [scaled_params(n**3, n, pattern) for n in ns]
+
+
+# Per dimension, a CLI family and points with N/2 < n <= 3N/4 (read at
+# c - k) and past 3N/4 (flagged), in mixed order.
+SCAN_FAMILIES = {
+    "d1": _cubic((1, 1), (4, 6, 8)) + [
+        validate_params(4, 3, (2, 2)), validate_params(6, 5, (3, 3)),
+        validate_params(16, 10, (4, 12)), validate_params(10, 8, (5, 5)),
+    ],
+    "d2": _cubic((1, 1, 2), (2, 4, 6)) + [
+        validate_params(8, 5, (2, 2, 4)), validate_params(8, 7, (2, 2, 4)),
+        validate_params(12, 9, (3, 3, 6)),
+    ],
+    "d3": _cubic((1, 1, 1, 1), (2, 4)) + [
+        validate_params(8, 5, (2, 2, 2, 2)), validate_params(8, 7, (2, 2, 2, 2)),
+    ],
+}
+
+
+def _point_by_point(family, **kwargs):
+    """Each point's five (value, error, method) rows from its own calls."""
+    rows = []
+    for i, params in enumerate(family):
+        seeded = dict(kwargs, seed=kwargs.get("seed", 0) + i)
+        try:
+            report = deficiency_upper_bounds(params, **seeded)
+        except RegimeError:
+            rows += [("nan", "nan", "flagged:outside-regime")] * 4
+        else:
+            value, error = report.le_cam_upper.hex(), report.error_estimate.hex()
+            rows += [(value, error, report.method)] * 3
+            rows.append((report.budget.hex(), "0x0.0p+0", "closed-form"))
+        method = seeded.pop("tv_method")
+        tv = tv_pair(params, "jittermulti-gauss", method, **seeded)
+        rows.append((tv.value.hex(), tv.error_estimate.hex(), tv.method))
+    return rows
+
+
+class TestScanIsPointByPoint:
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("name", sorted(SCAN_FAMILIES))
+    def test_quadrature_records_are_the_per_point_bits(self, name, jobs):
+        family = SCAN_FAMILIES[name]
+        scan = lecam_scan(family, quad_order=8, jobs=jobs)
+        got = [(r.value.hex(), r.error.hex(), r.method) for r in scan.records]
+        assert got == _point_by_point(family, tv_method="quad", quad_order=8)
+        assert [(r.population, r.sample_size) for r in scan.records[::5]] == [
+            (p.population, p.sample_size) for p in family]
+
+    def test_a_family_of_mixed_dimensions(self):
+        family = [SCAN_FAMILIES["d2"][0], SCAN_FAMILIES["d1"][0], SCAN_FAMILIES["d2"][3]]
+        scan = lecam_scan(family, quad_order=6)
+        got = [(r.value.hex(), r.error.hex(), r.method) for r in scan.records]
+        assert got == _point_by_point(family, tv_method="quad", quad_order=6)
+
+    def test_one_pass_of_the_integrator_per_scan(self, monkeypatch):
+        passes, quadratures, depth = [], [], [0]
+        cell_integrals, cube_quadrature = distances._cell_integrals, kernels._cube_quadrature
+
+        def counted_cells(*args):
+            passes.append(depth[0])
+            depth[0] += 1
+            try:
+                return cell_integrals(*args)
+            finally:
+                depth[0] -= 1
+
+        def counted_quadrature(items, quad_order):
+            quadratures.append(len(items))
+            return cube_quadrature(items, quad_order)
+
+        monkeypatch.setattr(distances, "_cell_integrals", counted_cells)
+        monkeypatch.setattr(kernels, "_cube_quadrature", counted_quadrature)
+        lecam_scan(SCAN_FAMILIES["d2"], quad_order=8)
+        # six points, one of them flagged: 2 * 5 + 1 laws, one top-level pass
+        assert quadratures == [11]
+        assert passes.count(0) == 1 and len(passes) > 1
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_monte_carlo_records_are_unchanged(self, jobs):
+        family = SCAN_FAMILIES["d1"][:2] + SCAN_FAMILIES["d1"][4:6]
+        kwargs = dict(tv_method="mc", sample_count=10_000, seed=5)
+        scan = lecam_scan(family, jobs=jobs, **kwargs)
+        got = [(r.value.hex(), r.error.hex(), r.method) for r in scan.records]
+        assert got == _point_by_point(family, **kwargs)
 
 
 class TestDataProcessing:
@@ -220,6 +322,10 @@ class TestDataProcessing:
             assert abs(result.tv_after - expected) <= result.error_after
 
 
+def _abs_chunk(chunk):
+    return [abs(x) for x in chunk]
+
+
 def test_pool_never_exceeds_the_item_count(monkeypatch):
     seen = []
 
@@ -237,16 +343,16 @@ def test_pool_never_exceeds_the_item_count(monkeypatch):
             return map(fn, items)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-    assert _map_ordered(abs, [-1, -2], jobs=4) == [1, 2]
+    assert _map_ordered(_abs_chunk, [-1, -2], jobs=4) == [1, 2]
     assert seen == [2]
-    assert _map_ordered(abs, [-3], jobs=4) == [3]
+    assert _map_ordered(_abs_chunk, [-3], jobs=4) == [3]
     assert seen == [2]
 
 
 @pytest.mark.parametrize("jobs", [0, -1])
 def test_jobs_below_one_are_refused(jobs):
     with pytest.raises(ValidationError, match="jobs must be at least 1"):
-        _map_ordered(abs, [-1, -2], jobs=jobs)
+        _map_ordered(_abs_chunk, [-1, -2], jobs=jobs)
 
 
 def test_jobs_must_be_an_integer():

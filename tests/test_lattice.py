@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import math
 from fractions import Fraction
 
@@ -309,6 +310,17 @@ class TestSupportSize:
             assert lattice._bounded_vector_count(counts, draws) == want
             if draws:
                 assert support_size(validate_params(population, draws, counts)) == want
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    def test_box_lies_inside_the_support(self, dim):
+        # every count vector of up to five categories of at most 4 objects,
+        # at every draw count; at d=1 the box is the whole support
+        for counts in itertools.product(range(1, 5), repeat=dim + 1):
+            for draws in range(sum(counts) + 1):
+                want = sum(1 for _ in oracles.support_points(counts, draws))
+                box = lattice._box_in_support(counts, draws)
+                assert 1 <= box <= want
+                assert dim > 1 or box == want
 
     def test_counts_past_int64_exactly(self):
         # the largest prefix, C(2500 + 7, 7), passes 2**63: Python integers;

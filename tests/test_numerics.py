@@ -215,6 +215,13 @@ class TestSlopeFit:
         with pytest.raises(ValidationError):
             fit_loglog_slope([1, 2, 3, 4], [1.0, 0.0, 2.0, 3.0])
 
+    def test_needs_two_distinct_x_values(self):
+        # one x carries no slope; least squares on it is rank deficient
+        with pytest.raises(ValidationError, match="2 distinct x values"):
+            fit_loglog_slope([64] * 4, [1.0, 2.0, 3.0, 4.0])
+        fit = fit_loglog_slope([64, 64, 64, 128], [1.0, 1.0, 1.0, 0.5])
+        assert fit.slope == pytest.approx(-1.0)
+
     def test_rejects_nonfinite_values(self):
         with pytest.raises(ValidationError):
             fit_loglog_slope([1, 2, 3, 4], [1.0, float("nan"), 2.0, 3.0])

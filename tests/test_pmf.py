@@ -253,6 +253,42 @@ class TestLogRatioMatrix:
         assert got.tobytes() == want.tobytes()
         assert np.isneginf(got).tolist() == [False, False, False, True, False, True]
 
+    @pytest.mark.parametrize("block", [1, 2 * 3 * 101, 1 << 14])
+    def test_runs_of_equal_counts_share_their_tables(self, monkeypatch, block):
+        # three runs, the first and last of equal counts but apart: three
+        # table sets (3 sizes of 101 entries each), each row with the bits
+        # of its counts' own call, one, two or three runs a block
+        built = []
+
+        def counting(sizes, top):
+            built.append(len(sizes))
+            return ratio_tables(sizes, top)
+
+        ratio_tables = pmf._ratio_tables
+        monkeypatch.setattr(pmf, "_TABLE_BLOCK", block)
+        monkeypatch.setattr(pmf, "_ratio_tables", counting)
+        counts = [(5, 7)] * 4 + [(50, 70)] * 3 + [(5, 7)] * 2
+        rows = [(2, 3), (5, 0), (0, 8), (1, 1), (40, 60), (0, 0), (3, 5), (4, 4), (2, 2)]
+        got = log_ratio_matrix(counts, rows)
+        assert sum(built) == 3 * 3
+        built.clear()
+        want = np.concatenate([log_ratio_matrix(c, [row]) for c, row in zip(counts, rows)])
+        assert got.tobytes() == want.tobytes()
+
+    @given(st.lists(st.integers(1, 2**62), min_size=1, max_size=6), st.integers(0, 80),
+           st.lists(st.integers(1, 60), min_size=0, max_size=4))
+    def test_increments_are_the_two_sided_expression(self, large, top, small):
+        # each side of c/2 evaluated alone: the bits of evaluating both and
+        # picking one, -inf at j = c and NaN past it included
+        sizes = np.array(small + large, dtype=np.int64)
+        column, j = sizes[:, None], np.arange(top)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            want = np.where(2 * j <= column, np.log1p(-j / column),
+                            np.log((column - j) / column))
+        got = pmf._ratio_increments(sizes, top)
+        assert [x.hex() for x in got.ravel().tolist()] == [x.hex() for x in want.ravel().tolist()]
+        assert got.tobytes() == want.tobytes()
+
     def test_tables_are_charged_to_the_cap(self, monkeypatch, capsys):
         # n = 10^9: one row's tables would take 7.45 GiB; refused before any
         # is built, whichever form the counts take
@@ -316,6 +352,18 @@ class TestLeafLogPmfs:
 
 
 class TestSharedMultinomialRows:
+    @given(st.lists(experiment_params(max_dim=3, max_count=40, max_draws=12),
+                    min_size=1, max_size=5).filter(lambda f: len({p.dim for p in f}) == 1))
+    def test_a_column_of_weights_per_row_is_each_law_alone(self, family):
+        points = [count_vector_matrix(p.sample_size, p.dim) for p in family]
+        sizes = [len(x) for x in points]
+        ks = np.concatenate([pmf._full_count_matrix(x, p.dim, p.sample_size)
+                             for x, p in zip(points, family)])
+        log_w = np.repeat(np.log([p.weights for p in family]).T, sizes, axis=1)
+        want = np.concatenate([multinomial_log_pmf_matrix(p.sample_size, p.weights, x)
+                               for x, p in zip(points, family)])
+        assert _multinomial_log_pmf_rows(log_w, ks).tobytes() == want.tobytes()
+
     @given(experiment_params(max_dim=3, max_count=9, max_draws=9))
     def test_columns_add_left_to_right_as_a_row_loop(self, params):
         # the kernel sums whole columns; this loop adds each row's terms in
