@@ -18,9 +18,11 @@ with it.  One pass takes the cells of many pairs at once
 (``_cube_quadrature``, which a scan hands a whole family): the cells go
 grouped by pair, each group with its own Gaussian's constants, and each
 pair's sums are taken over its own cells, so a pair's TV has the same bits
-alone or in a family.  A Monte Carlo estimator covers everything beyond dimension three
-and checks the samplers against a jittered target; it reads the log-pmf of
-the sampled law, and of a jittered lattice target, once per distinct draw.
+alone or in a family.  A Monte Carlo estimator covers everything beyond
+dimension three.  Where the sampled law's support fits a chunk of draws it
+tables that support once, with its log-pmf and one cdf, and each draw is
+one uniform and one search, an index into the table; elsewhere it runs the
+samplers.  A jittered lattice target's log-pmf is read on the same table.
 """
 
 from __future__ import annotations
@@ -44,6 +46,7 @@ from .lattice import (
     count_vector_levels,
     count_vector_matrix,
     count_vector_size,
+    support_cap,
     support_matrix,
     validate_params,
     weight_ratio,
@@ -59,8 +62,8 @@ from .numerics import (
 from .pmf import (
     _family_log_pmfs,
     _full_count_matrix,
+    _first_at_least,
     _multinomial_log_pmf_rows,
-    _row_codes,
     hypergeometric_log_pmf_matrix,
     leaf_log_pmfs,
     multinomial_log_pmf_matrix,
@@ -192,7 +195,8 @@ class JitteredLaw:
     The density at x equals the pmf at the nearest lattice point, so it is
     piecewise constant; points outside every support cube (rounding to a
     negative count, past n or past a category's count) have density zero.
-    :func:`tv_monte_carlo` reads the same row kernel at its draws directly.
+    :func:`tv_monte_carlo` reads the same row kernel at the lattice points
+    directly.
     """
 
     def __init__(self, params: ExperimentParams, which: str):
@@ -209,21 +213,6 @@ class JitteredLaw:
         pts = np.atleast_2d(arr)
         out = _law_log_pmf(self.params, self.which, round_half_away(pts))
         return float(out[0]) if single else out
-
-
-def _distinct_points(params: ExperimentParams, draws) -> tuple[np.ndarray, np.ndarray | None]:
-    """The distinct rows of an (m, dim) int64 array of draws of ``params`` and
-    the index that gathers them back, or the draws and None where that does
-    not pay: where the (n+1)**dim codes ``sum_i k_i (n+1)**i`` number more
-    than m.  Every entry of a draw lies in [0, n], so the codes are exact.
-    """
-    n, dim = params.sample_size, params.dim
-    if (n + 1) ** dim > len(draws):
-        return draws, None
-    codes = _row_codes(draws, n + 1)
-    present = np.bincount(codes) > 0
-    radix = (n + 1) ** np.arange(dim, dtype=np.int64)
-    return np.flatnonzero(present)[:, None] // radix % (n + 1), (np.cumsum(present) - 1)[codes]
 
 
 def _law_log_pmf(params: ExperimentParams, which: str, points: np.ndarray) -> np.ndarray:
@@ -683,6 +672,13 @@ def tv_jittered_vs_gaussian(
     return _cube_quadrature([(params, discrete_law, law)], quad_order)[0][0]
 
 
+def _clipped_terms(log_ratio: np.ndarray) -> np.ndarray:
+    """``(1 - exp(log_ratio))^+``, in place."""
+    term = np.exp(log_ratio, out=log_ratio)
+    np.subtract(1.0, term, out=term)
+    return np.clip(term, 0.0, None, out=term)
+
+
 def tv_monte_carlo(
     params: ExperimentParams,
     discrete_law: str,
@@ -695,18 +691,42 @@ def tv_monte_carlo(
     Uses TV = E_X[(1 - density(X)/jittered(X))^+] with X drawn from the
     jittered law; reports the sample mean and its standard error (a
     one-sigma band).  ``density`` is any object with a log_density method.
-    Each chunk's draws are coded once (:func:`_distinct_points`) and the
-    sampled law's log-pmf is read once per distinct draw.  A
-    :class:`JitteredLaw` target, of this experiment or another, needs no
+
+    Where the sampled law's count vectors number no more than the draws of
+    a chunk (``min(sample_count, _MC_CHUNK)``) and fit the cap, its support
+    is tabled once per call: the points, their log-pmf from the row kernel
+    and one normalised cdf.  Each draw is then one uniform and one search of
+    that cdf, an index into the support.  Elsewhere each chunk runs the
+    sequential sampler, one uniform and one search per coordinate, and the
+    row kernel reads each draw.  At d=1 both routes spend one uniform per
+    draw and draw the same points.
+
+    A :class:`JitteredLaw` target, of this experiment or another, needs no
     jitter: its density at a jittered draw is its pmf at the draw, which the
     jitter never leaves the open cube of, and the jitter is each chunk
-    generator's last use.  So its log-pmf is read at the same distinct
-    draws and the terms are gathered back, the same bits as through the
-    jitter.  Every other density gets the jittered draws.
+    generator's last use.  So on the tabled route its terms are one table
+    over the support, read at each draw's index, and on the other its
+    log-pmf is read at the draws: the same bits as through the jitter.
+    Every other density gets the jittered draws.
     """
     if not isinstance(sample_count, (int, np.integer)) or sample_count < MIN_MC_SAMPLES:
         raise ValidationError(f"sample_count must be an integer of at least {MIN_MC_SAMPLES}")
     which = _canonical_law(discrete_law)
+    lattice_target = type(density) is JitteredLaw
+    n, dim = params.sample_size, params.dim
+    tabled = count_vector_size(n, dim) <= min(sample_count, _MC_CHUNK, support_cap())
+    if tabled:
+        points = count_vector_matrix(n, dim) if which == MULTINOMIAL else support_matrix(params)
+        log_pmf = _law_log_pmf(params, which, points)
+        cdf = log_pmf - log_pmf.max()
+        np.exp(cdf, out=cdf)
+        np.cumsum(cdf, out=cdf)
+        cdf /= cdf[-1]
+        cdf = cdf[None, :]
+        if lattice_target:
+            terms = _clipped_terms(_law_log_pmf(density.params, density.which, points) - log_pmf)
+        else:
+            centers = points.astype(float)  # the jitter reads float draws
     n_chunks = (sample_count + _MC_CHUNK - 1) // _MC_CHUNK
     children = split_seed(seed, n_chunks)
     done = 0
@@ -716,24 +736,25 @@ def tv_monte_carlo(
         m = min(_MC_CHUNK, sample_count - done)
         done += m
         gen = make_generator(child)
-        if which == HYPERGEOMETRIC:
-            draws = sample_hypergeometric(params, gen, size=m)
+        if tabled:
+            index = _first_at_least(cdf, gen.random(m))
+            if lattice_target:
+                term = terms.take(index)
+            else:
+                # the density first, so the gathered log-pmf is not held
+                # through the density's temporaries
+                density_at = density.log_density(apply_jitter(centers.take(index, axis=0), gen))
+                term = _clipped_terms(density_at - log_pmf.take(index))
         else:
-            draws = sample_multinomial(params.sample_size, params.weights, gen, size=m)
-        points, gather = _distinct_points(params, draws)
-        log_pmf = _law_log_pmf(params, which, points)
-        if type(density) is JitteredLaw:
-            log_ratio = _law_log_pmf(density.params, density.which, points) - log_pmf
-        else:
-            # the density before the gather: the other order, from where the
-            # temporaries land, took 10 ms, not 6, per d=1, n=500 benchmark call
-            log_ratio = (density.log_density(apply_jitter(draws, gen))
-                         - (log_pmf if gather is None else log_pmf[gather]))
-            gather = None
-        term = 1.0 - np.exp(log_ratio)
-        np.clip(term, 0.0, None, out=term)
-        if gather is not None:
-            term = term[gather]
+            if which == HYPERGEOMETRIC:
+                draws = sample_hypergeometric(params, gen, size=m)
+            else:
+                draws = sample_multinomial(params.sample_size, params.weights, gen, size=m)
+            if lattice_target:
+                log_ratio = _law_log_pmf(density.params, density.which, draws)
+            else:
+                log_ratio = density.log_density(apply_jitter(draws, gen))
+            term = _clipped_terms(log_ratio - _law_log_pmf(params, which, draws))
         chunk_sums.append(float(np.sum(term)))
         chunk_sq_sums.append(float(np.sum(np.square(term, out=term))))
     total = math.fsum(chunk_sums)

@@ -568,10 +568,11 @@ class TestJitteredLaw:
 
 
 class TestMonteCarloRowKernels:
-    # d=2, n=4: 25 codes, so a chunk of 10,000 draws is coded; d=4, n=10:
-    # 14,641 codes, more than the draws, so no chunk is
-    CODED = validate_params(30, 4, (3, 5, 22))
-    UNCODED = validate_params(500, 10, (100,) * 5)
+    # count vectors against the draws of a chunk of 10,000: d=2, n=4: 15 and
+    # d=4, n=10: 1,001 are tabled; d=4, n=30: 46,376 go through the sampler
+    SMALL = validate_params(30, 4, (3, 5, 22))
+    TABLED = validate_params(500, 10, (100,) * 5)
+    SAMPLED = validate_params(600, 30, (120,) * 5)
     OTHER = {2: validate_params(36, 6, (6, 10, 20)),
              4: validate_params(600, 10, (100, 100, 100, 100, 200))}
 
@@ -579,22 +580,78 @@ class TestMonteCarloRowKernels:
     def _spy(monkeypatch, name, calls):
         kernel = getattr(distances, name)
 
-        def spy(*args):
-            calls.append(args[-1])
-            return kernel(*args)
+        def spy(*args, **kwargs):
+            calls.append(args[-1] if args else None)
+            return kernel(*args, **kwargs)
 
         monkeypatch.setattr(distances, name, spy)
 
+    def _density(self, params, target):
+        return {"gauss": build_gaussian(params), "same": JitteredLaw(params, "multi"),
+                "other": JitteredLaw(self.OTHER[params.dim], "multi")}[target]
+
+    def _routes(self, monkeypatch, params, sample_count, which="hyper"):
+        """(sampler calls, enumerations) of one Monte Carlo call."""
+        draws, tables = [], []
+        self._spy(monkeypatch, "sample_hypergeometric", draws)
+        self._spy(monkeypatch, "sample_multinomial", draws)
+        self._spy(monkeypatch, "support_matrix", tables)
+        self._spy(monkeypatch, "count_vector_matrix", tables)
+        result = tv_monte_carlo(params, which, build_gaussian(params), sample_count, seed=3)
+        assert result.value > 0.0
+        return len(draws), len(tables)
+
+    @pytest.mark.parametrize("which", ["hyper", "multi"])
+    @pytest.mark.parametrize("chunk", [1000, 1001])
+    def test_the_route_is_the_table_exactly_within_a_chunk(self, monkeypatch, chunk, which):
+        # 1,001 count vectors: ten chunks of 1,000 draws each run the sampler,
+        # ten of 1,001 draw from the table, enumerated once
+        monkeypatch.setattr(distances, "_MC_CHUNK", chunk)
+        sampled, tabled = self._routes(monkeypatch, self.TABLED, 10_000, which)
+        assert (sampled, tabled) == ((0, 1) if chunk == 1001 else (10, 0))
+
+    @pytest.mark.parametrize("samples", [10_000, 10_011])
+    def test_the_route_is_the_table_exactly_within_the_samples(self, monkeypatch, samples):
+        # d=2, n=140: 10,011 count vectors, one more than the smaller call draws
+        params = validate_params(1000, 140, (300, 300, 400))
+        assert distances.count_vector_size(140, 2) == 10_011
+        sampled, tabled = self._routes(monkeypatch, params, samples)
+        assert (sampled, tabled) == ((0, 1) if samples == 10_011 else (1, 0))
+
+    @pytest.mark.parametrize("cap", [44, 500, 1000, 1001])
+    def test_a_lowered_cap_falls_back_to_the_sampler(self, monkeypatch, cap):
+        # the sampler's tables need 4 (n + 1) = 44 entries, the table 1,001
+        monkeypatch.setenv("LECAM_SUPPORT_CAP", str(cap))
+        sampled, tabled = self._routes(monkeypatch, self.TABLED, 10_000)
+        assert (sampled, tabled) == ((0, 1) if cap == 1001 else (1, 0))
+        mc = tv_pair(self.TABLED, "jitterhyper-jittermulti", "mc", sample_count=10_000, seed=1)
+        assert mc.value > 0.0
+
     @pytest.mark.parametrize("chunk", [None, 4000], ids=["one-chunk", "three-chunks"])
     @pytest.mark.parametrize("target", ["gauss", "same", "other"])
-    @pytest.mark.parametrize("params", [CODED, UNCODED], ids=["coded", "uncoded"])
-    def test_each_kernel_runs_once_per_chunk_on_the_distinct_draws(self, monkeypatch, params,
-                                                                   target, chunk):
+    @pytest.mark.parametrize("params", [SMALL, TABLED], ids=["d2", "d4"])
+    def test_each_law_is_tabled_once_per_call(self, monkeypatch, params, target, chunk):
         if chunk:
             monkeypatch.setattr(distances, "_MC_CHUNK", chunk)
-        density = {"gauss": build_gaussian(params), "same": JitteredLaw(params, "multi"),
-                   "other": JitteredLaw(self.OTHER[params.dim], "multi")}[target]
-        draws, hyper, multi = [], [], []
+        density = self._density(params, target)
+        draws, tables, hyper, multi = [], [], [], []
+        self._spy(monkeypatch, "sample_hypergeometric", draws)
+        self._spy(monkeypatch, "support_matrix", tables)
+        self._spy(monkeypatch, "hypergeometric_log_pmf_matrix", hyper)
+        self._spy(monkeypatch, "multinomial_log_pmf_matrix", multi)
+        tv_monte_carlo(params, "hyper", density, 10_000, seed=3)
+        support = lattice.support_matrix(params).tolist()
+        assert draws == [] and len(tables) == 1
+        assert [rows.tolist() for rows in hyper] == [support]
+        assert [rows.tolist() for rows in multi] == ([] if target == "gauss" else [support])
+
+    @pytest.mark.parametrize("chunk", [None, 4000], ids=["one-chunk", "three-chunks"])
+    @pytest.mark.parametrize("target", ["gauss", "same", "other"])
+    def test_each_kernel_runs_once_per_chunk_on_the_draws(self, monkeypatch, target, chunk):
+        if chunk:
+            monkeypatch.setattr(distances, "_MC_CHUNK", chunk)
+        density = self._density(self.SAMPLED, target)
+        draws, tables, hyper, multi = [], [], [], []
         sampler = distances.sample_hypergeometric
 
         def recorded(*args, **kwargs):
@@ -602,27 +659,21 @@ class TestMonteCarloRowKernels:
             return draws[-1]
 
         monkeypatch.setattr(distances, "sample_hypergeometric", recorded)
+        self._spy(monkeypatch, "support_matrix", tables)
         self._spy(monkeypatch, "hypergeometric_log_pmf_matrix", hyper)
         self._spy(monkeypatch, "multinomial_log_pmf_matrix", multi)
-        tv_monte_carlo(params, "hyper", density, 10_000, seed=3)
-        assert len(draws) == (3 if chunk else 1)
-        coded = (params.sample_size + 1) ** params.dim <= len(draws[0])
-        assert coded == (params is self.CODED)
-        want = [np.unique(d, axis=0) if coded else d for d in draws]
-        for rows in [hyper] + ([] if target == "gauss" else [multi]):
-            assert [len(r) for r in rows] == [len(w) for w in want]
-            for got, expected in zip(rows, want):
-                # distinct draws come in code order, not sorted
-                assert (np.unique(got, axis=0) if coded else got).tolist() == expected.tolist()
-        if target == "gauss":
-            assert multi == []
+        tv_monte_carlo(self.SAMPLED, "hyper", density, 10_000, seed=3)
+        assert len(draws) == (3 if chunk else 1) and tables == []
+        want = [d.tolist() for d in draws]
+        assert [rows.tolist() for rows in hyper] == want
+        assert [rows.tolist() for rows in multi] == ([] if target == "gauss" else want)
 
     @pytest.mark.parametrize("density", [
         JitteredLaw(OTHER[4], "multi"), build_gaussian(OTHER[4]),
     ], ids=["jittered", "gauss"])
     def test_a_target_of_another_dimension_is_refused(self, density):
         with pytest.raises(ValidationError):
-            tv_monte_carlo(self.CODED, "hyper", density, 10_000, seed=0)
+            tv_monte_carlo(self.SMALL, "hyper", density, 10_000, seed=0)
 
 
 class TestQuadratureTV:
@@ -1076,27 +1127,53 @@ class TestMonteCarloTV:
         assert got.value.hex() == want.value.hex()
         assert got.error_estimate.hex() == want.error_estimate.hex()
 
-    @pytest.mark.parametrize("chunk", [None, 15_000], ids=["one-chunk", "two-chunks"])
-    @pytest.mark.parametrize("target", ["same", "other", "gauss"])
-    def test_jittered_target_codes_each_batch_once(self, monkeypatch, target, chunk):
-        # one coding of each chunk's draws serves both laws, whatever the target
+    @pytest.mark.parametrize("chunk", [None, 4000], ids=["one-chunk", "three-chunks"])
+    @pytest.mark.parametrize("pair, params, samples", [
+        ("jitterhyper-gauss", validate_params(10**6, 500, (500_000,) * 2), 100_000),
+        ("jittermulti-gauss", validate_params(10**6, 500, (500_000,) * 2), 100_000),
+        ("jitterhyper-gauss", validate_params(10**6, 1100, (500_000,) * 2), 100_000),
+        ("jitterhyper-jittermulti", WIDE, 10_000),
+        ("jittermulti-jitterhyper", SKEWED, 10_000),
+    ], ids=["hyper-n500", "multi-n500", "hyper-n1100", "jittered", "jittered-skewed"])
+    @pytest.mark.parametrize("seed", [7, 8])
+    def test_d1_table_draws_what_the_sampler_draws(self, monkeypatch, seed, pair, params,
+                                                   samples, chunk):
+        # at d=1 both routes spend one uniform a draw and search one cdf row
+        # of the same law, so they draw the same points and report the bits
         if chunk:
             monkeypatch.setattr(distances, "_MC_CHUNK", chunk)
-        calls = []
-        row_codes = distances._row_codes
+        first, second = pair.split("-")
+        which = first.removeprefix("jitter")
+        target = (build_gaussian(params) if second == "gauss"
+                  else JitteredLaw(params, second.removeprefix("jitter")))
+        tabled = tv_monte_carlo(params, which, target, samples, seed)
+        # a cap below the support, read by the route's choice only, sends the
+        # same call through the sampler
+        monkeypatch.setattr(distances, "support_cap", lambda: 1)
+        sampled = tv_monte_carlo(params, which, target, samples, seed)
+        assert tabled.value.hex() == sampled.value.hex()
+        assert tabled.error_estimate.hex() == sampled.error_estimate.hex()
 
-        def counted(*args):
-            calls.append(args)
-            return row_codes(*args)
-
-        monkeypatch.setattr(distances, "_row_codes", counted)
+    def test_d4_table_agrees_with_the_exact_tv_over_seeds(self):
+        # the mc-draws d=4 pair: 1,001 count vectors, tabled; the mean z-score
+        # of 8 independent runs is N(0, 1/8) if each is an unbiased N(0, 1)
         params = validate_params(500, 10, (100,) * 5)
-        density = {"same": JitteredLaw(params, "multi"), "gauss": build_gaussian(params),
-                   "other": JitteredLaw(validate_params(600, 10, (100, 100, 100, 100, 200)),
-                                        "multi")}[target]
-        # 14,641 codes: one chunk of 30,000 draws or two of 15,000 are all coded
-        tv_monte_carlo(params, "hyper", density, 30_000, seed=0)
-        assert len(calls) == (2 if chunk else 1)
+        exact = tv_discrete(params, "hyper", "multi").value
+        target = JitteredLaw(params, "multi")
+        z = [(mc.value - exact) / mc.error_estimate
+             for mc in (tv_monte_carlo(params, "hyper", target, 100_000, seed) for seed in range(8))]
+        assert max(map(abs, z)) < 4.0, z
+        assert abs(sum(z) / len(z)) < 4.0 / math.sqrt(len(z)), z
+
+    def test_d2_table_agrees_with_the_quadrature_over_seeds(self):
+        # the mc-draws d=2 instance: 153 count vectors, tabled
+        params = validate_params(4096, 16, (1024, 1024, 2048))
+        law = build_gaussian(params)
+        quad = tv_jittered_vs_gaussian(params, "hyper", law).value
+        z = [(mc.value - quad) / mc.error_estimate
+             for mc in (tv_monte_carlo(params, "hyper", law, 100_000, seed) for seed in range(8))]
+        assert max(map(abs, z)) < 4.0, z
+        assert abs(sum(z) / len(z)) < 4.0 / math.sqrt(len(z)), z
 
     def test_same_law_is_exactly_zero(self):
         params = validate_params(8, 4, (4, 4))
