@@ -20,9 +20,10 @@ grouped by pair, each group with its own Gaussian's constants, and each
 pair's sums are taken over its own cells, so a pair's TV has the same bits
 alone or in a family.  A Monte Carlo estimator covers everything beyond
 dimension three.  Where the sampled law's support fits a chunk of draws it
-tables that support once, with its log-pmf and one cdf, and each draw is
-one uniform and one search, an index into the table; elsewhere it runs the
-samplers.  A jittered lattice target's log-pmf is read on the same table.
+tables its cells and their log-pmf once, from ``_support_log_pmfs``, the
+quadrature's producer too, with one cdf; each draw is one uniform and one
+search, an index into the table; elsewhere it runs the samplers.  A
+jittered lattice target's log-pmf is read on the same table.
 """
 
 from __future__ import annotations
@@ -66,7 +67,6 @@ from .pmf import (
     _multinomial_log_pmf_rows,
     hypergeometric_log_pmf_matrix,
     leaf_log_pmfs,
-    multinomial_log_pmf_matrix,
     multinomial_moments,
     sample_hypergeometric,
     sample_multinomial,
@@ -217,9 +217,7 @@ class JitteredLaw:
 
 def _law_log_pmf(params: ExperimentParams, which: str, points: np.ndarray) -> np.ndarray:
     """The row kernel of the canonical law ``which`` at each row of ``points``."""
-    if which == HYPERGEOMETRIC:
-        return hypergeometric_log_pmf_matrix(params, points)
-    return multinomial_log_pmf_matrix(params.sample_size, params.weights, points)
+    return _family_log_pmfs([params], [points], [which == HYPERGEOMETRIC])
 
 
 @dataclass(frozen=True)
@@ -509,32 +507,21 @@ def _support_log_pmfs(
 ) -> tuple[list[np.ndarray], np.ndarray]:
     """Each (params, canonical law)'s cells, its support (the count vectors
     for the multinomial), and the log-pmf at every cell in that order, from
-    one :func:`pmf._family_log_pmfs` call per kind of law: the bits of
-    :func:`_law_log_pmf` law by law.  Where every count reaches n the
-    hypergeometric support is the count vectors, so laws of one n and
+    one :func:`pmf._family_log_pmfs` call over every law: the bits of
+    :func:`_law_log_pmf` law by law.  The one producer of a law's cells for
+    the quadrature and the tabled Monte Carlo.  Where every count reaches n
+    the hypergeometric support is the count vectors, so laws of one n and
     dimension share them (a scan point's two laws)."""
-    shared, points = {}, []  # (n, dim): the count vectors, once enumerated
+    shared, points = {}, []  # the cells, once enumerated per (n, dim) or law
     for p, which in laws:
-        if which == HYPERGEOMETRIC and min(p.counts) < p.sample_size:
-            points.append(support_matrix(p))
-            continue
         key = p.sample_size, p.dim
+        if which == HYPERGEOMETRIC and min(p.counts) < p.sample_size:
+            key = p  # a support of its own
         if key not in shared:
-            shared[key] = (count_vector_matrix(*key) if which == MULTINOMIAL
-                           else support_matrix(p))
+            shared[key] = count_vector_matrix(*key) if which == MULTINOMIAL else support_matrix(p)
         points.append(shared[key])
-    ends = np.cumsum([len(x) for x in points]).tolist()
-    log_pmf = np.empty(ends[-1])
-    for kind in (MULTINOMIAL, HYPERGEOMETRIC):
-        at = [i for i, (_, which) in enumerate(laws) if which == kind]
-        if at:
-            values = _family_log_pmfs([laws[i][0] for i in at], [points[i] for i in at],
-                                      hypergeometric=kind == HYPERGEOMETRIC)
-            stop = 0
-            for i in at:
-                start, stop = stop, stop + len(points[i])
-                log_pmf[ends[i] - len(points[i]) : ends[i]] = values[start:stop]
-    return points, log_pmf
+    family, kinds = zip(*laws)
+    return points, _family_log_pmfs(family, points, [w == HYPERGEOMETRIC for w in kinds])
 
 
 def _cube_quadrature(
@@ -716,8 +703,7 @@ def tv_monte_carlo(
     n, dim = params.sample_size, params.dim
     tabled = count_vector_size(n, dim) <= min(sample_count, _MC_CHUNK, support_cap())
     if tabled:
-        points = count_vector_matrix(n, dim) if which == MULTINOMIAL else support_matrix(params)
-        log_pmf = _law_log_pmf(params, which, points)
+        [points], log_pmf = _support_log_pmfs([(params, which)])
         cdf = log_pmf - log_pmf.max()
         np.exp(cdf, out=cdf)
         np.cumsum(cdf, out=cdf)

@@ -160,7 +160,7 @@ def residual_scan(
         raise ValidationError("gamma must lie in (0, 1) for a residual scan")
     points = []
     for params in family:
-        point = tuple(int(v) for v in k_rule(params))
+        point = full_counts(params, k_rule(params))[:-1]
         if not in_truncated_set(params, point, g):
             raise ValidationError(
                 f"point {point} violates the gamma={float(g)} truncation at "

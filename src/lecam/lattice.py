@@ -26,6 +26,7 @@ from typing import Iterator, NamedTuple, Sequence
 import numpy as np
 
 from .errors import SupportCapError, ValidationError
+from .numerics import whole_numbers
 
 DEFAULT_SUPPORT_CAP = 10_000_000
 MAX_POPULATION = (1 << 63) - 1
@@ -359,8 +360,9 @@ def count_vector_matrix(sample_size: int, dim: int) -> np.ndarray:
 
 
 def full_counts(params: ExperimentParams, point: Sequence[int]) -> tuple[int, ...]:
-    """The point extended with its derived final coordinate sample_size - ||k||_1."""
-    return tuple(int(k) for k in point) + (params.sample_size - int(sum(point)),)
+    """The point, whole numbers only, and its derived last count sample_size - ||k||_1."""
+    ks = [k if type(k) is int else int(whole_numbers(k)) for k in point]
+    return (*ks, params.sample_size - sum(ks))
 
 
 def point_in_support(params: ExperimentParams, point: Sequence[int]) -> bool:

@@ -56,16 +56,23 @@ def _stirling_log_factorial(m):
     return _HALF_LOG_TWO_PI + (m + 0.5) * np.log(m) - m + series
 
 
+def whole_numbers(values, what: str = "coordinates") -> np.ndarray:
+    """``values`` as int64; a float that is not whole (a cast would truncate
+    it to another lattice point), or anything past int64, is refused."""
+    arr = np.asarray(values)
+    if not (arr.dtype.kind in "ib" or (arr.dtype.kind == "f"  # NaN fails both tests
+            and ((np.abs(arr) < 2.0**63) & (np.trunc(arr) == arr)).all())):
+        raise ValidationError(f"{what} must be whole numbers below 2**63")
+    return arr.astype(np.int64, copy=False)
+
+
 def log_factorial(m):
     """Natural log of m! for non-negative integer m.
 
     Accepts a scalar or an integer array; returns a float or float array.
     Relative error is below 1e-13 everywhere.
     """
-    try:
-        arr = np.asarray(m, dtype=np.int64)
-    except OverflowError:
-        raise ValidationError("log_factorial requires integers below 2**63") from None
+    arr = whole_numbers(m, "log_factorial's argument")
     flat = np.atleast_1d(arr)
     if flat.min(initial=0) < 0:
         raise ValidationError("log_factorial requires non-negative integers")
@@ -187,10 +194,11 @@ def round_half_away(z) -> np.ndarray:
     """Componentwise nearest integer, halves rounding away from zero.
 
     Ties sit on a measure-zero set for every continuous law used here; the
-    fixed tie-break exists only for bit-exact reproducibility.
+    fixed tie-break exists only for bit-exact reproducibility.  NaN, an
+    infinity or a value past int64 is a :class:`ValidationError`.
     """
     z = np.asarray(z, dtype=float)
-    return (np.sign(z) * np.floor(np.abs(z) + 0.5)).astype(np.int64)
+    return whole_numbers(np.sign(z) * np.floor(np.abs(z) + 0.5), "rounded values")
 
 
 def apply_jitter(point: Sequence[int], rng: np.random.Generator, size: int | None = None):

@@ -8,8 +8,8 @@ so no two log-factorials of size N log N are ever subtracted.  Both are a
 row constant plus one term per category, ``k ln w_i - ln k!`` and for the
 ratio ``T_{c_i}[k]``, tabled by ``_log_pmf_tables``.  The row kernels add
 these terms a whole column at a time, left to right, and
-``_family_log_pmfs`` reads the rows of many laws in one call of each, with
-the weights and counts of each row's law; ``leaf_log_pmfs`` folds the
+``_family_log_pmfs``, the one producer of a law's rows, reads those of
+many laws of either kind in one call of each; ``leaf_log_pmfs`` folds the
 tables down a lattice's levels in the same order and yields the leaves a
 cache-sized block at a time.  ``scheffe_levels`` bounds the ratio's
 tables to enumerate only the points where P may exceed Q, and sums r there.
@@ -43,9 +43,8 @@ from .lattice import (
     _bounded_levels,
     _check_cap,
     _leaf_blocks,
-    point_in_support,
 )
-from .numerics import compensated_cumsum, log_factorial
+from .numerics import compensated_cumsum, log_factorial, whole_numbers
 
 # A probability in natural-log space; -inf encodes probability zero.
 LogProb = float
@@ -72,7 +71,7 @@ _COLUMN_SUM_MAX_DIM = 3
 def _full_count_matrix(points: np.ndarray, dim: int, sample_size: int) -> np.ndarray:
     """(m, dim) points extended by their derived last count, as (m, dim + 1) int64
     stored column by column (the kernels read whole columns)."""
-    points = np.asarray(points, dtype=np.int64)
+    points = whole_numbers(points, "points")
     if points.ndim != 2 or points.shape[1] != dim:
         raise ValidationError(f"points must have shape (m, {dim})")
     cols = points.T
@@ -87,9 +86,7 @@ def _full_count_matrix(points: np.ndarray, dim: int, sample_size: int) -> np.nda
 
 def hypergeometric_log_pmf(params: ExperimentParams, point: Sequence[int]) -> LogProb:
     """Log-probability of drawing exactly these category counts without replacement."""
-    if not point_in_support(params, point):
-        return NEG_INF
-    return float(hypergeometric_log_pmf_matrix(params, np.array([point], dtype=np.int64))[0])
+    return float(hypergeometric_log_pmf_matrix(params, [point])[0])
 
 
 def hypergeometric_log_pmf_matrix(params: ExperimentParams, points: np.ndarray) -> np.ndarray:
@@ -97,19 +94,20 @@ def hypergeometric_log_pmf_matrix(params: ExperimentParams, points: np.ndarray) 
 
     Past n = N/2 rows are read at what they leave, ``counts - k``: as likely,
     fewer draws enter the sums, and a census row is exactly certain."""
-    return _family_log_pmfs([params], [points], hypergeometric=True)
+    return _family_log_pmfs([params], [points], [True])
 
 
 def _family_log_pmfs(
-    family: Sequence[ExperimentParams], points: Sequence[np.ndarray], hypergeometric: bool
+    family: Sequence[ExperimentParams], points: Sequence[np.ndarray], hypergeometric: Sequence[bool]
 ) -> np.ndarray:
     """The log-pmf of each law of one dimension at its own (m_i, dim) points,
-    concatenated, from one call of each row kernel: the bits of
-    :func:`hypergeometric_log_pmf_matrix` or :func:`multinomial_log_pmf_matrix`
-    law by law.  One law hands the kernels its log-weights and counts as
-    shared vectors; more hand them one row per point, and
-    :func:`log_ratio_matrix` builds each law's tables once.  A
-    hypergeometric law drawing over half of N reads its rows at ``c - k``."""
+    concatenated: the bits of :func:`hypergeometric_log_pmf_matrix` or
+    :func:`multinomial_log_pmf_matrix` law by law, as ``hypergeometric``
+    says.  Every row takes one multinomial kernel call, at ``counts / N`` or
+    ``params.weights``, and the hypergeometric rows one
+    :func:`log_ratio_matrix` call, which builds each law's tables once, at
+    ``c - k`` where the law draws over half of N.  One law hands the kernels
+    its log-weights and counts as shared vectors; more hand them a row each."""
     sizes = [len(x) for x in points]
 
     def per_row(values):
@@ -118,14 +116,19 @@ def _family_log_pmfs(
 
     ks = [_full_count_matrix(x, p.dim, p.sample_size) for x, p in zip(points, family)]
     ks = ks[0] if len(ks) == 1 else np.concatenate([k.T for k in ks], axis=1).T
-    if not hypergeometric:
-        return _multinomial_log_pmf_rows(per_row(np.log([p.weights for p in family])).T, ks)
     counts = np.array([p.counts for p in family], dtype=np.int64)
-    log_w = np.log(counts / np.array([[p.population] for p in family]))
-    counts, flip = per_row(counts), per_row([2 * p.sample_size > p.population for p in family])
+    log_w = per_row([np.log(c / p.population) if h else np.log(p.weights)
+                     for c, p, h in zip(counts, family, hypergeometric)])
+    hyper, counts = per_row(hypergeometric), per_row(counts)
+    flip = hyper & per_row([2 * p.sample_size > p.population for p in family])
     if flip.any():
         ks = np.where(flip[..., None], counts - ks, ks)
-    return _multinomial_log_pmf_rows(per_row(log_w).T, ks) + log_ratio_matrix(counts, ks)
+    out = _multinomial_log_pmf_rows(log_w.T, ks)
+    if hyper.all():
+        return out + log_ratio_matrix(counts, ks)
+    if hyper.any():
+        out[hyper] += log_ratio_matrix(counts[hyper], ks[hyper])
+    return out
 
 
 # Entries per block of tables built at once (one row, if a row is longer): the
@@ -396,7 +399,7 @@ def multinomial_log_pmf(sample_size: int, weights: Sequence[float], point: Seque
     w = _check_weights(weights)
     if len(point) != w.size - 1:
         raise ValidationError(f"point has {len(point)} coordinates, expected {w.size - 1}")
-    ks = [int(k) for k in point]
+    ks = whole_numbers(point).tolist()
     if min(ks) < 0 or sum(ks) > sample_size:
         return NEG_INF
     return float(multinomial_log_pmf_matrix(sample_size, w, np.array([ks], dtype=np.int64))[0])

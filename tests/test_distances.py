@@ -9,7 +9,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
@@ -567,6 +567,54 @@ class TestJitteredLaw:
         assert jittered.value == pytest.approx(expected, abs=1e-10)
 
 
+@st.composite
+def _mixed_families(draw):
+    """Laws of one dimension, each hypergeometric, multinomial or both (a
+    scan point's two laws), drawing up to the whole population: many flip."""
+    dim = draw(st.integers(1, 3))
+    laws = []
+    for _ in range(draw(st.integers(1, 4))):
+        counts = draw(st.lists(st.integers(1, 8), min_size=dim + 1, max_size=dim + 1))
+        params = validate_params(sum(counts), draw(st.integers(1, sum(counts))), counts)
+        kinds = draw(st.sampled_from(["h", "m", "hm", "mh"]))
+        laws += [(params, distances.HYPERGEOMETRIC if k == "h" else distances.MULTINOMIAL)
+                 for k in kinds]
+    return laws
+
+
+class TestSupportLogPmfs:
+    @staticmethod
+    def _check(laws):
+        """The one producer's cells and log-pmf, bit for bit the public row
+        kernels' and :func:`distances._law_log_pmf`'s, law by law."""
+        points, log_pmf = distances._support_log_pmfs(laws)
+        want = []
+        for (params, which), x in zip(laws, points):
+            if which == distances.HYPERGEOMETRIC:
+                assert x.tolist() == lattice.support_matrix(params).tolist()
+                want.append(hypergeometric_log_pmf_matrix(params, x))
+            else:
+                assert x.tolist() == lattice.count_vector_matrix(params.sample_size,
+                                                                 params.dim).tolist()
+                want.append(multinomial_log_pmf_matrix(params.sample_size, params.weights, x))
+            assert distances._law_log_pmf(params, which, x).tobytes() == want[-1].tobytes()
+        assert log_pmf.tobytes() == np.concatenate(want).tobytes()
+
+    @given(_mixed_families())
+    @example([(validate_params(20, 15, (8, 12)), distances.HYPERGEOMETRIC),
+              (validate_params(20, 15, (8, 12)), distances.MULTINOMIAL),
+              (validate_params(30, 5, (10, 20)), distances.HYPERGEOMETRIC),
+              (validate_params(9, 9, (4, 5)), distances.HYPERGEOMETRIC)])
+    def test_a_mixed_family_keeps_each_laws_bits(self, laws):
+        self._check(laws)
+
+    def test_each_kind_keeps_its_weights_past_2_53(self):
+        # counts / N in numpy and Python's correctly rounded weights differ
+        # here: a producer with one form for both kinds fails
+        params = validate_params(2**55 + 3, 7, (2**54, 2**54 + 3))
+        self._check([(params, distances.MULTINOMIAL), (params, distances.HYPERGEOMETRIC)])
+
+
 class TestMonteCarloRowKernels:
     # count vectors against the draws of a chunk of 10,000: d=2, n=4: 15 and
     # d=4, n=10: 1,001 are tabled; d=4, n=30: 46,376 go through the sampler
@@ -581,10 +629,18 @@ class TestMonteCarloRowKernels:
         kernel = getattr(distances, name)
 
         def spy(*args, **kwargs):
-            calls.append(args[-1] if args else None)
+            calls.append(args)
             return kernel(*args, **kwargs)
 
         monkeypatch.setattr(distances, name, spy)
+
+    def _spy_producer(self, monkeypatch):
+        """The rows the producer of log-pmfs reads, per call: (laws, points
+        per law, hypergeometric per law)."""
+        calls = []
+        self._spy(monkeypatch, "_family_log_pmfs", calls)
+        return lambda: [(list(family), [x.tolist() for x in points], list(hyper))
+                        for family, points, hyper in calls]
 
     def _density(self, params, target):
         return {"gauss": build_gaussian(params), "same": JitteredLaw(params, "multi"),
@@ -631,27 +687,33 @@ class TestMonteCarloRowKernels:
     @pytest.mark.parametrize("target", ["gauss", "same", "other"])
     @pytest.mark.parametrize("params", [SMALL, TABLED], ids=["d2", "d4"])
     def test_each_law_is_tabled_once_per_call(self, monkeypatch, params, target, chunk):
+        # one enumeration, and the producer reads the support only: once for
+        # the sampled law and, for a lattice target, once for the target
         if chunk:
             monkeypatch.setattr(distances, "_MC_CHUNK", chunk)
         density = self._density(params, target)
-        draws, tables, hyper, multi = [], [], [], []
+        draws, tables = [], []
         self._spy(monkeypatch, "sample_hypergeometric", draws)
         self._spy(monkeypatch, "support_matrix", tables)
-        self._spy(monkeypatch, "hypergeometric_log_pmf_matrix", hyper)
-        self._spy(monkeypatch, "multinomial_log_pmf_matrix", multi)
+        self._spy(monkeypatch, "count_vector_matrix", tables)
+        producer = self._spy_producer(monkeypatch)
         tv_monte_carlo(params, "hyper", density, 10_000, seed=3)
         support = lattice.support_matrix(params).tolist()
         assert draws == [] and len(tables) == 1
-        assert [rows.tolist() for rows in hyper] == [support]
-        assert [rows.tolist() for rows in multi] == ([] if target == "gauss" else [support])
+        want = [([params], [support], [True])]
+        if target != "gauss":
+            want.append(([density.params], [support], [False]))
+        assert producer() == want
 
     @pytest.mark.parametrize("chunk", [None, 4000], ids=["one-chunk", "three-chunks"])
     @pytest.mark.parametrize("target", ["gauss", "same", "other"])
     def test_each_kernel_runs_once_per_chunk_on_the_draws(self, monkeypatch, target, chunk):
+        # no enumeration; per chunk the producer reads the chunk's draws, for
+        # a lattice target first, then for the sampled law
         if chunk:
             monkeypatch.setattr(distances, "_MC_CHUNK", chunk)
         density = self._density(self.SAMPLED, target)
-        draws, tables, hyper, multi = [], [], [], []
+        draws, tables = [], []
         sampler = distances.sample_hypergeometric
 
         def recorded(*args, **kwargs):
@@ -660,13 +722,16 @@ class TestMonteCarloRowKernels:
 
         monkeypatch.setattr(distances, "sample_hypergeometric", recorded)
         self._spy(monkeypatch, "support_matrix", tables)
-        self._spy(monkeypatch, "hypergeometric_log_pmf_matrix", hyper)
-        self._spy(monkeypatch, "multinomial_log_pmf_matrix", multi)
+        self._spy(monkeypatch, "count_vector_matrix", tables)
+        producer = self._spy_producer(monkeypatch)
         tv_monte_carlo(self.SAMPLED, "hyper", density, 10_000, seed=3)
         assert len(draws) == (3 if chunk else 1) and tables == []
-        want = [d.tolist() for d in draws]
-        assert [rows.tolist() for rows in hyper] == want
-        assert [rows.tolist() for rows in multi] == ([] if target == "gauss" else want)
+        want = []
+        for chunk_draws in draws:
+            if target != "gauss":
+                want.append(([density.params], [chunk_draws.tolist()], [False]))
+            want.append(([self.SAMPLED], [chunk_draws.tolist()], [True]))
+        assert producer() == want
 
     @pytest.mark.parametrize("density", [
         JitteredLaw(OTHER[4], "multi"), build_gaussian(OTHER[4]),

@@ -6,7 +6,16 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from lecam import ValidationError, fit_loglog_slope, log_factorial, make_generator, split_seed
+from lecam import (
+    JitteredLaw,
+    ValidationError,
+    apply_round,
+    fit_loglog_slope,
+    log_factorial,
+    make_generator,
+    split_seed,
+    validate_params,
+)
 from lecam.numerics import (
     _EXACT_SUM_BLOCK,
     _EXACT_SUM_MIN_TERMS,
@@ -254,3 +263,13 @@ class TestRngPlumbing:
         for call in (make_generator, lambda s: split_seed(s, 2)):
             with pytest.raises(ValidationError, match="non-negative integer"):
                 call(seed)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 2.0**63, -(2.0**63)])
+def test_rounding_refuses_what_int64_cannot_hold(value):
+    # cast to int64, NaN would read INT64_MIN, a point off every support
+    with pytest.raises(ValidationError):
+        apply_round((value, 1.2))
+    with pytest.raises(ValidationError):
+        JitteredLaw(validate_params(12, 5, (6, 6)), "hyper").log_density([value])
+    assert apply_round((2.0**63 - 1024, -1.5)) == (2**63 - 1024, -2)

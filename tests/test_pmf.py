@@ -32,6 +32,7 @@ from lecam import (
 )
 from lecam import pmf
 from lecam.cli import main
+from lecam.expansion import expand, first_order_bracket, residual_scan
 from lecam.lattice import SUPPORT_CAP_ENV, _level_points, count_vector_levels, point_in_support
 from lecam.numerics import log_factorial
 from lecam.pmf import (
@@ -380,6 +381,37 @@ class TestSharedMultinomialRows:
             for k, w in zip(row, log_w):
                 total += k * w - log_factorial(k)
             assert value == total
+
+
+_PARAMS_12 = validate_params(12, 5, (6, 6))
+# each public entry that reads lattice coordinates, at a point or points
+_COORDINATE_GATES = {
+    "hypergeometric_log_pmf_matrix": lambda k: hypergeometric_log_pmf_matrix(_PARAMS_12, [[k]]),
+    "hypergeometric_log_pmf": lambda k: hypergeometric_log_pmf(_PARAMS_12, (k,)),
+    "multinomial_log_pmf_matrix": lambda k: multinomial_log_pmf_matrix(5, (0.5, 0.5), [[k]]),
+    "multinomial_log_pmf": lambda k: multinomial_log_pmf(5, (0.5, 0.5), (k,)),
+    "point_in_support": lambda k: point_in_support(_PARAMS_12, (k,)),
+    "expand": lambda k: expand(_PARAMS_12, (k,)).exact,
+    "first_order_bracket": lambda k: first_order_bracket(_PARAMS_12, (k,)),
+    "log_factorial": lambda k: log_factorial(k),
+    "residual_scan": lambda k: residual_scan(
+        [validate_params(N, 8, (N // 2, N // 2)) for N in (16, 32, 64, 128, 256)],
+        lambda p: (k,), order=1),
+}
+
+
+@pytest.mark.parametrize("value", [1.5, 1.9, -0.5, math.nan, math.inf, np.float64(2.25)])
+@pytest.mark.parametrize("entry", list(_COORDINATE_GATES))
+def test_a_coordinate_that_is_not_whole_is_refused(entry, value):
+    # truncating would read another lattice point: 1.5 as 1
+    with pytest.raises(ValidationError):
+        _COORDINATE_GATES[entry](value)
+
+
+@pytest.mark.parametrize("entry", list(_COORDINATE_GATES))
+def test_a_whole_float_reads_as_its_integer(entry):
+    call = _COORDINATE_GATES[entry]
+    assert call(2.0) == call(2) and call(np.float64(2.0)) == call(2)
 
 
 class TestMoments:
