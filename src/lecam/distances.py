@@ -608,9 +608,8 @@ def tv_discrete(params: ExperimentParams, law_a: str, law_b: str) -> TVResult:
     size = count_vector_size(params.sample_size, params.dim)
     levels, r = scheffe_levels(params)
     points = _level_points(levels)
-    c = np.array(params.counts, dtype=np.int64)
     ks = _full_count_matrix(points, params.dim, params.sample_size)
-    log_q = _multinomial_log_pmf_rows(np.log(c / params.population), ks)
+    log_q = _multinomial_log_pmf_rows(np.log(params.weights), ks)
     if 2 * params.sample_size > params.population:
         log_p = hypergeometric_log_pmf_matrix(params, points)
         r = log_p - log_q

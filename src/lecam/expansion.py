@@ -20,10 +20,9 @@ import numpy as np
 from .errors import ValidationError
 from .lattice import (
     ExperimentParams,
-    LatticePoint,
     _exact_gamma,
+    _in_truncated_set,
     full_counts,
-    in_truncated_set,
     point_in_support,
 )
 from .numerics import SlopeFit, fit_loglog_slope
@@ -62,65 +61,62 @@ def log_ratio_exact(params: ExperimentParams, point: Sequence[int]) -> float:
     return float(log_ratio_matrix(params.counts, [full_counts(params, point)])[0])
 
 
-def _bracket(
-    params: ExperimentParams, point: Sequence[int], piece, scale: int, power: int
-) -> Fraction:
-    """(piece(n) - sum_i (1/p_i)^power piece(k_i)) / scale, exactly.
+# per order j: the bracket's polynomial f_j, times its scale, and the scale
+_PIECES = {
+    1: (lambda t: t * t - t, 2),  # t^2/2 - t/2
+    2: (lambda t: t * (t - 1) * (2 * t - 1), 12),  # t^3/6 - t^2/4 + t/12
+}
 
-    The sum runs in integers over the common denominator lcm(c_i^power), so
+
+def _bracket(params: ExperimentParams, ks: Sequence[int], order: int) -> Fraction:
+    """f(n) - sum_i (1/p_i)^order f(k_i) at a point's full counts, exactly,
+    with f the order's polynomial (``_PIECES``).
+
+    The sum runs in integers over the common denominator lcm(c_i^order), so
     only the result is a Fraction.
     """
+    piece, scale = _PIECES[order]
     N = params.population
-    den = math.lcm(*(c**power for c in params.counts))
+    den = math.lcm(*(c**order for c in params.counts))
     num = piece(params.sample_size) * den
-    for c, k in zip(params.counts, full_counts(params, point)):
-        num -= piece(k) * N**power * (den // c**power)
+    for c, k in zip(params.counts, ks):
+        num -= piece(k) * N**order * (den // c**order)
     return Fraction(num, scale * den)
+
+
+def _truncation(params: ExperimentParams, ks: Sequence[int], order: int) -> float:
+    """The expansion to ``order`` at a point's full counts: the brackets of
+    orders 1..order, each over N to its order, summed exactly and rounded once."""
+    N = params.population
+    return float(sum(_bracket(params, ks, j) / N**j for j in range(1, order + 1)))
 
 
 def first_order_bracket(params: ExperimentParams, point: Sequence[int]) -> Fraction:
     """Exact bracket (n^2/2 - n/2) - sum_i (1/p_i)(k_i^2/2 - k_i/2)."""
-    return _bracket(params, point, lambda t: t * t - t, 2, 1)
+    return _bracket(params, full_counts(params, point), 1)
 
 
 def second_order_bracket(params: ExperimentParams, point: Sequence[int]) -> Fraction:
     """Exact bracket (n^3/6 - n^2/4 + n/12) - sum_i (1/p_i^2)(same cubic in k_i)."""
-    # t^3/6 - t^2/4 + t/12 == t (t - 1)(2 t - 1) / 12
-    return _bracket(params, point, lambda t: t * (t - 1) * (2 * t - 1), 12, 2)
+    return _bracket(params, full_counts(params, point), 2)
 
 
 def expansion_order1(params: ExperimentParams, point: Sequence[int]) -> float:
     """First-order approximation: bracket over N."""
-    return float(first_order_bracket(params, point) / params.population)
+    return _truncation(params, full_counts(params, point), 1)
 
 
 def expansion_order2(params: ExperimentParams, point: Sequence[int]) -> float:
     """Second-order approximation: both brackets, exact rational arithmetic."""
-    return _truncations(params, point)[1]
-
-
-def _truncations(params: ExperimentParams, point: Sequence[int]) -> tuple[float, float]:
-    """Both approximations, from one evaluation of each bracket."""
-    N = params.population
-    first = first_order_bracket(params, point) / N
-    return float(first), float(first + second_order_bracket(params, point) / N**2)
+    return _truncation(params, full_counts(params, point), 2)
 
 
 def expand(params: ExperimentParams, point: Sequence[int]) -> ExpansionResult:
     """Exact log-ratio together with both approximations and their residuals."""
-    return _expansion(params, point, log_ratio_exact(params, point))
-
-
-def _expansion(params: ExperimentParams, point: Sequence[int], exact: float) -> ExpansionResult:
-    """:func:`expand` at a point whose exact log-ratio is given."""
-    o1, o2 = _truncations(params, point)
-    return ExpansionResult(
-        exact=exact,
-        order1=o1,
-        order2=o2,
-        residual1=exact - o1,
-        residual2=exact - o2,
-    )
+    exact = log_ratio_exact(params, point)
+    ks = full_counts(params, point)
+    order1, order2 = _truncation(params, ks, 1), _truncation(params, ks, 2)
+    return ExpansionResult(exact, order1, order2, exact - order1, exact - order2)
 
 
 @dataclass(frozen=True)
@@ -140,10 +136,12 @@ def residual_scan(
 ) -> ResidualScan:
     """Measure |exact - approximation| along a family of growing populations.
 
-    Every (params, k) pair must lie in the gamma-truncated set.  The exact
-    log-ratios come from one :func:`lecam.pmf.log_ratio_matrix` call per
-    dimension in the family, a row per point with its own counts: the bits
-    of :func:`log_ratio_exact`, with the tables built in one pass.
+    Every (params, k) pair must lie in the gamma-truncated set.  Each
+    point's full counts are built once, for that test, its kernel row and
+    the brackets ``order`` needs.  The exact log-ratios come from one
+    :func:`lecam.pmf.log_ratio_matrix` call per dimension in the family, a
+    row per point with its own counts: the bits of :func:`log_ratio_exact`,
+    with the tables built in one pass.
     Residuals at or below ``RESIDUAL_FLOOR_ULPS`` ulps of the point's exact
     log-ratio are left out of the fit; with fewer than four left (the
     single-draw case, where they vanish identically), or all of them at one
@@ -158,18 +156,29 @@ def residual_scan(
     g = _exact_gamma(gamma)
     if not 0 < g < 1:
         raise ValidationError("gamma must lie in (0, 1) for a residual scan")
-    points = []
+    rows = []
     for params in family:
-        point = full_counts(params, k_rule(params))[:-1]
-        if not in_truncated_set(params, point, g):
+        ks = full_counts(params, k_rule(params))
+        if not _in_truncated_set(params, ks, g):
             raise ValidationError(
-                f"point {point} violates the gamma={float(g)} truncation at "
+                f"point {ks[:-1]} violates the gamma={float(g)} truncation at "
                 f"population {params.population}"
             )
-        points.append((params, point))
-    exact = _log_ratios(points)
-    records = tuple(_residual_record(params, point, value, order)
-                    for (params, point), value in zip(points, exact))
+        rows.append((params, ks))
+    exact = _log_ratios(rows)
+    records = tuple(
+        ScanRecord(
+            population=params.population,
+            sample_size=params.sample_size,
+            dim=params.dim,
+            weights=params.weights,
+            quantity=f"abs_residual_order{int(order)}",
+            value=abs(value - _truncation(params, ks, order)),
+            error=0.0,
+            method="exact-log-ratio",
+        )
+        for (params, ks), value in zip(rows, exact)
+    )
     resolved = [
         (record.population, record.value)
         for record, value in zip(records, exact)
@@ -181,33 +190,13 @@ def residual_scan(
     return ResidualScan(records=records, fit=fit, degenerate=False)
 
 
-def _log_ratios(points: Sequence[tuple[ExperimentParams, LatticePoint]]) -> list[float]:
-    """:func:`log_ratio_exact` at each support point of its experiment, from
-    one kernel call per dimension."""
+def _log_ratios(rows: Sequence[tuple[ExperimentParams, tuple[int, ...]]]) -> list[float]:
+    """:func:`log_ratio_exact` at each row of an experiment and a support
+    point's full counts, from one kernel call per dimension."""
     by_dim: dict[int, list[int]] = {}
-    for i, (params, _) in enumerate(points):
+    for i, (params, _) in enumerate(rows):
         by_dim.setdefault(params.dim, []).append(i)
-    out = np.empty(len(points))
+    out = np.empty(len(rows))
     for at in by_dim.values():
-        counts = [points[i][0].counts for i in at]
-        out[at] = log_ratio_matrix(counts, [full_counts(*points[i]) for i in at])
+        out[at] = log_ratio_matrix([rows[i][0].counts for i in at], [rows[i][1] for i in at])
     return out.tolist()
-
-
-def _residual_record(
-    params: ExperimentParams, point: LatticePoint, exact: float, order: int
-) -> ScanRecord:
-    """The record of the residual against a point's exact log-ratio."""
-    result = _expansion(params, point, exact)
-    residual = result.residual1 if order == 1 else result.residual2
-    return ScanRecord(
-        population=params.population,
-        sample_size=params.sample_size,
-        dim=params.dim,
-        weights=params.weights,
-        quantity=f"abs_residual_order{int(order)}",
-        value=abs(residual),
-        error=0.0,
-        method="exact-log-ratio",
-    )
-

@@ -360,19 +360,20 @@ def count_vector_matrix(sample_size: int, dim: int) -> np.ndarray:
 
 
 def full_counts(params: ExperimentParams, point: Sequence[int]) -> tuple[int, ...]:
-    """The point, whole numbers only, and its derived last count sample_size - ||k||_1."""
+    """The point, whole numbers only, and its derived last count sample_size - ||k||_1.
+
+    The one gate for a point: a point of any length but ``params.dim`` is refused."""
+    if len(point) != params.dim:
+        raise ValidationError(
+            f"point has {len(point)} coordinates, expected {params.dim}"
+        )
     ks = [k if type(k) is int else int(whole_numbers(k)) for k in point]
     return (*ks, params.sample_size - sum(ks))
 
 
 def point_in_support(params: ExperimentParams, point: Sequence[int]) -> bool:
     """Membership test for the without-replacement support."""
-    if len(point) != params.dim:
-        raise ValidationError(
-            f"point has {len(point)} coordinates, expected {params.dim}"
-        )
-    ks = full_counts(params, point)
-    return all(0 <= k <= c for k, c in zip(ks, params.counts))
+    return all(0 <= k <= c for k, c in zip(full_counts(params, point), params.counts))
 
 
 def _exact_gamma(gamma) -> Fraction:
@@ -392,9 +393,14 @@ def in_truncated_set(params: ExperimentParams, point: Sequence[int], gamma) -> b
     g = _exact_gamma(gamma)
     if not 0 < g <= 1:
         raise ValidationError("gamma must lie in (0, 1]")
-    if not point_in_support(params, point):
-        raise ValidationError(f"point {tuple(point)} lies outside the support")
-    ks = full_counts(params, point)
+    return _in_truncated_set(params, full_counts(params, point), g)
+
+
+def _in_truncated_set(params: ExperimentParams, ks: Sequence[int], g: Fraction) -> bool:
+    """:func:`in_truncated_set` at a point's full counts, for an exact gamma in
+    (0, 1]; a point outside the support is refused."""
+    if not all(0 <= k <= c for k, c in zip(ks, params.counts)):
+        raise ValidationError(f"point {tuple(ks[:-1])} lies outside the support")
     # k_i / p_i <= g N  <=>  k_i <= g * counts_i, cleared of g's denominator
     return all(k * g.denominator <= g.numerator * c for k, c in zip(ks, params.counts))
 

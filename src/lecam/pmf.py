@@ -3,7 +3,8 @@
 All probabilities are carried as natural logarithms so that supports with
 thousands of points never underflow; sums over supports go through
 log-sum-exp or compensated summation.  Every hypergeometric log-probability
-is the multinomial one at weights ``counts / N`` plus ``log_ratio_matrix``,
+is the multinomial one at ``params.weights`` (each ``c_i / N`` correctly
+rounded, the one log-weight vector of every route) plus ``log_ratio_matrix``,
 so no two log-factorials of size N log N are ever subtracted.  Both are a
 row constant plus one term per category, ``k ln w_i - ln k!`` and for the
 ratio ``T_{c_i}[k]``, tabled by ``_log_pmf_tables``.  The row kernels add
@@ -62,9 +63,11 @@ class MomentSummary:
 
 # Up to this many columns, adding whole columns is at least as fast as an
 # integer matmul over the rows of an (m, dim) int64 array: at 10^5 rows, on
-# one core of a 2-vCPU Xeon with numpy 2.4, 0.04 against 0.83 ms at d=1,
-# 0.22 against 0.84 ms at d=2 and 0.36 against 0.48 ms at d=3, but 0.64
-# against 0.55 ms at d=4.
+# one core of a 2-vCPU Xeon with numpy 2.4, 0.03 against 0.74 ms at d=1,
+# 0.16 against 0.79 ms at d=2 and 0.33 against 0.84 ms at d=3.  Past it the
+# measurements part: at d=4 one read 0.64 against 0.55 ms and a later one
+# 0.58 against 0.91 ms; column sums won exact-wide's d=4 and d=5 Scheffe
+# sets (3,881 and 6,641 rows: 13 against 21 us, 23 against 41 us).
 _COLUMN_SUM_MAX_DIM = 3
 
 
@@ -103,7 +106,7 @@ def _family_log_pmfs(
     """The log-pmf of each law of one dimension at its own (m_i, dim) points,
     concatenated: the bits of :func:`hypergeometric_log_pmf_matrix` or
     :func:`multinomial_log_pmf_matrix` law by law, as ``hypergeometric``
-    says.  Every row takes one multinomial kernel call, at ``counts / N`` or
+    says.  Every row takes one multinomial kernel call, at its law's
     ``params.weights``, and the hypergeometric rows one
     :func:`log_ratio_matrix` call, which builds each law's tables once, at
     ``c - k`` where the law draws over half of N.  One law hands the kernels
@@ -117,8 +120,7 @@ def _family_log_pmfs(
     ks = [_full_count_matrix(x, p.dim, p.sample_size) for x, p in zip(points, family)]
     ks = ks[0] if len(ks) == 1 else np.concatenate([k.T for k in ks], axis=1).T
     counts = np.array([p.counts for p in family], dtype=np.int64)
-    log_w = per_row([np.log(c / p.population) if h else np.log(p.weights)
-                     for c, p, h in zip(counts, family, hypergeometric)])
+    log_w = per_row([np.log(p.weights) for p in family])
     hyper, counts = per_row(hypergeometric), per_row(counts)
     flip = hyper & per_row([2 * p.sample_size > p.population for p in family])
     if flip.any():
@@ -358,7 +360,7 @@ def leaf_log_pmfs(
     draws = min(n, N - n)  # a leaf drawing over half of N flips to c - k
     off = k > c[:, None]
     j = np.where(off, 0, c[:, None] - k if draws < n else k)
-    multi, tables = _log_pmf_tables(np.log(c / N), max(n, j.max()), np.append(c, N))
+    multi, tables = _log_pmf_tables(np.log(params.weights), max(n, j.max()), np.append(c, N))
     # T at j, plus Q's factor at j less at k: exactly 0 unless the leaves flip
     at_j = np.take_along_axis(multi, j, axis=1)
     ratio = np.take_along_axis(tables[:-1], j, axis=1) + (at_j - multi[:, : n + 1])
@@ -381,7 +383,11 @@ def leaf_log_pmfs(
         yield block_q, block_r
 
 
-def _check_weights(weights: Sequence[float]) -> np.ndarray:
+def _check_law(sample_size: int, weights: Sequence[float]) -> tuple[int, np.ndarray]:
+    """A with-replacement law's sample size, an integer >= 1 as
+    :func:`lecam.lattice.validate_params` asks, and its weights as floats."""
+    if not isinstance(sample_size, (int, np.integer)) or sample_size < 1:
+        raise ValidationError("sample_size must be a positive integer")
     w = np.asarray([float(x) for x in weights], dtype=float)
     if w.ndim != 1 or w.size < 2:
         raise ValidationError("weights must be a vector with at least two entries")
@@ -389,28 +395,26 @@ def _check_weights(weights: Sequence[float]) -> np.ndarray:
         raise ValidationError("every weight must be strictly positive")
     if abs(math.fsum(w.tolist()) - 1.0) > 1e-9:
         raise ValidationError("weights must sum to 1")
-    return w
+    return int(sample_size), w
 
 
 def multinomial_log_pmf(sample_size: int, weights: Sequence[float], point: Sequence[int]) -> LogProb:
     """Log-probability of these category counts when drawing with replacement."""
-    if sample_size < 1:
-        raise ValidationError("sample_size must be a positive integer")
-    w = _check_weights(weights)
+    n, w = _check_law(sample_size, weights)
     if len(point) != w.size - 1:
         raise ValidationError(f"point has {len(point)} coordinates, expected {w.size - 1}")
     ks = whole_numbers(point).tolist()
-    if min(ks) < 0 or sum(ks) > sample_size:
+    if min(ks) < 0 or sum(ks) > n:
         return NEG_INF
-    return float(multinomial_log_pmf_matrix(sample_size, w, np.array([ks], dtype=np.int64))[0])
+    return float(multinomial_log_pmf_matrix(n, w, np.array([ks], dtype=np.int64))[0])
 
 
 def multinomial_log_pmf_matrix(
     sample_size: int, weights: Sequence[float], points: np.ndarray
 ) -> np.ndarray:
     """Vectorized log-pmf over an (m, dim) array of points; -inf off support."""
-    w = _check_weights(weights)
-    ks = _full_count_matrix(points, w.size - 1, sample_size)
+    n, w = _check_law(sample_size, weights)
+    ks = _full_count_matrix(points, w.size - 1, n)
     return _multinomial_log_pmf_rows(np.log(w), ks)
 
 
@@ -448,10 +452,10 @@ def hypergeometric_moments(params: ExperimentParams) -> MomentSummary:
 
 def multinomial_moments(sample_size: int, weights: Sequence[float]) -> MomentSummary:
     """Mean and covariance of the with-replacement counts (free coordinates)."""
-    w = _check_weights(weights)
+    n, w = _check_law(sample_size, weights)
     p = w[: w.size - 1]
-    mean = sample_size * p
-    covariance = sample_size * (np.diag(p) - np.outer(p, p))
+    mean = n * p
+    covariance = n * (np.diag(p) - np.outer(p, p))
     return MomentSummary(mean=mean, covariance=covariance)
 
 
@@ -592,9 +596,11 @@ def sample_hypergeometric(
     _check_table_cap(params.dim, n, "the sampler's table")
     coordinates = []
     for i in range(params.dim):
-        pair = np.array([counts[i], sum(counts[i + 1 :])])
-        multi, ratio = _log_pmf_tables(np.log(pair / pair.sum()), n, pair)
-        coordinates.append((multi + ratio, *pair.tolist()))
+        pair = (counts[i], sum(counts[i + 1 :]))
+        # Python ints' quotients, correctly rounded as ``params.weights`` are
+        log_w = np.log([pair[0] / sum(pair), pair[1] / sum(pair)])
+        multi, ratio = _log_pmf_tables(log_w, n, np.array(pair))
+        coordinates.append((multi + ratio, *pair))
     return _sample_sequential(n, rng, size, coordinates)
 
 
@@ -611,10 +617,8 @@ def sample_multinomial(
     sum_{l > i} w_l over the same sum, which stays positive where q rounds
     to 1.  No count bounds it, so it passes c = o = n and never flips.
     """
-    if sample_size < 1:
-        raise ValidationError("sample_size must be a positive integer")
-    w = _check_weights(weights)
-    _check_table_cap(w.size - 1, sample_size, "the sampler's table")
-    n, tails = sample_size, [math.fsum(w[i:].tolist()) for i in range(w.size)]
+    n, w = _check_law(sample_size, weights)
+    _check_table_cap(w.size - 1, n, "the sampler's table")
+    tails = [math.fsum(w[i:].tolist()) for i in range(w.size)]
     log_w = [np.log(np.array([w[i], tails[i + 1]]) / tails[i]) for i in range(w.size - 1)]
     return _sample_sequential(n, rng, size, [(_log_pmf_tables(lw, n)[0], n, n) for lw in log_w])

@@ -19,8 +19,8 @@ from lecam import (
     second_order_bracket,
     validate_params,
 )
-from lecam import pmf
-from lecam.lattice import in_truncated_set
+from lecam import expansion, pmf
+from lecam.lattice import full_counts, in_truncated_set, point_in_support
 from strategies import params_with_point
 
 BALANCED = validate_params(10, 5, (5, 5))
@@ -223,6 +223,47 @@ class TestBatchedScan:
     def test_mixed_family(self, pairs):
         # members of different dimensions, sample sizes and counts, in any order
         _assert_scan_is_expand_point_by_point(*zip(*pairs), gamma=0.9)
+
+
+# each public entry that reads a point of one experiment
+_POINT_GATES = {
+    "full_counts": full_counts,
+    "point_in_support": point_in_support,
+    "in_truncated_set": lambda params, point: in_truncated_set(params, point, 0.75),
+    "first_order_bracket": first_order_bracket,
+    "second_order_bracket": second_order_bracket,
+    "expansion_order1": expansion_order1,
+    "expansion_order2": expansion_order2,
+    "expand": expand,
+    "log_ratio_exact": log_ratio_exact,
+    "residual_scan": lambda params, point: residual_scan([params] * 4, lambda p: point, order=1),
+}
+
+
+@pytest.mark.parametrize("params, point", [
+    (validate_params(12, 5, (6, 6)), (2, 1)),
+    (validate_params(12, 5, (4, 4, 4)), (2,)),
+])
+@pytest.mark.parametrize("entry", list(_POINT_GATES))
+def test_a_point_of_the_wrong_length_is_refused(entry, params, point):
+    with pytest.raises(ValidationError, match=f"point has {len(point)} coordinates, "
+                                              f"expected {params.dim}"):
+        _POINT_GATES[entry](params, point)
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_a_scan_builds_only_the_brackets_its_order_needs(monkeypatch, order):
+    built = []
+
+    def spy(params, ks, j):
+        built.append(j)
+        return bracket(params, ks, j)
+
+    bracket = expansion._bracket
+    monkeypatch.setattr(expansion, "_bracket", spy)
+    residual_scan(DOUBLING_FAMILY, lambda p: (2,), order=order)
+    assert sorted(set(built)) == list(range(1, order + 1))
+    assert len(built) == order * len(DOUBLING_FAMILY)
 
 
 def test_residuals_shrink_with_population():

@@ -351,6 +351,19 @@ class TestLeafLogPmfs:
         log_p = self._check(validate_params(12, 12, (3, 4, 5)))
         assert log_p[np.isfinite(log_p)].tolist() == [0.0]
 
+    def test_one_log_weight_vector_past_2_53(self):
+        # numpy's c / N rounds c to a float first, then the quotient; every
+        # route reads params.weights, each c_i / N rounded once, so the fold,
+        # the row kernel and the hypergeometric kernel read one Q
+        params = validate_params(2**55 + 3, 7, (2**54, 2**54 + 3))
+        points = count_vector_matrix(7, 1)
+        full = np.column_stack([points, 7 - points.sum(axis=1)])
+        log_q = multinomial_log_pmf_matrix(7, params.weights, points)
+        fold_q = np.concatenate([q for q, _ in leaf_log_pmfs(params, count_vector_levels(7, 1))])
+        assert fold_q.tobytes() == log_q.tobytes()
+        log_p = log_q + log_ratio_matrix(params.counts, full)
+        assert hypergeometric_log_pmf_matrix(params, points).tobytes() == log_p.tobytes()
+
 
 class TestSharedMultinomialRows:
     @given(st.lists(experiment_params(max_dim=3, max_count=40, max_draws=12),
@@ -412,6 +425,22 @@ def test_a_coordinate_that_is_not_whole_is_refused(entry, value):
 def test_a_whole_float_reads_as_its_integer(entry):
     call = _COORDINATE_GATES[entry]
     assert call(2.0) == call(2) and call(np.float64(2.0)) == call(2)
+
+
+# each with-replacement entry, at a sample size
+_SAMPLE_SIZE_GATES = {
+    "multinomial_moments": lambda n: multinomial_moments(n, (0.5, 0.5)),
+    "multinomial_log_pmf_matrix": lambda n: multinomial_log_pmf_matrix(n, (0.5, 0.5), [[0]]),
+    "multinomial_log_pmf": lambda n: multinomial_log_pmf(n, (0.5, 0.5), (0,)),
+    "sample_multinomial": lambda n: sample_multinomial(n, (0.5, 0.5), make_generator(0)),
+}
+
+
+@pytest.mark.parametrize("value", [0, -1, 2.5, np.float64(3.0)])
+@pytest.mark.parametrize("entry", list(_SAMPLE_SIZE_GATES))
+def test_a_sample_size_that_is_not_a_positive_integer_is_refused(entry, value):
+    with pytest.raises(ValidationError, match="sample_size must be a positive integer"):
+        _SAMPLE_SIZE_GATES[entry](value)
 
 
 class TestMoments:
