@@ -323,9 +323,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None, help="CSV output path")
     p.add_argument("--jobs", type=int, default=1,
-                   help="worker processes, one scan point each; the output is identical "
-                   "at any value. Pays on Monte Carlo and d=3 scans, costs on d <= 2 "
-                   "quadrature")
+                   help="worker processes; the points are dealt round-robin into one "
+                   "chunk per worker, and the output is identical at any value. Pays on "
+                   "Monte Carlo and d=3 scans, costs on d <= 2 quadrature")
     p.set_defaults(handler=_cmd_lecam_scan)
 
     p = sub.add_parser("dpi-check", help="data-processing inequality after rounding")

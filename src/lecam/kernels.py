@@ -9,14 +9,15 @@ validates that chain numerically.  The TVs themselves come from
 ``distances.tv_pair`` (the ``*-gauss`` pairs) and, for the check, from one
 pass of the cube quadrature, which gives each support cell's Gaussian mass
 beside the jittered law's TV and so the rounded Gaussian's TV with it.
-``lecam_scan`` hands the quadrature a whole chunk of its family at once:
-each point's Gaussian, built once, with both of its laws, every cell of
-the chunk in one pass of the cell integrator; Monte Carlo scans go point by
-point.
+``lecam_scan`` hands a whole chunk of its family to one routine: each
+point's Gaussian, built once, with its laws, and their TVs from one pass of
+the cell integrator over every cell of the chunk, or from one Monte Carlo
+run per law at its point's seed.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -25,15 +26,17 @@ import numpy as np
 from .distances import (
     DEFAULT_MC_SAMPLES,
     DEFAULT_QUAD_ORDER,
+    MAX_QUAD_DIM,
     TVResult,
     _cube_quadrature,
     _gaussian_term_scale,
     _in_regime,
     _require_regime,
     build_gaussian,
+    tv_monte_carlo,
     tv_pair,
 )
-from .errors import RegimeError, ValidationError
+from .errors import ValidationError
 from .lattice import ExperimentParams
 # apply_jitter is the jitter kernel; it lives in numerics and is re-exported here
 from .numerics import SlopeFit, apply_jitter, fit_loglog_slope, round_half_away
@@ -148,18 +151,22 @@ def lecam_scan(
     ``le_cam_upper`` and ``budget`` from :func:`deficiency_upper_bounds`, and
     ``tv_jittered_multinomial_gauss``.  Points outside the regime of the
     bound get NaN deficiency rows with method ``METHOD_FLAGGED`` instead of
-    an error.  By quadrature ("quad" or "auto") each chunk of points (see
-    :func:`_map_ordered`) builds each point's Gaussian once and integrates
-    both of its laws, or a flagged point's multinomial one, in one pass of
-    the cell integrator, with the bits of :func:`deficiency_upper_bounds`
-    and :func:`tv_pair` point by point.  Point i uses seed + i, so results
-    are identical at any ``jobs``.
+    an error.  Each chunk of points (see :func:`_map_ordered`) builds each
+    point's Gaussian once and takes the TVs of its laws, or a flagged
+    point's multinomial one, from one pass of the cell integrator ("quad"
+    or "auto") or from one Monte Carlo run per law ("mc"), with the bits of
+    :func:`deficiency_upper_bounds` and :func:`tv_pair` point by point.
+    Point i uses seed + i, so results are identical at any ``jobs``.
+    ``tv_method`` is checked here, before any worker starts.
     """
-    tasks = [
-        (params, tv_method, quad_order, sample_count, seed + i)
-        for i, params in enumerate(family)
-    ]
-    records = tuple(r for bundle in _map_ordered(_lecam_points, tasks, jobs) for r in bundle)
+    methods = ("auto", "quad", "mc")
+    if tv_method not in methods:
+        raise ValidationError(
+            f"tv_method {tv_method!r} not available; use one of {', '.join(methods)}")
+    points = [(params, seed + i) for i, params in enumerate(family)]
+    chunk = functools.partial(
+        _lecam_points, method=tv_method, quad_order=quad_order, sample_count=sample_count)
+    records = tuple(r for bundle in _map_ordered(chunk, points, jobs) for r in bundle)
     fits = {}
     for quantity in ("le_cam_upper", "tv_jittered_multinomial_gauss"):
         # flagged rows carry NaN, which fails the positivity test
@@ -193,56 +200,44 @@ def _map_ordered(fn, items, jobs: int):
     return out
 
 
-def _lecam_points(tasks: list[tuple]) -> list[list[ScanRecord]]:
-    """The five records of each scan point of a chunk; top-level so process
-    pools can pickle it."""
-    if not tasks or tasks[0][1] not in ("auto", "quad"):
-        return [_lecam_point(*task) for task in tasks]
+def _lecam_points(
+    points, method: str, quad_order: int, sample_count: int
+) -> list[list[ScanRecord]]:
+    """The five records of each (params, seed) scan point of a chunk.
+
+    Each point builds its Gaussian once and lists its laws, the
+    hypergeometric one where the point is in the regime, then the
+    multinomial one.  Their TVs come from one :func:`_cube_quadrature` pass
+    over the chunk, or from :func:`tv_monte_carlo` at the point's seed.
+    Top-level so process pools can pickle it."""
     items = []
-    for params, *_ in tasks:
+    for params, seed in points:
         gaussian = build_gaussian(params)
-        if _in_regime(params):
-            items.append((params, "hypergeometric", gaussian))
-        items.append((params, "multinomial", gaussian))
-    results = iter(_cube_quadrature(items, tasks[0][2]))
-    records = []
-    for params, *_ in tasks:
-        report = _deficiency_report(params, next(results)[0]) if _in_regime(params) else None
-        records.append(_point_records(params, report, next(results)[0]))
-    return records
-
-
-def _lecam_point(params, method, quad_order, sample_count, seed) -> list[ScanRecord]:
-    """The five records of one scan point, each TV computed on its own."""
-    try:
-        report = deficiency_upper_bounds(params, method, quad_order, sample_count, seed)
-    except RegimeError:
-        report = None
-    tv = tv_pair(params, "jittermulti-gauss", method, quad_order, sample_count, seed)
-    return _point_records(params, report, tv)
-
-
-def _point_records(
-    params: ExperimentParams, report: DeficiencyReport | None, tv: TVResult
-) -> list[ScanRecord]:
-    """A point's deficiency rows (flagged where ``report`` is None) and its
-    with-replacement TV row."""
-    if report is None:
-        nan = float("nan")
-        rows = [(name, nan, nan, METHOD_FLAGGED)
-                for name in ("delta_P_to_Q", "delta_Q_to_P", "le_cam_upper", "budget")]
+        laws = ("hypergeometric", "multinomial") if _in_regime(params) else ("multinomial",)
+        items += [(params, which, gaussian, seed) for which in laws]
+    if method == "mc":
+        tvs = (tv_monte_carlo(params, which, gaussian, sample_count, seed)
+               for params, which, gaussian, seed in items)
     else:
-        rows = [
-            ("delta_P_to_Q", report.delta_P_to_Q, report.error_estimate, report.method),
-            ("delta_Q_to_P", report.delta_Q_to_P, report.error_estimate, report.method),
-            ("le_cam_upper", report.le_cam_upper, report.error_estimate, report.method),
-            ("budget", report.budget, 0.0, "closed-form"),
-        ]
-    rows.append(("tv_jittered_multinomial_gauss", tv.value, tv.error_estimate, tv.method))
-    return [
-        ScanRecord(params.population, params.sample_size, params.dim, params.weights, *row)
-        for row in rows
-    ]
+        tvs = (before for before, _ in _cube_quadrature([item[:3] for item in items], quad_order))
+    records = []
+    for params, _ in points:
+        if _in_regime(params):
+            report = _deficiency_report(params, next(tvs))
+            rows = [
+                ("delta_P_to_Q", report.delta_P_to_Q, report.error_estimate, report.method),
+                ("delta_Q_to_P", report.delta_Q_to_P, report.error_estimate, report.method),
+                ("le_cam_upper", report.le_cam_upper, report.error_estimate, report.method),
+                ("budget", report.budget, 0.0, "closed-form"),
+            ]
+        else:
+            rows = [(name, float("nan"), float("nan"), METHOD_FLAGGED)
+                    for name in ("delta_P_to_Q", "delta_Q_to_P", "le_cam_upper", "budget")]
+        tv = next(tvs)
+        rows.append(("tv_jittered_multinomial_gauss", tv.value, tv.error_estimate, tv.method))
+        records.append([ScanRecord(params.population, params.sample_size, params.dim,
+                                   params.weights, *row) for row in rows])
+    return records
 
 
 def data_processing_check(
@@ -262,6 +257,8 @@ def data_processing_check(
     the support cells alone.  Both TVs come from one pass of the cell
     integrator, which yields each cell's m_k beside its |p_k - density|.
     """
+    if params.dim > MAX_QUAD_DIM:
+        raise ValidationError(f"the data-processing check supports dimension <= {MAX_QUAD_DIM}")
     [(before, after)] = _cube_quadrature(
         [(params, "hypergeometric", build_gaussian(params))], quad_order)
     return DataProcessingResult(

@@ -50,8 +50,6 @@ from .numerics import compensated_cumsum, log_factorial, whole_numbers
 # A probability in natural-log space; -inf encodes probability zero.
 LogProb = float
 
-NEG_INF = float("-inf")
-
 
 @dataclass(frozen=True, eq=False)
 class MomentSummary:
@@ -61,30 +59,25 @@ class MomentSummary:
     covariance: np.ndarray
 
 
-# Up to this many columns, adding whole columns is at least as fast as an
-# integer matmul over the rows of an (m, dim) int64 array: at 10^5 rows, on
-# one core of a 2-vCPU Xeon with numpy 2.4, 0.03 against 0.74 ms at d=1,
-# 0.16 against 0.79 ms at d=2 and 0.33 against 0.84 ms at d=3.  Past it the
-# measurements part: at d=4 one read 0.64 against 0.55 ms and a later one
-# 0.58 against 0.91 ms; column sums won exact-wide's d=4 and d=5 Scheffe
-# sets (3,881 and 6,641 rows: 13 against 21 us, 23 against 41 us).
-_COLUMN_SUM_MAX_DIM = 3
-
-
 def _full_count_matrix(points: np.ndarray, dim: int, sample_size: int) -> np.ndarray:
     """(m, dim) points extended by their derived last count, as (m, dim + 1) int64
-    stored column by column (the kernels read whole columns)."""
+    stored column by column (the kernels read whole columns).  A row with a
+    coordinate outside [0, n], or whose coordinates sum past n, gets -1."""
     points = whole_numbers(points, "points")
     if points.ndim != 2 or points.shape[1] != dim:
         raise ValidationError(f"points must have shape (m, {dim})")
-    cols = points.T
-    if dim > _COLUMN_SUM_MAX_DIM:
-        last = sample_size - points @ np.ones(dim, dtype=np.int64)
-    else:
-        last = sample_size - cols[0]
-        for col in cols[1:]:
-            last -= col
-    return np.array([*cols, last]).T
+    out = np.empty((dim + 1, len(points)), dtype=np.int64)
+    out[:dim] = points.T
+    out[dim] = sample_size  # past int64, this raises
+    # the room left, n + 1 - sum k, stops at 0: each column takes at most
+    # all of it, read unsigned (a negative coordinate exceeds n), so no
+    # step wraps, and a row off the support ends with last count -1
+    room = out[dim].view(np.uint64)
+    room += np.uint64(1)
+    for col in out[:dim].view(np.uint64):
+        room -= np.minimum(col, room)
+    out[dim] -= 1
+    return out.T
 
 
 def hypergeometric_log_pmf(params: ExperimentParams, point: Sequence[int]) -> LogProb:
@@ -124,7 +117,9 @@ def _family_log_pmfs(
     hyper, counts = per_row(hypergeometric), per_row(counts)
     flip = hyper & per_row([2 * p.sample_size > p.population for p in family])
     if flip.any():
-        ks = np.where(flip[..., None], counts - ks, ks)
+        # a row off the support keeps its last count -1, which both kernels
+        # refuse: flipped, its sum could pass 2**63
+        ks = np.where((flip & (ks[:, -1] >= 0))[..., None], counts - ks, ks)
     out = _multinomial_log_pmf_rows(log_w.T, ks)
     if hyper.all():
         return out + log_ratio_matrix(counts, ks)
@@ -403,10 +398,7 @@ def multinomial_log_pmf(sample_size: int, weights: Sequence[float], point: Seque
     n, w = _check_law(sample_size, weights)
     if len(point) != w.size - 1:
         raise ValidationError(f"point has {len(point)} coordinates, expected {w.size - 1}")
-    ks = whole_numbers(point).tolist()
-    if min(ks) < 0 or sum(ks) > n:
-        return NEG_INF
-    return float(multinomial_log_pmf_matrix(n, w, np.array([ks], dtype=np.int64))[0])
+    return float(multinomial_log_pmf_matrix(n, w, [point])[0])
 
 
 def multinomial_log_pmf_matrix(

@@ -315,6 +315,18 @@ class TestExitCodes:
         assert proc.returncode == 4
         assert "cap" in proc.stderr
 
+    @pytest.mark.parametrize("args,advice", [
+        (("dpi-check",), False),
+        (("tv", "--pair", "jitterhyper-gauss", "--method", "quad"), True),
+        (("lecam-scan",), True),
+    ], ids=["dpi-check", "tv", "lecam-scan"])
+    def test_quadrature_past_three_dimensions_is_validation(self, args, advice):
+        proc = run_cli(*args, "--N", "500", "--n", "10", "--Np", "100,100,100,100,100")
+        assert proc.returncode == 3
+        assert "dimension <= 3" in proc.stderr
+        # dpi-check has no Monte Carlo path to advise
+        assert ("use the Monte Carlo path" in proc.stderr) == advice
+
     def test_dpi_support_over_cap_is_resource_error(self):
         proc = run_cli("dpi-check", "--N", "16", "--n", "4", "--Np", "8,8",
                        env_extra={"LECAM_SUPPORT_CAP": "4"})

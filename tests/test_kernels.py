@@ -129,11 +129,6 @@ class TestDeficiency:
         assert mc.method == "monte-carlo"
         assert abs(mc.le_cam_upper - quad.le_cam_upper) < 4 * mc.error_estimate
 
-    def test_bad_method_rejected(self):
-        for name in ("bootstrap", "quadrature"):
-            with pytest.raises(ValidationError):
-                deficiency_upper_bounds(WIDE, tv_method=name)
-
     def test_monotone_along_cubic_population_growth(self):
         reports = [
             deficiency_upper_bounds(
@@ -284,6 +279,29 @@ class TestScanIsPointByPoint:
         got = [(r.value.hex(), r.error.hex(), r.method) for r in scan.records]
         assert got == _point_by_point(family, **kwargs)
 
+    def test_monte_carlo_builds_one_gaussian_per_point(self, monkeypatch):
+        built, runs = [], []
+        build, monte_carlo = distances.build_gaussian, distances.tv_monte_carlo
+
+        def counted_build(params):
+            built.append(params)
+            return build(params)
+
+        def counted_run(params, which, *args):
+            runs.append((params, which))
+            return monte_carlo(params, which, *args)
+
+        for module in (distances, kernels):
+            monkeypatch.setattr(module, "build_gaussian", counted_build)
+            monkeypatch.setattr(module, "tv_monte_carlo", counted_run)
+        # three points, the last outside the regime: one Gaussian each, one run per law
+        family = SCAN_FAMILIES["d1"][:2] + [validate_params(10, 8, (5, 5))]
+        lecam_scan(family, tv_method="mc", sample_count=10_000)
+        assert built == family
+        assert runs == [(family[0], "hypergeometric"), (family[0], "multinomial"),
+                        (family[1], "hypergeometric"), (family[1], "multinomial"),
+                        (family[2], "multinomial")]
+
 
 class TestDataProcessing:
     def test_rounding_cannot_grow_tv(self):
@@ -358,6 +376,22 @@ def test_jobs_below_one_are_refused(jobs):
 def test_jobs_must_be_an_integer():
     with pytest.raises(ValidationError, match="jobs must be at least 1"):
         lecam_scan([WIDE, WIDE], jobs=1.5)
+
+
+class _NoPool:
+    def __init__(self, max_workers):
+        raise AssertionError("a worker started")
+
+
+@pytest.mark.parametrize("name", ["exact", "bootstrap", "quadrature"])
+@pytest.mark.parametrize("call", [
+    deficiency_upper_bounds,
+    lambda params, **kwargs: lecam_scan([params, params], jobs=2, **kwargs),
+], ids=["deficiency_upper_bounds", "lecam_scan"])
+def test_bad_method_rejected(call, name, monkeypatch):
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _NoPool)
+    with pytest.raises(ValidationError, match=f"{name!r} not available"):
+        call(WIDE, tv_method=name)
 
 
 @pytest.mark.parametrize("call", [

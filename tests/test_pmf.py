@@ -32,6 +32,7 @@ from lecam import (
 )
 from lecam import pmf
 from lecam.cli import main
+from lecam.distances import JitteredLaw
 from lecam.expansion import expand, first_order_bracket, residual_scan
 from lecam.lattice import SUPPORT_CAP_ENV, _level_points, count_vector_levels, point_in_support
 from lecam.numerics import log_factorial
@@ -441,6 +442,51 @@ _SAMPLE_SIZE_GATES = {
 def test_a_sample_size_that_is_not_a_positive_integer_is_refused(entry, value):
     with pytest.raises(ValidationError, match="sample_size must be a positive integer"):
         _SAMPLE_SIZE_GATES[entry](value)
+
+
+def _rows_off_the_support(dim, n):
+    """Rows off the support of n draws: negative coordinates, one past n,
+    d coordinates of n each (in range, summing past n, and past 2**63 where
+    n = 2**62), and d of 2**62 (past n, summing past 2**63)."""
+    pad = (0,) * (dim - 1)
+    rows = [(-1, *pad), (*pad, -(2**62)), (n + n // 2, *pad)]  # each exact as a float
+    if dim > 1:
+        rows.append((n,) * dim)
+    if n < 2**62:
+        rows.append((2**62,) * dim)
+    return rows
+
+
+def _log_pmfs(params, rows):
+    """Each entry that reads a lattice law's log-pmf, at every row, keyed by
+    its law and its name."""
+    n, w, x = params.sample_size, params.weights, np.array(rows, float)
+    return {
+        ("hyper", "matrix"): hypergeometric_log_pmf_matrix(params, rows),
+        ("multi", "matrix"): multinomial_log_pmf_matrix(n, w, rows),
+        ("hyper", "scalar"): [hypergeometric_log_pmf(params, r) for r in rows],
+        ("multi", "scalar"): [multinomial_log_pmf(n, w, r) for r in rows],
+        ("hyper", "JitteredLaw"): JitteredLaw(params, "hyper").log_density(x),
+        ("multi", "JitteredLaw"): JitteredLaw(params, "multi").log_density(x),
+    }
+
+
+@pytest.mark.parametrize("dim", range(1, 7))
+def test_every_row_off_the_support_is_impossible(dim):
+    # the last count n - sum k must not wrap int64 into a finite log-pmf
+    desk = validate_params(10 * (dim + 1), 10, (10,) * (dim + 1))
+    share = (2**63 - 1) // (dim + 1)
+    wide = validate_params(share * (dim + 1), 2**62, (share,) * (dim + 1))
+    for params in (desk, wide):
+        off = _rows_off_the_support(dim, params.sample_size)
+        for entry, got in _log_pmfs(params, off).items():
+            assert list(got) == [-np.inf] * len(got), (entry, params.sample_size)
+    pad = (0,) * (dim - 1)
+    on = [(0,) * dim, (1,) * dim, (10, *pad), (*pad, 3)]
+    oracle = {"hyper": oracles.log_hyper_prob, "multi": oracles.log_multi_prob}
+    for (law, name), got in _log_pmfs(desk, on).items():
+        want = [float(oracle[law](desk.population, desk.counts, 10, r)) for r in on]
+        assert list(got) == pytest.approx(want, rel=1e-13), (law, name)
 
 
 class TestMoments:
