@@ -23,7 +23,9 @@ dimension three.  Where the sampled law's support fits a chunk of draws it
 tables its cells and their log-pmf once, from ``_support_log_pmfs``, the
 quadrature's producer too, with one cdf; each draw is one uniform and one
 search, an index into the table; elsewhere it runs the samplers.  A
-jittered lattice target's log-pmf is read on the same table.
+jittered lattice target's log-pmf is read on the same table.  Either way a
+chunk's terms are made a cache-sized block of draws at a time into one
+buffer.
 """
 
 from __future__ import annotations
@@ -63,7 +65,8 @@ from .numerics import (
 from .pmf import (
     _family_log_pmfs,
     _full_count_matrix,
-    _first_at_least,
+    _guide,
+    _guided_search,
     _multinomial_log_pmf_rows,
     hypergeometric_log_pmf_matrix,
     leaf_log_pmfs,
@@ -89,6 +92,9 @@ MAX_QUAD_DIM = 3
 MAX_QUAD_ORDER = 64
 MIN_MC_SAMPLES = 10_000
 _MC_CHUNK = 1 << 20
+# Draws per block of a chunk's terms: its temporaries, 64 KB a column, stay in
+# cache and below glibc's 128 KB mmap threshold, so no call faults pages in.
+_MC_BLOCK = 1 << 13
 # Points per log_density call in the cell integrator; bounds its memory.
 _CELL_BLOCK = 1 << 15
 
@@ -194,7 +200,8 @@ class JitteredLaw:
 
     The density at x equals the pmf at the nearest lattice point, so it is
     piecewise constant; points outside every support cube (rounding to a
-    negative count, past n or past a category's count) have density zero.
+    negative count, past n or past a category's count, however far) have
+    density zero.
     :func:`tv_monte_carlo` reads the same row kernel at the lattice points
     directly.
     """
@@ -211,6 +218,9 @@ class JitteredLaw:
         arr = np.asarray(x, dtype=float)
         single = arr.ndim == 1
         pts = np.atleast_2d(arr)
+        # a finite coordinate past int64 lies off every support cube, as -1
+        # does; NaN and the infinities stay the rounding's ValidationError
+        pts = np.where((np.abs(pts) >= 2.0**63) & np.isfinite(pts), -1.0, pts)
         out = _law_log_pmf(self.params, self.which, round_half_away(pts))
         return float(out[0]) if single else out
 
@@ -687,6 +697,16 @@ def tv_monte_carlo(
     row kernel reads each draw.  At d=1 both routes spend one uniform per
     draw and draw the same points.
 
+    Each chunk's terms are made ``_MC_BLOCK`` draws at a time into one
+    m-sized buffer, whose sum and sum of squares the chunk reports.  On the
+    tabled route the buffer first holds the chunk's uniforms, drawn at once
+    (so every search uniform comes before any jitter uniform), searched
+    through one guide per chunk, and each block's terms overwrite its own
+    uniforms; on the other route the sampler's draws are read a block at a
+    time.  The jitter, the density, the gathered log-pmf and the clipping
+    see only a block, so their temporaries stay in cache and are reused,
+    and no bit depends on the block size.
+
     A :class:`JitteredLaw` target, of this experiment or another, needs no
     jitter: its density at a jittered draw is its pmf at the draw, which the
     jitter never leaves the open cube of, and the jitter is each chunk
@@ -709,7 +729,7 @@ def tv_monte_carlo(
         cdf /= cdf[-1]
         cdf = cdf[None, :]
         if lattice_target:
-            terms = _clipped_terms(_law_log_pmf(density.params, density.which, points) - log_pmf)
+            table = _clipped_terms(_law_log_pmf(density.params, density.which, points) - log_pmf)
         else:
             centers = points.astype(float)  # the jitter reads float draws
     n_chunks = (sample_count + _MC_CHUNK - 1) // _MC_CHUNK
@@ -722,26 +742,33 @@ def tv_monte_carlo(
         done += m
         gen = make_generator(child)
         if tabled:
-            index = _first_at_least(cdf, gen.random(m))
-            if lattice_target:
-                term = terms.take(index)
-            else:
-                # the density first, so the gathered log-pmf is not held
-                # through the density's temporaries
-                density_at = density.log_density(apply_jitter(centers.take(index, axis=0), gen))
-                term = _clipped_terms(density_at - log_pmf.take(index))
+            # every search uniform before any jitter uniform; each block's
+            # terms overwrite its own uniforms
+            terms, guide = gen.random(m), _guide(cdf, m)
         else:
             if which == HYPERGEOMETRIC:
                 draws = sample_hypergeometric(params, gen, size=m)
             else:
                 draws = sample_multinomial(params.sample_size, params.weights, gen, size=m)
-            if lattice_target:
-                log_ratio = _law_log_pmf(density.params, density.which, draws)
+            terms = np.empty(m)
+        for start in range(0, m, _MC_BLOCK):
+            out = terms[start : start + _MC_BLOCK]
+            if tabled:
+                index = _guided_search(cdf, guide, out)
+                if lattice_target:
+                    out[:] = table.take(index)
+                    continue
+                at = centers.take(index, axis=0)
             else:
-                log_ratio = density.log_density(apply_jitter(draws, gen))
-            term = _clipped_terms(log_ratio - _law_log_pmf(params, which, draws))
-        chunk_sums.append(float(np.sum(term)))
-        chunk_sq_sums.append(float(np.sum(np.square(term, out=term))))
+                at = draws[start : start + _MC_BLOCK]
+            if lattice_target:
+                target = _law_log_pmf(density.params, density.which, at)
+            else:
+                target = density.log_density(apply_jitter(at, gen))
+            log_pmf_at = log_pmf.take(index) if tabled else _law_log_pmf(params, which, at)
+            _clipped_terms(np.subtract(target, log_pmf_at, out=out))
+        chunk_sums.append(float(np.sum(terms)))
+        chunk_sq_sums.append(float(np.sum(np.square(terms, out=terms))))
     total = math.fsum(chunk_sums)
     total_sq = math.fsum(chunk_sq_sums)
     mean = total / sample_count

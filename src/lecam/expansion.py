@@ -21,9 +21,9 @@ from .errors import ValidationError
 from .lattice import (
     ExperimentParams,
     _exact_gamma,
+    _in_support,
     _in_truncated_set,
     full_counts,
-    point_in_support,
 )
 from .numerics import SlopeFit, fit_loglog_slope
 from .pmf import log_ratio_matrix
@@ -54,11 +54,16 @@ def log_ratio_exact(params: ExperimentParams, point: Sequence[int]) -> float:
     and log(1 - j/N) over the draws, so the two nearly equal log-pmfs are
     never formed and no log-factorial enters.
     """
-    if not point_in_support(params, point):
+    return _log_ratio_at(params, full_counts(params, point))
+
+
+def _log_ratio_at(params: ExperimentParams, ks: tuple[int, ...]) -> float:
+    """:func:`log_ratio_exact` at a point's full counts."""
+    if not _in_support(params, ks):
         raise ValidationError(
-            f"point {tuple(point)} lies outside the support; the ratio is undefined"
+            f"point {ks[:-1]} lies outside the support; the ratio is undefined"
         )
-    return float(log_ratio_matrix(params.counts, [full_counts(params, point)])[0])
+    return float(log_ratio_matrix(params.counts, [ks])[0])
 
 
 # per order j: the bracket's polynomial f_j, times its scale, and the scale
@@ -84,11 +89,15 @@ def _bracket(params: ExperimentParams, ks: Sequence[int], order: int) -> Fractio
     return Fraction(num, scale * den)
 
 
-def _truncation(params: ExperimentParams, ks: Sequence[int], order: int) -> float:
-    """The expansion to ``order`` at a point's full counts: the brackets of
-    orders 1..order, each over N to its order, summed exactly and rounded once."""
-    N = params.population
-    return float(sum(_bracket(params, ks, j) / N**j for j in range(1, order + 1)))
+def _truncations(params: ExperimentParams, ks: Sequence[int], order: int) -> list[float]:
+    """The expansions to orders 1..order at a point's full counts: the
+    brackets, each over N to its order, summed exactly and rounded once per
+    order, so each bracket is built once."""
+    N, total, out = params.population, Fraction(0), []
+    for j in range(1, order + 1):
+        total += _bracket(params, ks, j) / N**j
+        out.append(float(total))
+    return out
 
 
 def first_order_bracket(params: ExperimentParams, point: Sequence[int]) -> Fraction:
@@ -103,19 +112,19 @@ def second_order_bracket(params: ExperimentParams, point: Sequence[int]) -> Frac
 
 def expansion_order1(params: ExperimentParams, point: Sequence[int]) -> float:
     """First-order approximation: bracket over N."""
-    return _truncation(params, full_counts(params, point), 1)
+    return _truncations(params, full_counts(params, point), 1)[-1]
 
 
 def expansion_order2(params: ExperimentParams, point: Sequence[int]) -> float:
     """Second-order approximation: both brackets, exact rational arithmetic."""
-    return _truncation(params, full_counts(params, point), 2)
+    return _truncations(params, full_counts(params, point), 2)[-1]
 
 
 def expand(params: ExperimentParams, point: Sequence[int]) -> ExpansionResult:
     """Exact log-ratio together with both approximations and their residuals."""
-    exact = log_ratio_exact(params, point)
     ks = full_counts(params, point)
-    order1, order2 = _truncation(params, ks, 1), _truncation(params, ks, 2)
+    exact = _log_ratio_at(params, ks)
+    order1, order2 = _truncations(params, ks, 2)
     return ExpansionResult(exact, order1, order2, exact - order1, exact - order2)
 
 
@@ -173,7 +182,7 @@ def residual_scan(
             dim=params.dim,
             weights=params.weights,
             quantity=f"abs_residual_order{int(order)}",
-            value=abs(value - _truncation(params, ks, order)),
+            value=abs(value - _truncations(params, ks, order)[-1]),
             error=0.0,
             method="exact-log-ratio",
         )

@@ -373,7 +373,12 @@ def full_counts(params: ExperimentParams, point: Sequence[int]) -> tuple[int, ..
 
 def point_in_support(params: ExperimentParams, point: Sequence[int]) -> bool:
     """Membership test for the without-replacement support."""
-    return all(0 <= k <= c for k, c in zip(full_counts(params, point), params.counts))
+    return _in_support(params, full_counts(params, point))
+
+
+def _in_support(params: ExperimentParams, ks: Sequence[int]) -> bool:
+    """:func:`point_in_support` at a point's full counts."""
+    return all(0 <= k <= c for k, c in zip(ks, params.counts))
 
 
 def _exact_gamma(gamma) -> Fraction:

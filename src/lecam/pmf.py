@@ -25,7 +25,10 @@ so no mass underflows at any sample size.  One search serves every row:
 indexed by a guide table (Chen and Asau 1974), as fine as the block's
 uniforms pay for, where one comparison settles most uniforms and a halving
 search inside the cell the rest.  It returns a flat index into the block's
-table, so one ``take`` from the table of counts gives the draws.
+table, so one ``take`` from the table of counts gives the draws.  The guide
+is built apart from the search (``_guide``, ``_guided_search``), so the
+tabled Monte Carlo route builds one per chunk and searches it a block of
+uniforms at a time.
 """
 
 from __future__ import annotations
@@ -460,19 +463,22 @@ def _first_at_least(cdf: np.ndarray, u: np.ndarray, rows: np.ndarray | None = No
     """The flat index into ``cdf`` of ``np.searchsorted(cdf[row], u)`` per uniform,
     by an indexed search (Chen and Asau 1974; Devroye 1986, section III.2.4);
     each row ends in exactly 1.0 > u.  ``rows`` may be omitted for one row.
+    A guide for these uniforms (:func:`_guide`), then :func:`_guided_search`."""
+    return _guided_search(cdf, _guide(cdf, u.size), u, rows)
+
+
+def _guide(cdf: np.ndarray, count: int) -> tuple[np.ndarray, int]:
+    """A guide to the rows of ``cdf`` for ``count`` uniforms, and its G.
 
     Each row is cut into G = 2**j cells, at least its width, so ``u * G`` is
-    exact; a guide, from one bincount of ``cdf * G`` (at most G), holds where
-    each cell's entries start.  G is up to ``_GUIDE_FINENESS`` times finer
-    while the guide stays within the number of uniforms.  A uniform starts at
-    the first entry of its cell, which is at most its answer; one comparison
-    settles it unless an entry of its cell lies below it, and those finish by
-    a halving search inside the cell.
+    exact; the guide, from one bincount of ``cdf * G`` (at most G), holds
+    where each cell's entries start.  G is up to ``_GUIDE_FINENESS`` times
+    finer while the guide stays within ``count``.  Any guide gives every
+    search the same answer; a finer one settles more by one comparison.
     """
     height, width = cdf.shape
-    flat = cdf.ravel()
     cells = 1 << (width - 1).bit_length()
-    fine = min(_GUIDE_FINENESS, u.size // (height * cells))
+    fine = min(_GUIDE_FINENESS, count // (height * cells))
     if fine > 1:
         cells <<= fine.bit_length() - 1
     span = cells + 1
@@ -482,9 +488,22 @@ def _first_at_least(cdf: np.ndarray, u: np.ndarray, rows: np.ndarray | None = No
     # starts[r * (G + 1) + c]: the flat index of row r's first entry >= c / G
     starts = np.zeros(height * span + 1, dtype=np.intp)
     np.cumsum(np.bincount(slots.ravel(), minlength=height * span), out=starts[1:])
+    return starts, cells
+
+
+def _guided_search(
+    cdf: np.ndarray, guide: tuple[np.ndarray, int], u: np.ndarray, rows: np.ndarray | None = None
+) -> np.ndarray:
+    """:func:`_first_at_least` through a guide of ``cdf`` built once
+    (:func:`_guide`), so blocks of uniforms can share it.  A uniform starts
+    at the first entry of its cell, which is at most its answer; one
+    comparison settles it unless an entry of its cell lies below it, and
+    those finish by a halving search inside the cell."""
+    starts, cells = guide
+    flat = cdf.ravel()
     cell = (u * cells).astype(np.intp)
     if rows is not None:
-        cell += rows * span
+        cell += rows * (cells + 1)
     at = starts.take(cell)
     left = np.flatnonzero(flat.take(at) < u)
     if left.size:

@@ -350,6 +350,27 @@ def test_exact_tv_memory_is_bounded_by_the_block():
     assert peak < 8 * 2**20, peak
 
 
+@pytest.mark.parametrize("params, target", [
+    (validate_params(10**6, 500, (500_000,) * 2), "gauss"),
+    (validate_params(4096, 16, (1024, 1024, 2048)), "gauss"),
+    (validate_params(500, 10, (100,) * 5), "multi"),
+], ids=["d1", "d2", "d4-jittered"])
+def test_monte_carlo_memory_is_bounded_by_the_block(params, target):
+    # 10^5 draws from the tabled support: one 0.8 MB buffer of uniforms,
+    # then terms, and temporaries of a block; a chunk's m-sized arrays
+    # peaked at 4.6, 6.1 and 3.3 MB
+    density = build_gaussian(params) if target == "gauss" else JitteredLaw(params, target)
+    # a first call imports what numpy.random loads lazily
+    tv_monte_carlo(params, "hyper", density, distances.MIN_MC_SAMPLES, seed=0)
+    tracemalloc.start()
+    try:
+        tv_monte_carlo(params, "hyper", density, 100_000, seed=7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20, peak
+
+
 def test_same_law_hypergeometric_counts_its_support_fast():
     # 11 support points at N=10^6, n=999,990, counted at N - n = 10 draws;
     # the pure-Python count over n took over a second
@@ -553,6 +574,24 @@ class TestJitteredLaw:
         assert np.isneginf(got[4]) == (which == "hyper")
         assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
 
+    @pytest.mark.parametrize("which", ["hyper", "multi"])
+    @pytest.mark.parametrize("params, x", [
+        (validate_params(20, 10, (10, 10)), [[1e19], [-1e19], [2.0**63], [-1e300], [3.2]]),
+        (validate_params(40, 10, (10,) * 4),
+         [[1e19, 0, 0], [0, -1e19, 0], [0, 0, 1e300], [2.0**63, 2.0**64, 1], [1, 2, 3.2]]),
+    ], ids=["d1", "d3"])
+    def test_density_past_int64_is_zero(self, params, x, which):
+        # the rounding refused these finite points; build_gaussian reads about
+        # -4e37 at the first.  The last row, on the support, keeps its bits
+        law = JitteredLaw(params, which)
+        got = law.log_density(np.array(x))
+        assert np.isneginf(got[:-1]).all()
+        assert law.log_density(x[0]) == -math.inf
+        assert got[-1] == law.log_density(x[-1]) > -math.inf
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValidationError):
+                law.log_density([bad] + [0.0] * (params.dim - 1))
+
     def test_jitter_preserves_tv(self):
         expected = float(oracles.tv_jittered_pair(64, (32, 32), 8))
         assert tv_pair(WIDE, "jitterhyper-jittermulti").value == pytest.approx(expected, abs=1e-10)
@@ -707,9 +746,10 @@ class TestMonteCarloRowKernels:
 
     @pytest.mark.parametrize("chunk", [None, 4000], ids=["one-chunk", "three-chunks"])
     @pytest.mark.parametrize("target", ["gauss", "same", "other"])
-    def test_each_kernel_runs_once_per_chunk_on_the_draws(self, monkeypatch, target, chunk):
-        # no enumeration; per chunk the producer reads the chunk's draws, for
-        # a lattice target first, then for the sampled law
+    def test_each_kernel_runs_once_per_block_on_the_draws(self, monkeypatch, target, chunk):
+        # no enumeration; per block of a chunk the producer reads the block's
+        # draws, for a lattice target first, then for the sampled law: one
+        # chunk of 10,000 draws is two blocks, three of 4,000 one block each
         if chunk:
             monkeypatch.setattr(distances, "_MC_CHUNK", chunk)
         density = self._density(self.SAMPLED, target)
@@ -726,11 +766,14 @@ class TestMonteCarloRowKernels:
         producer = self._spy_producer(monkeypatch)
         tv_monte_carlo(self.SAMPLED, "hyper", density, 10_000, seed=3)
         assert len(draws) == (3 if chunk else 1) and tables == []
+        blocks = [x[start : start + distances._MC_BLOCK].tolist()
+                  for x in draws for start in range(0, len(x), distances._MC_BLOCK)]
+        assert len(blocks) == (3 if chunk else 2)
         want = []
-        for chunk_draws in draws:
+        for block in blocks:
             if target != "gauss":
-                want.append(([density.params], [chunk_draws.tolist()], [False]))
-            want.append(([self.SAMPLED], [chunk_draws.tolist()], [True]))
+                want.append(([density.params], [block], [False]))
+            want.append(([self.SAMPLED], [block], [True]))
         assert producer() == want
 
     @pytest.mark.parametrize("density", [

@@ -266,6 +266,24 @@ def test_a_scan_builds_only_the_brackets_its_order_needs(monkeypatch, order):
     assert len(built) == order * len(DOUBLING_FAMILY)
 
 
+def test_expand_builds_each_bracket_and_the_full_counts_once(monkeypatch):
+    built, counted = [], []
+    bracket, counts = expansion._bracket, expansion.full_counts
+
+    def spy_bracket(params, ks, j):
+        built.append(j)
+        return bracket(params, ks, j)
+
+    def spy_counts(params, point):
+        counted.append(point)
+        return counts(params, point)
+
+    monkeypatch.setattr(expansion, "_bracket", spy_bracket)
+    monkeypatch.setattr(expansion, "full_counts", spy_counts)
+    expand(DOUBLING_FAMILY[2], (2,))
+    assert built == [1, 2] and counted == [(2,)]
+
+
 def test_residuals_shrink_with_population():
     values = [abs(expand(p, (2,)).residual1) for p in DOUBLING_FAMILY]
     assert all(a > b for a, b in zip(values, values[1:]))

@@ -30,7 +30,7 @@ from lecam import (
     support_matrix,
     validate_params,
 )
-from lecam import pmf
+from lecam import distances, pmf
 from lecam.cli import main
 from lecam.distances import JitteredLaw
 from lecam.expansion import expand, first_order_bracket, residual_scan
@@ -38,6 +38,8 @@ from lecam.lattice import SUPPORT_CAP_ENV, _level_points, count_vector_levels, p
 from lecam.numerics import log_factorial
 from lecam.pmf import (
     _first_at_least,
+    _guide,
+    _guided_search,
     _log_pmf_tables,
     _multinomial_log_pmf_rows,
     leaf_log_pmfs,
@@ -794,7 +796,13 @@ def test_search_of_one_row_with_rows_omitted(width, uniforms):
         mass[-1] += 1e-3
         cdf = _normalised_cdf(mass[None, :])
         u = np.concatenate([[0.0, top], cdf[0], rng.random(uniforms)])
-        _assert_search_is_searchsorted(cdf, None, np.minimum(u, top)[:uniforms])
+        u = np.minimum(u, top)[:uniforms]
+        _assert_search_is_searchsorted(cdf, None, u)
+        # as Monte Carlo searches: blocks of uniforms through one guide, built
+        # for more uniforms than any block (as fine as a guide gets)
+        guide = _guide(cdf, 64 * width)
+        got = np.concatenate([_guided_search(cdf, guide, b) for b in np.array_split(u, 3)])
+        assert got.tolist() == _searchsorted_per_row(cdf, u).tolist()
 
 
 @pytest.mark.parametrize("uniforms", [4, 5000], ids=["coarse-guide", "fine-guide"])
@@ -1004,6 +1012,23 @@ def test_monte_carlo_outputs_are_pinned(capsys, pair, N, n, counts, tv, error):
     want = (f'{{\n  "tv": {tv!r},\n  "method": "monte-carlo",\n'
             f'  "error_estimate": {error!r}\n}}\n')
     assert capsys.readouterr().out == want
+
+
+@pytest.mark.parametrize("pair, N, n, counts", [
+    *(case[:4] for case in PINNED_MC_OUTPUTS),
+    ("jitterhyper-gauss", "600", "30", "120,120,120,120,120"),
+], ids=["d1-hyper", "d1-multi", "d2", "d4-jittered", "d4-sampler"])
+def test_monte_carlo_outputs_do_not_hang_on_the_block(monkeypatch, capsys, pair, N, n, counts):
+    # 10,007 draws end in a ragged block at every block size; the last
+    # instance's 46,376 count vectors outnumber them, so it runs the sampler
+    argv = _mc_argv(pair, N, n, counts)
+    argv[argv.index("100000")] = "10007"
+    printed = []
+    for block in (7, 1000, distances._MC_BLOCK):
+        monkeypatch.setattr(distances, "_MC_BLOCK", block)
+        assert main(argv) == 0
+        printed.append(capsys.readouterr().out)
+    assert printed[0] == printed[1] == printed[2]
 
 
 @pytest.mark.parametrize("sample_size", [2000, 10_000])
