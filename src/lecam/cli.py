@@ -5,18 +5,20 @@ tail-check, dpi-check) and scans with slope summaries (expansion-scan,
 lecam-scan).  Each handler only parses, calls the library and prints: ``tv``
 hands its --pair and --method to ``distances.tv_pair``, which picks the
 route.  Scans write CSV via --out and everything can emit JSON; both
-formats carry identical values.  Exit codes: 0 success, 2 usage, 3
-validation, 4 resource cap.
+formats carry identical values.  The two scans share one output tail,
+``_scan_report``, and every JSON document is encoded by
+``records._json_text``.  Exit codes: 0 success, 2 usage, 3 validation,
+4 resource cap.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import json
+import itertools
 import math
 import sys
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .distances import (
     DEFAULT_MC_SAMPLES,
@@ -33,7 +35,7 @@ from .kernels import METHOD_FLAGGED, data_processing_check, lecam_scan
 from .lattice import ExperimentParams, scaled_params, validate_params
 from .numerics import SlopeFit
 from .pmf import hypergeometric_log_pmf, multinomial_log_pmf
-from .records import _json_float, records_to_json, write_csv
+from .records import _json_float, _json_text, records_to_json, write_csv
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -63,14 +65,10 @@ def _fmt(x: float) -> str:
     return format(x, ".15g")
 
 
-def _print_json(doc: dict) -> None:
-    print(json.dumps(doc, indent=2, allow_nan=False))
-
-
 def _report(args, doc: dict) -> int:
     """Print ``doc`` as JSON with --json, else one ``name = value`` line per field."""
     if args.json:
-        _print_json(doc)
+        print(_json_text(doc))
         return EXIT_OK
     for name, value in doc.items():
         if isinstance(value, float):
@@ -121,23 +119,14 @@ def _cmd_expansion_scan(args) -> int:
     family = [scaled_params(N, args.n, args.Np) for N in populations]
     point = tuple(args.k)
     scan = residual_scan(family, lambda p: point, order=args.order, gamma=args.gamma)
-    records = list(scan.records)
-    if args.out:
-        write_csv(records, args.out)
-    fits = {}
-    if scan.degenerate:
-        summary = ("degenerate: fewer than 4 residuals above the rounding floor, "
-                   "or all at one population")
-    else:
-        fits[f"abs_residual_order{args.order}"] = scan.fit
-        summary = _slope_line(f"abs_residual_order{args.order}", scan.fit)
-    if args.json:
-        print(records_to_json(records, fits, extra={"degenerate": scan.degenerate}))
-    else:
-        for r in records:
-            print(f"N={r.population} {r.quantity} = {_fmt(r.value)}")
-        print(summary)
-    return EXIT_OK
+    name = f"abs_residual_order{args.order}"
+    fits = {} if scan.degenerate else {name: scan.fit}
+    summary = (_slope_line(name, scan.fit) if fits else
+               "degenerate: fewer than 4 residuals above the rounding floor, "
+               "or all at one population")
+    text = itertools.chain((f"N={r.population} {r.quantity} = {_fmt(r.value)}"
+                            for r in scan.records), [summary])
+    return _scan_report(args, scan.records, fits, text, extra={"degenerate": scan.degenerate})
 
 
 def _cmd_tv(args) -> int:
@@ -179,7 +168,7 @@ def _cmd_tail_check(args) -> int:
             }
         )
     if args.json:
-        _print_json({"checks": rows})
+        print(_json_text({"checks": rows}))
     else:
         for row in rows:
             print(
@@ -209,22 +198,22 @@ def _cmd_lecam_scan(args) -> int:
         seed=args.seed,
         jobs=args.jobs,
     )
-    if args.out:
-        write_csv(scan.records, args.out)
     fits = {name: fit for name, fit in scan.fits.items() if fit is not None}
-    if args.json:
-        print(records_to_json(scan.records, fits))
-    else:
-        for r in scan.records:
-            print(
-                f"n={r.sample_size} N={r.population} {r.quantity} = {_fmt(r.value)}"
-                + (f"  [{r.method}]" if r.method == METHOD_FLAGGED else "")
-            )
-        for name, fit in scan.fits.items():
-            if fit is None:
-                print(f"slope({name}) skipped: fewer than 4 usable points, or one n")
-            else:
-                print(_slope_line(name, fit))
+    text = itertools.chain(
+        (f"n={r.sample_size} N={r.population} {r.quantity} = {_fmt(r.value)}"
+         + (f"  [{r.method}]" if r.method == METHOD_FLAGGED else "") for r in scan.records),
+        (f"slope({name}) skipped: fewer than 4 usable points, or one n" if fit is None
+         else _slope_line(name, fit) for name, fit in scan.fits.items()))
+    return _scan_report(args, scan.records, fits, text)
+
+
+def _scan_report(args, records, fits: dict, text: Iterable[str], extra: dict | None = None) -> int:
+    """A scan's tail: its records as CSV to --out, if given, then as JSON
+    with --json (``fits`` and ``extra`` beside them), else the lines of
+    ``text``, which only text output reads."""
+    if args.out:
+        write_csv(records, args.out)
+    print(records_to_json(records, fits, extra) if args.json else "\n".join(text))
     return EXIT_OK
 
 

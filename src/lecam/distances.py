@@ -16,16 +16,21 @@ it by a Gauss-Legendre rule over pieces of the cell cut where the integrand
 Gaussian mass, so the TV to the Gaussian rounded onto the lattice comes
 with it.  One pass takes the cells of many pairs at once
 (``_cube_quadrature``, which a scan hands a whole family): the cells go
-grouped by pair, each group with its own Gaussian's constants, and each
-pair's sums are taken over its own cells, so a pair's TV has the same bits
-alone or in a family.  A Monte Carlo estimator covers everything beyond
+grouped by pair, each group with its own Gaussian's constants (spread over
+its cells by ``pmf._per_law``, the one per-law broadcast), and each pair's
+sums are taken over its own cells, so a pair's TV has the same bits alone
+or in a family.  A Monte Carlo estimator covers everything beyond
 dimension three.  Where the sampled law's support fits a chunk of draws it
 tables its cells and their log-pmf once, from ``_support_log_pmfs``, the
-quadrature's producer too, with one cdf; each draw is one uniform and one
-search, an index into the table; elsewhere it runs the samplers.  A
-jittered lattice target's log-pmf is read on the same table.  Either way a
-chunk's terms are made a cache-sized block of draws at a time into one
-buffer.
+quadrature's producer too, with one cdf from ``pmf._cdf_rows``, the
+samplers' normaliser; each draw is one uniform and one search, an index
+into the table; elsewhere it runs the samplers.  A jittered lattice
+target's log-pmf is read on the same table.  Either way a chunk's terms
+are made a cache-sized block of draws at a time into one buffer.
+``_jittered_tvs`` is the one route from jittered laws and their targets to
+their TVs, by one quadrature pass or one Monte Carlo run per law, for
+``tv_pair`` and the Le Cam scans alike, which both take its methods from
+``_GAUSSIAN_METHODS``.
 """
 
 from __future__ import annotations
@@ -63,11 +68,13 @@ from .numerics import (
     split_seed,
 )
 from .pmf import (
+    _cdf_rows,
     _family_log_pmfs,
     _full_count_matrix,
     _guide,
     _guided_search,
     _multinomial_log_pmf_rows,
+    _per_law,
     hypergeometric_log_pmf_matrix,
     leaf_log_pmfs,
     multinomial_moments,
@@ -105,6 +112,8 @@ METHOD_MC = "monte-carlo"
 # The pairs of laws whose TV :func:`tv_pair` computes.
 TV_PAIRS = ("hyper-multi", "hyper-hyper", "multi-multi",
             "jitterhyper-jittermulti", "jitterhyper-gauss", "jittermulti-gauss")
+# The methods of a jittered law against its Gaussian (:func:`_jittered_tvs`).
+_GAUSSIAN_METHODS = ("auto", "quad", "mc")
 
 
 def _canonical_law(name: str) -> str:
@@ -447,20 +456,21 @@ def _cell_integrals(cholesky, bounds, consts, log_consts, centers, mean, log_sca
                             mean[s : s + block], log_scale[s : s + block], quad_order)
             for s in range(0, len(consts), block)
         ], axis=1)
-    l11 = cholesky[:, 0, 0]
+    l11, cells_per_law = cholesky[:, 0, 0], np.diff(bounds)
     log_sd, log_norm, sections = zip(*[_law_constants(tuple(map(tuple, f))) for f in cholesky])
     if dim == 1:
         value, mass, size = _slice_integrals(
             consts, log_consts, centers[:, 0] - 0.5, centers[:, 0] + 0.5,
-            mean[:, 0], _per_cell(l11, bounds), log_scale, _per_cell(log_sd, bounds),
+            mean[:, 0], _per_law(l11, cells_per_law), log_scale, _per_law(log_sd, cells_per_law),
         )
         return np.stack([value, mass, size, np.zeros_like(value), np.zeros_like(value)])
-    q0 = 2.0 * (log_scale + _per_cell(log_norm, bounds) - log_consts)
+    q0 = 2.0 * (log_scale + _per_law(log_norm, cells_per_law) - log_consts)
     offset = centers - mean
     lo, hi = offset[:, 0] - 0.5, offset[:, 0] + 0.5
-    ends = []  # per law, its cells' cuts at the two ends of each section
+    ends = []  # per law with cells, its cells' cuts at the two ends of each section
     with np.errstate(invalid="ignore"):  # a missed section cuts at NaN: fmax sends it to lo
-        for j, cells in _law_slices(bounds):
+        for j in np.flatnonzero(cells_per_law):
+            cells = slice(bounds[j], bounds[j + 1])
             ends.append([])
             for axes, edges, tilt, gram, spread in sections[j]:
                 b = offset[cells, axes] + edges
@@ -475,10 +485,11 @@ def _cell_integrals(cholesky, bounds, consts, log_consts, centers, mean, log_sca
     owner = np.nonzero(keep)[0]
     left, width = left[keep][:, None], (right - left)[keep][:, None]
     piece_bounds = owner.searchsorted(bounds)  # the pieces of each law's cells
+    pieces_per_law = np.diff(piece_bounds)
     # the scaled x1 marginal's log-density at w1 is this less w1^2 / 2
-    log_marginal = log_scale[owner] - _per_cell(log_sd, piece_bounds)
-    l11 = _per_cell(cholesky[:, :1, 0], piece_bounds)
-    tilt = _per_cell(cholesky[:, None, 1:, 0], piece_bounds)
+    log_marginal = log_scale[owner] - _per_law(log_sd, pieces_per_law)
+    l11 = _per_law(cholesky[:, :1, 0], pieces_per_law)
+    tilt = _per_law(cholesky[:, None, 1:, 0], pieces_per_law)
     results = []
     for count in (3 * quad_order, 2 * quad_order):
         nodes, weights = _endpoint_rule(count)
@@ -497,19 +508,6 @@ def _cell_integrals(cholesky, bounds, consts, log_consts, centers, mean, log_sca
     pieces, coarse = results
     pieces[3:] += np.abs(pieces[:2] - coarse[:2])
     return np.add.reduceat(pieces, np.flatnonzero(np.diff(owner, prepend=-1)), axis=1)
-
-
-def _per_cell(values, bounds: np.ndarray):
-    """Per-law ``values`` (along the first axis) at each cell, the cells of
-    law j being ``bounds[j]:bounds[j + 1]``: the one law's own entry, which
-    numpy broadcasts, where there is one law."""
-    return values[0] if len(values) == 1 else np.repeat(values, np.diff(bounds), axis=0)
-
-
-def _law_slices(bounds: np.ndarray) -> list[tuple[int, slice]]:
-    """Each law that has cells, with the slice of its cells."""
-    bounds = bounds.tolist()
-    return [(j, slice(a, b)) for j, (a, b) in enumerate(zip(bounds, bounds[1:])) if b > a]
 
 
 def _support_log_pmfs(
@@ -637,13 +635,6 @@ def _hellinger_terms(log_q: np.ndarray, r: np.ndarray) -> np.ndarray:
     return r
 
 
-def _leaf_sum(params: ExperimentParams, terms) -> float:
-    """The exact sum of ``terms`` over the count vectors' blocks of
-    :func:`pmf.leaf_log_pmfs`: no leaf-sized array is made."""
-    levels = count_vector_levels(params.sample_size, params.dim)
-    return _exact_sum_of_blocks(lambda: itertools.starmap(terms, leaf_log_pmfs(params, levels)))
-
-
 def _discrete_error(size: int) -> float:
     """Bar of an exact TV over ``size`` points: each term carries at most a few ulps."""
     return 1e-15 * size + 1e-15
@@ -691,7 +682,7 @@ def tv_monte_carlo(
     Where the sampled law's count vectors number no more than the draws of
     a chunk (``min(sample_count, _MC_CHUNK)``) and fit the cap, its support
     is tabled once per call: the points, their log-pmf from the row kernel
-    and one normalised cdf.  Each draw is then one uniform and one search of
+    and one cdf, normalised by :func:`pmf._cdf_rows` as a sampler's row is.  Each draw is then one uniform and one search of
     that cdf, an index into the support.  Elsewhere each chunk runs the
     sequential sampler, one uniform and one search per coordinate, and the
     row kernel reads each draw.  At d=1 both routes spend one uniform per
@@ -723,11 +714,7 @@ def tv_monte_carlo(
     tabled = count_vector_size(n, dim) <= min(sample_count, _MC_CHUNK, support_cap())
     if tabled:
         [points], log_pmf = _support_log_pmfs([(params, which)])
-        cdf = log_pmf - log_pmf.max()
-        np.exp(cdf, out=cdf)
-        np.cumsum(cdf, out=cdf)
-        cdf /= cdf[-1]
-        cdf = cdf[None, :]
+        cdf = _cdf_rows(log_pmf[None, :].copy())
         if lattice_target:
             table = _clipped_terms(_law_log_pmf(density.params, density.which, points) - log_pmf)
         else:
@@ -802,7 +789,7 @@ def tv_pair(
     first, second = pair.split("-")
     which, other = first.removeprefix("jitter"), second.removeprefix("jitter")
     if other == "gauss":
-        methods = ("auto", "quad", "mc")
+        methods = _GAUSSIAN_METHODS
     else:
         methods = ("auto", "exact", "mc") if which != first else ("auto", "exact")
     if method not in methods:
@@ -812,9 +799,20 @@ def tv_pair(
     if other != "gauss" and method != "mc":
         return tv_discrete(params, which, other)
     target = build_gaussian(params) if other == "gauss" else JitteredLaw(params, other)
+    return _jittered_tvs([(params, which, target, seed)], method, quad_order, sample_count)[0]
+
+
+def _jittered_tvs(
+    items: Sequence[tuple], method: str, quad_order: int, sample_count: int
+) -> list[TVResult]:
+    """TV(jittered law, target) per (params, discrete law, target, seed): one
+    :func:`tv_monte_carlo` run per item at its seed ("mc"), or else, for
+    :class:`GaussianLaw` targets, one :func:`_cube_quadrature` pass over every
+    item.  The one route of :func:`tv_pair` and of a Le Cam scan's chunk."""
     if method == "mc":
-        return tv_monte_carlo(params, which, target, sample_count, seed)
-    return tv_jittered_vs_gaussian(params, which, target, quad_order)
+        return [tv_monte_carlo(params, which, target, sample_count, seed)
+                for params, which, target, seed in items]
+    return [before for before, _ in _cube_quadrature([item[:3] for item in items], quad_order)]
 
 
 def hellinger_discrete(params: ExperimentParams) -> HellingerResult:
@@ -823,7 +821,10 @@ def hellinger_discrete(params: ExperimentParams) -> HellingerResult:
     Also returns 2 * sqrt(H^2), a conservative upper bound on their TV
     distance (TV <= sqrt(H^2 (2 - H^2)) <= 2 H).
     """
-    h_squared = 0.5 * _leaf_sum(params, _hellinger_terms)
+    levels = count_vector_levels(params.sample_size, params.dim)
+    # summed over the count vectors' blocks of leaves: no leaf-sized array is made
+    h_squared = 0.5 * _exact_sum_of_blocks(
+        lambda: itertools.starmap(_hellinger_terms, leaf_log_pmfs(params, levels)))
     return HellingerResult(h_squared=h_squared, tv_bound=math.sqrt(4.0 * h_squared))
 
 

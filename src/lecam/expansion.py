@@ -25,7 +25,7 @@ from .lattice import (
     _in_truncated_set,
     full_counts,
 )
-from .numerics import SlopeFit, fit_loglog_slope
+from .numerics import SlopeFit, _rate_fit
 from .pmf import log_ratio_matrix
 from .records import ScanRecord
 
@@ -188,15 +188,10 @@ def residual_scan(
         )
         for (params, ks), value in zip(rows, exact)
     )
-    resolved = [
-        (record.population, record.value)
-        for record, value in zip(records, exact)
-        if record.value > RESIDUAL_FLOOR_ULPS * math.ulp(value)
-    ]
-    if len(resolved) < 4 or len({x for x, _ in resolved}) < 2:
-        return ResidualScan(records=records, fit=None, degenerate=True)
-    fit = fit_loglog_slope([x for x, _ in resolved], [y for _, y in resolved])
-    return ResidualScan(records=records, fit=fit, degenerate=False)
+    fit = _rate_fit([(record.population, record.value)
+                     for record, value in zip(records, exact)
+                     if record.value > RESIDUAL_FLOOR_ULPS * math.ulp(value)])
+    return ResidualScan(records=records, fit=fit, degenerate=fit is None)
 
 
 def _log_ratios(rows: Sequence[tuple[ExperimentParams, tuple[int, ...]]]) -> list[float]:

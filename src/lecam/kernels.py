@@ -10,9 +10,11 @@ validates that chain numerically.  The TVs themselves come from
 pass of the cube quadrature, which gives each support cell's Gaussian mass
 beside the jittered law's TV and so the rounded Gaussian's TV with it.
 ``lecam_scan`` hands a whole chunk of its family to one routine: each
-point's Gaussian, built once, with its laws, and their TVs from one pass of
-the cell integrator over every cell of the chunk, or from one Monte Carlo
-run per law at its point's seed.
+point's Gaussian, built once, with its laws, and their TVs from
+``distances._jittered_tvs``, ``tv_pair``'s route too: one pass of the cell
+integrator over every cell of the chunk, or one Monte Carlo run per law at
+its point's seed.  Its slopes follow the one fit rule,
+``numerics._fit_refusal``, through ``numerics._rate_fit``.
 """
 
 from __future__ import annotations
@@ -27,19 +29,20 @@ from .distances import (
     DEFAULT_MC_SAMPLES,
     DEFAULT_QUAD_ORDER,
     MAX_QUAD_DIM,
+    _GAUSSIAN_METHODS,
     TVResult,
     _cube_quadrature,
     _gaussian_term_scale,
     _in_regime,
+    _jittered_tvs,
     _require_regime,
     build_gaussian,
-    tv_monte_carlo,
     tv_pair,
 )
 from .errors import ValidationError
 from .lattice import ExperimentParams
 # apply_jitter is the jitter kernel; it lives in numerics and is re-exported here
-from .numerics import SlopeFit, apply_jitter, fit_loglog_slope, round_half_away
+from .numerics import SlopeFit, _rate_fit, apply_jitter, round_half_away
 from .records import ScanRecord
 
 # Method of the deficiency rows of a Le Cam scan point outside the regime.
@@ -159,20 +162,17 @@ def lecam_scan(
     Point i uses seed + i, so results are identical at any ``jobs``.
     ``tv_method`` is checked here, before any worker starts.
     """
-    methods = ("auto", "quad", "mc")
-    if tv_method not in methods:
-        raise ValidationError(
-            f"tv_method {tv_method!r} not available; use one of {', '.join(methods)}")
+    if tv_method not in _GAUSSIAN_METHODS:
+        raise ValidationError(f"tv_method {tv_method!r} not available; "
+                              f"use one of {', '.join(_GAUSSIAN_METHODS)}")
     points = [(params, seed + i) for i, params in enumerate(family)]
     chunk = functools.partial(
         _lecam_points, method=tv_method, quad_order=quad_order, sample_count=sample_count)
     records = tuple(r for bundle in _map_ordered(chunk, points, jobs) for r in bundle)
-    fits = {}
-    for quantity in ("le_cam_upper", "tv_jittered_multinomial_gauss"):
-        # flagged rows carry NaN, which fails the positivity test
-        pts = [(r.sample_size, r.value) for r in records if r.quantity == quantity and r.value > 0]
-        fittable = len(pts) >= 4 and len({n for n, _ in pts}) >= 2
-        fits[quantity] = fit_loglog_slope(*zip(*pts)) if fittable else None
+    # flagged rows carry NaN, which fails the positivity test
+    fits = {quantity: _rate_fit([(r.sample_size, r.value) for r in records
+                                 if r.quantity == quantity and r.value > 0])
+            for quantity in ("le_cam_upper", "tv_jittered_multinomial_gauss")}
     return LecamScan(records=records, fits=fits)
 
 
@@ -207,19 +207,16 @@ def _lecam_points(
 
     Each point builds its Gaussian once and lists its laws, the
     hypergeometric one where the point is in the regime, then the
-    multinomial one.  Their TVs come from one :func:`_cube_quadrature` pass
-    over the chunk, or from :func:`tv_monte_carlo` at the point's seed.
+    multinomial one.  Their TVs come from :func:`distances._jittered_tvs`,
+    :func:`tv_pair`'s route: one cube quadrature pass over the chunk, or
+    one Monte Carlo run per law at its point's seed.
     Top-level so process pools can pickle it."""
     items = []
     for params, seed in points:
         gaussian = build_gaussian(params)
         laws = ("hypergeometric", "multinomial") if _in_regime(params) else ("multinomial",)
         items += [(params, which, gaussian, seed) for which in laws]
-    if method == "mc":
-        tvs = (tv_monte_carlo(params, which, gaussian, sample_count, seed)
-               for params, which, gaussian, seed in items)
-    else:
-        tvs = (before for before, _ in _cube_quadrature([item[:3] for item in items], quad_order))
+    tvs = iter(_jittered_tvs(items, method, quad_order, sample_count))
     records = []
     for params, _ in points:
         if _in_regime(params):

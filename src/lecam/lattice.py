@@ -404,7 +404,7 @@ def in_truncated_set(params: ExperimentParams, point: Sequence[int], gamma) -> b
 def _in_truncated_set(params: ExperimentParams, ks: Sequence[int], g: Fraction) -> bool:
     """:func:`in_truncated_set` at a point's full counts, for an exact gamma in
     (0, 1]; a point outside the support is refused."""
-    if not all(0 <= k <= c for k, c in zip(ks, params.counts)):
+    if not _in_support(params, ks):
         raise ValidationError(f"point {tuple(ks[:-1])} lies outside the support")
     # k_i / p_i <= g N  <=>  k_i <= g * counts_i, cleared of g's denominator
     return all(k * g.denominator <= g.numerator * c for k, c in zip(ks, params.counts))

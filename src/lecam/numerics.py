@@ -164,22 +164,19 @@ class SlopeFit:
 def fit_loglog_slope(xs: Sequence[float], ys: Sequence[float]) -> SlopeFit:
     """Fit ln(ys) = slope * ln(xs) + intercept by ordinary least squares.
 
-    Requires at least four strictly positive points, at two or more distinct
-    x values; a rate measurement on fewer points, or at one x, is not
-    meaningful.
+    Requires finite, strictly positive points that :func:`_fit_refusal`
+    does not refuse.
     """
     xa = np.asarray(xs, dtype=float)
     ya = np.asarray(ys, dtype=float)
     if xa.ndim != 1 or xa.shape != ya.shape:
         raise ValidationError("fit_loglog_slope expects two 1-d sequences of equal length")
-    if xa.size < 4:
-        raise ValidationError("fit_loglog_slope needs at least 4 points")
+    if refusal := _fit_refusal(xa.tolist()):
+        raise ValidationError(f"fit_loglog_slope {refusal}")
     if np.any(~np.isfinite(xa)) or np.any(~np.isfinite(ya)):
         raise ValidationError("fit_loglog_slope requires finite values")
     if np.any(xa <= 0) or np.any(ya <= 0):
         raise ValidationError("fit_loglog_slope requires strictly positive values")
-    if len(set(xa.tolist())) < 2:
-        raise ValidationError("fit_loglog_slope needs at least 2 distinct x values")
     lx = np.log(xa)
     ly = np.log(ya)
     slope, intercept = np.polyfit(lx, ly, 1)
@@ -188,6 +185,21 @@ def fit_loglog_slope(xs: Sequence[float], ys: Sequence[float]) -> SlopeFit:
     ss_tot = float(np.sum((ly - ly.mean()) ** 2))
     r_squared = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
     return SlopeFit(float(slope), float(intercept), r_squared, int(xa.size))
+
+
+def _fit_refusal(xs: Sequence[float]) -> str | None:
+    """Why a rate fitted at these x values would not be meaningful, or None:
+    the one rule of every fit, at least four points at two or more distinct x."""
+    if len(xs) < 4:
+        return "needs at least 4 points"
+    return None if len(set(xs)) >= 2 else "needs at least 2 distinct x values"
+
+
+def _rate_fit(points: Sequence[tuple[float, float]]) -> SlopeFit | None:
+    """:func:`fit_loglog_slope` over positive (x, y) points, or None where
+    :func:`_fit_refusal` refuses their x values."""
+    xs = [x for x, _ in points]
+    return None if _fit_refusal(xs) else fit_loglog_slope(xs, [y for _, y in points])
 
 
 def round_half_away(z) -> np.ndarray:

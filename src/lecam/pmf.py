@@ -10,25 +10,28 @@ row constant plus one term per category, ``k ln w_i - ln k!`` and for the
 ratio ``T_{c_i}[k]``, tabled by ``_log_pmf_tables``.  The row kernels add
 these terms a whole column at a time, left to right, and
 ``_family_log_pmfs``, the one producer of a law's rows, reads those of
-many laws of either kind in one call of each; ``leaf_log_pmfs`` folds the
-tables down a lattice's levels in the same order and yields the leaves a
-cache-sized block at a time.  ``scheffe_levels`` bounds the ratio's
-tables to enumerate only the points where P may exceed Q, and sums r there.
+many laws of either kind in one call of each, each row given its law's
+constants by ``_per_law`` (the one per-law broadcast, which the cell
+integrator reads too); ``leaf_log_pmfs`` folds the tables down a lattice's
+levels in the same order and yields the leaves a cache-sized block at a
+time.  ``scheffe_levels`` bounds the ratio's tables to enumerate only the
+points where P may exceed Q, and sums r there.
 
 Both samplers draw one coordinate at a time from its conditional law through
 one routine, ``_sample_sequential``: inversion by table lookup (Devroye 1986,
 *Non-Uniform Random Variate Generation*, ch. III).  Each coordinate reads a
 2-D table, a row per remaining draw count, from its two tables built once,
 in blocks of bounded size; the first coordinate's table is one row, as
-every draw still has all n to place.  Rows are normalised from their mode,
-so no mass underflows at any sample size.  One search serves every row:
-indexed by a guide table (Chen and Asau 1974), as fine as the block's
-uniforms pay for, where one comparison settles most uniforms and a halving
-search inside the cell the rest.  It returns a flat index into the block's
-table, so one ``take`` from the table of counts gives the draws.  The guide
-is built apart from the search (``_guide``, ``_guided_search``), so the
-tabled Monte Carlo route builds one per chunk and searches it a block of
-uniforms at a time.
+every draw still has all n to place.  Rows are normalised from their mode
+by ``_cdf_rows``, the one normaliser, which the tabled Monte Carlo's
+support row goes through too, so no mass underflows at any sample size.
+One search serves every row: indexed by a guide table (Chen and Asau
+1974), as fine as the block's uniforms pay for, where one comparison
+settles most uniforms and a halving search inside the cell the rest.  It
+returns a flat index into the block's table, so one ``take`` from the
+table of counts gives the draws.  The guide is built apart from the
+search (``_guide``, ``_guided_search``), so the tabled Monte Carlo route
+builds one per chunk and searches it a block of uniforms at a time.
 """
 
 from __future__ import annotations
@@ -108,17 +111,12 @@ def _family_log_pmfs(
     ``c - k`` where the law draws over half of N.  One law hands the kernels
     its log-weights and counts as shared vectors; more hand them a row each."""
     sizes = [len(x) for x in points]
-
-    def per_row(values):
-        values = np.asarray(values)
-        return values[0] if len(values) == 1 else np.repeat(values, sizes, axis=0)
-
     ks = [_full_count_matrix(x, p.dim, p.sample_size) for x, p in zip(points, family)]
     ks = ks[0] if len(ks) == 1 else np.concatenate([k.T for k in ks], axis=1).T
     counts = np.array([p.counts for p in family], dtype=np.int64)
-    log_w = per_row([np.log(p.weights) for p in family])
-    hyper, counts = per_row(hypergeometric), per_row(counts)
-    flip = hyper & per_row([2 * p.sample_size > p.population for p in family])
+    log_w = _per_law([np.log(p.weights) for p in family], sizes)
+    hyper, counts = _per_law(hypergeometric, sizes), _per_law(counts, sizes)
+    flip = hyper & _per_law([2 * p.sample_size > p.population for p in family], sizes)
     if flip.any():
         # a row off the support keeps its last count -1, which both kernels
         # refuse: flipped, its sum could pass 2**63
@@ -129,6 +127,14 @@ def _family_log_pmfs(
     if hyper.any():
         out[hyper] += log_ratio_matrix(counts[hyper], ks[hyper])
     return out
+
+
+def _per_law(values, sizes):
+    """Per-law ``values`` (along the first axis) repeated over each law's
+    ``sizes`` rows; one law's own entry, which numpy broadcasts, where there
+    is one law (so a scalar stays a scalar)."""
+    values = np.asarray(values)
+    return values[0] if len(values) == 1 else np.repeat(values, sizes, axis=0)
 
 
 # Entries per block of tables built at once (one row, if a row is longer): the
@@ -459,6 +465,19 @@ def multinomial_moments(sample_size: int, weights: Sequence[float]) -> MomentSum
 _GUIDE_FINENESS = 8
 
 
+def _cdf_rows(log_mass: np.ndarray) -> np.ndarray:
+    """Each row of a 2-D array of log-masses (-inf at an entry of no mass)
+    made, in place, into its cdf: normalised from its mode, so no mass
+    underflows, summed along the row and divided by its last entry, which is
+    then exactly 1.0.  The one normaliser of the samplers' rows and of the
+    tabled Monte Carlo's support."""
+    log_mass -= log_mass.max(axis=1, keepdims=True)
+    np.exp(log_mass, out=log_mass)
+    np.cumsum(log_mass, axis=1, out=log_mass)
+    log_mass /= log_mass[:, -1:]
+    return log_mass
+
+
 def _first_at_least(cdf: np.ndarray, u: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
     """The flat index into ``cdf`` of ``np.searchsorted(cdf[row], u)`` per uniform,
     by an indexed search (Chen and Asau 1974; Devroye 1986, section III.2.4);
@@ -538,10 +557,10 @@ def _sample_sequential(
     ``(c - k, o - (t - k))``, as likely and below t.  The tables reach n.
     The first coordinate has the one count t = n; later ones take their
     distinct t from a bincount, and each block of at most ``_TABLE_BLOCK``
-    entries is one gather.  A row is normalised from its mode (so no mass
-    underflows) and summed along itself, the same bits as a 1-D table per
-    t; the search's flat index reads the drawn count from the block's table
-    of counts.  One ``rng.random(m)`` is consumed per coordinate, and each
+    entries is one gather.  Entries past a row's highest count are -inf,
+    and :func:`_cdf_rows` makes each row its cdf, the same bits as a 1-D
+    table per t; the search's flat index reads the drawn count from the
+    block's table of counts.  One ``rng.random(m)`` is consumed per coordinate, and each
     coordinate's draws fill one row of the (dim, m) draws.
     """
     m = 1 if size is None else size
@@ -569,11 +588,8 @@ def _sample_sequential(
                 s, j = np.where(flip, c + o - t, t), np.where(flip, c - ks, ks)
             cdf = tables[0].take(j)
             cdf += tables[1].take(s - j)
-            cdf -= cdf.max(axis=1, keepdims=True)
-            np.exp(cdf, out=cdf)
-            cdf[offsets > high - low] = 0.0
-            np.cumsum(cdf, axis=1, out=cdf)
-            cdf /= cdf[:, -1:]
+            cdf[offsets > high - low] = -np.inf
+            _cdf_rows(cdf)
             if block is None:
                 ks.take(_first_at_least(cdf, u, rows), out=drawn)
             else:

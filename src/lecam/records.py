@@ -7,17 +7,20 @@ reproduces the in-memory values bit for bit.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Iterable, Mapping, Sequence
 
 from .errors import ValidationError
 from .numerics import SlopeFit
 
 FLOAT_FORMAT = ".17g"
+# The columns after the weights, in every CSV.
+_TAIL = ["quantity", "value", "error", "method"]
 
 
 @dataclass(frozen=True)
@@ -40,12 +43,7 @@ def format_float(x: float) -> str:
 
 
 def _header(dim: int) -> list[str]:
-    return ["N", "n", "d"] + [f"p{i + 1}" for i in range(dim + 1)] + [
-        "quantity",
-        "value",
-        "error",
-        "method",
-    ]
+    return ["N", "n", "d"] + [f"p{i + 1}" for i in range(dim + 1)] + _TAIL
 
 
 def write_csv(records: Sequence[ScanRecord], path_or_buf) -> None:
@@ -55,9 +53,7 @@ def write_csv(records: Sequence[ScanRecord], path_or_buf) -> None:
     dim = records[0].dim
     if any(r.dim != dim for r in records):
         raise ValidationError("all records in one CSV must share the same dimension")
-    own = isinstance(path_or_buf, (str, bytes, os.PathLike))
-    handle = open(path_or_buf, "w", newline="", encoding="utf-8") if own else path_or_buf
-    try:
+    with _opened(path_or_buf, "w") as handle:
         writer = csv.writer(handle)
         writer.writerow(_header(dim))
         for r in records:
@@ -68,30 +64,16 @@ def write_csv(records: Sequence[ScanRecord], path_or_buf) -> None:
                 + [format_float(w) for w in r.weights]
                 + [r.quantity, format_float(r.value), format_float(r.error), r.method]
             )
-    finally:
-        if own:
-            handle.close()
 
 
 def read_csv(path_or_buf) -> list[ScanRecord]:
     """Parse a CSV written by :func:`write_csv` back into records."""
-    own = isinstance(path_or_buf, (str, bytes, os.PathLike))
-    handle = open(path_or_buf, "r", newline="", encoding="utf-8") if own else path_or_buf
-    try:
-        reader = csv.reader(handle)
-        rows = list(reader)
-    finally:
-        if own:
-            handle.close()
+    with _opened(path_or_buf, "r") as handle:
+        rows = list(csv.reader(handle))
     if not rows:
         raise ValidationError("empty CSV input")
     header = rows[0]
-    if len(header) < 8 or header[:3] != ["N", "n", "d"] or header[-4:] != [
-        "quantity",
-        "value",
-        "error",
-        "method",
-    ]:
+    if len(header) < 8 or header[:3] != ["N", "n", "d"] or header[-4:] != _TAIL:
         raise ValidationError("unrecognized CSV header")
     weight_cols = len(header) - 7
     records = []
@@ -116,13 +98,12 @@ def read_csv(path_or_buf) -> list[ScanRecord]:
     return records
 
 
-def _fit_to_dict(fit: SlopeFit) -> dict:
-    return {
-        "slope": fit.slope,
-        "intercept": fit.intercept,
-        "r_squared": fit.r_squared,
-        "points_used": fit.points_used,
-    }
+def _opened(path_or_buf, mode: str):
+    """A path opened as UTF-8 text for the csv module, closed on leaving the
+    ``with``; a buffer as it is, left open."""
+    if isinstance(path_or_buf, (str, bytes, os.PathLike)):
+        return open(path_or_buf, mode, newline="", encoding="utf-8")
+    return contextlib.nullcontext(path_or_buf)
 
 
 def records_to_json(
@@ -147,9 +128,15 @@ def records_to_json(
         ]
     }
     if slope_fits:
-        doc["slope_fits"] = {name: _fit_to_dict(fit) for name, fit in slope_fits.items()}
+        doc["slope_fits"] = {name: asdict(fit) for name, fit in slope_fits.items()}
     if extra:
         doc.update(extra)
+    return _json_text(doc)
+
+
+def _json_text(doc: Mapping) -> str:
+    """The one JSON encoding of every document: indented, with no NaN or
+    infinity (see :func:`_json_float`)."""
     return json.dumps(doc, indent=2, allow_nan=False)
 
 

@@ -250,7 +250,7 @@ class TestScanIsPointByPoint:
 
     def test_one_pass_of_the_integrator_per_scan(self, monkeypatch):
         passes, quadratures, depth = [], [], [0]
-        cell_integrals, cube_quadrature = distances._cell_integrals, kernels._cube_quadrature
+        cell_integrals, cube_quadrature = distances._cell_integrals, distances._cube_quadrature
 
         def counted_cells(*args):
             passes.append(depth[0])
@@ -265,7 +265,7 @@ class TestScanIsPointByPoint:
             return cube_quadrature(items, quad_order)
 
         monkeypatch.setattr(distances, "_cell_integrals", counted_cells)
-        monkeypatch.setattr(kernels, "_cube_quadrature", counted_quadrature)
+        monkeypatch.setattr(distances, "_cube_quadrature", counted_quadrature)
         lecam_scan(SCAN_FAMILIES["d2"], quad_order=8)
         # six points, one of them flagged: 2 * 5 + 1 laws, one top-level pass
         assert quadratures == [11]
@@ -293,7 +293,7 @@ class TestScanIsPointByPoint:
 
         for module in (distances, kernels):
             monkeypatch.setattr(module, "build_gaussian", counted_build)
-            monkeypatch.setattr(module, "tv_monte_carlo", counted_run)
+        monkeypatch.setattr(distances, "tv_monte_carlo", counted_run)
         # three points, the last outside the regime: one Gaussian each, one run per law
         family = SCAN_FAMILIES["d1"][:2] + [validate_params(10, 8, (5, 5))]
         lecam_scan(family, tv_method="mc", sample_count=10_000)

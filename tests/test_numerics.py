@@ -21,6 +21,7 @@ from lecam.numerics import (
     _EXACT_SUM_MIN_TERMS,
     LOG_FACTORIAL_TABLE_SIZE,
     _exact_sum_of_blocks,
+    _rate_fit,
     compensated_cumsum,
     exact_sum,
 )
@@ -238,6 +239,20 @@ class TestSlopeFit:
     def test_rejects_shape_mismatch(self):
         with pytest.raises(ValidationError):
             fit_loglog_slope([1, 2, 3, 4], [1, 2, 3])
+
+    @pytest.mark.parametrize("xs", [[], [8], [8, 16, 32], [64] * 4, [64] * 9, [64, 64, 64, 128],
+                                    [8, 16, 32, 64], [8, 8, 16, 16, 16]])
+    def test_scans_fit_exactly_where_the_fit_accepts(self, xs):
+        # the scans' rule and fit_loglog_slope's are one: the scans skip a
+        # fit exactly where it would raise, and otherwise return its bits
+        points = [(x, 0.5 * x**-1.5 * (1 + 0.01 * i)) for i, x in enumerate(xs)]
+        fit = _rate_fit(points)
+        try:
+            want = fit_loglog_slope([x for x, _ in points], [y for _, y in points])
+        except ValidationError:
+            assert fit is None
+        else:
+            assert fit == want
 
 
 class TestRngPlumbing:
