@@ -13,6 +13,7 @@ Run from the repository root:
 from __future__ import annotations
 
 import argparse
+from dataclasses import asdict
 from pathlib import Path
 
 from lecam import (
@@ -66,26 +67,11 @@ def lecam_study() -> list[ScanRecord]:
 def bound_pieces_study() -> list[ScanRecord]:
     records = []
     for n in LECAM_SAMPLE_SIZES:
-        N = n**3
-        params = scaled_params(N, n, WEIGHT_PATTERN)
+        params = scaled_params(n**3, n, WEIGHT_PATTERN)
         parts = tv_bound_parts(params)
-        for quantity, value in (
-            ("tail_sum", parts.tail_sum),
-            ("n2_over_N", parts.n2_over_N),
-            ("gaussian_term_scale", parts.gaussian_term_scale),
-        ):
-            records.append(
-                ScanRecord(
-                    population=N,
-                    sample_size=n,
-                    dim=params.dim,
-                    weights=params.weights,
-                    quantity=quantity,
-                    value=value,
-                    error=0.0,
-                    method="closed-form",
-                )
-            )
+        # every piece but the tail cut-offs nu
+        records += [ScanRecord.at(params, quantity, value, 0.0, "closed-form")
+                    for quantity, value in asdict(parts).items() if quantity != "nu"]
         print(f"n={n:<4d} tail_sum={parts.tail_sum:.3e} n2/N={parts.n2_over_N:.3e} "
               f"gauss_scale={parts.gaussian_term_scale:.3e}")
     return records

@@ -18,6 +18,7 @@ import functools
 import itertools
 import math
 import sys
+from dataclasses import asdict
 from typing import Iterable, Sequence
 
 from .distances import (
@@ -35,7 +36,7 @@ from .kernels import METHOD_FLAGGED, data_processing_check, lecam_scan
 from .lattice import ExperimentParams, scaled_params, validate_params
 from .numerics import SlopeFit
 from .pmf import hypergeometric_log_pmf, multinomial_log_pmf
-from .records import _json_float, _json_text, records_to_json, write_csv
+from .records import _json_text, _json_value, records_to_json, write_csv
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -50,7 +51,8 @@ _QUAD_ORDER_HELP = (
 
 
 class UsageError(Exception):
-    """Malformed invocation detected after argparse (empty or short lists)."""
+    """Malformed invocation detected after argparse (empty or short lists, or
+    an --out path that cannot be written)."""
 
 
 def _int_list(text: str) -> list[int]:
@@ -73,7 +75,7 @@ def _report(args, doc: dict) -> int:
     for name, value in doc.items():
         if isinstance(value, float):
             value = _fmt(value)
-        elif isinstance(value, list):
+        elif isinstance(value, (list, tuple)):
             value = ",".join(str(v) for v in value)
         print(f"{name} = {value}")
     return EXIT_OK
@@ -94,14 +96,11 @@ def _cmd_pmf(args) -> int:
     else:
         logp = multinomial_log_pmf(params.sample_size, params.weights, point)
     prob = math.exp(logp) if logp > float("-inf") else 0.0
-    return _report(args, {"log_probability": _json_float(logp), "probability": prob})
+    return _report(args, {"log_probability": _json_value(logp), "probability": prob})
 
 
 def _cmd_ratio(args) -> int:
-    params = _build_params(args)
-    result = expand(params, tuple(args.k))
-    fields = ("exact", "order1", "order2", "residual1", "residual2")
-    return _report(args, {name: getattr(result, name) for name in fields})
+    return _report(args, asdict(expand(_build_params(args), tuple(args.k))))
 
 
 def _slope_line(name: str, fit: SlopeFit) -> str:
@@ -139,17 +138,7 @@ def _cmd_tv(args) -> int:
 
 
 def _cmd_bound_parts(args) -> int:
-    params = _build_params(args)
-    parts = tv_bound_parts(params)
-    return _report(
-        args,
-        {
-            "nu": list(parts.nu),
-            "tail_sum": parts.tail_sum,
-            "n2_over_N": parts.n2_over_N,
-            "gaussian_term_scale": parts.gaussian_term_scale,
-        },
-    )
+    return _report(args, asdict(tv_bound_parts(_build_params(args))))
 
 
 def _cmd_tail_check(args) -> int:
@@ -212,7 +201,10 @@ def _scan_report(args, records, fits: dict, text: Iterable[str], extra: dict | N
     with --json (``fits`` and ``extra`` beside them), else the lines of
     ``text``, which only text output reads."""
     if args.out:
-        write_csv(records, args.out)
+        try:
+            write_csv(records, args.out)
+        except OSError as exc:
+            raise UsageError(f"cannot write --out: {exc}") from None
     print(records_to_json(records, fits, extra) if args.json else "\n".join(text))
     return EXIT_OK
 

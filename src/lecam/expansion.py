@@ -175,19 +175,11 @@ def residual_scan(
             )
         rows.append((params, ks))
     exact = _log_ratios(rows)
+    quantity = f"abs_residual_order{int(order)}"
     records = tuple(
-        ScanRecord(
-            population=params.population,
-            sample_size=params.sample_size,
-            dim=params.dim,
-            weights=params.weights,
-            quantity=f"abs_residual_order{int(order)}",
-            value=abs(value - _truncations(params, ks, order)[-1]),
-            error=0.0,
-            method="exact-log-ratio",
-        )
-        for (params, ks), value in zip(rows, exact)
-    )
+        ScanRecord.at(params, quantity, abs(value - _truncations(params, ks, order)[-1]),
+                      0.0, "exact-log-ratio")
+        for (params, ks), value in zip(rows, exact))
     fit = _rate_fit([(record.population, record.value)
                      for record, value in zip(records, exact)
                      if record.value > RESIDUAL_FLOOR_ULPS * math.ulp(value)])

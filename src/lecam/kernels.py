@@ -47,6 +47,8 @@ from .records import ScanRecord
 
 # Method of the deficiency rows of a Le Cam scan point outside the regime.
 METHOD_FLAGGED = "flagged:outside-regime"
+# The deficiency bounds of a Le Cam scan point, a record each, in order.
+_BOUNDS = ("delta_P_to_Q", "delta_Q_to_P", "le_cam_upper")
 
 
 @dataclass(frozen=True)
@@ -221,19 +223,14 @@ def _lecam_points(
     for params, _ in points:
         if _in_regime(params):
             report = _deficiency_report(params, next(tvs))
-            rows = [
-                ("delta_P_to_Q", report.delta_P_to_Q, report.error_estimate, report.method),
-                ("delta_Q_to_P", report.delta_Q_to_P, report.error_estimate, report.method),
-                ("le_cam_upper", report.le_cam_upper, report.error_estimate, report.method),
-                ("budget", report.budget, 0.0, "closed-form"),
-            ]
+            rows = [(name, getattr(report, name), report.error_estimate, report.method)
+                    for name in _BOUNDS] + [("budget", report.budget, 0.0, "closed-form")]
         else:
             rows = [(name, float("nan"), float("nan"), METHOD_FLAGGED)
-                    for name in ("delta_P_to_Q", "delta_Q_to_P", "le_cam_upper", "budget")]
+                    for name in (*_BOUNDS, "budget")]
         tv = next(tvs)
         rows.append(("tv_jittered_multinomial_gauss", tv.value, tv.error_estimate, tv.method))
-        records.append([ScanRecord(params.population, params.sample_size, params.dim,
-                                   params.weights, *row) for row in rows])
+        records.append([ScanRecord.at(params, *row) for row in rows])
     return records
 
 

@@ -1,8 +1,11 @@
 """Scan records with lossless CSV and JSON round-trips.
 
-One record is one measured quantity at one experiment point.  Floats are
-printed with 17 significant digits so that parsing the emitted file
-reproduces the in-memory values bit for bit.
+One record is one measured quantity at one experiment point, built by
+``ScanRecord.at``.  Its layout is one column list, ``_columns``: the CSV
+header, each CSV row, the CSV parse and each JSON record's keys follow it.
+Floats are printed with 17 significant digits so that parsing the emitted
+file reproduces the in-memory values bit for bit.  The writer formats every
+row before it opens the path, so a refused record writes nothing.
 """
 
 from __future__ import annotations
@@ -11,15 +14,17 @@ import contextlib
 import csv
 import json
 import math
+import operator
 import os
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Iterable, Mapping, Sequence
 
 from .errors import ValidationError
+from .lattice import ExperimentParams
 from .numerics import SlopeFit
 
 FLOAT_FORMAT = ".17g"
-# The columns after the weights, in every CSV.
+# The columns after the weights, in every CSV and every JSON record.
 _TAIL = ["quantity", "value", "error", "method"]
 
 
@@ -36,34 +41,54 @@ class ScanRecord:
     error: float
     method: str
 
+    @classmethod
+    def at(cls, params: ExperimentParams, quantity: str, value: float, error: float,
+           method: str) -> ScanRecord:
+        """The record of ``quantity`` at the experiment point ``params``."""
+        return cls(params.population, params.sample_size, params.dim, params.weights,
+                   quantity, value, error, method)
+
+
+# A record's field values in order: one column each, but for the weights.
+_field_values = operator.attrgetter(*(f.name for f in fields(ScanRecord)))
+
+
+def _columns(weight_columns: list[str]) -> list[str]:
+    """The one column layout of a record, its weights under ``weight_columns``:
+    p1 ... p(d+1) in a CSV, one list "p" in JSON."""
+    return ["N", "n", "d", *weight_columns, *_TAIL]
+
 
 def format_float(x: float) -> str:
     """Render a float with enough digits for an exact round-trip."""
     return format(x, FLOAT_FORMAT)
 
 
-def _header(dim: int) -> list[str]:
-    return ["N", "n", "d"] + [f"p{i + 1}" for i in range(dim + 1)] + _TAIL
+def _csv_row(r: ScanRecord) -> list:
+    """A record's cells in column order, floats with 17 digits."""
+    row = []
+    for x in _field_values(r):
+        if isinstance(x, tuple):
+            row += map(format_float, x)
+        else:
+            row.append(format_float(x) if isinstance(x, float) else x)
+    return row
 
 
 def write_csv(records: Sequence[ScanRecord], path_or_buf) -> None:
-    """Write records as UTF-8 CSV with the fixed column order."""
+    """Write records as UTF-8 CSV with the fixed column order; every row is
+    formatted before the path is opened, so a refused record writes nothing."""
     if not records:
         raise ValidationError("cannot write an empty record list")
     dim = records[0].dim
     if any(r.dim != dim for r in records):
         raise ValidationError("all records in one CSV must share the same dimension")
+    rows = [_columns([f"p{i + 1}" for i in range(dim + 1)])]
+    rows += map(_csv_row, records)
+    if any(len(row) != len(rows[0]) for row in rows):
+        raise ValidationError("record weights do not match its dimension")
     with _opened(path_or_buf, "w") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(_header(dim))
-        for r in records:
-            if len(r.weights) != dim + 1:
-                raise ValidationError("record weights do not match its dimension")
-            writer.writerow(
-                [r.population, r.sample_size, r.dim]
-                + [format_float(w) for w in r.weights]
-                + [r.quantity, format_float(r.value), format_float(r.error), r.method]
-            )
+        csv.writer(handle).writerows(rows)
 
 
 def read_csv(path_or_buf) -> list[ScanRecord]:
@@ -72,29 +97,19 @@ def read_csv(path_or_buf) -> list[ScanRecord]:
         rows = list(csv.reader(handle))
     if not rows:
         raise ValidationError("empty CSV input")
-    header = rows[0]
-    if len(header) < 8 or header[:3] != ["N", "n", "d"] or header[-4:] != _TAIL:
+    header, *rows = rows
+    weight_columns = header[3:-len(_TAIL)]
+    if not weight_columns or header != _columns(weight_columns):
         raise ValidationError("unrecognized CSV header")
-    weight_cols = len(header) - 7
     records = []
-    for row in rows[1:]:
-        if not row:
-            continue
+    for row in filter(None, rows):
         if len(row) != len(header):
             raise ValidationError("CSV row width does not match the header")
-        weights = tuple(float(x) for x in row[3 : 3 + weight_cols])
-        records.append(
-            ScanRecord(
-                population=int(row[0]),
-                sample_size=int(row[1]),
-                dim=int(row[2]),
-                weights=weights,
-                quantity=row[3 + weight_cols],
-                value=float(row[4 + weight_cols]),
-                error=float(row[5 + weight_cols]),
-                method=row[6 + weight_cols],
-            )
-        )
+        N, n, d, *weights, quantity, value, error, method = row
+        if int(d) != len(weights) - 1:
+            raise ValidationError(f"CSV row has d={d} but {len(weights)} weight columns")
+        records.append(ScanRecord(int(N), int(n), int(d), tuple(map(float, weights)),
+                                  quantity, float(value), float(error), method))
     return records
 
 
@@ -112,21 +127,9 @@ def records_to_json(
     extra: Mapping | None = None,
 ) -> str:
     """JSON document carrying the same values as the CSV output."""
-    doc: dict = {
-        "records": [
-            {
-                "N": r.population,
-                "n": r.sample_size,
-                "d": r.dim,
-                "p": list(r.weights),
-                "quantity": r.quantity,
-                "value": _json_float(r.value),
-                "error": _json_float(r.error),
-                "method": r.method,
-            }
-            for r in records
-        ]
-    }
+    keys = _columns(["p"])
+    doc: dict = {"records": [dict(zip(keys, map(_json_value, _field_values(r))))
+                             for r in records]}
     if slope_fits:
         doc["slope_fits"] = {name: asdict(fit) for name, fit in slope_fits.items()}
     if extra:
@@ -136,38 +139,21 @@ def records_to_json(
 
 def _json_text(doc: Mapping) -> str:
     """The one JSON encoding of every document: indented, with no NaN or
-    infinity (see :func:`_json_float`)."""
+    infinity (see :func:`_json_value`)."""
     return json.dumps(doc, indent=2, allow_nan=False)
 
 
-def _json_float(x: float):
-    # JSON has no NaN/inf literals; flagged rows carry them as strings.
-    if math.isnan(x):
-        return "nan"
-    if math.isinf(x):
-        return "inf" if x > 0 else "-inf"
-    return x
+def _json_value(x):
+    """``x`` for a JSON document: a NaN or infinity as a string, since JSON
+    has no literal for them and flagged rows carry NaN; any other value as it is."""
+    if not isinstance(x, float) or math.isfinite(x):
+        return x
+    return "nan" if math.isnan(x) else "inf" if x > 0 else "-inf"
 
 
 def records_equal(a: Iterable[ScanRecord], b: Iterable[ScanRecord]) -> bool:
-    """Equality that treats NaN values as equal to themselves."""
+    """Field-by-field equality that treats NaN values as equal to themselves."""
     la, lb = list(a), list(b)
-    if len(la) != len(lb):
-        return False
-    for ra, rb in zip(la, lb):
-        if (ra.population, ra.sample_size, ra.dim, ra.quantity, ra.method) != (
-            rb.population,
-            rb.sample_size,
-            rb.dim,
-            rb.quantity,
-            rb.method,
-        ):
-            return False
-        if ra.weights != rb.weights:
-            return False
-        for x, y in ((ra.value, rb.value), (ra.error, rb.error)):
-            if math.isnan(x) and math.isnan(y):
-                continue
-            if x != y:
-                return False
-    return True
+    return len(la) == len(lb) and all(
+        x == y or x != x and y != y  # NaN is the one value unequal to itself
+        for ra, rb in zip(la, lb) for x, y in zip(_field_values(ra), _field_values(rb)))

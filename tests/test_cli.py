@@ -147,6 +147,19 @@ class TestScans:
             runs.append((proc.stdout, out.read_bytes()))
         assert runs[0] == runs[1]
 
+    @pytest.mark.parametrize("args", [
+        ("lecam-scan", "--n", "4,6", "--Np", "1,1"),
+        ("expansion-scan", "--N", "16,32,64,128", "--n", "8", "--Np", "1,1", "--k", "2"),
+    ], ids=["lecam-scan", "expansion-scan"])
+    def test_unwritable_out_is_usage(self, tmp_path, args):
+        out = tmp_path / "missing" / "x.csv"
+        proc = run_cli(*args, "--out", str(out), "--json")
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("usage error: cannot write --out: ")
+        assert str(out) in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stdout == ""
+
     def test_expansion_scan_needs_four_points(self):
         proc = run_cli("expansion-scan", "--N", "16,32", "--n", "8",
                        "--Np", "1,1", "--k", "2")

@@ -1,10 +1,18 @@
+import dataclasses
 import io
 import json
 import math
 
 import pytest
 
-from lecam import ScanRecord, ValidationError, read_csv, records_to_json, write_csv
+from lecam import (
+    ScanRecord,
+    ValidationError,
+    read_csv,
+    records_to_json,
+    validate_params,
+    write_csv,
+)
 from lecam.numerics import SlopeFit
 from lecam.records import format_float, records_equal
 
@@ -54,6 +62,46 @@ class TestCsv:
         records = [make_record(), make_record(dim=2, weights=(0.25, 0.25, 0.5))]
         with pytest.raises(ValidationError):
             write_csv(records, tmp_path / "bad.csv")
+
+    def test_a_refused_record_writes_nothing(self, tmp_path):
+        records = [make_record(), make_record(weights=(1.0,))]
+        path = tmp_path / "scan.csv"
+        with pytest.raises(ValidationError, match="weights do not match"):
+            write_csv(records, path)
+        assert not path.exists()
+        path.write_bytes(b"kept")
+        with pytest.raises(ValidationError):
+            write_csv(records, path)
+        assert path.read_bytes() == b"kept"
+
+    def test_row_whose_d_disagrees_with_its_weights_is_refused(self):
+        text = "N,n,d,p1,p2,quantity,value,error,method\r\n10,3,5,0.5,0.5,x,1,0,m\r\n"
+        with pytest.raises(ValidationError, match="d=5 but 2 weight columns"):
+            read_csv(io.StringIO(text))
+        assert read_csv(io.StringIO(text.replace(",5,", ",1,")))[0].dim == 1
+
+    def test_unrecognized_header_is_refused(self):
+        for header in ("N,n,d,quantity,value,error,method",
+                       "N,n,dim,p1,p2,quantity,value,error,method",
+                       "N,n,d,p1,p2,quantity,value,error"):
+            with pytest.raises(ValidationError, match="unrecognized CSV header"):
+                read_csv(io.StringIO(header + "\r\n"))
+
+
+class TestRecords:
+    def test_at_an_experiment_point(self):
+        params = validate_params(64, 8, (16, 48))
+        record = ScanRecord.at(params, "tv", 0.5, 1e-9, "exact-discrete")
+        assert record == ScanRecord(64, 8, 1, (0.25, 0.75), "tv", 0.5, 1e-9, "exact-discrete")
+
+    def test_equality_reads_every_field_and_matches_nan(self):
+        base = make_record(value=float("nan"), error=float("nan"))
+        assert records_equal([base], [make_record(value=float("nan"), error=float("nan"))])
+        changes = dict(population=65, sample_size=9, dim=2, weights=(0.5, 0.25),
+                       quantity="hellinger", value=0.5, error=0.0, method="quad")
+        for name, value in changes.items():
+            assert not records_equal([base], [dataclasses.replace(base, **{name: value})]), name
+        assert not records_equal([base], [base, base])
 
 
 class TestJson:
