@@ -19,14 +19,16 @@ with it.  One pass takes the cells of many pairs at once
 grouped by pair, each group with its own Gaussian's constants (spread over
 its cells by ``pmf._per_law``, the one per-law broadcast), and each pair's
 sums are taken over its own cells, so a pair's TV has the same bits alone
-or in a family.  A Monte Carlo estimator covers everything beyond
-dimension three.  Where the sampled law's support fits a chunk of draws it
-tables its cells and their log-pmf once, from ``_support_log_pmfs``, the
-quadrature's producer too, with one cdf from ``pmf._cdf_rows``, the
-samplers' normaliser; each draw is one uniform and one search, an index
-into the table; elsewhere it runs the samplers.  A jittered lattice
-target's log-pmf is read on the same table.  Either way a chunk's terms
-are made a cache-sized block of draws at a time into one buffer.
+or in a family.  A Monte Carlo estimator covers everything beyond dimension
+three.  Each chunk of draws reads one table of points and their log-pmf:
+where the sampled law's support fits a chunk, its cells, once per call from
+``_support_log_pmfs``, the quadrature's producer too, with one cdf from
+``pmf._cdf_rows``, the samplers' normaliser, each draw one uniform and one
+search, an index into the table; elsewhere the chunk's draws from the
+samplers, scored once.  A jittered lattice target's log-pmf is read on the
+same table, and one block body makes a chunk's terms, a cache-sized block
+of draws at a time into one buffer.  Every row log-pmf here is read by
+``_law_log_pmf`` or ``_support_log_pmfs``.
 ``_jittered_tvs`` is the one route from jittered laws and their targets to
 their TVs, by one quadrature pass or one Monte Carlo run per law, for
 ``tv_pair`` and the Le Cam scans alike, which both take its methods from
@@ -70,12 +72,9 @@ from .numerics import (
 from .pmf import (
     _cdf_rows,
     _family_log_pmfs,
-    _full_count_matrix,
     _guide,
     _guided_search,
-    _multinomial_log_pmf_rows,
     _per_law,
-    hypergeometric_log_pmf_matrix,
     leaf_log_pmfs,
     multinomial_moments,
     sample_hypergeometric,
@@ -597,9 +596,9 @@ def tv_discrete(params: ExperimentParams, law_a: str, law_b: str) -> TVResult:
     only: ``TV = sum_{k in A} (P_k - Q_k)`` with ``A = {P > Q}``, whose points
     :func:`pmf.scheffe_levels` enumerates, about the n**(d/2) of the
     ellipsoid ``chi^2 < d`` against the n**d count vectors.  Each term is
-    ``P (-expm1(-r))``, its positive part, with ``ln Q`` from the multinomial
-    row kernel and, where 2n <= N, ``r`` from the bound's own running sums;
-    where 2n > N, ``ln P`` from the hypergeometric one, read at ``c - k``,
+    ``P (-expm1(-r))``, its positive part, with ``ln Q`` from
+    :func:`_law_log_pmf` and, where 2n <= N, ``r`` from the bound's own
+    running sums; where 2n > N, ``ln P`` from it too, read at ``c - k``,
     and ``r = ln P - ln Q``.  Two
     copies of one law have r = 0: their TV is exactly 0, its bar from the
     lattice's size, counted, not built, under the same cap as an
@@ -616,10 +615,9 @@ def tv_discrete(params: ExperimentParams, law_a: str, law_b: str) -> TVResult:
     size = count_vector_size(params.sample_size, params.dim)
     levels, r = scheffe_levels(params)
     points = _level_points(levels)
-    ks = _full_count_matrix(points, params.dim, params.sample_size)
-    log_q = _multinomial_log_pmf_rows(np.log(params.weights), ks)
+    log_q = _law_log_pmf(params, MULTINOMIAL, points)
     if 2 * params.sample_size > params.population:
-        log_p = hypergeometric_log_pmf_matrix(params, points)
+        log_p = _law_log_pmf(params, HYPERGEOMETRIC, points)
         r = log_p - log_q
     else:
         log_p = log_q + r
@@ -679,46 +677,52 @@ def tv_monte_carlo(
     jittered law; reports the sample mean and its standard error (a
     one-sigma band).  ``density`` is any object with a log_density method.
 
-    Where the sampled law's count vectors number no more than the draws of
-    a chunk (``min(sample_count, _MC_CHUNK)``) and fit the cap, its support
-    is tabled once per call: the points, their log-pmf from the row kernel
-    and one cdf, normalised by :func:`pmf._cdf_rows` as a sampler's row is.  Each draw is then one uniform and one search of
-    that cdf, an index into the support.  Elsewhere each chunk runs the
-    sequential sampler, one uniform and one search per coordinate, and the
-    row kernel reads each draw.  At d=1 both routes spend one uniform per
-    draw and draw the same points.
+    Each chunk draws from one table of points with their log-pmf.  Where
+    the sampled law's count vectors number no more than the draws of a chunk
+    (``min(sample_count, _MC_CHUNK)``) and fit the cap, that table is the
+    support, built once per call (:func:`_support_log_pmfs`) with one cdf,
+    normalised by :func:`pmf._cdf_rows` as a sampler's row is; each draw is
+    one uniform and one search of that cdf, an index into the table.
+    Elsewhere each chunk runs the sequential sampler, one uniform and one
+    search per coordinate, and the table is the chunk's draws, scored once
+    by the row kernel; a draw's index is its position.  At d=1 both routes
+    spend one uniform per draw and draw the same points.
 
     Each chunk's terms are made ``_MC_BLOCK`` draws at a time into one
     m-sized buffer, whose sum and sum of squares the chunk reports.  On the
     tabled route the buffer first holds the chunk's uniforms, drawn at once
     (so every search uniform comes before any jitter uniform), searched
     through one guide per chunk, and each block's terms overwrite its own
-    uniforms; on the other route the sampler's draws are read a block at a
-    time.  The jitter, the density, the gathered log-pmf and the clipping
-    see only a block, so their temporaries stay in cache and are reused,
-    and no bit depends on the block size.
+    uniforms.  Past the indices both routes share one block body: the
+    gathered points, the jitter, the density, the gathered log-pmf and the
+    clipping see only a block, so their temporaries stay in cache and are
+    reused, and no bit depends on the block size.
 
     A :class:`JitteredLaw` target, of this experiment or another, needs no
     jitter: its density at a jittered draw is its pmf at the draw, which the
     jitter never leaves the open cube of, and the jitter is each chunk
-    generator's last use.  So on the tabled route its terms are one table
-    over the support, read at each draw's index, and on the other its
-    log-pmf is read at the draws: the same bits as through the jitter.
-    Every other density gets the jittered draws.
+    generator's last use.  So its terms are clipped once over the table, by
+    one expression on both routes, and read at each draw's index: the same
+    bits as through the jitter.  Every other density gets the jittered
+    draws.
     """
     if not isinstance(sample_count, (int, np.integer)) or sample_count < MIN_MC_SAMPLES:
         raise ValidationError(f"sample_count must be an integer of at least {MIN_MC_SAMPLES}")
     which = _canonical_law(discrete_law)
     lattice_target = type(density) is JitteredLaw
     n, dim = params.sample_size, params.dim
+
+    def table(points, log_pmf):
+        # the points and their log-pmf or, for a lattice target, its terms
+        if lattice_target:
+            return _clipped_terms(_law_log_pmf(density.params, density.which, points) - log_pmf)
+        return points, log_pmf
+
     tabled = count_vector_size(n, dim) <= min(sample_count, _MC_CHUNK, support_cap())
     if tabled:
         [points], log_pmf = _support_log_pmfs([(params, which)])
         cdf = _cdf_rows(log_pmf[None, :].copy())
-        if lattice_target:
-            table = _clipped_terms(_law_log_pmf(density.params, density.which, points) - log_pmf)
-        else:
-            centers = points.astype(float)  # the jitter reads float draws
+        chunk_table = table(points, log_pmf)
     n_chunks = (sample_count + _MC_CHUNK - 1) // _MC_CHUNK
     children = split_seed(seed, n_chunks)
     done = 0
@@ -737,23 +741,17 @@ def tv_monte_carlo(
                 draws = sample_hypergeometric(params, gen, size=m)
             else:
                 draws = sample_multinomial(params.sample_size, params.weights, gen, size=m)
+            chunk_table = table(draws, _law_log_pmf(params, which, draws))
             terms = np.empty(m)
         for start in range(0, m, _MC_BLOCK):
             out = terms[start : start + _MC_BLOCK]
-            if tabled:
-                index = _guided_search(cdf, guide, out)
-                if lattice_target:
-                    out[:] = table.take(index)
-                    continue
-                at = centers.take(index, axis=0)
-            else:
-                at = draws[start : start + _MC_BLOCK]
+            at = _guided_search(cdf, guide, out) if tabled else np.arange(start, start + len(out))
             if lattice_target:
-                target = _law_log_pmf(density.params, density.which, at)
+                chunk_table.take(at, out=out)
             else:
-                target = density.log_density(apply_jitter(at, gen))
-            log_pmf_at = log_pmf.take(index) if tabled else _law_log_pmf(params, which, at)
-            _clipped_terms(np.subtract(target, log_pmf_at, out=out))
+                points, log_pmf = chunk_table
+                target = density.log_density(apply_jitter(points.take(at, axis=0), gen))
+                _clipped_terms(np.subtract(target, log_pmf.take(at), out=out))
         chunk_sums.append(float(np.sum(terms)))
         chunk_sq_sums.append(float(np.sum(np.square(terms, out=terms))))
     total = math.fsum(chunk_sums)
@@ -901,6 +899,6 @@ def tail_probability_check(params: ExperimentParams, coord: int) -> TailCheck:
     if j_start > j_end:
         return TailCheck(empirical=0.0, bound=bound, nu=nu)
     marginal = validate_params(N, n, (c, N - c))
-    logs = hypergeometric_log_pmf_matrix(marginal, np.arange(j_start, j_end + 1)[:, None])
+    logs = _law_log_pmf(marginal, HYPERGEOMETRIC, np.arange(j_start, j_end + 1)[:, None])
     empirical = exact_sum(np.exp(logs))
     return TailCheck(empirical=empirical, bound=bound, nu=nu)

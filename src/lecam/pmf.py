@@ -299,15 +299,11 @@ def scheffe_levels(params: ExperimentParams) -> tuple[Levels, np.ndarray]:
     n, dim = params.sample_size, params.dim
     _check_table_cap(dim, n, "the log-ratio table")
     # no k_i passes min(c_i, n): the categories' rows stop at the largest,
-    # and N's, which T_N[n] needs, is built alone where that is short of n
-    top = min(int(c.max()), n)
-    increments = _ratio_increments(np.append(c, params.population) if top == n else c, top)
+    # and N's, which T_N[n] needs, is built alone
+    increments = _ratio_increments(c, min(int(c.max()), n))
     with np.errstate(invalid="ignore"):
         tables = compensated_cumsum(increments)  # not finite past k = c, never read
-    if top == n:
-        log_n = tables[-1, n]  # T_N[n]
-    else:
-        log_n = compensated_cumsum(_ratio_increments(np.array([params.population]), n))[0, n]
+    log_n = compensated_cumsum(_ratio_increments(np.array([params.population]), n))[0, n]
     # the tables' rounding, a few ulps of their size, and some slack: a
     # superset of A only adds terms that are positive parts of P - Q <= 0
     threshold = -(1e-9 + 1e-13 * abs(log_n))

@@ -106,10 +106,14 @@ def read_csv(path_or_buf) -> list[ScanRecord]:
         if len(row) != len(header):
             raise ValidationError("CSV row width does not match the header")
         N, n, d, *weights, quantity, value, error, method = row
-        if int(d) != len(weights) - 1:
+        try:
+            record = ScanRecord(int(N), int(n), int(d), tuple(map(float, weights)),
+                                quantity, float(value), float(error), method)
+        except ValueError as exc:
+            raise ValidationError(f"CSV cell does not parse: {exc}") from None
+        if record.dim != len(weights) - 1:
             raise ValidationError(f"CSV row has d={d} but {len(weights)} weight columns")
-        records.append(ScanRecord(int(N), int(n), int(d), tuple(map(float, weights)),
-                                  quantity, float(value), float(error), method))
+        records.append(record)
     return records
 
 

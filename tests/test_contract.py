@@ -4,7 +4,8 @@ One subprocess caps its own address space with ``resource.setrlimit``, so an
 unbounded allocation fails the test instead of the machine, and runs every
 subcommand in-process through ``lecam.cli.main`` over a fixed grid of
 instances at the edges of the accepted range: a census (n = N), a single
-draw, N = 2^63 - 1, d = 1 ... 5, a weight ratio of 10^6 and n > 3N/4.  Each
+draw, N = 2^63 - 1, d = 1 ... 5, a weight ratio of 10^6 and n > 3N/4, and
+the Monte Carlo subcommands where the sampler, not a table, draws.  Each
 call must return 0 (success), 2 (usage), 3 (validation) or 4 (resource cap)
 and raise nothing.  Where it succeeds, every reported TV lies in [0, 1] and
 every bar is finite and non-negative.  It asserts the contract, not values.
@@ -33,6 +34,14 @@ INSTANCES = [
     (10**6 + 1, 20, (1, 10**6)),  # weight ratio 10^6
     (40, 35, (20, 20)),  # n > 3N/4, outside the bounds' regime
 ]
+# (N, n, counts) whose count vectors outnumber the draws: Monte Carlo runs
+# the sequential sampler, which no instance above reaches
+SAMPLED = [
+    (10**6, 2 * 10**4, (5 * 10**5,) * 2),
+    (10**5, 9 * 10**4, (5 * 10**4,) * 2),  # 2n > N
+    (10**6, 200, (25 * 10**4,) * 4),
+    (6 * 10**5, 60, (10**5,) * 6),  # d = 5
+]
 
 
 def _commands(N, n, counts):
@@ -58,7 +67,18 @@ def _commands(N, n, counts):
     yield ["expansion-scan", "--N", populations, *weights, "--k", k]
 
 
+def _sampled_commands(N, n, counts):
+    """The Monte Carlo subcommands at one instance: a jittered law against
+    the other or its Gaussian, and a Le Cam scan."""
+    common = [*MC, "--N", str(N), "--n", str(n), "--Np", ",".join(map(str, counts)), "--json"]
+    for pair in TV_PAIRS:
+        if pair.startswith("jitter"):
+            yield ["tv", "--pair", pair, "--method", "mc", *common]
+    yield ["lecam-scan", "--method", "mc", *common]
+
+
 GRID = [argv for instance in INSTANCES for argv in _commands(*instance)]
+GRID += [argv for instance in SAMPLED for argv in _sampled_commands(*instance)]
 
 # Runs in the subprocess: argv lists on stdin, one finding per line on stdout.
 CHILD = f"""

@@ -746,10 +746,10 @@ class TestMonteCarloRowKernels:
 
     @pytest.mark.parametrize("chunk", [None, 4000], ids=["one-chunk", "three-chunks"])
     @pytest.mark.parametrize("target", ["gauss", "same", "other"])
-    def test_each_kernel_runs_once_per_block_on_the_draws(self, monkeypatch, target, chunk):
-        # no enumeration; per block of a chunk the producer reads the block's
-        # draws, for a lattice target first, then for the sampled law: one
-        # chunk of 10,000 draws is two blocks, three of 4,000 one block each
+    def test_each_kernel_runs_once_per_chunk_on_the_draws(self, monkeypatch, target, chunk):
+        # no enumeration; per chunk the producer reads the chunk's draws once,
+        # for the sampled law and then, for a lattice target, for the target:
+        # one chunk of 10,000 draws, or three of at most 4,000
         if chunk:
             monkeypatch.setattr(distances, "_MC_CHUNK", chunk)
         density = self._density(self.SAMPLED, target)
@@ -766,14 +766,11 @@ class TestMonteCarloRowKernels:
         producer = self._spy_producer(monkeypatch)
         tv_monte_carlo(self.SAMPLED, "hyper", density, 10_000, seed=3)
         assert len(draws) == (3 if chunk else 1) and tables == []
-        blocks = [x[start : start + distances._MC_BLOCK].tolist()
-                  for x in draws for start in range(0, len(x), distances._MC_BLOCK)]
-        assert len(blocks) == (3 if chunk else 2)
         want = []
-        for block in blocks:
+        for x in draws:
+            want.append(([self.SAMPLED], [x.tolist()], [True]))
             if target != "gauss":
-                want.append(([density.params], [block], [False]))
-            want.append(([self.SAMPLED], [block], [True]))
+                want.append(([density.params], [x.tolist()], [False]))
         assert producer() == want
 
     @pytest.mark.parametrize("density", [

@@ -80,6 +80,13 @@ class TestCsv:
             read_csv(io.StringIO(text))
         assert read_csv(io.StringIO(text.replace(",5,", ",1,")))[0].dim == 1
 
+    @pytest.mark.parametrize("row", ["10,3,1,0.5,0.5,x,abc,0,m", "10,3,one,0.5,0.5,x,1,0,m",
+                                     "1.5,3,1,0.5,0.5,x,1,0,m"], ids=["value", "d", "N"])
+    def test_a_cell_that_does_not_parse_is_refused(self, row):
+        text = "N,n,d,p1,p2,quantity,value,error,method\r\n" + row + "\r\n"
+        with pytest.raises(ValidationError, match="does not parse"):
+            read_csv(io.StringIO(text))
+
     def test_unrecognized_header_is_refused(self):
         for header in ("N,n,d,quantity,value,error,method",
                        "N,n,dim,p1,p2,quantity,value,error,method",
